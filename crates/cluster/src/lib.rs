@@ -14,7 +14,10 @@
 //! What stays deterministic: every state-machine decision (dedup,
 //! ack floors, group-commit batching, recovery). What becomes real:
 //! message timing, interleaving across processes, `fsync` on the WAL
-//! ([`FileStore`]), and process death.
+//! ([`FileStore`]), and process death. Nothing is *modelled*: a cost
+//! charged to a clock slaved to wall time is a real timer wait, so the
+//! runtime sets both the storage and the CPU model to free — the real
+//! fsync and the real CPU are the costs.
 //!
 //! [`Sim`]: rover_sim::Sim
 //! [`WallClock`]: rover_sim::WallClock

@@ -126,8 +126,15 @@ fn cmd_server(args: &[String]) -> Result<(), String> {
 
     let s = run_server(&opts, shutdown)?;
     println!(
-        "server: recovered={} requests={} group_commits={} checkpoints={} connections={}",
-        s.recovered, s.requests, s.group_commits, s.checkpoints, s.connections
+        "server: recovered={} requests={} group_commits={} checkpoints={} connections={} \
+         dedup_entries={} checkpoint_bytes={}",
+        s.recovered,
+        s.requests,
+        s.group_commits,
+        s.checkpoints,
+        s.connections,
+        s.dedup_entries,
+        s.checkpoint_bytes
     );
     Ok(())
 }

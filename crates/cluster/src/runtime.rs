@@ -1,8 +1,8 @@
 //! Server and client drive loops bridging `Sim`/`Net` onto TCP sockets.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::net::TcpListener;
+use std::collections::{BTreeMap, HashMap};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -18,7 +18,7 @@ use rover_net::{
     register_reassembling_host, LinkId, LinkSpec, Net, ReconnectPolicy, TcpTransport, Transport,
     TransportEvent,
 };
-use rover_sim::{Clock, Sim, SimDuration, SimTime, WallClock};
+use rover_sim::{Clock, CpuModel, Sim, SimDuration, SimTime, WallClock};
 use rover_wire::HostId;
 
 /// The server's host id on every per-process loopback fabric. Client
@@ -121,14 +121,32 @@ pub struct ServerSummary {
     pub checkpoints: u64,
     /// Distinct client connections accepted.
     pub connections: u64,
+    /// Dedup replies still pinned at exit (at or above their client's
+    /// acknowledgement floor): what every checkpoint re-serialises.
+    /// Flat in the number of clients served when clients say goodbye
+    /// ([`run_client`]'s closing acknowledgement); grows by a window's
+    /// worth per client that vanished without one.
+    pub dedup_entries: u64,
+    /// Size in bytes of the state image the shutdown checkpoint wrote.
+    pub checkpoint_bytes: u64,
 }
 
-/// One accepted client connection and the host id it authenticated as
+/// One live client connection and the host id it authenticated as
 /// (learned from its first envelope's `src`).
 struct Conn {
     transport: TcpTransport,
     host: Option<HostId>,
-    dead: bool,
+}
+
+/// Where a throwaway connection to a listener bound at `local` lands.
+fn wake_addr(mut local: SocketAddr) -> SocketAddr {
+    if local.ip().is_unspecified() {
+        local.set_ip(match local {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    local
 }
 
 /// Runs a Rover home server on real TCP + a real fsync'd WAL until
@@ -149,7 +167,11 @@ pub fn run_server(opts: &ServerOpts, shutdown: Arc<AtomicBool>) -> Result<Server
     let net = Net::new();
 
     let mut cfg = ServerConfig::workstation(SERVER_HOST);
-    cfg.storage = StorageModel::FREE; // The FileStore's fsync is the real cost.
+    // Nothing is modelled under a wall clock: the FileStore's fsync and
+    // the CPU this process burns are the real costs, and a modelled
+    // charge on top of them is a real timer wait.
+    cfg.storage = StorageModel::FREE;
+    cfg.cpu = CpuModel::FREE;
     cfg.mtu = NO_FRAG_MTU;
     cfg.checkpoint_every = opts.checkpoint_every;
     if opts.group_batch > 0 {
@@ -171,72 +193,69 @@ pub fn run_server(opts: &ServerOpts, shutdown: Arc<AtomicBool>) -> Result<Server
         .map_err(|e| format!("attach wal: {e}"))?;
     let recovered = sim.stats.counter("server.recovered_commits");
 
-    // Acceptor thread: hands fresh transports to the driver. Each
-    // connection's reader thread notifies the wall clock, waking the
-    // driver out of its timer wait.
+    // Acceptor thread: blocks in `accept()` and hands fresh transports
+    // to the driver. Each connection's reader thread notifies the wall
+    // clock, waking the driver out of its timer wait.
     let (conn_tx, conn_rx) = mpsc::channel::<TcpTransport>();
     let acc_clock = clock.clone();
     let acc_stop = shutdown.clone();
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("nonblocking: {e}"))?;
     let acceptor = std::thread::spawn(move || {
-        while !acc_stop.load(Ordering::Relaxed) {
-            match listener.accept() {
-                Ok((sock, _)) => {
-                    let _ = sock.set_nonblocking(false);
-                    let c = acc_clock.clone();
-                    if let Ok(t) = TcpTransport::from_stream(sock, move || c.notify()) {
-                        if conn_tx.send(t).is_err() {
-                            return;
-                        }
-                        acc_clock.notify();
-                    }
+        for sock in listener.incoming() {
+            // Checked after every wake-up: the connection that ended
+            // the wait may be the shutdown path's throwaway one.
+            if acc_stop.load(Ordering::SeqCst) {
+                return;
+            }
+            let Ok(sock) = sock else { return };
+            let c = acc_clock.clone();
+            if let Ok(t) = TcpTransport::from_stream(sock, move || c.notify()) {
+                if conn_tx.send(t).is_err() {
+                    return;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => return,
+                acc_clock.notify();
             }
         }
     });
 
     // Per-client plumbing, shared with the outbound proxy handlers.
-    let conns: Rc<RefCell<Vec<Conn>>> = Rc::new(RefCell::new(Vec::new()));
-    let routes: Rc<RefCell<HashMap<HostId, usize>>> = Rc::new(RefCell::new(HashMap::new()));
+    // Connections are keyed by accept order and dropped when they die,
+    // so a driver turn costs the live connections, not every one ever
+    // accepted.
+    let conns: Rc<RefCell<BTreeMap<u64, Conn>>> = Rc::new(RefCell::new(BTreeMap::new()));
+    let routes: Rc<RefCell<HashMap<HostId, u64>>> = Rc::new(RefCell::new(HashMap::new()));
     let mut links: HashMap<HostId, LinkId> = HashMap::new();
     let mut connections_total = 0u64;
 
     while !shutdown.load(Ordering::Relaxed) {
         while let Ok(t) = conn_rx.try_recv() {
+            conns.borrow_mut().insert(
+                connections_total,
+                Conn {
+                    transport: t,
+                    host: None,
+                },
+            );
             connections_total += 1;
-            conns.borrow_mut().push(Conn {
-                transport: t,
-                host: None,
-                dead: false,
-            });
         }
 
         // Drain every connection's inbound events, binding connections
         // to client hosts on first contact (latest connection wins, so
         // a reconnect simply re-routes replies).
-        let n_conns = conns.borrow().len();
-        for idx in 0..n_conns {
+        let live: Vec<u64> = conns.borrow().keys().copied().collect();
+        for idx in live {
             loop {
-                let ev = {
-                    let mut cs = conns.borrow_mut();
-                    if cs[idx].dead {
-                        break;
-                    }
-                    cs[idx].transport.poll_event()
+                let ev = match conns.borrow_mut().get_mut(&idx) {
+                    Some(c) => c.transport.poll_event(),
+                    None => None,
                 };
                 match ev {
                     None => break,
                     Some(TransportEvent::Connected) => {}
                     Some(TransportEvent::Disconnected(_)) => {
-                        let mut cs = conns.borrow_mut();
-                        cs[idx].dead = true;
-                        if let Some(h) = cs[idx].host {
+                        // Reap: the transport, its socket and its
+                        // reader's shared state go with the entry.
+                        let dead = conns.borrow_mut().remove(&idx);
+                        if let Some(h) = dead.and_then(|c| c.host) {
                             let mut rt = routes.borrow_mut();
                             if rt.get(&h) == Some(&idx) {
                                 rt.remove(&h);
@@ -248,11 +267,8 @@ pub fn run_server(opts: &ServerOpts, shutdown: Arc<AtomicBool>) -> Result<Server
                         if src == SERVER_HOST {
                             continue; // A client may not impersonate us.
                         }
-                        {
-                            let mut cs = conns.borrow_mut();
-                            if cs[idx].host.is_none() {
-                                cs[idx].host = Some(src);
-                            }
+                        if let Some(c) = conns.borrow_mut().get_mut(&idx) {
+                            c.host.get_or_insert(src);
                         }
                         routes.borrow_mut().insert(src, idx);
                         let link = *links.entry(src).or_insert_with(|| {
@@ -264,11 +280,12 @@ pub fn run_server(opts: &ServerOpts, shutdown: Arc<AtomicBool>) -> Result<Server
                             let routes2 = routes.clone();
                             register_reassembling_host(&net, src, move |_sim, _net, env| {
                                 let target = routes2.borrow().get(&env.dst).copied();
-                                if let Some(i) = target {
+                                let mut cs = conns2.borrow_mut();
+                                if let Some(c) = target.and_then(|i| cs.get_mut(&i)) {
                                     // A failed write is a drop: the
                                     // client retransmits and the dedup
                                     // table replays the reply.
-                                    let _ = conns2.borrow_mut()[i].transport.send(&env);
+                                    let _ = c.transport.send(&env);
                                 }
                             });
                             link
@@ -291,14 +308,24 @@ pub fn run_server(opts: &ServerOpts, shutdown: Arc<AtomicBool>) -> Result<Server
     // then let immediate follow-up events (reply dispatch) drain.
     Server::flush_and_checkpoint(&server, &mut sim);
     sim.run_for(SimDuration::from_millis(5));
-    let _ = acceptor.join();
+    // The acceptor sits in `accept()`; a throwaway connection wakes it
+    // to see the flag. If even that cannot be made, leave it detached
+    // rather than wait on it forever.
+    if TcpStream::connect(wake_addr(local)).is_ok() || acceptor.is_finished() {
+        let _ = acceptor.join();
+    }
 
+    let server = server.borrow();
     Ok(ServerSummary {
         recovered,
         requests: sim.stats.counter("server.requests"),
         group_commits: sim.stats.counter("server.group_commits"),
         checkpoints: sim.stats.counter("server.checkpoints"),
         connections: connections_total,
+        dedup_entries: server.dedup_entries() as u64,
+        // Nothing changed the state since the shutdown checkpoint, so
+        // this is that image again.
+        checkpoint_bytes: server.export_store().len() as u64,
     })
 }
 
@@ -371,9 +398,11 @@ pub fn run_client(opts: &ClientOpts) -> Result<ClientSummary, String> {
 
     let mut cfg = ClientConfig::thinkpad(me, SERVER_HOST);
     cfg.storage = StorageModel::FREE;
+    cfg.cpu = CpuModel::FREE;
     cfg.mtu = NO_FRAG_MTU;
     cfg.log_policy = LogPolicy::PerOperation;
     cfg.rto = SimDuration::from_micros(opts.rto.as_micros().max(1000) as u64);
+    let rto = cfg.rto;
     cfg.rto_backoff = 2.0;
     cfg.rto_max = SimDuration::from_micros((opts.rto.as_micros() as u64).saturating_mul(16));
     cfg.rto_jitter = 0.0;
@@ -418,22 +447,31 @@ pub fn run_client(opts: &ClientOpts) -> Result<ClientSummary, String> {
     let started = clock.now();
     let mut first_commit_at: Option<SimTime> = None;
 
-    loop {
-        {
-            let mut t = transport.borrow_mut();
-            while let Some(ev) = t.poll_event() {
-                match ev {
-                    TransportEvent::Connected => {
-                        reconnects += 1;
-                        net.set_up(&mut sim, link, true);
-                    }
-                    TransportEvent::Disconnected(_) => net.set_up(&mut sim, link, false),
-                    TransportEvent::Frame(env) => {
-                        let _ = net.send(&mut sim, link, env);
-                    }
+    // Feeds the transport's pending events into the sim; returns the
+    // connects seen and whether the connection dropped.
+    let pump = |sim: &mut Sim| {
+        let (mut connects, mut dropped) = (0, false);
+        let mut t = transport.borrow_mut();
+        while let Some(ev) = t.poll_event() {
+            match ev {
+                TransportEvent::Connected => {
+                    connects += 1;
+                    net.set_up(sim, link, true);
+                }
+                TransportEvent::Disconnected(_) => {
+                    dropped = true;
+                    net.set_up(sim, link, false);
+                }
+                TransportEvent::Frame(env) => {
+                    let _ = net.send(sim, link, env);
                 }
             }
         }
+        (connects, dropped)
+    };
+
+    loop {
+        reconnects += pump(&mut sim).0;
         catch_up(&mut sim, &clock);
 
         // Op pump: once the import resolves, keep `window` exports in
@@ -490,10 +528,31 @@ pub fn run_client(opts: &ClientOpts) -> Result<ClientSummary, String> {
         clock.wait_until(Some(wait));
     }
 
-    transport.borrow_mut().shutdown();
     let wall_ms = first_commit_at
         .map(|t0| clock.now().since(t0).as_micros() / 1000)
         .unwrap_or(0);
+
+    // Closing acknowledgement. `acked_below` only rides on requests, so
+    // a client that simply stops leaves its last window unacknowledged:
+    // the server pins those replies (each carrying the object image)
+    // and re-serialises them into every checkpoint for good. With
+    // nothing outstanding, one ping carries `acked_below = next_req`
+    // and releases them all. Best-effort: it gets one RTO and no
+    // retransmission, and a dropped connection ends the wait, so a dead
+    // server cannot hold up the exit.
+    let bye = Client::ping(&client, &mut sim, session, Priority::NORMAL);
+    let give_up = clock.now() + rto;
+    loop {
+        let dropped = pump(&mut sim).1;
+        catch_up(&mut sim, &clock);
+        if bye.is_ready() || dropped || clock.now() >= give_up {
+            break;
+        }
+        let wait = next_wait(&mut sim, &clock, opts.tick).min(give_up);
+        clock.wait_until(Some(wait));
+    }
+
+    transport.borrow_mut().shutdown();
     Ok(ClientSummary {
         committed: opts.ops,
         retransmits: sim.stats.counter("client.retransmits"),
@@ -522,6 +581,7 @@ pub fn recover_snapshot(wal: &Path) -> Result<(Vec<u8>, u64), String> {
     let net = Net::new();
     let mut cfg = ServerConfig::workstation(SERVER_HOST);
     cfg.storage = StorageModel::FREE;
+    cfg.cpu = CpuModel::FREE;
     cfg.mtu = NO_FRAG_MTU;
     let server = Server::new(&net, cfg);
     server

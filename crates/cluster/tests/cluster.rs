@@ -297,3 +297,219 @@ fn sigterm_flushes_and_checkpoints_before_exit() {
     let (n, _) = tc.dump();
     assert_eq!(n, OPS);
 }
+
+// ---------------------------------------------------------------------
+// In-process runtime: what a client leaves behind at the server
+// ---------------------------------------------------------------------
+
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+
+use rover_cluster::{
+    recover_snapshot, run_client, run_server, ClientOpts, ClientSummary, ServerOpts, ServerSummary,
+};
+use rover_core::decode_checkpoint;
+use rover_net::{read_frame, write_frame};
+use rover_wire::{MsgKind, QrpcRequest, RoverOp, Wire};
+
+/// `run_server` on a thread of this process, on a scratch WAL.
+struct InProcServer {
+    dir: PathBuf,
+    addr: String,
+    shutdown: Arc<AtomicBool>,
+    thread: JoinHandle<Result<ServerSummary, String>>,
+}
+
+impl InProcServer {
+    fn boot(name: &str) -> InProcServer {
+        let dir = std::env::temp_dir().join(format!("rover-cluster-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir scratch");
+        let addr_file = dir.join("addr.txt");
+        let opts = ServerOpts {
+            wal: dir.join("w.wal"),
+            addr_file: Some(addr_file.clone()),
+            tick: Duration::from_millis(5),
+            ..ServerOpts::default()
+        };
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let flag = shutdown.clone();
+        let thread = std::thread::spawn(move || run_server(&opts, flag));
+        let addr = wait_for_file(&addr_file, Duration::from_secs(10))
+            .expect("server never wrote its address");
+        InProcServer {
+            dir,
+            addr,
+            shutdown,
+            thread,
+        }
+    }
+
+    fn wal(&self) -> PathBuf {
+        self.dir.join("w.wal")
+    }
+
+    fn client(&self, connect: &str, host_id: u32, ops: u64) -> Result<ClientSummary, String> {
+        run_client(&ClientOpts {
+            connect: connect.to_string(),
+            host_id,
+            ops,
+            window: 8,
+            rto: Duration::from_millis(300),
+            tick: Duration::from_millis(5),
+            deadline: Duration::from_secs(60),
+            ..ClientOpts::default()
+        })
+    }
+
+    /// Graceful shutdown; returns the run's summary and removes the
+    /// scratch directory.
+    fn stop(self) -> ServerSummary {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let summary = self
+            .thread
+            .join()
+            .expect("server thread panicked")
+            .expect("server run failed");
+        let _ = std::fs::remove_dir_all(&self.dir);
+        summary
+    }
+}
+
+/// Forty short clients, one after another, against one server: what the
+/// server must keep (and rewrite into every checkpoint) for the 40th is
+/// what it kept for the 4th, plus a few dozen bytes per client gone. A
+/// finished client's closing acknowledgement releases its last window;
+/// what stays behind is its floor, its session's sequence floor and the
+/// closing ping's own id and empty reply (81 B: 3.4 KB after the 40th).
+/// Without the acknowledgement every client left its last window of
+/// replies behind, each carrying the object image (7 entries and
+/// 1.5 KB per client here: 61 KB after the 40th).
+#[test]
+fn departed_clients_leave_no_window_of_replies_behind() {
+    const OPS: u64 = 24;
+    /// Generous bound on a departed client's residue in the image.
+    const RESIDUE: usize = 128;
+    let sv = InProcServer::boot("departed");
+
+    // (image bytes, pinned dedup entries) of the state a checkpoint
+    // taken now would write, read off the live WAL.
+    let image_after = |clients: u64| {
+        let (snap, n) = recover_snapshot(&sv.wal()).expect("recover live wal");
+        assert_eq!(n, clients * OPS, "counter after {clients} clients");
+        let img = decode_checkpoint(&snap).expect("own image");
+        (snap.len(), img.dedup.len())
+    };
+
+    let mut at_4th = (0, 0);
+    for i in 1..=40u32 {
+        let s = sv.client(&sv.addr, 100 + i, OPS).expect("client run");
+        assert_eq!(s.committed, OPS);
+        if i == 4 {
+            at_4th = image_after(4);
+        }
+    }
+    let at_40th = image_after(40);
+    assert!(
+        at_40th.1 <= at_4th.1 + 36,
+        "pinned dedup entries grew by more than one ping per client: {at_4th:?} -> {at_40th:?}"
+    );
+    assert!(
+        at_40th.0 <= at_4th.0 + 36 * RESIDUE,
+        "checkpoint image grew by more than {RESIDUE} B per client: {at_4th:?} -> {at_40th:?}"
+    );
+
+    // The summary reports the same two figures.
+    let wal_image = at_40th;
+    let summary = sv.stop();
+    assert_eq!(summary.connections, 40);
+    assert_eq!(
+        (
+            summary.checkpoint_bytes as usize,
+            summary.dedup_entries as usize
+        ),
+        wal_image
+    );
+}
+
+/// What the ping-watching proxy does once it sees the closing ping.
+#[derive(Clone, Copy)]
+enum OnPing {
+    /// The server "dies": both sockets closed, nothing listening.
+    Die,
+    /// The server hangs: the ping is swallowed, the sockets stay open.
+    Swallow,
+}
+
+/// A one-connection frame proxy in front of `upstream` that forwards
+/// everything until the first `Ping` request arrives and then behaves
+/// as `on_ping` says; the ping never reaches the server. Returns the
+/// proxy's address and the slot that receives the instant the ping
+/// was seen.
+fn ping_watching_proxy(upstream: String, on_ping: OnPing) -> (String, Arc<Mutex<Option<Instant>>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
+    let addr = listener.local_addr().expect("proxy addr").to_string();
+    let seen = Arc::new(Mutex::new(None));
+    let seen2 = seen.clone();
+    std::thread::spawn(move || {
+        let (mut down, _) = listener.accept().expect("proxy accept");
+        drop(listener); // Nothing to redial.
+        let mut up = TcpStream::connect(upstream).expect("proxy dial");
+        let (mut up_rd, mut down_wr) = (
+            up.try_clone().expect("clone"),
+            down.try_clone().expect("clone"),
+        );
+        std::thread::spawn(move || {
+            let _ = std::io::copy(&mut up_rd, &mut down_wr);
+        });
+        while let Ok(env) = read_frame(&mut down) {
+            let ping = env.kind == MsgKind::Request
+                && QrpcRequest::from_shared(&env.body).is_ok_and(|r| r.op == RoverOp::Ping);
+            if !ping {
+                write_frame(&mut up, &env).expect("proxy forward");
+                continue;
+            }
+            *seen2.lock().expect("seen lock") = Some(Instant::now());
+            if let OnPing::Die = on_ping {
+                let _ = down.shutdown(Shutdown::Both);
+                let _ = up.shutdown(Shutdown::Both);
+                return;
+            }
+        }
+    });
+    (addr, seen)
+}
+
+/// The closing acknowledgement is best-effort: with the server dead or
+/// hung by the time it is sent, the client still reports every op
+/// committed, and returns at once (dead) or after its one RTO (hung).
+#[test]
+fn closing_ack_to_a_dead_or_hung_server_does_not_hold_up_exit() {
+    const OPS: u64 = 40;
+    const RTO: Duration = Duration::from_millis(300);
+    const SLACK: Duration = Duration::from_secs(2);
+    let sv = InProcServer::boot("deadack");
+    for (host, on_ping) in [(1, OnPing::Die), (2, OnPing::Swallow)] {
+        let (proxy, ping_seen) = ping_watching_proxy(sv.addr.clone(), on_ping);
+        let s = sv.client(&proxy, host, OPS).expect("client run");
+        let waited = ping_seen
+            .lock()
+            .expect("seen lock")
+            .expect("client never sent a closing ping")
+            .elapsed();
+        assert_eq!(s.committed, OPS);
+        match on_ping {
+            OnPing::Die => assert!(waited < RTO, "dead server held exit for {waited:?}"),
+            OnPing::Swallow => assert!(
+                waited >= RTO / 2 && waited < RTO + SLACK,
+                "hung server: waited {waited:?}, bound is one RTO ({RTO:?})"
+            ),
+        }
+    }
+    // Both clients' commits are durable although neither said goodbye.
+    let (_, n) = recover_snapshot(&sv.wal()).expect("recover");
+    assert_eq!(n, 2 * OPS);
+    sv.stop();
+}

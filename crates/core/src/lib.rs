@@ -62,6 +62,7 @@ mod cache;
 mod checkpoint;
 mod client;
 mod config;
+mod dedup;
 mod error;
 mod events;
 mod hotset;

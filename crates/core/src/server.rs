@@ -19,7 +19,7 @@
 //! re-executing, and the exactly-once invariants survive a restart.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use rover_log::{FlushPolicy, FlushReceipt, LogError, OpLog, RecordKind, StableStore};
@@ -32,6 +32,7 @@ use rover_wire::{
 };
 
 use crate::config::{CommitPolicy, ServerConfig};
+use crate::dedup::DedupCache;
 use crate::events::ServerEvent;
 use crate::hotset::HotSet;
 use crate::object::RoverObject;
@@ -138,14 +139,12 @@ pub struct Server {
     routes: HashMap<u32, ReplyRoute>,
     store: HashMap<Urn, RoverObject>,
     resolvers: HashMap<String, Box<dyn Resolver>>,
-    /// At-most-once replay cache, FIFO-bounded.
-    dedup: HashMap<(u32, u64), QrpcReply>,
-    dedup_order: VecDeque<(u32, u64)>,
-    /// Per-client acknowledgement floor, piggybacked on requests
-    /// (`QrpcRequest::acked_below`): every request id strictly below it
-    /// had its reply processed at the client, so its dedup entry can
-    /// never be needed again and is safe to evict.
-    ack_floor: HashMap<u32, u64>,
+    /// At-most-once replay cache, FIFO-bounded, together with the
+    /// per-client acknowledgement floors piggybacked on requests
+    /// (`QrpcRequest::acked_below`): every request id strictly below a
+    /// floor had its reply processed at the client, so its dedup entry
+    /// can never be needed again and is safe to evict.
+    dedup: DedupCache,
     /// Request ids this server has executed, per client, pruned below
     /// the acknowledgement floor. Detects the unsafe case where a
     /// request re-executes because its dedup entry was evicted early.
@@ -234,9 +233,7 @@ impl Server {
             routes: HashMap::new(),
             store: HashMap::new(),
             resolvers: HashMap::new(),
-            dedup: HashMap::new(),
-            dedup_order: VecDeque::new(),
-            ack_floor: HashMap::new(),
+            dedup: DedupCache::default(),
             executed: HashMap::new(),
             expected_seq: HashMap::new(),
             held: HashMap::new(),
@@ -674,8 +671,7 @@ impl Server {
         let mut expected_seq: Vec<((u32, u64), u64)> =
             self.expected_seq.iter().map(|(k, v)| (*k, *v)).collect();
         expected_seq.sort();
-        let mut ack_floors: Vec<(u32, u64)> =
-            self.ack_floor.iter().map(|(c, f)| (*c, *f)).collect();
+        let mut ack_floors: Vec<(u32, u64)> = self.dedup.floors().collect();
         ack_floors.sort();
         let mut executed: Vec<(u32, Vec<u64>)> = self
             .executed
@@ -683,15 +679,13 @@ impl Server {
             .map(|(c, ids)| (*c, ids.iter().copied().collect()))
             .collect();
         executed.sort_by_key(|(c, _)| *c);
-        // Dedup entries already below their client's floor are pruned
-        // (the protocol answers below-floor arrivals from committed
-        // state); an order entry without a cache entry is skipped
-        // rather than trusted to exist.
+        // Only pinned entries travel: the protocol answers below-floor
+        // arrivals from committed state, so an acknowledged reply is
+        // never needed again.
         let dedup: Vec<((u32, u64), QrpcReply)> = self
-            .dedup_order
-            .iter()
-            .filter(|(c, id)| *id >= self.ack_floor.get(c).copied().unwrap_or(0))
-            .filter_map(|key| self.dedup.get(key).map(|r| (*key, r.clone())))
+            .dedup
+            .pinned()
+            .map(|(key, reply)| (key, reply.clone()))
             .collect();
         crate::checkpoint::CheckpointImage {
             objects,
@@ -722,14 +716,12 @@ impl Server {
             self.store.insert(obj.urn.clone(), obj);
         }
         self.expected_seq.extend(img.expected_seq);
-        self.ack_floor.extend(img.ack_floors);
+        self.dedup.restore_floors(img.ack_floors);
         for (client, ids) in img.executed {
             self.executed.insert(client, ids.into_iter().collect());
         }
         for (key, reply) in img.dedup {
-            if self.dedup.insert(key, reply).is_none() {
-                self.dedup_order.push_back(key);
-            }
+            self.dedup.insert(key, reply);
         }
         Ok(loaded)
     }
@@ -740,8 +732,6 @@ impl Server {
         self.store.clear();
         self.expected_seq.clear();
         self.dedup.clear();
-        self.dedup_order.clear();
-        self.ack_floor.clear();
         self.executed.clear();
         self.held.clear();
         self.wfr_held.clear();
@@ -833,6 +823,15 @@ impl Server {
         self.wal.as_ref().map(|w| w.log.device_len()).unwrap_or(0)
     }
 
+    /// Dedup replies the server is still obliged to keep: entries at or
+    /// above their client's acknowledgement floor, which is also what
+    /// every checkpoint re-serialises. (Acknowledged entries linger in
+    /// memory up to [`ServerConfig::dedup_capacity`] but are not
+    /// counted: they cost a checkpoint nothing.)
+    pub fn dedup_entries(&self) -> usize {
+        self.dedup.pinned_len()
+    }
+
     /// True while the server is "down" (between a crash and recovery);
     /// arriving envelopes are dropped.
     pub fn is_crashed(&self) -> bool {
@@ -845,7 +844,7 @@ impl Server {
     /// explicit set precisely because the client confirmed receiving
     /// their replies, so the floor itself vouches for them.
     pub fn executed_contains(&self, client: HostId, req: rover_wire::RequestId) -> bool {
-        if req.0 < self.ack_floor.get(&client.0).copied().unwrap_or(0) {
+        if req.0 < self.dedup.floor(client.0) {
             return true;
         }
         self.executed
@@ -1020,9 +1019,11 @@ impl Server {
             }
             // Re-prune executed ids below the recovered floors, exactly
             // as the admission path would have.
-            let floors = s.ack_floor.clone();
-            for (client, floor) in floors {
-                if let Some(ex) = s.executed.get_mut(&client) {
+            let Server {
+                dedup, executed, ..
+            } = &mut *s;
+            for (client, floor) in dedup.floors() {
+                if let Some(ex) = executed.get_mut(&client) {
                     *ex = ex.split_off(&floor);
                 }
             }
@@ -1074,18 +1075,12 @@ impl Server {
 
     /// Installs one replayed commit record's effects.
     fn apply_commit(&mut self, c: CommitRecord) -> Result<(), crate::RoverError> {
-        let floor = self.ack_floor.entry(c.client.0).or_insert(0);
-        if c.acked_below > *floor {
-            *floor = c.acked_below;
-        }
+        self.dedup.advance_floor(c.client.0, c.acked_below);
         self.executed
             .entry(c.client.0)
             .or_default()
             .insert(c.req_id.0);
-        let key = (c.client.0, c.req_id.0);
-        if self.dedup.insert(key, c.reply).is_none() {
-            self.dedup_order.push_back(key);
-        }
+        self.dedup.insert((c.client.0, c.req_id.0), c.reply);
         if c.session_seq > 0 {
             let e = self
                 .expected_seq
@@ -1546,11 +1541,7 @@ impl Server {
         // every request) and prune executed-id state below it.
         let floor = {
             let mut s = sv.borrow_mut();
-            let floor = s.ack_floor.entry(req.client.0).or_insert(0);
-            if req.acked_below > *floor {
-                *floor = req.acked_below;
-            }
-            let floor = *floor;
+            let floor = s.dedup.advance_floor(req.client.0, req.acked_below);
             if let Some(ex) = s.executed.get_mut(&req.client.0) {
                 *ex = ex.split_off(&floor);
             }
@@ -1850,30 +1841,14 @@ impl Server {
                 .entry(req.client.0)
                 .or_default()
                 .insert(req.req_id.0);
-            if s.dedup.insert(key, reply.clone()).is_none() {
-                s.dedup_order.push_back(key);
-                // Evict only entries the owning client has acknowledged
-                // (id below its floor): an entry at or above the floor
-                // may still be needed to absorb a retransmission, so
-                // its eviction is deferred — the cache grows past
-                // capacity and retries on the next insert.
-                while s.dedup_order.len() > s.cfg.dedup_capacity {
-                    let evictable = s
-                        .dedup_order
-                        .iter()
-                        .position(|k| k.1 < s.ack_floor.get(&k.0).copied().unwrap_or(0));
-                    match evictable {
-                        Some(i) => {
-                            if let Some(old) = s.dedup_order.remove(i) {
-                                s.dedup.remove(&old);
-                            }
-                        }
-                        None => {
-                            sim.stats.incr("server.dedup_evict_deferred");
-                            break;
-                        }
-                    }
-                }
+            // Evict only entries the owning client has acknowledged
+            // (id below its floor): an entry at or above the floor may
+            // still be needed to absorb a retransmission, so its
+            // eviction is deferred — the cache grows past capacity and
+            // retries on the next insert.
+            let capacity = s.cfg.dedup_capacity;
+            if s.dedup.insert(key, reply.clone()) && !s.dedup.evict_to(capacity) {
+                sim.stats.incr("server.dedup_evict_deferred");
             }
         }
 
@@ -2359,3 +2334,6 @@ impl Server {
         }
     }
 }
+
+#[cfg(test)]
+mod dedup_diff;

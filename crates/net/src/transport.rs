@@ -21,14 +21,14 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use rover_sim::Sim;
-use rover_wire::{Envelope, Wire};
+use rover_wire::{Encoder, Envelope, Wire};
 
 use crate::spec::LinkId;
 use crate::topo::Net;
@@ -91,14 +91,21 @@ impl From<io::Error> for TransportError {
 
 /// Writes one length-prefixed envelope frame: `[u32 BE length][envelope
 /// wire form]`. The envelope's own CRC travels inside the wire form.
+/// Prefix and body leave in one write: on a `TCP_NODELAY` socket two
+/// writes are two segments and two syscalls.
 pub fn write_frame(w: &mut impl Write, env: &Envelope) -> Result<(), TransportError> {
-    let bytes = env.to_bytes();
-    let len = u32::try_from(bytes.len())
+    // Encode behind a placeholder prefix, then fill the length in.
+    let mut enc = Encoder::new();
+    enc.put_u32(0);
+    env.encode(&mut enc);
+    let mut frame = enc.into_vec();
+    let body = frame.len() - 4;
+    let len = u32::try_from(body)
         .ok()
         .filter(|l| *l <= MAX_FRAME_BYTES)
-        .ok_or_else(|| TransportError::Protocol(format!("frame too large: {} B", bytes.len())))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(&bytes)?;
+        .ok_or_else(|| TransportError::Protocol(format!("frame too large: {body} B")))?;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -445,7 +452,10 @@ fn run_connection(shared: &Arc<TcpShared>, stream: TcpStream) -> Result<(), Tran
 
 /// Reads frames until the stream dies; queues each frame and finally
 /// the classified disconnect. Clears the writer so sends fail fast.
-fn read_loop(shared: &Arc<TcpShared>, mut stream: TcpStream) {
+fn read_loop(shared: &Arc<TcpShared>, stream: TcpStream) {
+    // Buffered: a small frame's prefix and body arrive in one `read`,
+    // and frames that queued up behind it come out of the same one.
+    let mut stream = BufReader::new(stream);
     let err = loop {
         match read_frame(&mut stream) {
             Ok(env) => shared.push_event(TransportEvent::Frame(env)),

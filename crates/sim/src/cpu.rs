@@ -40,6 +40,15 @@ impl CpuModel {
         dispatch_us: 40.0,
     };
 
+    /// No modelled CPU cost at all: for the real-clock runtime, where the
+    /// CPU the process actually burns is the cost (a modelled charge
+    /// there becomes a real timer wait on top of it).
+    pub const FREE: CpuModel = CpuModel {
+        us_per_kilostep: 0.0,
+        us_per_kib_marshal: 0.0,
+        dispatch_us: 0.0,
+    };
+
     /// Returns the virtual time charged for `steps` interpreter steps.
     pub fn interp_cost(&self, steps: u64) -> SimDuration {
         SimDuration::from_secs_f64(steps as f64 * self.us_per_kilostep / 1_000.0 / 1e6)
@@ -77,6 +86,14 @@ mod tests {
         assert_eq!(zero, m.dispatch_cost());
         let kib = m.marshal_cost(1024);
         assert_eq!(kib.as_micros(), 140);
+    }
+
+    #[test]
+    fn free_model_charges_exactly_zero() {
+        let m = CpuModel::FREE;
+        assert_eq!(m.interp_cost(u64::MAX), SimDuration::ZERO);
+        assert_eq!(m.marshal_cost(usize::MAX), SimDuration::ZERO);
+        assert_eq!(m.dispatch_cost(), SimDuration::ZERO);
     }
 
     #[test]
