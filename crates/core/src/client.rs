@@ -748,20 +748,21 @@ impl Client {
     ) -> Result<Promise, RoverError> {
         let (result, cost) = {
             let mut c = cl.borrow_mut();
+            let budget = c.cfg.budget;
             let entry = c
                 .cache
-                .peek(urn)
+                .peek_mut(urn)
                 .ok_or_else(|| RoverError::NotCached(urn.to_string()))?;
-            let mut scratch = entry.read_copy(true).clone();
+            // Run on the freshest cached copy in place: a query leaves
+            // it untouched, so there is nothing to copy first.
+            let obj = entry.tentative.as_mut().unwrap_or(&mut entry.committed);
             let vals: Vec<Value> = args.iter().map(Value::str).collect();
-            let run = scratch
-                .run_method(method, &vals, c.cfg.budget)
-                .map_err(|e| {
-                    if matches!(e, RoverError::ScriptParse(_)) {
-                        sim.stats.incr("script.parse_rejected");
-                    }
-                    e
-                })?;
+            let run = obj.run_query(method, &vals, budget).map_err(|e| {
+                if matches!(e, RoverError::ScriptParse(_)) {
+                    sim.stats.incr("script.parse_rejected");
+                }
+                e
+            })?;
             if run.mutated {
                 return Err(RoverError::LocalMutation(urn.to_string()));
             }

@@ -44,10 +44,10 @@ pub struct RoverObject {
 /// `run_method` used to rebuild a fresh interpreter and re-evaluate the
 /// whole code blob on every invocation; this keeps the loaded template
 /// and clones it per call instead. The cell is shared (`Rc`) rather
-/// than per-value because every invocation path — client
-/// `invoke_local`, client export, server `Invoke` — clones the object
-/// and runs the method on a scratch copy: sharing means warming any
-/// clone warms the stored original. A hit requires the entry's `code`
+/// than per-value because the mutating invocation paths — client
+/// export, server `Invoke` — clone the object and run the method on a
+/// scratch copy: sharing means warming any clone warms the stored
+/// original. A hit requires the entry's `code`
 /// and `budget` to match the object's current ones, so mutating `code`
 /// invalidates naturally. Cloning the template interpreter replays the
 /// load's step count and output buffer exactly, keeping step accounting
@@ -154,12 +154,50 @@ impl RoverObject {
         args: &[Value],
         budget: Budget,
     ) -> Result<MethodRun, RoverError> {
-        let before = self.fields.clone();
+        self.run(method, args, budget, true)
+    }
+
+    /// Runs a method that must leave the object as it found it: whatever
+    /// the method wrote is undone before returning, and `mutated` says
+    /// whether there was anything to undo. This is how a read-only
+    /// invocation runs on a cached object in place, with no scratch copy.
+    pub fn run_query(
+        &mut self,
+        method: &str,
+        args: &[Value],
+        budget: Budget,
+    ) -> Result<MethodRun, RoverError> {
+        self.run(method, args, budget, false)
+    }
+
+    fn run(
+        &mut self,
+        method: &str,
+        args: &[Value],
+        budget: Budget,
+        keep_writes: bool,
+    ) -> Result<MethodRun, RoverError> {
         let cached: Option<Rc<LoadedCode>> = {
             let cell = self.cache.0.borrow();
             match &*cell {
                 Some(c) if c.code == self.code && c.budget == budget => Some(Rc::clone(c)),
                 _ => None,
+            }
+        };
+        let mut host = RdoHost {
+            urn: &self.urn,
+            fields: &mut self.fields,
+            calls: 0,
+            journal: BTreeMap::new(),
+        };
+        let script_error = |e: ScriptError, msg: String| {
+            // Object code arrives off the wire: text that never parsed
+            // is hostile/corrupt input, distinguished from a script
+            // that ran and failed.
+            if e.parse {
+                RoverError::ScriptParse(msg)
+            } else {
+                RoverError::Exec(msg)
             }
         };
         let mut interp = match cached {
@@ -168,22 +206,11 @@ impl RoverObject {
             Some(c) => c.interp.clone(),
             None => {
                 let mut interp = Interp::with_budget(budget);
-                let mut host = RdoHost {
-                    urn: self.urn.clone(),
-                    fields: &mut self.fields,
-                    calls: 0,
-                };
-                interp.eval(&mut host, &self.code).map_err(|e| {
-                    let msg = format!("loading code for {}: {e}", host.urn);
-                    // Object code arrives off the wire: text that never
-                    // parsed is hostile/corrupt input, distinguished
-                    // from a script that ran and failed.
-                    if e.parse {
-                        RoverError::ScriptParse(msg)
-                    } else {
-                        RoverError::Exec(msg)
-                    }
-                })?;
+                if let Err(e) = interp.eval(&mut host, &self.code) {
+                    host.roll_back();
+                    let msg = format!("loading code for {}: {e}", self.urn);
+                    return Err(script_error(e, msg));
+                }
                 // Cache only *pure* loads (no host calls): a load that
                 // read or wrote fields would bake those reads into the
                 // template and replay them stale on later invocations.
@@ -198,26 +225,19 @@ impl RoverObject {
             }
         };
         if !interp.has_proc(method) {
-            // Restore: a missing method must not leave partial effects
-            // from code loading (code should only define procs anyway).
-            self.fields = before;
+            // A missing method must not leave partial effects from code
+            // loading (code should only define procs anyway).
+            host.roll_back();
             return Err(RoverError::NoSuchMethod(method.to_owned()));
         }
-        let mut host = RdoHost {
-            urn: self.urn.clone(),
-            fields: &mut self.fields,
-            calls: 0,
-        };
-
-        // Build the invocation as a proper list so arguments with spaces
-        // survive quoting.
-        let mut call = vec![Value::str(method)];
-        call.extend(args.iter().cloned());
-        let call_src = rover_script::format_list(&call);
-
-        match interp.eval(&mut host, &call_src) {
+        // Enter the method as the command `method arg…` with the
+        // arguments as values, not as source text to parse back.
+        match interp.call(&mut host, method, args) {
             Ok(result) => {
-                let mutated = *host.fields != before;
+                let mutated = host.mutated();
+                if !keep_writes {
+                    host.roll_back();
+                }
                 Ok(MethodRun {
                     result,
                     steps: interp.steps_used(),
@@ -227,12 +247,9 @@ impl RoverObject {
             }
             Err(e) => {
                 // Failed methods roll back field mutations.
-                self.fields = before;
-                if e.parse {
-                    Err(RoverError::ScriptParse(e.to_string()))
-                } else {
-                    Err(RoverError::Exec(e.to_string()))
-                }
+                host.roll_back();
+                let msg = e.to_string();
+                Err(script_error(e, msg))
             }
         }
     }
@@ -276,11 +293,42 @@ pub struct MethodRun {
 /// | `rover::keys ?glob?` | list field names |
 /// | `rover::urn` | this object's URN |
 struct RdoHost<'a> {
-    urn: Urn,
+    urn: &'a Urn,
     fields: &'a mut BTreeMap<String, String>,
     /// Handled `rover::*` invocations; `run_method` caches a loaded
     /// interpreter only when the load made none (a pure load).
     calls: u64,
+    /// Write journal: each key's value (`None` = absent) before this
+    /// run first wrote it. Rollback and `mutated` cost what the run
+    /// wrote, not what the object holds.
+    journal: BTreeMap<String, Option<String>>,
+}
+
+impl RdoHost<'_> {
+    /// Records `key`'s pre-run value, once, ahead of a write to it.
+    fn note(&mut self, key: &str) {
+        if !self.journal.contains_key(key) {
+            self.journal
+                .insert(key.to_owned(), self.fields.get(key).cloned());
+        }
+    }
+
+    /// Whether the fields now differ from what the run started with.
+    fn mutated(&self) -> bool {
+        self.journal
+            .iter()
+            .any(|(k, old)| self.fields.get(k) != old.as_ref())
+    }
+
+    /// Restores every written key to its pre-run value.
+    fn roll_back(&mut self) {
+        for (k, old) in std::mem::take(&mut self.journal) {
+            match old {
+                Some(v) => self.fields.insert(k, v),
+                None => self.fields.remove(&k),
+            };
+        }
+    }
 }
 
 impl HostEnv for RdoHost<'_> {
@@ -305,8 +353,10 @@ impl HostEnv for RdoHost<'_> {
             },
             "rover::set" => match args {
                 [k, v] => {
+                    let key = k.as_str();
+                    self.note(&key);
                     self.fields
-                        .insert(k.as_str().into_owned(), v.as_str().into_owned());
+                        .insert(key.into_owned(), v.as_str().into_owned());
                     Ok(v.clone())
                 }
                 _ => Err(ScriptError::new("usage: rover::set key value")),
@@ -317,7 +367,9 @@ impl HostEnv for RdoHost<'_> {
             },
             "rover::del" => match args {
                 [k] => {
-                    self.fields.remove(&*k.as_str());
+                    let key = k.as_str();
+                    self.note(&key);
+                    self.fields.remove(&*key);
                     Ok(Value::empty())
                 }
                 _ => Err(ScriptError::new("usage: rover::del key")),
@@ -459,6 +511,60 @@ mod tests {
             )
             .unwrap();
         assert_eq!(run.result.as_str(), "two words {and braces}");
+        // Arguments enter as values, never as source text: bytes no
+        // list quoting round-trips through the parser (a backslash-
+        // newline next to an unbalanced brace) arrive untouched, and
+        // cost no program-cache entry each.
+        let hostile = "x\\\ny{ $z [boom]";
+        let run = obj
+            .run_method("echo", &[Value::str(hostile)], Budget::default())
+            .unwrap();
+        assert_eq!(run.result.as_str(), hostile);
+        assert_eq!(run.steps, 3);
+    }
+
+    #[test]
+    fn wrong_arity_keeps_the_command_line_texts() {
+        let mut obj = counter();
+        for (args, want) in [
+            (vec![], "wrong # args: should be \"add k\""),
+            (
+                vec![Value::Int(1), Value::Int(2)],
+                "wrong # args: too many arguments to \"add\"",
+            ),
+        ] {
+            let err = obj.run_method("add", &args, Budget::default()).unwrap_err();
+            assert!(matches!(&err, RoverError::Exec(m) if m == want), "{err}");
+        }
+    }
+
+    #[test]
+    fn journal_restores_exactly_what_a_failed_method_wrote() {
+        let mut obj = counter().with_field("keep", "k").with_code(
+            "proc churn {} {
+                     rover::set n 1; rover::set n 2; rover::del keep
+                     rover::set fresh f; rover::del nothing; error kapow
+                 }",
+        );
+        let before = obj.fields.clone();
+        obj.run_method("churn", &[], Budget::default()).unwrap_err();
+        assert_eq!(obj.fields, before);
+    }
+
+    #[test]
+    fn mutated_means_final_fields_differ_from_initial() {
+        let mut obj = counter().with_code(
+            "proc same {} {rover::set n 99; rover::set n 10; rover::set t 1; rover::del t}
+             proc peek {} {rover::set seen 1; rover::get n}",
+        );
+        let run = obj.run_method("same", &[], Budget::default()).unwrap();
+        assert!(!run.mutated, "writes that cancel out are not a mutation");
+        // A query reports the write and leaves the object as it was.
+        let before = obj.fields.clone();
+        let run = obj.run_query("peek", &[], Budget::default()).unwrap();
+        assert!(run.mutated);
+        assert_eq!(run.result, Value::Int(10));
+        assert_eq!(obj.fields, before);
     }
 
     #[test]

@@ -288,6 +288,33 @@ pub fn script_corpus() -> Vec<&'static str> {
         "set l {a b c}\nlindex $l [expr {1+1}]",
         "set x [format \"%d-%s\" 7 seven]\nstring toupper $x",
         "for {set i 0} {$i < 3} {incr i} {append out [expr {$i * $i}]}\nset out",
+        // Evaluator-contract seeds: every control-flow form, scope rule
+        // and accounting edge the outcome digests pin.
+        "proc sw {x} {switch -glob $x {a* - b* {return ab} c {return c} default {return other}}}\nlist [sw apple] [sw bee] [sw c] [sw zed]",
+        "proc bump {name} {upvar 1 $name v; incr v 2}\nproc run {} {set n 5; bump n; return $n}\nset g 1\nproc touch {} {global g; append g x}\ntouch\nlist [run] $g",
+        "set out {}\nforeach {k v} {a 1 b 2 c} {lappend out $k=$v}\nset out",
+        "set body {incr n}\nset n 0\nset c {$n < 3}\nwhile $c $body\nif $n $body else {set n -1}\neval set m $n\neval {list $n $m}",
+        "proc set {a b} {return hijack}\nset x 4\nlist $x [info procs]",
+        "proc deep {n} {if {$n == 0} {return 0}; expr {1 + [deep [expr {$n - 1}]]}}\nlist [deep 6] [catch {deep 40} m] $m",
+        "list [catch {expr {1 ? 2 : [error untaken]}} m] $m [catch {expr {0 && [error rhs]}} m] $m",
+        "set t 0\nlist [catch {expr {[incr t] + [incr t] / 0}} m] $m $t",
+        "if {0} {this is {not parsed} \"} else {set r lazy}\nset r",
+        "set n 0\nwhile {$n < 5} {catch {incr n; error x} m}\nlist $n $m [catch {catch {error in} m2; error out} m] $m $m2",
+        "array set a {x 1 y 2}\nset k y\nlist $a($k) [array size a] [lsort [array names a]] [info exists a(z)] [expr {$a(x) + $a(y)}]",
+        "lassign {1 2 3 4} p q\nlist $p $q [lrange {a b c d} 1 end] [lsort -integer -decreasing {3 10 2}] [string range hello 1 end-1] [lreplace {a b c} 1 1 X Y]",
+        "set s 0\nfor {set i 0} {$i < 8} {incr i} {if {$i % 2} continue; if {$i > 5} break; incr s $i}\nputs -nonewline s=\nputs $s",
+        "proc opt {a {b 7} args} {list $a $b [llength $args]}\nlist [opt 1] [opt 1 2 3 4] [catch {opt} m] $m [catch {nosuch 1} m] $m",
+        "set s 1\nset w \"a\\tb[string length xyz]${s}c\"\nputs $w\nexpr 1 + 2 * $s",
+        "proc early {l} {foreach x $l {if {$x > 2} {return $x}}; return none}\nlist [early {1 2 3 4}] [early {}] [catch {break} m] $m [catch {return 9} m] $m",
+        "set l {}\nlappend l a {b c}\nlappend l d\nappend q x y\nlist [llength $l] [lindex $l 1] [linsert $l 1 Z] [concat $l {e f}] [join $l ,] [split a.b.c .] $q",
+        "expr {(1 < 2) + (3 >= 3) * 2 - (\"a\" eq \"a\") + (5 % 3) + (7 >> 1) + (~1 & 6) + max(1, 2.5) + int(3.9) + (1 ? 0x10 : 0)}",
+        // Hostile arithmetic: each of these once panicked the evaluator
+        // (i64::MIN / -1, % -1, incr past MAX, negate and abs of MIN).
+        "expr {(-9223372036854775807 - 1) / -1}",
+        "expr {(-9223372036854775807 - 1) % -1}",
+        "set i 9223372036854775807\nincr i",
+        "expr {-(-9223372036854775807 - 1)}",
+        "expr {abs(-9223372036854775807 - 1)}",
     ]
 }
 

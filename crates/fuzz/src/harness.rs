@@ -78,7 +78,9 @@ pub struct FuzzReport {
     /// Panics observed (must be zero).
     pub panics: u64,
     /// FNV-1a digest over every case's input and outcome — the
-    /// byte-reproducibility witness.
+    /// byte-reproducibility witness. Script cases also fold the
+    /// evaluator's full observable outcome (result or error, steps, output), so
+    /// the digest pins evaluator behaviour, not just accept/reject.
     pub digest: u64,
 }
 
@@ -243,19 +245,40 @@ fn drive_log(input: &[u8]) -> bool {
     scan.issue.is_none()
 }
 
-fn drive_script(input: &[u8]) -> bool {
+/// Everything a host can observe of one evaluation, as one line-
+/// oriented string: result (or error text and its `budget_exhausted` /
+/// `parse` flags), `steps_used`, and captured `puts` output. Two
+/// evaluators are interchangeable iff these agree on every source.
+fn script_outcome(interp: &mut Interp, src: &str) -> (bool, String) {
+    let r = interp.eval(&mut NoHost, src);
+    let head = match &r {
+        Ok(v) => format!("ok {v}"),
+        Err(e) => format!(
+            "err budget={} parse={} {}",
+            e.budget_exhausted, e.parse, e.message
+        ),
+    };
+    let detail = format!(
+        "{head}\nsteps {}\noutput {:?}",
+        interp.steps_used(),
+        interp.take_output()
+    );
+    (r.is_ok(), detail)
+}
+
+fn drive_script(input: &[u8]) -> (bool, String) {
     let src = String::from_utf8_lossy(input);
     let budget = Budget {
         max_steps: 20_000,
         max_depth: 32,
     };
     let mut interp = Interp::with_budget(budget);
-    let accepted = interp.eval(&mut NoHost, &src).is_ok();
+    let out = script_outcome(&mut interp, &src);
     assert!(
         interp.steps_used() <= 2 * budget.max_steps,
         "evaluator escaped its step budget"
     );
-    accepted
+    out
 }
 
 fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
@@ -268,16 +291,21 @@ fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn drive(codec: Codec, target: Option<WireTarget>, input: &[u8]) -> CaseOutcome {
+/// Runs one case; the string is the script plane's observable outcome
+/// (empty for the byte codecs, whose outcome is the tag alone).
+fn drive(codec: Codec, target: Option<WireTarget>, input: &[u8]) -> (CaseOutcome, String) {
     let res = panic::catch_unwind(AssertUnwindSafe(|| match codec {
-        Codec::Wire => drive_wire(target.expect("wire case has a target"), input),
-        Codec::Log => drive_log(input),
+        Codec::Wire => (
+            drive_wire(target.expect("wire case has a target"), input),
+            String::new(),
+        ),
+        Codec::Log => (drive_log(input), String::new()),
         Codec::Script => drive_script(input),
     }));
     match res {
-        Ok(true) => CaseOutcome::Accepted,
-        Ok(false) => CaseOutcome::Rejected,
-        Err(e) => CaseOutcome::Panicked(panic_message(e)),
+        Ok((true, detail)) => (CaseOutcome::Accepted, detail),
+        Ok((false, detail)) => (CaseOutcome::Rejected, detail),
+        Err(e) => (CaseOutcome::Panicked(panic_message(e)), String::new()),
     }
 }
 
@@ -297,7 +325,7 @@ pub fn run_codec(codec: Codec, seed: u64, iters: u64) -> FuzzReport {
     };
     for i in 0..iters {
         let (target, input) = corpus.build(seed, i);
-        let outcome = drive(codec, target, &input);
+        let (outcome, detail) = drive(codec, target, &input);
         let tag: u8 = match outcome {
             CaseOutcome::Accepted => {
                 report.accepted += 1;
@@ -315,21 +343,61 @@ pub fn run_codec(codec: Codec, seed: u64, iters: u64) -> FuzzReport {
         report.digest = fnv_fold(report.digest, &i.to_be_bytes());
         report.digest = fnv_fold(report.digest, &input);
         report.digest = fnv_fold(report.digest, &[tag]);
+        report.digest = fnv_fold(report.digest, detail.as_bytes());
     }
     report
 }
 
-/// Replays the single case `(codec, seed, iteration)` and returns the
-/// exact input bytes alongside its outcome (the `--repro` path).
-pub fn run_case(
-    codec: Codec,
-    seed: u64,
-    iteration: u64,
-) -> (Vec<u8>, Option<WireTarget>, CaseOutcome) {
+/// One replayed case: the exact input bytes, its outcome, and (script
+/// plane) the evaluator's observable outcome.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Case {
+    /// The mutated input.
+    pub input: Vec<u8>,
+    /// Which wire decoder it targets (wire plane only).
+    pub target: Option<WireTarget>,
+    /// Accept / reject / panic.
+    pub outcome: CaseOutcome,
+    /// The evaluator's observable outcome as text (script plane only,
+    /// else empty).
+    pub detail: String,
+}
+
+/// Replays the single case `(codec, seed, iteration)` (the `--repro`
+/// path).
+pub fn run_case(codec: Codec, seed: u64, iteration: u64) -> Case {
     let corpus = CorpusSet::new(codec);
     let (target, input) = corpus.build(seed, iteration);
-    let outcome = drive(codec, target, &input);
-    (input, target, outcome)
+    let (outcome, detail) = drive(codec, target, &input);
+    Case {
+        input,
+        target,
+        outcome,
+        detail,
+    }
+}
+
+/// The checked-in script-plane oracle: `sweep <seed> <iters> <digest>`
+/// lines recorded from the tree-walking evaluator that rover-script's
+/// compiled one replaced (`program …` lines belong to
+/// `crates/script/tests/programs.rs`).
+const SCRIPT_GOLDEN: &str = include_str!("../golden/script_outcomes.txt");
+
+/// `(seed, iters, digest)` of every recorded script sweep.
+pub fn golden_sweeps() -> Vec<(u64, u64, u64)> {
+    SCRIPT_GOLDEN
+        .lines()
+        .filter_map(|l| {
+            let mut w = l.split_whitespace();
+            if w.next() != Some("sweep") {
+                return None;
+            }
+            let seed = w.next()?.parse().ok()?;
+            let iters = w.next()?.parse().ok()?;
+            let digest = u64::from_str_radix(w.next()?, 16).ok()?;
+            Some((seed, iters, digest))
+        })
+        .collect()
 }
 
 /// Installs a silent panic hook for the duration of a fuzz run, so
@@ -355,6 +423,7 @@ mod tests {
     use super::*;
 
     const SMOKE_ITERS: u64 = 400;
+    const SMOKE_GOLDEN_ITERS: u64 = 2_000;
 
     #[test]
     fn wire_plane_smoke_no_panics_and_reproducible() {
@@ -383,14 +452,33 @@ mod tests {
     }
 
     #[test]
+    fn script_sweeps_reproduce_the_golden_outcome_digests() {
+        // The CI-sized lines only; `rover-fuzz --golden` (release, CI)
+        // runs the full 100k-case sweep.
+        let sweeps = golden_sweeps();
+        assert!(sweeps.iter().any(|s| s.1 > SMOKE_GOLDEN_ITERS));
+        let small: Vec<_> = sweeps
+            .into_iter()
+            .filter(|s| s.1 <= SMOKE_GOLDEN_ITERS)
+            .collect();
+        assert!(!small.is_empty(), "golden file lost its smoke lines");
+        for (seed, iters, want) in small {
+            let r = run_codec(Codec::Script, seed, iters);
+            assert_eq!(r.panics, 0);
+            assert_eq!(
+                r.digest, want,
+                "script outcome digest moved for seed {seed} x {iters}"
+            );
+        }
+    }
+
+    #[test]
     fn repro_rebuilds_the_exact_case() {
         let full = run_codec(Codec::Wire, 3, 50);
         assert_eq!(full.panics, 0);
-        let (input_a, target_a, outcome_a) = run_case(Codec::Wire, 3, 17);
-        let (input_b, target_b, outcome_b) = run_case(Codec::Wire, 3, 17);
-        assert_eq!(input_a, input_b);
-        assert_eq!(target_a, target_b);
-        assert_eq!(outcome_a, outcome_b);
+        assert_eq!(run_case(Codec::Wire, 3, 17), run_case(Codec::Wire, 3, 17));
+        let script = run_case(Codec::Script, 3, 17);
+        assert!(script.detail.contains("\nsteps "), "{}", script.detail);
     }
 
     #[test]

@@ -33,5 +33,7 @@ pub mod mutate;
 pub mod rng;
 
 pub use corpus::WireTarget;
-pub use harness::{run_case, run_codec, silence_panics, CaseOutcome, Codec, FuzzReport};
+pub use harness::{
+    golden_sweeps, run_case, run_codec, silence_panics, Case, CaseOutcome, Codec, FuzzReport,
+};
 pub use rng::{case_rng, SplitMix64};

@@ -8,6 +8,7 @@
 //! rover-fuzz --seeds 16 --iters 25000 # scale the sweep
 //! rover-fuzz --smoke                  # CI-sized run (2 seeds × 2000 iters)
 //! rover-fuzz --repro wire:3:17        # replay one case, print its bytes
+//! rover-fuzz --golden                 # script sweeps vs the checked-in digests
 //! ```
 //!
 //! Exit status is non-zero if any case panicked. Reports are
@@ -15,7 +16,7 @@
 
 #![deny(unsafe_code)]
 
-use rover_fuzz::{run_case, run_codec, silence_panics, CaseOutcome, Codec};
+use rover_fuzz::{golden_sweeps, run_case, run_codec, silence_panics, CaseOutcome, Codec};
 
 const DEFAULT_SEEDS: u64 = 8;
 const DEFAULT_ITERS: u64 = 12_500;
@@ -23,7 +24,7 @@ const DEFAULT_ITERS: u64 = 12_500;
 fn usage() -> ! {
     eprintln!(
         "usage: rover-fuzz [--codec wire|log|script|all] [--seeds N] [--iters N] \
-         [--smoke] [--repro CODEC:SEED:ITER]"
+         [--smoke] [--repro CODEC:SEED:ITER] [--golden]"
     );
     std::process::exit(2);
 }
@@ -45,20 +46,24 @@ fn repro(spec: &str) -> ! {
     let (Ok(seed), Ok(iter)) = (seed.parse::<u64>(), iter.parse::<u64>()) else {
         usage()
     };
-    let (input, target, outcome) = run_case(codec, seed, iter);
+    let case = run_case(codec, seed, iter);
     println!(
         "case {}:{seed}:{iter} ({} bytes{})",
         codec.name(),
-        input.len(),
-        target
+        case.input.len(),
+        case.target
             .map(|t| format!(", target {}", t.name()))
             .unwrap_or_default(),
     );
-    for chunk in input.chunks(32) {
+    for chunk in case.input.chunks(32) {
         let hex: Vec<String> = chunk.iter().map(|b| format!("{b:02x}")).collect();
         println!("  {}", hex.join(" "));
     }
-    match outcome {
+    if codec == Codec::Script {
+        println!("source: {:?}", String::from_utf8_lossy(&case.input));
+        println!("{}", case.detail);
+    }
+    match case.outcome {
         CaseOutcome::Accepted => println!("outcome: accepted (round-tripped)"),
         CaseOutcome::Rejected => println!("outcome: rejected (typed error)"),
         CaseOutcome::Panicked(msg) => {
@@ -66,6 +71,33 @@ fn repro(spec: &str) -> ! {
             std::process::exit(1);
         }
     }
+    std::process::exit(0);
+}
+
+/// Re-runs every sweep the golden file records and compares digests:
+/// the evaluator-equivalence oracle. A mismatch names the seed; replay
+/// iterations of it with `--repro script:SEED:ITER` on both builds.
+fn golden() -> ! {
+    let _quiet = silence_panics();
+    let mut bad = 0u32;
+    for (seed, iters, want) in golden_sweeps() {
+        let r = run_codec(Codec::Script, seed, iters);
+        let verdict = if r.digest == want && r.panics == 0 {
+            "ok"
+        } else {
+            bad += 1;
+            "MISMATCH"
+        };
+        println!(
+            "script   {seed:>6} {iters:>9} {:>7}  {:016x}  {verdict}",
+            r.panics, r.digest
+        );
+    }
+    if bad > 0 {
+        eprintln!("FAIL: {bad} sweep(s) differ from crates/fuzz/golden/script_outcomes.txt");
+        std::process::exit(1);
+    }
+    println!("ok: every script sweep reproduces its golden outcome digest");
     std::process::exit(0);
 }
 
@@ -95,6 +127,7 @@ fn main() {
                 Some(spec) => repro(&spec),
                 None => usage(),
             },
+            "--golden" => golden(),
             _ => usage(),
         }
     }

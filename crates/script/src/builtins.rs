@@ -1,36 +1,57 @@
 //! List, string, array, and formatting builtins.
 
 use crate::error::Exc;
-use crate::interp::{Interp, Slot};
+use crate::interp::Interp;
 use crate::value::Value;
 
-/// Dispatches the data-manipulation builtins; `None` = unknown command.
-pub(crate) fn dispatch(
-    interp: &mut Interp,
-    name: &str,
-    args: &[Value],
-) -> Option<Result<Value, Exc>> {
-    let r = match name {
-        "list" => Ok(Value::list(args.to_vec())),
-        "lindex" => lindex(args),
-        "llength" => llength(args),
-        "lappend" => lappend(interp, args),
-        "lrange" => lrange(args),
-        "linsert" => linsert(args),
-        "lsearch" => lsearch(args),
-        "lreplace" => lreplace(args),
-        "lassign" => lassign(interp, args),
-        "lsort" => lsort(args),
-        "lreverse" => lreverse(args),
-        "concat" => concat(args),
-        "join" => join(args),
-        "split" => split(args),
-        "string" => string_cmd(args),
-        "format" => format_cmd(args),
-        "array" => array_cmd(interp, args),
+/// A command implemented in Rust.
+pub(crate) type Builtin = fn(&mut Interp, &[Value]) -> Result<Value, Exc>;
+
+/// Resolves a builtin by name — at compile time for literal command
+/// names, so the hot path never compares strings. Builtins shadow procs
+/// and host commands. The commands that take scripts or expressions
+/// (`if`, `while`, `for`, `foreach`, `switch`, `catch`, `eval`, `expr`)
+/// are not here: the compiler lowers those to jumps.
+pub(crate) fn lookup(name: &str) -> Option<Builtin> {
+    Some(match name {
+        "set" => Interp::cmd_set,
+        "unset" => Interp::cmd_unset,
+        "incr" => Interp::cmd_incr,
+        "append" => Interp::cmd_append,
+        "proc" => Interp::cmd_proc,
+        "return" => |_, a| Err(Exc::Return(a.first().cloned().unwrap_or_else(Value::empty))),
+        "break" => |_, _| Err(Exc::Break),
+        "continue" => |_, _| Err(Exc::Continue),
+        "error" => |_, a| {
+            Err(Exc::err(
+                a.first()
+                    .map(|v| v.as_str().into_owned())
+                    .unwrap_or_default(),
+            ))
+        },
+        "puts" => Interp::cmd_puts,
+        "global" => Interp::cmd_global,
+        "upvar" => Interp::cmd_upvar,
+        "info" => Interp::cmd_info,
+        "list" => |_, a| Ok(Value::list(a.to_vec())),
+        "lindex" => |_, a| lindex(a),
+        "llength" => |_, a| llength(a),
+        "lappend" => lappend,
+        "lrange" => |_, a| lrange(a),
+        "linsert" => |_, a| linsert(a),
+        "lsearch" => |_, a| lsearch(a),
+        "lreplace" => |_, a| lreplace(a),
+        "lassign" => lassign,
+        "lsort" => |_, a| lsort(a),
+        "lreverse" => |_, a| lreverse(a),
+        "concat" => |_, a| concat(a),
+        "join" => |_, a| join(a),
+        "split" => |_, a| split(a),
+        "string" => |_, a| string_cmd(a),
+        "format" => |_, a| format_cmd(a),
+        "array" => array_cmd,
         _ => return None,
-    };
-    Some(r)
+    })
 }
 
 fn arity(args: &[Value], n: usize, usage: &str) -> Result<(), Exc> {
@@ -43,7 +64,7 @@ fn arity(args: &[Value], n: usize, usage: &str) -> Result<(), Exc> {
 
 fn lindex(args: &[Value]) -> Result<Value, Exc> {
     arity(args, 2, "lindex list index")?;
-    let items = args[0].as_list().map_err(Exc::Err)?;
+    let items = args[0].list_view()?;
     let idx = index_of(&args[1], items.len())?;
     Ok(items.get(idx).cloned().unwrap_or_else(Value::empty))
 }
@@ -58,38 +79,32 @@ fn index_of(v: &Value, len: usize) -> Result<usize, Exc> {
             rest.parse::<i64>()
                 .map_err(|_| Exc::err(format!("bad index \"{s}\"")))?
         };
-        let i = len as i64 - 1 + back;
+        let i = (len as i64 - 1).wrapping_add(back);
         return Ok(i.max(0) as usize);
     }
-    let i = v.as_int().map_err(Exc::Err)?;
+    let i = v.as_int()?;
     Ok(i.max(0) as usize)
 }
 
 fn llength(args: &[Value]) -> Result<Value, Exc> {
     arity(args, 1, "llength list")?;
-    Ok(Value::Int(args[0].as_list().map_err(Exc::Err)?.len() as i64))
+    Ok(Value::Int(args[0].list_view()?.len() as i64))
 }
 
 fn lappend(interp: &mut Interp, args: &[Value]) -> Result<Value, Exc> {
     let name = args
         .first()
         .ok_or_else(|| Exc::err("wrong # args: lappend varName ?value ...?"))?;
-    let spec = name.as_str();
-    let (n, i) = Interp::split_varname(&spec);
-    let mut items = if interp.var_exists(n, i) {
-        interp.var_get(n, i)?.as_list().map_err(Exc::Err)?
-    } else {
-        Vec::new()
-    };
-    items.extend(args[1..].iter().cloned());
-    let v = Value::list(items);
-    interp.var_set(n, i, v.clone())?;
-    Ok(v)
+    // In place: a uniquely held list grows without being copied.
+    interp.var_modify(&name.as_str(), Value::list(Vec::new()), |v| {
+        v.list_mut()?.extend_from_slice(&args[1..]);
+        Ok(())
+    })
 }
 
 fn lrange(args: &[Value]) -> Result<Value, Exc> {
     arity(args, 3, "lrange list first last")?;
-    let items = args[0].as_list().map_err(Exc::Err)?;
+    let items = args[0].list_view()?;
     let first = index_of(&args[1], items.len())?;
     let last = index_of(&args[2], items.len())?;
     if first >= items.len() || last < first {
@@ -105,7 +120,7 @@ fn linsert(args: &[Value]) -> Result<Value, Exc> {
             "wrong # args: should be \"linsert list index element ...\"",
         ));
     }
-    let mut items = args[0].as_list().map_err(Exc::Err)?;
+    let mut items = args[0].as_list()?;
     let idx = index_of(&args[1], items.len() + 1)?.min(items.len());
     for (k, v) in args[2..].iter().enumerate() {
         items.insert(idx + k, v.clone());
@@ -115,7 +130,7 @@ fn linsert(args: &[Value]) -> Result<Value, Exc> {
 
 fn lsearch(args: &[Value]) -> Result<Value, Exc> {
     arity(args, 2, "lsearch list pattern")?;
-    let items = args[0].as_list().map_err(Exc::Err)?;
+    let items = args[0].list_view()?;
     let pat = args[1].as_str();
     for (i, it) in items.iter().enumerate() {
         if glob_match(&pat, &it.as_str()) {
@@ -131,7 +146,7 @@ fn lreplace(args: &[Value]) -> Result<Value, Exc> {
             "wrong # args: should be \"lreplace list first last ?element ...?\"",
         ));
     }
-    let items = args[0].as_list().map_err(Exc::Err)?;
+    let items = args[0].list_view()?;
     let first = index_of(&args[1], items.len())?;
     let last = index_of(&args[2], items.len())?;
     let mut out = Vec::new();
@@ -149,7 +164,7 @@ fn lassign(interp: &mut Interp, args: &[Value]) -> Result<Value, Exc> {
             "wrong # args: should be \"lassign list varName ?varName ...?\"",
         ));
     }
-    let items = args[0].as_list().map_err(Exc::Err)?;
+    let items = args[0].list_view()?;
     for (i, name) in args[1..].iter().enumerate() {
         let v = items.get(i).cloned().unwrap_or_else(Value::empty);
         let spec = name.as_str();
@@ -178,11 +193,11 @@ fn lsort(args: &[Value]) -> Result<Value, Exc> {
         }
     }
     let list = list.ok_or_else(|| Exc::err("wrong # args: lsort ?options? list"))?;
-    let mut items = list.as_list().map_err(Exc::Err)?;
+    let mut items = list.as_list()?;
     if integer {
         let mut keyed: Vec<(i64, Value)> = Vec::with_capacity(items.len());
         for it in items {
-            keyed.push((it.as_int().map_err(Exc::Err)?, it));
+            keyed.push((it.as_int()?, it));
         }
         keyed.sort_by_key(|(k, _)| *k);
         items = keyed.into_iter().map(|(_, v)| v).collect();
@@ -197,7 +212,7 @@ fn lsort(args: &[Value]) -> Result<Value, Exc> {
 
 fn lreverse(args: &[Value]) -> Result<Value, Exc> {
     arity(args, 1, "lreverse list")?;
-    let mut items = args[0].as_list().map_err(Exc::Err)?;
+    let mut items = args[0].as_list()?;
     items.reverse();
     Ok(Value::list(items))
 }
@@ -205,7 +220,7 @@ fn lreverse(args: &[Value]) -> Result<Value, Exc> {
 fn concat(args: &[Value]) -> Result<Value, Exc> {
     let mut out = Vec::new();
     for a in args {
-        out.extend(a.as_list().map_err(Exc::Err)?);
+        out.extend_from_slice(&a.list_view()?);
     }
     Ok(Value::list(out))
 }
@@ -218,7 +233,7 @@ fn join(args: &[Value]) -> Result<Value, Exc> {
         .get(1)
         .map(|v| v.as_str())
         .unwrap_or_else(|| " ".into());
-    let items = list.as_list().map_err(Exc::Err)?;
+    let items = list.list_view()?;
     Ok(Value::from(
         items
             .iter()
@@ -345,13 +360,13 @@ fn string_cmd(args: &[Value]) -> Result<Value, Exc> {
         }
         "repeat" => {
             arity(&args[1..], 2, "string repeat string count")?;
-            let n = args[2].as_int().map_err(Exc::Err)?.max(0) as usize;
+            let n = args[2].as_int()?.max(0) as usize;
             Ok(Value::from(args[1].as_str().repeat(n)))
         }
         "map" => {
             // string map {from to ?from to ...?} string
             arity(&args[1..], 2, "string map mapping string")?;
-            let mapping = args[1].as_list().map_err(Exc::Err)?;
+            let mapping = args[1].list_view()?;
             if mapping.len() % 2 != 0 {
                 return Err(Exc::err("char map list unbalanced"));
             }
@@ -435,11 +450,11 @@ fn format_cmd(args: &[Value]) -> Result<Value, Exc> {
         argi += 1;
         let rendered = match conv {
             's' => arg.as_str().into_owned(),
-            'd' => arg.as_int().map_err(Exc::Err)?.to_string(),
-            'x' => format!("{:x}", arg.as_int().map_err(Exc::Err)?),
+            'd' => arg.as_int()?.to_string(),
+            'x' => format!("{:x}", arg.as_int()?),
             'f' => {
                 let p = prec.unwrap_or(6);
-                format!("{:.*}", p, arg.as_double().map_err(Exc::Err)?)
+                format!("{:.*}", p, arg.as_double()?)
             }
             other => return Err(Exc::err(format!("bad format conversion \"%{other}\""))),
         };
@@ -467,22 +482,13 @@ fn array_cmd(interp: &mut Interp, args: &[Value]) -> Result<Value, Exc> {
         .as_str();
     let name: &str = &name_cow;
     let lookup = |interp: &Interp| -> Option<Vec<(String, Value)>> {
-        let map = if interp.frames.is_empty()
-            || interp.frames.last().expect("frame").globals.contains(name)
-        {
-            &interp.globals
-        } else {
-            &interp.frames.last().expect("frame").vars
-        };
-        match map.get(name) {
-            Some(Slot::Array(a)) => {
-                let mut pairs: Vec<(String, Value)> =
-                    a.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-                pairs.sort_by(|x, y| x.0.cmp(&y.0));
-                Some(pairs)
-            }
-            _ => None,
-        }
+        let mut pairs: Vec<(String, Value)> = interp
+            .local_array(name)?
+            .iter()
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
+        pairs.sort_by(|x, y| x.0.cmp(&y.0));
+        Some(pairs)
     };
     match sub.as_str().as_ref() {
         "exists" => Ok(Value::bool(lookup(interp).is_some())),
@@ -508,8 +514,7 @@ fn array_cmd(interp: &mut Interp, args: &[Value]) -> Result<Value, Exc> {
             let pairs = args
                 .get(2)
                 .ok_or_else(|| Exc::err("wrong # args: array set arrayName list"))?
-                .as_list()
-                .map_err(Exc::Err)?;
+                .as_list()?;
             if pairs.len() % 2 != 0 {
                 return Err(Exc::err("list must have an even number of elements"));
             }

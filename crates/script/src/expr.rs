@@ -1,47 +1,112 @@
-//! The `expr` evaluator: arithmetic, comparison, logic, and a few math
-//! functions over script values.
+//! `expr`: arithmetic, comparison, logic and a few math functions over
+//! script values, lowered once per source text.
 //!
-//! Substitution happens during tokenization: `$var` references resolve
-//! through the interpreter and `[cmd]` substitutions evaluate the inner
-//! script, each becoming a *single* operand token (so values containing
-//! spaces never splice into the expression grammar). Inside `expr`,
-//! array references support literal indices (`$a(k)`); computed indices
-//! use command substitution (`[set a($i)]`), which runs the full parser.
+//! [`lower`] turns an expression source into an *operand list* — the
+//! `$var` and `[cmd]` substitutions in source order — and *operator
+//! code*, a postfix program over those operands. At run time the VM
+//! substitutes every operand left to right first (each one a *single*
+//! value, so text with spaces never splices into the grammar), then
+//! [`eval`] runs the operator code. That is exactly the order the
+//! original substitute-while-tokenizing evaluator had, and it is
+//! contract: every operand of `&&`, `||` and `?:` is substituted and
+//! evaluated, taken or not. Lexical and grammar errors are lowered to
+//! an [`EOp::Raise`] at the point the one-pass evaluator met them, so
+//! they still surface after exactly the same side effects.
+//!
+//! Inside `expr`, array references take literal indices (`$a(k)`);
+//! computed indices use command substitution (`[set a($i)]`).
+
+use std::rc::Rc;
 
 use crate::error::Exc;
-use crate::interp::{HostEnv, Interp};
 use crate::value::Value;
 
-#[derive(Clone, Debug, PartialEq)]
+/// One substitution the VM performs before the operator code runs.
+pub(crate) enum Operand {
+    /// `$name` or `$name(index)`.
+    Var(String, Option<String>),
+    /// `[script]` — evaluated outside depth accounting.
+    Cmd(Rc<str>),
+}
+
+/// Postfix operator code.
+pub(crate) enum EOp {
+    Const(Value),
+    /// The n-th substituted operand.
+    Arg(u32),
+    Neg,
+    Not,
+    BitNot,
+    Bin(&'static str),
+    Ternary,
+    /// Math function over the top `argc` values.
+    Func(String, u32),
+    Raise(String),
+}
+
 enum Tok {
-    Val(Value),
+    Val(EOp),
     Ident(String),
     Op(&'static str),
 }
 
-pub(crate) fn eval_expr(
-    interp: &mut Interp,
-    host: &mut dyn HostEnv,
-    src: &str,
-) -> Result<Value, Exc> {
-    interp.charge(1)?;
-    let toks = tokenize(interp, host, src)?;
-    let mut p = P { toks, i: 0 };
-    let v = p.ternary()?;
-    if p.i != p.toks.len() {
-        return Err(Exc::err(format!(
-            "extra tokens after expression in \"{src}\""
-        )));
-    }
-    Ok(v)
+/// Lowers `src`; never fails — malformed input lowers to code that
+/// raises when (and only when) it runs.
+pub(crate) fn lower(src: &str) -> (Vec<Operand>, Rc<[EOp]>) {
+    let mut operands = Vec::new();
+    let ops = match tokenize(src, &mut operands) {
+        // A lexical error stops substitution where it stands.
+        Err(msg) => vec![EOp::Raise(msg)],
+        Ok(toks) => {
+            let mut p = P {
+                toks,
+                i: 0,
+                out: Vec::new(),
+            };
+            if let Err(msg) = p.ternary() {
+                p.out.push(EOp::Raise(msg));
+            } else if p.i != p.toks.len() {
+                p.out.push(EOp::Raise(format!(
+                    "extra tokens after expression in \"{src}\""
+                )));
+            }
+            p.out
+        }
+    };
+    (operands, ops.into())
 }
 
 // ----------------------------------------------------------------------
-// Tokenizer (with substitution).
+// Tokenizer.
 
-fn tokenize(interp: &mut Interp, host: &mut dyn HostEnv, src: &str) -> Result<Vec<Tok>, Exc> {
+/// Scans a balanced group whose opener was just consumed; returns the
+/// inner text and leaves `*i` past the closer.
+fn balanced(b: &[char], i: &mut usize, open: char, close: char) -> Option<String> {
+    let mut depth = 1;
+    let mut s = String::new();
+    while *i < b.len() {
+        if b[*i] == open {
+            depth += 1;
+        } else if b[*i] == close {
+            depth -= 1;
+            if depth == 0 {
+                *i += 1;
+                return Some(s);
+            }
+        }
+        s.push(b[*i]);
+        *i += 1;
+    }
+    None
+}
+
+fn tokenize(src: &str, operands: &mut Vec<Operand>) -> Result<Vec<Tok>, String> {
     let b: Vec<char> = src.chars().collect();
     let mut toks = Vec::new();
+    let mut operand = |o: Operand| {
+        operands.push(o);
+        Tok::Val(EOp::Arg(operands.len() as u32 - 1))
+    };
     let mut i = 0usize;
     while i < b.len() {
         let c = b[i];
@@ -49,7 +114,7 @@ fn tokenize(interp: &mut Interp, host: &mut dyn HostEnv, src: &str) -> Result<Ve
             c if c.is_whitespace() => i += 1,
             '0'..='9' | '.' => {
                 let (v, used) = lex_number(&b[i..])?;
-                toks.push(Tok::Val(v));
+                toks.push(Tok::Val(EOp::Const(v)));
                 i += used;
             }
             '"' => {
@@ -69,34 +134,15 @@ fn tokenize(interp: &mut Interp, host: &mut dyn HostEnv, src: &str) -> Result<Ve
                     i += 1;
                 }
                 if i >= b.len() {
-                    return Err(Exc::err("unterminated string in expression"));
+                    return Err("unterminated string in expression".into());
                 }
                 i += 1;
-                toks.push(Tok::Val(Value::from(s)));
+                toks.push(Tok::Val(EOp::Const(Value::from(s))));
             }
             '{' => {
-                let mut depth = 1;
-                let mut s = String::new();
                 i += 1;
-                while i < b.len() && depth > 0 {
-                    match b[i] {
-                        '{' => depth += 1,
-                        '}' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    s.push(b[i]);
-                    i += 1;
-                }
-                if depth != 0 {
-                    return Err(Exc::err("unterminated brace in expression"));
-                }
-                i += 1;
-                toks.push(Tok::Val(Value::from(s)));
+                let s = balanced(&b, &mut i, '{', '}').ok_or("unterminated brace in expression")?;
+                toks.push(Tok::Val(EOp::Const(Value::from(s))));
             }
             '$' => {
                 i += 1;
@@ -105,62 +151,22 @@ fn tokenize(interp: &mut Interp, host: &mut dyn HostEnv, src: &str) -> Result<Ve
                     i += 1;
                 }
                 if i == start {
-                    return Err(Exc::err("lone \"$\" in expression"));
+                    return Err("lone \"$\" in expression".into());
                 }
                 let name: String = b[start..i].iter().collect();
                 let idx = if i < b.len() && b[i] == '(' {
-                    let mut depth = 1;
-                    let mut s = String::new();
                     i += 1;
-                    while i < b.len() && depth > 0 {
-                        match b[i] {
-                            '(' => depth += 1,
-                            ')' => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        s.push(b[i]);
-                        i += 1;
-                    }
-                    if depth != 0 {
-                        return Err(Exc::err("unmatched paren in array reference"));
-                    }
-                    i += 1;
-                    Some(s)
+                    let s = balanced(&b, &mut i, '(', ')');
+                    Some(s.ok_or("unmatched paren in array reference")?)
                 } else {
                     None
                 };
-                let v = interp.var_get(&name, idx.as_deref())?;
-                toks.push(Tok::Val(v));
+                toks.push(operand(Operand::Var(name, idx)));
             }
             '[' => {
-                let mut depth = 1;
-                let mut s = String::new();
                 i += 1;
-                while i < b.len() && depth > 0 {
-                    match b[i] {
-                        '[' => depth += 1,
-                        ']' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    s.push(b[i]);
-                    i += 1;
-                }
-                if depth != 0 {
-                    return Err(Exc::err("unmatched bracket in expression"));
-                }
-                i += 1;
-                let v = interp.eval_script(host, &s)?;
-                toks.push(Tok::Val(v));
+                let s = balanced(&b, &mut i, '[', ']').ok_or("unmatched bracket in expression")?;
+                toks.push(operand(Operand::Cmd(Rc::from(s))));
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let start = i;
@@ -169,48 +175,25 @@ fn tokenize(interp: &mut Interp, host: &mut dyn HostEnv, src: &str) -> Result<Ve
                 }
                 let word: String = b[start..i].iter().collect();
                 match word.as_str() {
-                    "true" | "yes" | "on" => toks.push(Tok::Val(Value::Int(1))),
-                    "false" | "no" | "off" => toks.push(Tok::Val(Value::Int(0))),
+                    "true" | "yes" | "on" => toks.push(Tok::Val(EOp::Const(Value::Int(1)))),
+                    "false" | "no" | "off" => toks.push(Tok::Val(EOp::Const(Value::Int(0)))),
                     "eq" => toks.push(Tok::Op("eq")),
                     "ne" => toks.push(Tok::Op("ne")),
                     _ => toks.push(Tok::Ident(word)),
                 }
             }
             _ => {
+                const TWO: [&str; 8] = ["||", "&&", "==", "!=", "<=", ">=", "<<", ">>"];
+                const ONE: &str = "+-*/%<>!~&|^()?:,";
                 let two: String = b[i..(i + 2).min(b.len())].iter().collect();
-                let op2 = ["||", "&&", "==", "!=", "<=", ">=", "<<", ">>"]
-                    .iter()
-                    .find(|&&o| o == two);
-                if let Some(&op) = op2 {
+                if let Some(op) = TWO.iter().find(|&&o| o == two) {
                     toks.push(Tok::Op(op));
                     i += 2;
-                } else {
-                    let op1 = match c {
-                        '+' => "+",
-                        '-' => "-",
-                        '*' => "*",
-                        '/' => "/",
-                        '%' => "%",
-                        '<' => "<",
-                        '>' => ">",
-                        '!' => "!",
-                        '~' => "~",
-                        '&' => "&",
-                        '|' => "|",
-                        '^' => "^",
-                        '(' => "(",
-                        ')' => ")",
-                        '?' => "?",
-                        ':' => ":",
-                        ',' => ",",
-                        other => {
-                            return Err(Exc::err(format!(
-                                "unexpected character '{other}' in expression"
-                            )))
-                        }
-                    };
-                    toks.push(Tok::Op(op1));
+                } else if let Some(k) = ONE.find(c) {
+                    toks.push(Tok::Op(&ONE[k..k + 1]));
                     i += 1;
+                } else {
+                    return Err(format!("unexpected character '{c}' in expression"));
                 }
             }
         }
@@ -218,7 +201,7 @@ fn tokenize(interp: &mut Interp, host: &mut dyn HostEnv, src: &str) -> Result<Ve
     Ok(toks)
 }
 
-fn lex_number(b: &[char]) -> Result<(Value, usize), Exc> {
+fn lex_number(b: &[char]) -> Result<(Value, usize), String> {
     // Hex.
     if b.len() >= 2 && b[0] == '0' && (b[1] == 'x' || b[1] == 'X') {
         let mut i = 2;
@@ -226,8 +209,7 @@ fn lex_number(b: &[char]) -> Result<(Value, usize), Exc> {
             i += 1;
         }
         let s: String = b[2..i].iter().collect();
-        let v =
-            i64::from_str_radix(&s, 16).map_err(|_| Exc::err(format!("bad hex literal 0x{s}")))?;
+        let v = i64::from_str_radix(&s, 16).map_err(|_| format!("bad hex literal 0x{s}"))?;
         return Ok((Value::Int(v), i));
     }
     let mut i = 0;
@@ -256,25 +238,192 @@ fn lex_number(b: &[char]) -> Result<(Value, usize), Exc> {
         }
     }
     let s: String = b[..i].iter().collect();
-    if is_float {
-        let v = s
-            .parse::<f64>()
-            .map_err(|_| Exc::err(format!("bad number \"{s}\"")))?;
-        Ok((Value::Double(v), i))
+    let v = if is_float {
+        s.parse::<f64>().map(Value::Double).ok()
     } else {
-        let v = s
-            .parse::<i64>()
-            .map_err(|_| Exc::err(format!("bad number \"{s}\"")))?;
-        Ok((Value::Int(v), i))
-    }
+        s.parse::<i64>().map(Value::Int).ok()
+    };
+    Ok((v.ok_or_else(|| format!("bad number \"{s}\""))?, i))
 }
 
 // ----------------------------------------------------------------------
-// Parser / evaluator.
+// Parser: recursive descent emitting postfix code. Operators are emitted
+// where the one-pass evaluator applied them, so an `Err` here — pushed
+// as a trailing `Raise` by `lower` — fires after the same evaluations.
 
 struct P {
     toks: Vec<Tok>,
     i: usize,
+    out: Vec<EOp>,
+}
+
+/// Binary precedence levels, loosest first. `&&` and `||` are ordinary
+/// binary operators here: both sides are always evaluated.
+const LEVELS: [&[&str]; 10] = [
+    &["||"],
+    &["&&"],
+    &["|"],
+    &["^"],
+    &["&"],
+    &["==", "!=", "eq", "ne"],
+    &["<", ">", "<=", ">="],
+    &["<<", ">>"],
+    &["+", "-"],
+    &["*", "/", "%"],
+];
+
+impl P {
+    fn peek_op(&self) -> Option<&'static str> {
+        match self.toks.get(self.i) {
+            Some(Tok::Op(o)) => Some(o),
+            _ => None,
+        }
+    }
+
+    fn eat(&mut self, op: &str) -> bool {
+        if self.peek_op() == Some(op) {
+            self.i += 1;
+            true
+        } else {
+            false
+        }
+    }
+
+    fn expect(&mut self, op: &str) -> Result<(), String> {
+        if self.eat(op) {
+            Ok(())
+        } else {
+            Err(format!("expected \"{op}\" in expression"))
+        }
+    }
+
+    fn ternary(&mut self) -> Result<(), String> {
+        self.binary(0)?;
+        if self.eat("?") {
+            self.ternary()?;
+            self.expect(":")?;
+            self.ternary()?;
+            self.out.push(EOp::Ternary);
+        }
+        Ok(())
+    }
+
+    fn binary(&mut self, level: usize) -> Result<(), String> {
+        let Some(ops) = LEVELS.get(level) else {
+            return self.unary();
+        };
+        self.binary(level + 1)?;
+        while let Some(op) = self.peek_op().filter(|o| ops.contains(o)) {
+            self.i += 1;
+            self.binary(level + 1)?;
+            self.out.push(EOp::Bin(op));
+        }
+        Ok(())
+    }
+
+    fn unary(&mut self) -> Result<(), String> {
+        for (sym, op) in [("-", EOp::Neg), ("!", EOp::Not), ("~", EOp::BitNot)] {
+            if self.eat(sym) {
+                self.unary()?;
+                self.out.push(op);
+                return Ok(());
+            }
+        }
+        if self.eat("+") {
+            return self.unary();
+        }
+        self.primary()
+    }
+
+    fn primary(&mut self) -> Result<(), String> {
+        if self.eat("(") {
+            self.ternary()?;
+            return self.expect(")");
+        }
+        match self.toks.get_mut(self.i) {
+            Some(Tok::Val(v)) => {
+                let v = std::mem::replace(v, EOp::Ternary);
+                self.out.push(v);
+                self.i += 1;
+                Ok(())
+            }
+            Some(Tok::Ident(name)) => {
+                let name = std::mem::take(name);
+                self.i += 1;
+                if !self.eat("(") {
+                    // A bare word is a string operand (Tcl would reject
+                    // this; accepting it keeps `expr $x eq abc` usable).
+                    self.out.push(EOp::Const(Value::from(name)));
+                    return Ok(());
+                }
+                let mut argc = 0;
+                if !self.eat(")") {
+                    loop {
+                        self.ternary()?;
+                        argc += 1;
+                        if self.eat(")") {
+                            break;
+                        }
+                        self.expect(",")?;
+                    }
+                }
+                self.out.push(EOp::Func(name, argc));
+                Ok(())
+            }
+            _ => Err("missing operand in expression".into()),
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Evaluator.
+
+/// Runs operator code over the operands on top of `stack` (its last `n`
+/// values), replacing them with the result.
+pub(crate) fn eval(code: &[EOp], stack: &mut Vec<Value>, n: usize) -> Result<(), Exc> {
+    let base = stack.len() - n;
+    // Lowered code is well formed; `empty` only keeps a pop total.
+    let pop = |stack: &mut Vec<Value>| stack.pop().unwrap_or_else(Value::empty);
+    for op in code {
+        let v = match op {
+            EOp::Const(v) => v.clone(),
+            EOp::Arg(k) => stack[base + *k as usize].clone(),
+            EOp::Raise(msg) => return Err(Exc::err(msg.clone())),
+            EOp::Func(name, argc) => {
+                let at = stack.len() - *argc as usize;
+                let v = call_func(name, &stack[at..])?;
+                stack.truncate(at);
+                v
+            }
+            EOp::Neg => {
+                let v = pop(stack);
+                match as_num(&v) {
+                    Some(Num::I(i)) => Value::Int(i.wrapping_neg()),
+                    Some(Num::D(d)) => Value::Double(-d),
+                    None => return Err(Exc::err(format!("can't negate \"{v}\""))),
+                }
+            }
+            EOp::Not => Value::bool(!pop(stack).as_bool()?),
+            EOp::BitNot => Value::Int(!pop(stack).as_int()?),
+            EOp::Bin(op) => {
+                let (rhs, lhs) = (pop(stack), pop(stack));
+                binary(op, &lhs, &rhs)?
+            }
+            EOp::Ternary => {
+                let (b, a, cond) = (pop(stack), pop(stack), pop(stack));
+                if cond.as_bool()? {
+                    a
+                } else {
+                    b
+                }
+            }
+        };
+        stack.push(v);
+    }
+    let v = pop(stack);
+    stack.truncate(base);
+    stack.push(v);
+    Ok(())
 }
 
 /// Numeric operand: integer where possible, double otherwise.
@@ -304,236 +453,35 @@ fn as_num(v: &Value) -> Option<Num> {
     t.parse::<f64>().ok().map(Num::D)
 }
 
-impl P {
-    fn peek_op(&self) -> Option<&'static str> {
-        match self.toks.get(self.i) {
-            Some(Tok::Op(o)) => Some(o),
-            _ => None,
-        }
-    }
-
-    fn eat(&mut self, op: &str) -> bool {
-        if self.peek_op() == Some(op) {
-            self.i += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, op: &str) -> Result<(), Exc> {
-        if self.eat(op) {
-            Ok(())
-        } else {
-            Err(Exc::err(format!("expected \"{op}\" in expression")))
-        }
-    }
-
-    fn ternary(&mut self) -> Result<Value, Exc> {
-        let cond = self.or()?;
-        if self.eat("?") {
-            let a = self.ternary()?;
-            self.expect(":")?;
-            let b = self.ternary()?;
-            return Ok(if cond.as_bool().map_err(Exc::Err)? {
-                a
-            } else {
-                b
-            });
-        }
-        Ok(cond)
-    }
-
-    fn or(&mut self) -> Result<Value, Exc> {
-        let mut v = self.and()?;
-        while self.eat("||") {
-            let rhs = self.and()?;
-            v = Value::bool(v.as_bool().map_err(Exc::Err)? || rhs.as_bool().map_err(Exc::Err)?);
-        }
-        Ok(v)
-    }
-
-    fn and(&mut self) -> Result<Value, Exc> {
-        let mut v = self.bitor()?;
-        while self.eat("&&") {
-            let rhs = self.bitor()?;
-            v = Value::bool(v.as_bool().map_err(Exc::Err)? && rhs.as_bool().map_err(Exc::Err)?);
-        }
-        Ok(v)
-    }
-
-    fn bitor(&mut self) -> Result<Value, Exc> {
-        let mut v = self.bitxor()?;
-        while self.eat("|") {
-            let rhs = self.bitxor()?;
-            v = Value::Int(v.as_int().map_err(Exc::Err)? | rhs.as_int().map_err(Exc::Err)?);
-        }
-        Ok(v)
-    }
-
-    fn bitxor(&mut self) -> Result<Value, Exc> {
-        let mut v = self.bitand()?;
-        while self.eat("^") {
-            let rhs = self.bitand()?;
-            v = Value::Int(v.as_int().map_err(Exc::Err)? ^ rhs.as_int().map_err(Exc::Err)?);
-        }
-        Ok(v)
-    }
-
-    fn bitand(&mut self) -> Result<Value, Exc> {
-        let mut v = self.equality()?;
-        while self.eat("&") {
-            let rhs = self.equality()?;
-            v = Value::Int(v.as_int().map_err(Exc::Err)? & rhs.as_int().map_err(Exc::Err)?);
-        }
-        Ok(v)
-    }
-
-    fn equality(&mut self) -> Result<Value, Exc> {
-        let mut v = self.relational()?;
-        loop {
-            if self.eat("==") {
-                let r = self.relational()?;
-                v = Value::bool(value_cmp(&v, &r) == std::cmp::Ordering::Equal);
-            } else if self.eat("!=") {
-                let r = self.relational()?;
-                v = Value::bool(value_cmp(&v, &r) != std::cmp::Ordering::Equal);
-            } else if self.eat("eq") {
-                let r = self.relational()?;
-                v = Value::bool(v.as_str() == r.as_str());
-            } else if self.eat("ne") {
-                let r = self.relational()?;
-                v = Value::bool(v.as_str() != r.as_str());
-            } else {
-                return Ok(v);
-            }
-        }
-    }
-
-    fn relational(&mut self) -> Result<Value, Exc> {
-        let mut v = self.shift()?;
-        loop {
-            let op = match self.peek_op() {
-                Some(o @ ("<" | ">" | "<=" | ">=")) => o,
-                _ => return Ok(v),
-            };
-            self.i += 1;
-            let r = self.shift()?;
-            let ord = value_cmp(&v, &r);
-            use std::cmp::Ordering::*;
-            v = Value::bool(match op {
-                "<" => ord == Less,
-                ">" => ord == Greater,
-                "<=" => ord != Greater,
-                ">=" => ord != Less,
-                _ => unreachable!(),
-            });
-        }
-    }
-
-    fn shift(&mut self) -> Result<Value, Exc> {
-        let mut v = self.additive()?;
-        loop {
-            let op = match self.peek_op() {
-                Some(o @ ("<<" | ">>")) => o,
-                _ => return Ok(v),
-            };
-            self.i += 1;
-            let r = self.additive()?;
-            let (a, b) = (v.as_int().map_err(Exc::Err)?, r.as_int().map_err(Exc::Err)?);
-            if !(0..64).contains(&b) {
+fn binary(op: &'static str, a: &Value, b: &Value) -> Result<Value, Exc> {
+    use std::cmp::Ordering::*;
+    Ok(match op {
+        "||" => Value::bool(a.as_bool()? || b.as_bool()?),
+        "&&" => Value::bool(a.as_bool()? && b.as_bool()?),
+        "|" => Value::Int(a.as_int()? | b.as_int()?),
+        "^" => Value::Int(a.as_int()? ^ b.as_int()?),
+        "&" => Value::Int(a.as_int()? & b.as_int()?),
+        "==" => Value::bool(value_cmp(a, b) == Equal),
+        "!=" => Value::bool(value_cmp(a, b) != Equal),
+        "eq" => Value::bool(a.as_str() == b.as_str()),
+        "ne" => Value::bool(a.as_str() != b.as_str()),
+        "<" => Value::bool(value_cmp(a, b) == Less),
+        ">" => Value::bool(value_cmp(a, b) == Greater),
+        "<=" => Value::bool(value_cmp(a, b) != Greater),
+        ">=" => Value::bool(value_cmp(a, b) != Less),
+        "<<" | ">>" => {
+            let (x, n) = (a.as_int()?, b.as_int()?);
+            if !(0..64).contains(&n) {
                 return Err(Exc::err("shift amount out of range"));
             }
-            v = Value::Int(if op == "<<" {
-                a.wrapping_shl(b as u32)
+            Value::Int(if op == "<<" {
+                x.wrapping_shl(n as u32)
             } else {
-                a >> b
-            });
+                x >> n
+            })
         }
-    }
-
-    fn additive(&mut self) -> Result<Value, Exc> {
-        let mut v = self.multiplicative()?;
-        loop {
-            let op = match self.peek_op() {
-                Some(o @ ("+" | "-")) => o,
-                _ => return Ok(v),
-            };
-            self.i += 1;
-            let r = self.multiplicative()?;
-            v = arith(op, &v, &r)?;
-        }
-    }
-
-    fn multiplicative(&mut self) -> Result<Value, Exc> {
-        let mut v = self.unary()?;
-        loop {
-            let op = match self.peek_op() {
-                Some(o @ ("*" | "/" | "%")) => o,
-                _ => return Ok(v),
-            };
-            self.i += 1;
-            let r = self.unary()?;
-            v = arith(op, &v, &r)?;
-        }
-    }
-
-    fn unary(&mut self) -> Result<Value, Exc> {
-        if self.eat("-") {
-            let v = self.unary()?;
-            return match as_num(&v) {
-                Some(Num::I(i)) => Ok(Value::Int(-i)),
-                Some(Num::D(d)) => Ok(Value::Double(-d)),
-                None => Err(Exc::err(format!("can't negate \"{v}\""))),
-            };
-        }
-        if self.eat("+") {
-            return self.unary();
-        }
-        if self.eat("!") {
-            let v = self.unary()?;
-            return Ok(Value::bool(!v.as_bool().map_err(Exc::Err)?));
-        }
-        if self.eat("~") {
-            let v = self.unary()?;
-            return Ok(Value::Int(!v.as_int().map_err(Exc::Err)?));
-        }
-        self.primary()
-    }
-
-    fn primary(&mut self) -> Result<Value, Exc> {
-        if self.eat("(") {
-            let v = self.ternary()?;
-            self.expect(")")?;
-            return Ok(v);
-        }
-        match self.toks.get(self.i).cloned() {
-            Some(Tok::Val(v)) => {
-                self.i += 1;
-                Ok(v)
-            }
-            Some(Tok::Ident(name)) => {
-                self.i += 1;
-                if !self.eat("(") {
-                    // A bare word is a string operand (Tcl would reject
-                    // this; accepting it keeps `expr $x eq abc` usable).
-                    return Ok(Value::from(name));
-                }
-                let mut args = Vec::new();
-                if !self.eat(")") {
-                    loop {
-                        args.push(self.ternary()?);
-                        if self.eat(")") {
-                            break;
-                        }
-                        self.expect(",")?;
-                    }
-                }
-                call_func(&name, &args)
-            }
-            _ => Err(Exc::err("missing operand in expression")),
-        }
-    }
+        _ => return arith(op, a, b),
+    })
 }
 
 fn value_cmp(a: &Value, b: &Value) -> std::cmp::Ordering {
@@ -560,59 +508,32 @@ fn arith(op: &str, a: &Value, b: &Value) -> Result<Value, Exc> {
             )))
         }
     };
-    match (x, y) {
-        (Num::I(i), Num::I(j)) => match op {
-            "+" => Ok(Value::Int(i.wrapping_add(j))),
-            "-" => Ok(Value::Int(i.wrapping_sub(j))),
-            "*" => Ok(Value::Int(i.wrapping_mul(j))),
-            "/" => {
-                if j == 0 {
-                    Err(Exc::err("divide by zero"))
-                } else {
-                    Ok(Value::Int(i.div_euclid(j)))
-                }
-            }
-            "%" => {
-                if j == 0 {
-                    Err(Exc::err("divide by zero"))
-                } else {
-                    Ok(Value::Int(i.rem_euclid(j)))
-                }
-            }
-            _ => unreachable!(),
-        },
-        (x, y) => {
-            let (d, e) = (
-                match x {
-                    Num::I(i) => i as f64,
-                    Num::D(d) => d,
-                },
-                match y {
-                    Num::I(i) => i as f64,
-                    Num::D(d) => d,
-                },
-            );
-            let r = match op {
-                "+" => d + e,
-                "-" => d - e,
-                "*" => d * e,
-                "/" => {
-                    if e == 0.0 {
-                        return Err(Exc::err("divide by zero"));
-                    }
-                    d / e
-                }
-                "%" => {
-                    if e == 0.0 {
-                        return Err(Exc::err("divide by zero"));
-                    }
-                    d % e
-                }
-                _ => unreachable!(),
-            };
-            Ok(Value::Double(r))
+    let zero = || Exc::err("divide by zero");
+    let (d, e) = match (x, y) {
+        // Wrapping throughout: i64::MIN / -1 must not take the server
+        // down with the RDO that computed it.
+        (Num::I(i), Num::I(j)) => {
+            return Ok(Value::Int(match op {
+                "+" => i.wrapping_add(j),
+                "-" => i.wrapping_sub(j),
+                "*" => i.wrapping_mul(j),
+                _ if j == 0 => return Err(zero()),
+                "/" => i.wrapping_div_euclid(j),
+                _ => i.wrapping_rem_euclid(j),
+            }))
         }
-    }
+        (Num::I(i), Num::D(e)) => (i as f64, e),
+        (Num::D(d), Num::I(j)) => (d, j as f64),
+        (Num::D(d), Num::D(e)) => (d, e),
+    };
+    Ok(Value::Double(match op {
+        "+" => d + e,
+        "-" => d - e,
+        "*" => d * e,
+        _ if e == 0.0 => return Err(zero()),
+        "/" => d / e,
+        _ => d % e,
+    }))
 }
 
 fn call_func(name: &str, args: &[Value]) -> Result<Value, Exc> {
@@ -620,7 +541,7 @@ fn call_func(name: &str, args: &[Value]) -> Result<Value, Exc> {
         if args.len() != 1 {
             return Err(Exc::err(format!("{name}() takes one argument")));
         }
-        args[0].as_double().map_err(Exc::Err)
+        Ok(args[0].as_double()?)
     };
     match name {
         "abs" => {
@@ -628,7 +549,7 @@ fn call_func(name: &str, args: &[Value]) -> Result<Value, Exc> {
                 return Err(Exc::err("abs() takes one argument"));
             }
             match as_num(&args[0]) {
-                Some(Num::I(i)) => Ok(Value::Int(i.abs())),
+                Some(Num::I(i)) => Ok(Value::Int(i.wrapping_abs())),
                 Some(Num::D(d)) => Ok(Value::Double(d.abs())),
                 None => Err(Exc::err("abs() needs a number")),
             }
@@ -659,16 +580,15 @@ fn call_func(name: &str, args: &[Value]) -> Result<Value, Exc> {
             if args.len() != 2 {
                 return Err(Exc::err("pow() takes two arguments"));
             }
-            let b = args[0].as_double().map_err(Exc::Err)?;
-            let e = args[1].as_double().map_err(Exc::Err)?;
-            Ok(Value::Double(b.powf(e)))
+            Ok(Value::Double(
+                args[0].as_double()?.powf(args[1].as_double()?),
+            ))
         }
         "fmod" => {
             if args.len() != 2 {
                 return Err(Exc::err("fmod() takes two arguments"));
             }
-            let a = args[0].as_double().map_err(Exc::Err)?;
-            let b = args[1].as_double().map_err(Exc::Err)?;
+            let (a, b) = (args[0].as_double()?, args[1].as_double()?);
             if b == 0.0 {
                 return Err(Exc::err("divide by zero"));
             }

@@ -1,14 +1,14 @@
-//! The interpreter: variables, frames, procs, control flow, dispatch.
+//! The interpreter: variables, frames, procs, and the dispatch loop
+//! that runs compiled programs (see [`crate::compile`]).
 
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::builtins;
+use crate::compile::{self, Layout, Op, Program};
 use crate::error::{Exc, ScriptError};
 use crate::expr;
-use crate::parser::{parse_script_cached, Command, Frag, Script, Word};
 use crate::value::Value;
 
 /// Execution limits enforced on RDO code.
@@ -60,30 +60,76 @@ impl HostEnv for NoHost {
     }
 }
 
-/// A variable slot: Tcl scalars and arrays are distinct kinds.
+/// A variable: Tcl scalars and arrays are distinct kinds. `Unset` is an
+/// empty frame slot (or a map entry left behind by `unset`).
 #[derive(Clone, Debug)]
-pub(crate) enum Slot {
+pub(crate) enum Var {
+    Unset,
     Scalar(Value),
     Array(HashMap<String, Value>),
 }
 
+/// What a `global` or `upvar` made a local name stand for.
+#[derive(Clone)]
+enum Link {
+    Global,
+    /// Target scope (frame index, or [`GLOBAL`]) and the name there.
+    Up(usize, String),
+}
+
+/// Scope index of the global variables.
+const GLOBAL: usize = usize::MAX;
+
+/// One proc activation. Names the body's program mentions literally
+/// live in `slots` (laid out by that program); any other name — made up
+/// at run time, or used by a program evaluated in this frame that was
+/// compiled on its own — lives in `extra`. Which of the two a name uses
+/// depends only on the layout, so every access path agrees.
 #[derive(Clone)]
 pub(crate) struct Frame {
-    pub vars: HashMap<String, Slot>,
-    /// Names declared `global` in this frame.
-    pub globals: std::collections::HashSet<String>,
-    /// `upvar` aliases: local name → (target frame index or usize::MAX
-    /// for the global scope, target name).
-    pub upvars: HashMap<String, (usize, String)>,
+    layout: Rc<Layout>,
+    slots: Vec<Var>,
+    extra: HashMap<String, Var>,
+    /// `global`/`upvar` aliases, consulted before the frame's own
+    /// variables (empty for nearly every call).
+    links: HashMap<String, Link>,
+}
+
+impl Frame {
+    fn var_mut(&mut self, name: &str, create: bool) -> Option<&mut Var> {
+        match self.layout.slot_of.get(name) {
+            Some(&slot) => self.slots.get_mut(slot as usize),
+            None => map_var_mut(&mut self.extra, name, create),
+        }
+    }
+}
+
+fn map_var_mut<'a>(
+    map: &'a mut HashMap<String, Var>,
+    name: &str,
+    create: bool,
+) -> Option<&'a mut Var> {
+    if create && !map.contains_key(name) {
+        map.insert(name.to_owned(), Var::Unset);
+    }
+    map.get_mut(name)
 }
 
 pub(crate) struct Proc {
-    pub params: Vec<(String, Option<Value>)>,
-    pub body: Rc<str>,
-    /// Parsed body, filled on first call and shared by every clone of
-    /// the interpreter holding this proc (so a cached template
-    /// interpreter parses each proc body at most once, ever).
-    pub body_prog: RefCell<Option<Rc<Script>>>,
+    params: Vec<(String, Option<Value>)>,
+    /// Compiled on first call, through the program cache.
+    body: Rc<str>,
+}
+
+/// An open [`Op::Region`] of one [`Interp::exec`] activation.
+struct Handler {
+    catch: bool,
+    /// Value-stack height and nesting depth to restore.
+    sp: usize,
+    depth: usize,
+    /// Where `break` (or anything caught) and `continue` resume.
+    brk: u32,
+    cont: u32,
 }
 
 /// A Tcl-subset interpreter executing RDO methods.
@@ -99,24 +145,20 @@ pub(crate) struct Proc {
 ///     .unwrap();
 /// assert_eq!(v.as_int().unwrap(), 10);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Interp {
-    pub(crate) globals: HashMap<String, Slot>,
-    pub(crate) frames: Vec<Frame>,
+    globals: HashMap<String, Var>,
+    frames: Vec<Frame>,
     /// Shared copy-on-write: cloning an interpreter (the method-cache
     /// fast path) clones one `Rc`; defining a proc in a clone copies
     /// the table first via `Rc::make_mut`.
-    pub(crate) procs: Rc<HashMap<String, Rc<Proc>>>,
+    procs: Rc<HashMap<String, Rc<Proc>>>,
     budget: Budget,
     steps: u64,
     depth: usize,
     output: String,
-}
-
-impl Default for Interp {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Retired value stacks, reused by the next activation.
+    spare: Vec<Vec<Value>>,
 }
 
 impl Interp {
@@ -128,13 +170,8 @@ impl Interp {
     /// Creates an interpreter with an explicit budget.
     pub fn with_budget(budget: Budget) -> Self {
         Interp {
-            globals: HashMap::new(),
-            frames: Vec::new(),
-            procs: Rc::new(HashMap::new()),
             budget,
-            steps: 0,
-            depth: 0,
-            output: String::new(),
+            ..Interp::default()
         }
     }
 
@@ -143,9 +180,27 @@ impl Interp {
     /// `return` at top level yields its value; `break`/`continue`
     /// escaping to the top level are errors, as in Tcl.
     pub fn eval(&mut self, host: &mut dyn HostEnv, src: &str) -> Result<Value, ScriptError> {
-        match self.eval_script(host, src) {
-            Ok(v) => Ok(v),
-            Err(Exc::Return(v)) => Ok(v),
+        let r = self.eval_src(host, src);
+        Self::top_level(r)
+    }
+
+    /// Runs the command `name` with already-evaluated `args` — what
+    /// evaluating the command line `name arg…` does (one step charged,
+    /// builtins before procs before host commands), without printing
+    /// the arguments into source text and parsing them back.
+    pub fn call(
+        &mut self,
+        host: &mut dyn HostEnv,
+        name: &str,
+        args: &[Value],
+    ) -> Result<Value, ScriptError> {
+        let r = self.charge(1).and_then(|()| self.invoke(host, name, args));
+        Self::top_level(r)
+    }
+
+    fn top_level(r: Result<Value, Exc>) -> Result<Value, ScriptError> {
+        match r {
+            Ok(v) | Err(Exc::Return(v)) => Ok(v),
             Err(Exc::Err(e)) => Err(e),
             Err(Exc::Break) => Err(ScriptError::new("invoked \"break\" outside of a loop")),
             Err(Exc::Continue) => Err(ScriptError::new("invoked \"continue\" outside of a loop")),
@@ -170,13 +225,13 @@ impl Interp {
 
     /// Sets a global scalar variable.
     pub fn set_global(&mut self, name: &str, v: Value) {
-        self.globals.insert(name.to_owned(), Slot::Scalar(v));
+        self.globals.insert(name.to_owned(), Var::Scalar(v));
     }
 
     /// Reads a global scalar variable.
     pub fn get_global(&self, name: &str) -> Option<Value> {
         match self.globals.get(name) {
-            Some(Slot::Scalar(v)) => Some(v.clone()),
+            Some(Var::Scalar(v)) => Some(v.clone()),
             _ => None,
         }
     }
@@ -196,7 +251,7 @@ impl Interp {
     // ------------------------------------------------------------------
     // Budget accounting.
 
-    pub(crate) fn charge(&mut self, n: u64) -> Result<(), Exc> {
+    fn charge(&mut self, n: u64) -> Result<(), Exc> {
         self.steps += n;
         if self.steps > self.budget.max_steps {
             Err(Exc::Err(ScriptError::budget()))
@@ -206,18 +261,13 @@ impl Interp {
     }
 
     fn enter(&mut self) -> Result<(), Exc> {
-        self.depth += 1;
-        if self.depth > self.budget.max_depth {
-            self.depth -= 1;
+        if self.depth >= self.budget.max_depth {
             return Err(Exc::err(
                 "too many nested evaluations (possible infinite recursion)",
             ));
         }
+        self.depth += 1;
         Ok(())
-    }
-
-    fn leave(&mut self) {
-        self.depth -= 1;
     }
 
     // ------------------------------------------------------------------
@@ -225,27 +275,22 @@ impl Interp {
 
     /// Resolves which scope a variable name denotes in the current
     /// frame, following `global` declarations and `upvar` aliases.
-    /// Returns (frame index or usize::MAX for globals, renamed target)
-    /// where `None` means the caller's name already denotes the target —
-    /// the overwhelmingly common case, which must not allocate.
+    /// Returns (frame index or [`GLOBAL`], renamed target) where `None`
+    /// means the caller's name already denotes the target — the
+    /// overwhelmingly common case, which must not allocate.
     fn resolve_scope(&self, name: &str) -> (usize, Option<String>) {
-        const GLOBAL: usize = usize::MAX;
         let mut idx = match self.frames.len() {
             0 => return (GLOBAL, None),
             n => n - 1,
         };
         let mut renamed: Option<String> = None;
         for _ in 0..16 {
-            if idx == GLOBAL {
+            let Some(f) = self.frames.get(idx) else {
                 return (GLOBAL, renamed);
-            }
-            let f = &self.frames[idx];
-            let cur = renamed.as_deref().unwrap_or(name);
-            if f.globals.contains(cur) {
-                return (GLOBAL, renamed);
-            }
-            match f.upvars.get(cur) {
-                Some((target, other)) => {
+            };
+            match f.links.get(renamed.as_deref().unwrap_or(name)) {
+                Some(Link::Global) => return (GLOBAL, renamed),
+                Some(Link::Up(target, other)) => {
                     idx = *target;
                     renamed = Some(other.clone());
                 }
@@ -255,217 +300,411 @@ impl Interp {
         (idx, renamed)
     }
 
-    fn scope_map(&mut self, idx: usize) -> &mut HashMap<String, Slot> {
-        if idx == usize::MAX {
-            &mut self.globals
-        } else {
-            &mut self.frames[idx].vars
+    /// The variable `name` denotes, plus the name it resolved to (for
+    /// messages). `slot` is the fast path: the caller's program laid
+    /// out the current frame and `name` is its slot — unless the frame
+    /// has links, that slot *is* the variable.
+    fn place<'a>(
+        &'a mut self,
+        name: &'a str,
+        slot: Option<u32>,
+        create: bool,
+    ) -> (Option<&'a mut Var>, Cow<'a, str>) {
+        if let (Some(slot), Some(top)) = (slot, self.frames.len().checked_sub(1)) {
+            if self.frames[top].links.is_empty() {
+                return (
+                    self.frames[top].slots.get_mut(slot as usize),
+                    Cow::Borrowed(name),
+                );
+            }
         }
+        let (scope, renamed) = self.resolve_scope(name);
+        let name = renamed.map_or(Cow::Borrowed(name), Cow::Owned);
+        let var = match self.frames.get_mut(scope) {
+            Some(f) => f.var_mut(&name, create),
+            None => map_var_mut(&mut self.globals, &name, create),
+        };
+        (var, name)
     }
 
-    fn scope_map_ref(&self, idx: usize) -> &HashMap<String, Slot> {
-        if idx == usize::MAX {
-            &self.globals
-        } else {
-            &self.frames[idx].vars
+    /// Splits `name` or `name(index)`, borrowing from the input.
+    pub(crate) fn split_varname(spec: &str) -> (&str, Option<&str>) {
+        if let Some(open) = spec.find('(') {
+            if spec.ends_with(')') {
+                return (&spec[..open], Some(&spec[open + 1..spec.len() - 1]));
+            }
         }
+        (spec, None)
     }
 
     pub(crate) fn var_get(&mut self, name: &str, idx: Option<&str>) -> Result<Value, Exc> {
-        let (scope, renamed) = self.resolve_scope(name);
-        let name = renamed.as_deref().unwrap_or(name);
-        let map = self.scope_map_ref(scope);
-        match (map.get(name), idx) {
-            (Some(Slot::Scalar(v)), None) => Ok(v.clone()),
-            (Some(Slot::Array(a)), Some(i)) => a
-                .get(i)
-                .cloned()
-                .ok_or_else(|| Exc::err(format!("can't read \"{name}({i})\": no such element"))),
-            (Some(Slot::Array(_)), None) => Err(Exc::err(format!(
-                "can't read \"{name}\": variable is array"
-            ))),
-            (Some(Slot::Scalar(_)), Some(_)) => Err(Exc::err(format!(
-                "can't read \"{name}\": variable isn't array"
-            ))),
-            (None, _) => Err(Exc::err(format!("can't read \"{name}\": no such variable"))),
-        }
+        let (var, name) = self.place(name, None, false);
+        read(var.as_deref(), &name, idx)
     }
 
     pub(crate) fn var_set(&mut self, name: &str, idx: Option<&str>, v: Value) -> Result<(), Exc> {
-        let (scope, renamed) = self.resolve_scope(name);
-        let name = renamed.as_deref().unwrap_or(name);
-        let map = self.scope_map(scope);
-        match idx {
-            // Overwrite in place when the slot exists so repeated `set`s
-            // of the same variable never re-allocate the key.
-            None => match map.get_mut(name) {
-                Some(Slot::Array(_)) => {
-                    Err(Exc::err(format!("can't set \"{name}\": variable is array")))
-                }
-                Some(slot) => {
-                    *slot = Slot::Scalar(v);
-                    Ok(())
-                }
-                None => {
-                    map.insert(name.to_owned(), Slot::Scalar(v));
-                    Ok(())
-                }
-            },
-            Some(i) => {
-                let slot = map
-                    .entry(name.to_owned())
-                    .or_insert_with(|| Slot::Array(HashMap::new()));
-                match slot {
-                    Slot::Array(a) => {
-                        a.insert(i.to_owned(), v);
-                        Ok(())
-                    }
-                    Slot::Scalar(_) => Err(Exc::err(format!(
-                        "can't set \"{name}({i})\": variable isn't array"
-                    ))),
-                }
-            }
-        }
+        let (var, name) = self.place(name, None, true);
+        write(var, &name, idx, v)
     }
 
     pub(crate) fn var_unset(&mut self, name: &str, idx: Option<&str>) -> Result<(), Exc> {
-        let (scope, renamed) = self.resolve_scope(name);
-        let name = renamed.as_deref().unwrap_or(name);
-        let map = self.scope_map(scope);
-        match idx {
-            None => map
-                .remove(name)
+        let (var, name) = self.place(name, None, false);
+        match (var, idx) {
+            (Some(v @ (Var::Scalar(_) | Var::Array(_))), None) => {
+                *v = Var::Unset;
+                Ok(())
+            }
+            (_, None) => Err(Exc::err(format!(
+                "can't unset \"{name}\": no such variable"
+            ))),
+            (Some(Var::Array(a)), Some(i)) => a
+                .remove(i)
                 .map(|_| ())
-                .ok_or_else(|| Exc::err(format!("can't unset \"{name}\": no such variable"))),
-            Some(i) => match map.get_mut(name) {
-                Some(Slot::Array(a)) => a.remove(i).map(|_| ()).ok_or_else(|| {
-                    Exc::err(format!("can't unset \"{name}({i})\": no such element"))
-                }),
-                _ => Err(Exc::err(format!(
-                    "can't unset \"{name}({i})\": no such array"
-                ))),
-            },
+                .ok_or_else(|| Exc::err(format!("can't unset \"{name}({i})\": no such element"))),
+            (_, Some(i)) => Err(Exc::err(format!(
+                "can't unset \"{name}({i})\": no such array"
+            ))),
         }
     }
 
     pub(crate) fn var_exists(&mut self, name: &str, idx: Option<&str>) -> bool {
-        let (scope, renamed) = self.resolve_scope(name);
-        let name = renamed.as_deref().unwrap_or(name);
-        let map = self.scope_map_ref(scope);
-        match (map.get(name), idx) {
-            (Some(Slot::Scalar(_)), None) => true,
-            (Some(Slot::Array(_)), None) => true,
-            (Some(Slot::Array(a)), Some(i)) => a.contains_key(i),
+        match (self.place(name, None, false).0, idx) {
+            (Some(Var::Scalar(_) | Var::Array(_)), None) => true,
+            (Some(Var::Array(a)), Some(i)) => a.contains_key(i),
             _ => false,
+        }
+    }
+
+    /// Read-modify-write of `name` / `name(index)` in place: `f` edits
+    /// the current value (or `default` if there is none) where it
+    /// lives, so `lappend` on a uniquely held list never copies it.
+    pub(crate) fn var_modify(
+        &mut self,
+        spec: &str,
+        default: Value,
+        f: impl FnOnce(&mut Value) -> Result<(), Exc>,
+    ) -> Result<Value, Exc> {
+        let (name, idx) = Self::split_varname(spec);
+        let (var, name) = self.place(name, None, true);
+        modify(var, &name, idx, default, f)
+    }
+
+    /// The array `array` subcommands see: the current frame's own (or,
+    /// after `global`, the global one) — `upvar` aliases are not
+    /// followed.
+    pub(crate) fn local_array(&self, name: &str) -> Option<&HashMap<String, Value>> {
+        let var = match self.frames.last() {
+            Some(f) if !matches!(f.links.get(name), Some(Link::Global)) => {
+                match f.layout.slot_of.get(name) {
+                    Some(&slot) => f.slots.get(slot as usize),
+                    None => f.extra.get(name),
+                }
+            }
+            _ => self.globals.get(name),
+        };
+        match var {
+            Some(Var::Array(a)) => Some(a),
+            _ => None,
         }
     }
 
     // ------------------------------------------------------------------
     // Evaluation.
 
-    pub(crate) fn eval_script(&mut self, host: &mut dyn HostEnv, src: &str) -> Result<Value, Exc> {
-        let script = parse_script_cached(src).map_err(Exc::Err)?;
-        self.eval_program(host, &script)
+    fn eval_src(&mut self, host: &mut dyn HostEnv, src: &str) -> Result<Value, Exc> {
+        let prog = compile::script(src)?;
+        self.exec(host, &prog)
     }
 
-    /// Evaluates an already-parsed program. Parsing charges no steps, so
-    /// running a cached AST is step-for-step identical to re-parsing.
-    pub(crate) fn eval_program(
-        &mut self,
-        host: &mut dyn HostEnv,
-        script: &Script,
-    ) -> Result<Value, Exc> {
-        let mut last = Value::empty();
-        for cmd in &script.commands {
-            last = self.eval_command(host, cmd)?;
-        }
-        Ok(last)
-    }
-
-    /// Parses `src` through the program cache, memoizing the result in
-    /// `slot` so loop iterations after the first skip even the cache
-    /// lookup. Lazy on purpose: a loop body that never runs must not
-    /// raise its parse error.
-    fn memo_prog(slot: &mut Option<Rc<Script>>, src: &str) -> Result<Rc<Script>, Exc> {
-        match slot {
-            Some(p) => Ok(Rc::clone(p)),
-            None => {
-                let p = parse_script_cached(src).map_err(Exc::Err)?;
-                if crate::parser::program_cache_enabled() {
-                    *slot = Some(Rc::clone(&p));
+    /// Runs a compiled program in the current scope. Compilation
+    /// charges no steps, so a cached program is step-for-step identical
+    /// to a freshly compiled one.
+    fn exec(&mut self, host: &mut dyn HostEnv, prog: &Program) -> Result<Value, Exc> {
+        // Slot addressing is valid only in the frame this program laid
+        // out; anywhere else (global scope, `eval`'d text, glue) its
+        // variables are reached by name.
+        let direct = self
+            .frames
+            .last()
+            .is_some_and(|f| Rc::ptr_eq(&f.layout, &prog.layout));
+        let depth = self.depth;
+        let mut stack = self.spare.pop().unwrap_or_default();
+        let mut handlers: Vec<Handler> = Vec::new();
+        let mut pc = 0usize;
+        let r = loop {
+            let exc = match self.run(host, prog, direct, &mut stack, &mut handlers, &mut pc) {
+                Ok(v) => break Ok(v),
+                Err(exc) => exc,
+            };
+            match self.unwind(exc, &mut stack, &mut handlers) {
+                Ok(resume) => pc = resume,
+                Err(exc) => {
+                    self.depth = depth;
+                    break Err(exc);
                 }
-                Ok(p)
             }
-        }
+        };
+        stack.clear();
+        self.spare.push(stack);
+        r
     }
 
-    fn eval_command(&mut self, host: &mut dyn HostEnv, cmd: &Command) -> Result<Value, Exc> {
-        self.charge(1)?;
-        let mut words = Vec::with_capacity(cmd.words.len());
-        for w in &cmd.words {
-            words.push(self.subst_word(host, w)?);
+    /// Finds the innermost region that handles `exc` and returns where
+    /// to resume, or gives the exception back.
+    fn unwind(
+        &mut self,
+        exc: Exc,
+        stack: &mut Vec<Value>,
+        handlers: &mut Vec<Handler>,
+    ) -> Result<usize, Exc> {
+        // Budget exhaustion must not be containable.
+        let catchable = !matches!(&exc, Exc::Err(e) if e.budget_exhausted);
+        while let Some(h) = handlers.pop() {
+            let resume = match (&exc, h.catch) {
+                (_, true) if catchable => h.brk,
+                (Exc::Break, false) => h.brk,
+                (Exc::Continue, false) => h.cont,
+                _ => continue,
+            };
+            stack.truncate(h.sp);
+            self.depth = h.depth;
+            if h.catch {
+                let (code, val) = match exc {
+                    Exc::Err(e) => (1, Value::from(e.message)),
+                    Exc::Return(v) => (2, v),
+                    Exc::Break => (3, Value::empty()),
+                    Exc::Continue => (4, Value::empty()),
+                };
+                stack.push(val);
+                stack.push(Value::Int(code));
+            }
+            return Ok(resume as usize);
         }
-        if words.is_empty() {
-            return Ok(Value::empty());
-        }
-        let name = words[0].as_str();
-        self.dispatch(host, &name, &words[1..])
+        Err(exc)
     }
 
-    pub(crate) fn subst_word(&mut self, host: &mut dyn HostEnv, w: &Word) -> Result<Value, Exc> {
-        match w {
-            Word::Braced(s) => Ok(Value::Str(Rc::clone(s))),
-            Word::Subst(frags) => self.subst_frags(host, frags),
-        }
-    }
-
-    pub(crate) fn subst_frags(
+    /// The dispatch loop: runs from `*pc` until the program ends or an
+    /// instruction raises.
+    fn run(
         &mut self,
         host: &mut dyn HostEnv,
-        frags: &[Frag],
+        prog: &Program,
+        direct: bool,
+        stack: &mut Vec<Value>,
+        handlers: &mut Vec<Handler>,
+        pc: &mut usize,
     ) -> Result<Value, Exc> {
-        // A single fragment preserves the value's representation (a list
-        // stays a list); multiple fragments concatenate as strings.
-        if frags.len() == 1 {
-            return self.subst_frag(host, &frags[0]);
+        let name_of =
+            |slot: u32| -> &str { prog.layout.names.get(slot as usize).map_or("", |n| n) };
+        let fast = |slot: u32| direct.then_some(slot);
+        let pop = |stack: &mut Vec<Value>| stack.pop().unwrap_or_else(Value::empty);
+        while let Some(op) = prog.code.get(*pc) {
+            *pc += 1;
+            match op {
+                Op::Step => self.charge(1)?,
+                Op::Push(v) => stack.push(v.clone()),
+                Op::Pop => {
+                    stack.pop();
+                }
+                Op::Load(slot) => {
+                    let (var, name) = self.place(name_of(*slot), fast(*slot), false);
+                    stack.push(read(var.as_deref(), &name, None)?);
+                }
+                Op::LoadElem(slot) => {
+                    let idx = pop(stack);
+                    let (var, name) = self.place(name_of(*slot), fast(*slot), false);
+                    stack.push(read(var.as_deref(), &name, Some(&idx.as_str()))?);
+                }
+                Op::Concat(n) => {
+                    let at = stack.len() - *n as usize;
+                    let mut out = String::new();
+                    for v in &stack[at..] {
+                        out.push_str(&v.as_str());
+                    }
+                    stack.truncate(at);
+                    stack.push(Value::from(out));
+                }
+                Op::Join(n) => {
+                    if *n != 1 {
+                        let at = stack.len() - *n as usize;
+                        let words: Vec<_> = stack[at..].iter().map(|v| v.as_str()).collect();
+                        let joined = Value::from(words.join(" "));
+                        stack.truncate(at);
+                        stack.push(joined);
+                    }
+                }
+                Op::Enter => self.enter()?,
+                Op::Leave => self.depth -= 1,
+                Op::Call(_, n) | Op::CallUser(_, n) | Op::Invoke(n) => {
+                    let at = stack.len() - *n as usize;
+                    let args = &stack[at..];
+                    let v = match (op, args.split_first()) {
+                        (Op::Call(f, _), _) => f(self, args)?,
+                        (Op::CallUser(name, _), _) => self.call_user(host, name, args)?,
+                        (_, Some((name, args))) => self.invoke(host, &name.as_str(), args)?,
+                        _ => Value::empty(),
+                    };
+                    stack.truncate(at);
+                    stack.push(v);
+                }
+                Op::Set(slot) => {
+                    let v = pop(stack);
+                    let (var, name) = self.place(name_of(*slot), fast(*slot), true);
+                    write(var, &name, None, v.clone())?;
+                    stack.push(v);
+                }
+                Op::Incr(slot, has_amount) => {
+                    let by = if *has_amount { pop(stack).as_int()? } else { 1 };
+                    let (var, name) = self.place(name_of(*slot), fast(*slot), true);
+                    stack.push(modify(var, &name, None, Value::Int(0), incr_by(by))?);
+                }
+                Op::Append(slot, n) | Op::Lappend(slot, n) => {
+                    let at = stack.len() - *n as usize;
+                    let (var, name) = self.place(name_of(*slot), fast(*slot), true);
+                    let v = if matches!(op, Op::Append(..)) {
+                        modify(var, &name, None, Value::empty(), append_all(&stack[at..]))?
+                    } else {
+                        let none = Value::list(Vec::new());
+                        modify(var, &name, None, none, lappend_all(&stack[at..]))?
+                    };
+                    stack.truncate(at);
+                    stack.push(v);
+                }
+                Op::EvalSrc => {
+                    let src = pop(stack);
+                    stack.push(self.eval_src(host, &src.as_str())?);
+                }
+                Op::ExprSrc => {
+                    let src = pop(stack);
+                    let code = compile::expression(&src.as_str())?;
+                    stack.push(self.exec(host, &code)?);
+                }
+                Op::Expr(code, n) => expr::eval(code, stack, *n as usize)?,
+                Op::Jump(to) => *pc = *to as usize,
+                Op::JumpIfFalse(to) => {
+                    if !pop(stack).as_bool()? {
+                        *pc = *to as usize;
+                    }
+                }
+                Op::Region { catch, brk, cont } => handlers.push(Handler {
+                    catch: *catch,
+                    sp: stack.len(),
+                    depth: self.depth,
+                    brk: *brk,
+                    cont: *cont,
+                }),
+                Op::Unhandle => {
+                    handlers.pop();
+                }
+                Op::CatchStore(var) => {
+                    let (code, val) = (pop(stack), pop(stack));
+                    if let Some(spec) = var {
+                        let (n, i) = Self::split_varname(spec);
+                        self.var_set(n, i, val)?;
+                    }
+                    stack.push(code);
+                }
+                Op::ForeachInit => {
+                    // A list value is shared with the loop, not copied.
+                    let list = match pop(stack) {
+                        v @ Value::List(_) => v,
+                        other => Value::list(other.as_list()?),
+                    };
+                    stack.extend([list, Value::Int(0)]);
+                }
+                Op::ForeachNext { slots, done } => {
+                    let state = stack.len().saturating_sub(2);
+                    let (Some(Value::List(items)), Some(Value::Int(at))) =
+                        (stack.get(state), stack.get(state + 1))
+                    else {
+                        return Err(Exc::err("foreach: lost iteration state"));
+                    };
+                    let (items, at) = (Rc::clone(items), *at as usize);
+                    if at >= items.len() {
+                        *pc = *done as usize;
+                        continue;
+                    }
+                    self.charge(1)?;
+                    for (k, slot) in slots.iter().enumerate() {
+                        let v = items.get(at + k).cloned().unwrap_or_else(Value::empty);
+                        let (var, name) = self.place(name_of(*slot), fast(*slot), true);
+                        write(var, &name, None, v)?;
+                    }
+                    stack[state + 1] = Value::Int((at + slots.len()) as i64);
+                }
+                Op::Switch(table, argc) => {
+                    let at = stack.len() - *argc as usize;
+                    let args = &stack[at..];
+                    let (mut i, mut glob) = (0, false);
+                    while let Some(a) = args.get(i) {
+                        match a.as_str().as_ref() {
+                            "-glob" => glob = true,
+                            "-exact" => {}
+                            "--" => {
+                                i += 1;
+                                break;
+                            }
+                            _ => break,
+                        }
+                        i += 1;
+                    }
+                    let mut resume = table.end;
+                    let v = match args.get(i) {
+                        Some(value) if i + 1 == table.clause_arg => {
+                            if let Some(defect) = &table.defect {
+                                return Err(Exc::err(defect.clone()));
+                            }
+                            let value = value.as_str();
+                            let arm = table.arms.iter().find(|(pat, _)| {
+                                &**pat == "default"
+                                    || if glob {
+                                        builtins::glob_match(pat, &value)
+                                    } else {
+                                        **pat == *value
+                                    }
+                            });
+                            match arm {
+                                Some((_, body)) => {
+                                    resume = *body;
+                                    None
+                                }
+                                None => Some(Value::empty()),
+                            }
+                        }
+                        // A computed value that was itself a flag moved
+                        // the clause list: decide from the actual words.
+                        _ => Some(self.invoke(host, "switch", args)?),
+                    };
+                    stack.truncate(at);
+                    stack.extend(v);
+                    *pc = resume as usize;
+                }
+                Op::Raise(e) => return Err(Exc::Err((**e).clone())),
+            }
         }
-        let mut out = String::new();
-        for f in frags {
-            out.push_str(&self.subst_frag(host, f)?.as_str());
-        }
-        Ok(Value::from(out))
+        Ok(pop(stack))
     }
 
-    fn subst_frag(&mut self, host: &mut dyn HostEnv, f: &Frag) -> Result<Value, Exc> {
-        match f {
-            Frag::Lit(s) => Ok(Value::Str(Rc::clone(s))),
-            Frag::Var(name, None) => self.var_get(name, None),
-            Frag::Var(name, Some(idx_frags)) => {
-                let idxv = self.subst_frags(host, idx_frags)?;
-                let idx = idxv.as_str();
-                self.var_get(name, Some(&idx))
-            }
-            Frag::Cmd(src) => {
-                self.enter()?;
-                let r = self.eval_script(host, src);
-                self.leave();
-                r
-            }
+    /// Full dispatch on an evaluated command name: builtins first, then
+    /// user procs, then host commands.
+    fn invoke(&mut self, host: &mut dyn HostEnv, name: &str, args: &[Value]) -> Result<Value, Exc> {
+        if let Some(glue) = compile::control_glue(name, args) {
+            return self.exec(host, &glue);
+        }
+        match builtins::lookup(name) {
+            Some(f) => f(self, args),
+            None => self.call_user(host, name, args),
         }
     }
 
-    fn dispatch(
+    fn call_user(
         &mut self,
         host: &mut dyn HostEnv,
         name: &str,
         args: &[Value],
     ) -> Result<Value, Exc> {
-        // Built-ins first, then user procs, then host commands.
-        if let Some(r) = self.builtin(host, name, args) {
-            return r;
-        }
-        if self.procs.contains_key(name) {
-            return self.call_proc(host, name, args);
+        if let Some(proc) = self.procs.get(name).map(Rc::clone) {
+            return self.call_proc(host, name, &proc, args);
         }
         match host.call(self, name, args) {
             Some(Ok(v)) => Ok(v),
@@ -478,45 +717,49 @@ impl Interp {
         &mut self,
         host: &mut dyn HostEnv,
         name: &str,
+        proc: &Proc,
         args: &[Value],
     ) -> Result<Value, Exc> {
-        let proc = self.procs.get(name).expect("checked").clone();
-        let mut frame = Frame {
-            vars: HashMap::new(),
-            globals: std::collections::HashSet::new(),
-            upvars: HashMap::new(),
+        // The body compiles (through the cache) first, because its
+        // layout places the parameters — but a body that does not parse
+        // is reported only after the arity and depth checks, where the
+        // call would have met it.
+        let body = compile::script(&proc.body);
+        let layout = match &body {
+            Ok(prog) => Rc::clone(&prog.layout),
+            Err(_) => Rc::default(),
         };
-
+        let mut frame = Frame {
+            slots: vec![Var::Unset; layout.names.len()],
+            layout,
+            extra: HashMap::new(),
+            links: HashMap::new(),
+        };
+        let mut bind = |pname: &str, v: Value| {
+            if let Some(var) = frame.var_mut(pname, true) {
+                *var = Var::Scalar(v);
+            }
+        };
         let mut ai = 0usize;
         for (pi, (pname, default)) in proc.params.iter().enumerate() {
             if pname == "args" && pi == proc.params.len() - 1 {
-                let rest: Vec<Value> = args[ai.min(args.len())..].to_vec();
-                frame
-                    .vars
-                    .insert("args".into(), Slot::Scalar(Value::list(rest)));
+                bind("args", Value::list(args[ai.min(args.len())..].to_vec()));
                 ai = args.len();
                 break;
             }
-            match args.get(ai) {
-                Some(v) => {
-                    frame.vars.insert(pname.clone(), Slot::Scalar(v.clone()));
+            match (args.get(ai), default) {
+                (Some(v), _) => {
+                    bind(pname, v.clone());
                     ai += 1;
                 }
-                None => match default {
-                    Some(d) => {
-                        frame.vars.insert(pname.clone(), Slot::Scalar(d.clone()));
-                    }
-                    None => {
-                        return Err(Exc::err(format!(
-                            "wrong # args: should be \"{name} {}\"",
-                            proc.params
-                                .iter()
-                                .map(|(n, _)| n.as_str())
-                                .collect::<Vec<_>>()
-                                .join(" ")
-                        )))
-                    }
-                },
+                (None, Some(d)) => bind(pname, d.clone()),
+                (None, None) => {
+                    let params: Vec<&str> = proc.params.iter().map(|(n, _)| n.as_str()).collect();
+                    return Err(Exc::err(format!(
+                        "wrong # args: should be \"{name} {}\"",
+                        params.join(" ")
+                    )));
+                }
             }
         }
         if ai < args.len() {
@@ -526,141 +769,40 @@ impl Interp {
         }
 
         self.enter()?;
-        self.frames.push(frame);
-        // Parse (or fetch) the body only after the depth check and frame
-        // push, exactly where the seed's eval_script parsed it, so the
-        // relative order of depth vs. parse errors is unchanged. Failed
-        // parses are not cached.
-        let r = match Self::proc_body(&proc) {
-            Ok(prog) => self.eval_program(host, &prog),
-            Err(e) => Err(e),
-        };
-        self.frames.pop();
-        self.leave();
+        let r = body.map_err(Exc::Err).and_then(|prog| {
+            self.frames.push(frame);
+            let r = self.exec(host, &prog);
+            self.frames.pop();
+            r
+        });
+        self.depth -= 1;
         match r {
-            Ok(v) => Ok(v),
             Err(Exc::Return(v)) => Ok(v),
-            Err(e) => Err(e),
+            r => r,
         }
-    }
-
-    /// Returns the proc's parsed body, parsing and memoizing on first
-    /// call. The memo lives in the `Proc` (behind `Rc`), so every clone
-    /// of an interpreter — including cached template interpreters —
-    /// shares one parse.
-    fn proc_body(proc: &Proc) -> Result<Rc<Script>, Exc> {
-        if !crate::parser::program_cache_enabled() {
-            return parse_script_cached(&proc.body).map_err(Exc::Err);
-        }
-        if let Some(p) = proc.body_prog.borrow().as_ref() {
-            return Ok(Rc::clone(p));
-        }
-        let p = parse_script_cached(&proc.body).map_err(Exc::Err)?;
-        *proc.body_prog.borrow_mut() = Some(Rc::clone(&p));
-        Ok(p)
-    }
-
-    /// Attempts builtin dispatch; `None` means "no such builtin".
-    fn builtin(
-        &mut self,
-        host: &mut dyn HostEnv,
-        name: &str,
-        args: &[Value],
-    ) -> Option<Result<Value, Exc>> {
-        let r = match name {
-            "set" => self.cmd_set(args),
-            "unset" => self.cmd_unset(args),
-            "incr" => self.cmd_incr(args),
-            "append" => self.cmd_append(args),
-            "proc" => self.cmd_proc(args),
-            "return" => Err(Exc::Return(
-                args.first().cloned().unwrap_or_else(Value::empty),
-            )),
-            "break" => Err(Exc::Break),
-            "continue" => Err(Exc::Continue),
-            "error" => Err(Exc::err(
-                args.first()
-                    .map(|v| v.as_str().into_owned())
-                    .unwrap_or_default(),
-            )),
-            "if" => self.cmd_if(host, args),
-            "while" => self.cmd_while(host, args),
-            "for" => self.cmd_for(host, args),
-            "foreach" => self.cmd_foreach(host, args),
-            "expr" => {
-                // Single-argument form (the common `expr {...}`) borrows
-                // the argument's string directly instead of joining.
-                let src = match args {
-                    [one] => one.as_str(),
-                    _ => Cow::Owned(
-                        args.iter()
-                            .map(|v| v.as_str())
-                            .collect::<Vec<_>>()
-                            .join(" "),
-                    ),
-                };
-                expr::eval_expr(self, host, &src)
-            }
-            "eval" => {
-                let src = match args {
-                    [one] => one.as_str(),
-                    _ => Cow::Owned(
-                        args.iter()
-                            .map(|v| v.as_str())
-                            .collect::<Vec<_>>()
-                            .join(" "),
-                    ),
-                };
-                self.enter().and_then(|_| {
-                    let r = self.eval_script(host, &src);
-                    self.leave();
-                    r
-                })
-            }
-            "catch" => self.cmd_catch(host, args),
-            "puts" => self.cmd_puts(args),
-            "global" => self.cmd_global(args),
-            "upvar" => self.cmd_upvar(args),
-            "switch" => self.cmd_switch(host, args),
-            "info" => self.cmd_info(args),
-            _ => return builtins::dispatch(self, name, args),
-        };
-        Some(r)
     }
 
     // ------------------------------------------------------------------
     // Core commands.
 
-    /// Splits `name` or `name(index)`, borrowing from the input.
-    pub(crate) fn split_varname(spec: &str) -> (&str, Option<&str>) {
-        if let Some(open) = spec.find('(') {
-            if spec.ends_with(')') {
-                return (&spec[..open], Some(&spec[open + 1..spec.len() - 1]));
-            }
-        }
-        (spec, None)
-    }
-
-    fn cmd_set(&mut self, args: &[Value]) -> Result<Value, Exc> {
-        match args {
-            [name] => {
-                let spec = name.as_str();
-                let (n, i) = Self::split_varname(&spec);
-                self.var_get(n, i)
-            }
-            [name, value] => {
-                let spec = name.as_str();
-                let (n, i) = Self::split_varname(&spec);
+    pub(crate) fn cmd_set(&mut self, args: &[Value]) -> Result<Value, Exc> {
+        let ([name] | [name, _]) = args else {
+            return Err(Exc::err(
+                "wrong # args: should be \"set varName ?newValue?\"",
+            ));
+        };
+        let spec = name.as_str();
+        let (n, i) = Self::split_varname(&spec);
+        match args.get(1) {
+            None => self.var_get(n, i),
+            Some(value) => {
                 self.var_set(n, i, value.clone())?;
                 Ok(value.clone())
             }
-            _ => Err(Exc::err(
-                "wrong # args: should be \"set varName ?newValue?\"",
-            )),
         }
     }
 
-    fn cmd_unset(&mut self, args: &[Value]) -> Result<Value, Exc> {
+    pub(crate) fn cmd_unset(&mut self, args: &[Value]) -> Result<Value, Exc> {
         for a in args {
             let spec = a.as_str();
             let (n, i) = Self::split_varname(&spec);
@@ -669,56 +811,35 @@ impl Interp {
         Ok(Value::empty())
     }
 
-    fn cmd_incr(&mut self, args: &[Value]) -> Result<Value, Exc> {
+    pub(crate) fn cmd_incr(&mut self, args: &[Value]) -> Result<Value, Exc> {
         let (name, by) = match args {
             [n] => (n, 1),
-            [n, d] => (n, d.as_int().map_err(Exc::Err)?),
+            [n, d] => (n, d.as_int()?),
             _ => {
                 return Err(Exc::err(
                     "wrong # args: should be \"incr varName ?increment?\"",
                 ))
             }
         };
-        let spec = name.as_str();
-        let (n, i) = Self::split_varname(&spec);
-        let cur = if self.var_exists(n, i) {
-            self.var_get(n, i)?.as_int().map_err(Exc::Err)?
-        } else {
-            0
-        };
-        let v = Value::Int(cur + by);
-        self.var_set(n, i, v.clone())?;
-        Ok(v)
+        self.var_modify(&name.as_str(), Value::Int(0), incr_by(by))
     }
 
-    fn cmd_append(&mut self, args: &[Value]) -> Result<Value, Exc> {
-        let name = args
-            .first()
+    pub(crate) fn cmd_append(&mut self, args: &[Value]) -> Result<Value, Exc> {
+        let (name, rest) = args
+            .split_first()
             .ok_or_else(|| Exc::err("wrong # args: append"))?;
-        let spec = name.as_str();
-        let (n, i) = Self::split_varname(&spec);
-        let mut cur = if self.var_exists(n, i) {
-            self.var_get(n, i)?.as_str().into_owned()
-        } else {
-            String::new()
-        };
-        for a in &args[1..] {
-            cur.push_str(&a.as_str());
-        }
-        let v = Value::from(cur);
-        self.var_set(n, i, v.clone())?;
-        Ok(v)
+        self.var_modify(&name.as_str(), Value::empty(), append_all(rest))
     }
 
-    fn cmd_proc(&mut self, args: &[Value]) -> Result<Value, Exc> {
+    pub(crate) fn cmd_proc(&mut self, args: &[Value]) -> Result<Value, Exc> {
         let [name, params, body] = args else {
             return Err(Exc::err(
                 "wrong # args: should be \"proc name params body\"",
             ));
         };
         let mut parsed = Vec::new();
-        for p in params.as_list().map_err(Exc::Err)? {
-            let spec = p.as_list().map_err(Exc::Err)?;
+        for p in params.list_view()?.iter() {
+            let spec = p.list_view()?;
             match spec.len() {
                 0 => return Err(Exc::err("bad parameter specification")),
                 1 => parsed.push((spec[0].as_str().into_owned(), None)),
@@ -730,168 +851,12 @@ impl Interp {
             Rc::new(Proc {
                 params: parsed,
                 body: body.as_rc_str(),
-                body_prog: RefCell::new(None),
             }),
         );
         Ok(Value::empty())
     }
 
-    fn cmd_if(&mut self, host: &mut dyn HostEnv, args: &[Value]) -> Result<Value, Exc> {
-        let mut i = 0;
-        loop {
-            let cond = args
-                .get(i)
-                .ok_or_else(|| Exc::err("wrong # args: no expression after \"if\""))?;
-            let taken = expr::eval_expr(self, host, &cond.as_str())?
-                .as_bool()
-                .map_err(Exc::Err)?;
-            let mut bi = i + 1;
-            if args.get(bi).map(|v| v.as_str()) == Some("then".into()) {
-                bi += 1;
-            }
-            let body = args
-                .get(bi)
-                .ok_or_else(|| Exc::err("wrong # args: no script after \"if\" condition"))?;
-            if taken {
-                return self.eval_script(host, &body.as_str());
-            }
-            // Look for elseif / else.
-            match args.get(bi + 1).map(|v| v.as_str()) {
-                Some(k) if k == "elseif" => {
-                    i = bi + 2;
-                }
-                Some(k) if k == "else" => {
-                    let e = args
-                        .get(bi + 2)
-                        .ok_or_else(|| Exc::err("wrong # args: no script after \"else\""))?;
-                    return self.eval_script(host, &e.as_str());
-                }
-                Some(_) => return Err(Exc::err("expected \"elseif\" or \"else\"")),
-                None => return Ok(Value::empty()),
-            }
-        }
-    }
-
-    fn cmd_while(&mut self, host: &mut dyn HostEnv, args: &[Value]) -> Result<Value, Exc> {
-        let [cond, body] = args else {
-            return Err(Exc::err("wrong # args: should be \"while test command\""));
-        };
-        let (cond, body) = (cond.as_str(), body.as_str());
-        let mut body_prog: Option<Rc<Script>> = None;
-        loop {
-            self.charge(1)?;
-            if !expr::eval_expr(self, host, &cond)?
-                .as_bool()
-                .map_err(Exc::Err)?
-            {
-                break;
-            }
-            let prog = Self::memo_prog(&mut body_prog, &body)?;
-            match self.eval_program(host, &prog) {
-                Ok(_) => {}
-                Err(Exc::Break) => break,
-                Err(Exc::Continue) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(Value::empty())
-    }
-
-    fn cmd_for(&mut self, host: &mut dyn HostEnv, args: &[Value]) -> Result<Value, Exc> {
-        let [init, cond, next, body] = args else {
-            return Err(Exc::err(
-                "wrong # args: should be \"for start test next command\"",
-            ));
-        };
-        self.eval_script(host, &init.as_str())?;
-        let (cond, next, body) = (cond.as_str(), next.as_str(), body.as_str());
-        let mut next_prog: Option<Rc<Script>> = None;
-        let mut body_prog: Option<Rc<Script>> = None;
-        loop {
-            self.charge(1)?;
-            if !expr::eval_expr(self, host, &cond)?
-                .as_bool()
-                .map_err(Exc::Err)?
-            {
-                break;
-            }
-            let prog = Self::memo_prog(&mut body_prog, &body)?;
-            match self.eval_program(host, &prog) {
-                Ok(_) => {}
-                Err(Exc::Break) => break,
-                Err(Exc::Continue) => {}
-                Err(e) => return Err(e),
-            }
-            let nprog = Self::memo_prog(&mut next_prog, &next)?;
-            self.eval_program(host, &nprog)?;
-        }
-        Ok(Value::empty())
-    }
-
-    fn cmd_foreach(&mut self, host: &mut dyn HostEnv, args: &[Value]) -> Result<Value, Exc> {
-        let [vars, list, body] = args else {
-            return Err(Exc::err(
-                "wrong # args: should be \"foreach varList list body\"",
-            ));
-        };
-        let names: Vec<String> = vars
-            .as_list()
-            .map_err(Exc::Err)?
-            .iter()
-            .map(|v| v.as_str().into_owned())
-            .collect();
-        if names.is_empty() {
-            return Err(Exc::err("foreach: empty variable list"));
-        }
-        let items = list.as_list().map_err(Exc::Err)?;
-        let body = body.as_str();
-        let mut body_prog: Option<Rc<Script>> = None;
-        let mut i = 0;
-        while i < items.len() {
-            self.charge(1)?;
-            for (k, n) in names.iter().enumerate() {
-                let v = items.get(i + k).cloned().unwrap_or_else(Value::empty);
-                self.var_set(n, None, v)?;
-            }
-            i += names.len();
-            let prog = Self::memo_prog(&mut body_prog, &body)?;
-            match self.eval_program(host, &prog) {
-                Ok(_) => {}
-                Err(Exc::Break) => break,
-                Err(Exc::Continue) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(Value::empty())
-    }
-
-    fn cmd_catch(&mut self, host: &mut dyn HostEnv, args: &[Value]) -> Result<Value, Exc> {
-        let body = args
-            .first()
-            .ok_or_else(|| Exc::err("wrong # args: catch"))?;
-        let result = self.eval_script(host, &body.as_str());
-        let (code, val) = match result {
-            Ok(v) => (0, v),
-            Err(Exc::Return(v)) => (2, v),
-            Err(Exc::Break) => (3, Value::empty()),
-            Err(Exc::Continue) => (4, Value::empty()),
-            Err(Exc::Err(e)) => {
-                if e.budget_exhausted {
-                    // Budget exhaustion must not be containable.
-                    return Err(Exc::Err(e));
-                }
-                (1, Value::from(e.message))
-            }
-        };
-        if let Some(var) = args.get(1) {
-            let spec = var.as_str();
-            let (n, i) = Self::split_varname(&spec);
-            self.var_set(n, i, val)?;
-        }
-        Ok(Value::Int(code))
-    }
-
-    fn cmd_puts(&mut self, args: &[Value]) -> Result<Value, Exc> {
+    pub(crate) fn cmd_puts(&mut self, args: &[Value]) -> Result<Value, Exc> {
         let (newline, text) = match args {
             [v] => (true, v.as_str()),
             [flag, v] if flag.as_str() == "-nonewline" => (false, v.as_str()),
@@ -908,39 +873,37 @@ impl Interp {
         Ok(Value::empty())
     }
 
-    fn cmd_global(&mut self, args: &[Value]) -> Result<Value, Exc> {
+    pub(crate) fn cmd_global(&mut self, args: &[Value]) -> Result<Value, Exc> {
         if let Some(f) = self.frames.last_mut() {
             for a in args {
-                f.globals.insert(a.as_str().into_owned());
+                f.links.insert(a.as_str().into_owned(), Link::Global);
             }
         }
         Ok(Value::empty())
     }
 
-    fn cmd_upvar(&mut self, args: &[Value]) -> Result<Value, Exc> {
+    pub(crate) fn cmd_upvar(&mut self, args: &[Value]) -> Result<Value, Exc> {
         // upvar ?level? otherVar localVar ?otherVar localVar ...?
-        if self.frames.is_empty() {
+        let depth = self.frames.len();
+        let Some(frame) = self.frames.last_mut() else {
             return Err(Exc::err("upvar: not in a procedure"));
-        }
+        };
         let mut rest = args;
         // Default level 1 = the caller's frame.
-        let mut target: usize = self.frames.len().checked_sub(2).unwrap_or(usize::MAX);
+        let mut target: usize = depth.checked_sub(2).unwrap_or(GLOBAL);
         if let Some(first) = args.first() {
             let spec = first.as_str();
             let parsed = if let Some(g) = spec.strip_prefix('#') {
-                g.parse::<usize>().ok().map(|abs| {
-                    if abs == 0 {
-                        usize::MAX
-                    } else {
-                        abs - 1 // frame #k is frames[k-1]
-                    }
-                })
+                // Frame #k is frames[k-1]; #0 is the global scope.
+                g.parse::<usize>()
+                    .ok()
+                    .map(|abs| abs.checked_sub(1).unwrap_or(GLOBAL))
             } else if args.len() % 2 == 1 {
                 // A leading numeric level only makes sense when the
                 // remaining arguments pair up.
                 spec.parse::<usize>()
                     .ok()
-                    .map(|lv| self.frames.len().checked_sub(1 + lv).unwrap_or(usize::MAX))
+                    .map(|lv| depth.checked_sub(1 + lv).unwrap_or(GLOBAL))
             } else {
                 None
             };
@@ -954,75 +917,21 @@ impl Interp {
                 "wrong # args: should be \"upvar ?level? otherVar localVar ...\"",
             ));
         }
-        if target != usize::MAX && target >= self.frames.len() {
+        if target != GLOBAL && target >= depth {
             return Err(Exc::err("upvar: bad level"));
         }
         for pair in rest.chunks(2) {
-            let other = pair[0].as_str().into_owned();
+            // `global` outranks `upvar` for the same local name.
             let local = pair[1].as_str().into_owned();
-            let f = self.frames.last_mut().expect("checked non-empty");
-            f.upvars.insert(local, (target, other));
+            if !matches!(frame.links.get(&local), Some(Link::Global)) {
+                let other = pair[0].as_str().into_owned();
+                frame.links.insert(local, Link::Up(target, other));
+            }
         }
         Ok(Value::empty())
     }
 
-    fn cmd_switch(&mut self, host: &mut dyn HostEnv, args: &[Value]) -> Result<Value, Exc> {
-        // switch ?-exact|-glob? value {pat body pat body ... ?default body?}
-        let mut i = 0;
-        let mut glob = false;
-        while let Some(a) = args.get(i) {
-            match a.as_str().as_ref() {
-                "-glob" => {
-                    glob = true;
-                    i += 1;
-                }
-                "-exact" => {
-                    i += 1;
-                }
-                "--" => {
-                    i += 1;
-                    break;
-                }
-                _ => break,
-            }
-        }
-        let value = args
-            .get(i)
-            .ok_or_else(|| Exc::err("wrong # args: switch"))?
-            .as_str();
-        let clauses = args
-            .get(i + 1)
-            .ok_or_else(|| Exc::err("wrong # args: switch"))?
-            .as_list()
-            .map_err(Exc::Err)?;
-        if clauses.len() % 2 != 0 {
-            return Err(Exc::err("extra switch pattern with no body"));
-        }
-        let mut k = 0;
-        while k < clauses.len() {
-            let pat = clauses[k].as_str();
-            let matched = pat == "default"
-                || if glob {
-                    builtins::glob_match(&pat, &value)
-                } else {
-                    pat == value
-                };
-            if matched {
-                let mut body = clauses[k + 1].as_str();
-                // `-` falls through to the next body.
-                let mut j = k + 1;
-                while body == "-" && j + 2 < clauses.len() {
-                    j += 2;
-                    body = clauses[j].as_str();
-                }
-                return self.eval_script(host, &body);
-            }
-            k += 2;
-        }
-        Ok(Value::empty())
-    }
-
-    fn cmd_info(&mut self, args: &[Value]) -> Result<Value, Exc> {
+    pub(crate) fn cmd_info(&mut self, args: &[Value]) -> Result<Value, Exc> {
         let sub = args
             .first()
             .ok_or_else(|| Exc::err("wrong # args: info"))?
@@ -1040,5 +949,101 @@ impl Interp {
             "level" => Ok(Value::Int(self.frames.len() as i64)),
             other => Err(Exc::err(format!("unknown info subcommand \"{other}\""))),
         }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Variable access, shared by the by-name and by-slot paths.
+
+fn read(var: Option<&Var>, name: &str, idx: Option<&str>) -> Result<Value, Exc> {
+    match (var, idx) {
+        (Some(Var::Scalar(v)), None) => Ok(v.clone()),
+        (Some(Var::Array(a)), Some(i)) => a
+            .get(i)
+            .cloned()
+            .ok_or_else(|| Exc::err(format!("can't read \"{name}({i})\": no such element"))),
+        (Some(Var::Array(_)), None) => Err(Exc::err(format!(
+            "can't read \"{name}\": variable is array"
+        ))),
+        (Some(Var::Scalar(_)), Some(_)) => Err(Exc::err(format!(
+            "can't read \"{name}\": variable isn't array"
+        ))),
+        _ => Err(Exc::err(format!("can't read \"{name}\": no such variable"))),
+    }
+}
+
+fn write(var: Option<&mut Var>, name: &str, idx: Option<&str>, v: Value) -> Result<(), Exc> {
+    let Some(var) = var else {
+        return Err(Exc::err(format!("can't set \"{name}\": no such variable")));
+    };
+    match (&mut *var, idx) {
+        (Var::Array(_), None) => Err(Exc::err(format!("can't set \"{name}\": variable is array"))),
+        (_, None) => {
+            *var = Var::Scalar(v);
+            Ok(())
+        }
+        (Var::Scalar(_), Some(i)) => Err(Exc::err(format!(
+            "can't set \"{name}({i})\": variable isn't array"
+        ))),
+        (Var::Array(a), Some(i)) => {
+            a.insert(i.to_owned(), v);
+            Ok(())
+        }
+        (Var::Unset, Some(i)) => {
+            *var = Var::Array(HashMap::from([(i.to_owned(), v)]));
+            Ok(())
+        }
+    }
+}
+
+/// See [`Interp::var_modify`]. The error texts are those of the
+/// exists-then-read-then-write sequence this replaces.
+fn modify(
+    var: Option<&mut Var>,
+    name: &str,
+    idx: Option<&str>,
+    default: Value,
+    f: impl FnOnce(&mut Value) -> Result<(), Exc>,
+) -> Result<Value, Exc> {
+    let current = match (var, idx) {
+        (Some(Var::Scalar(v)), None) => v,
+        (Some(v @ Var::Array(_)), None) => return read(Some(v), name, None),
+        (Some(Var::Array(a)), Some(i)) if a.contains_key(i) => match a.get_mut(i) {
+            Some(v) => v,
+            None => return read(None, name, idx),
+        },
+        (var, _) => {
+            let mut v = default;
+            f(&mut v)?;
+            write(var, name, idx, v.clone())?;
+            return Ok(v);
+        }
+    };
+    f(current)?;
+    Ok(current.clone())
+}
+
+fn incr_by(by: i64) -> impl FnOnce(&mut Value) -> Result<(), Exc> {
+    move |v| {
+        *v = Value::Int(v.as_int()?.wrapping_add(by));
+        Ok(())
+    }
+}
+
+fn append_all(args: &[Value]) -> impl FnOnce(&mut Value) -> Result<(), Exc> + '_ {
+    move |v| {
+        let mut s = v.as_str().into_owned();
+        for a in args {
+            s.push_str(&a.as_str());
+        }
+        *v = Value::from(s);
+        Ok(())
+    }
+}
+
+fn lappend_all(args: &[Value]) -> impl FnOnce(&mut Value) -> Result<(), Exc> + '_ {
+    move |v| {
+        v.list_mut()?.extend_from_slice(args);
+        Ok(())
     }
 }

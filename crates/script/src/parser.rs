@@ -12,8 +12,6 @@
 //!   substitution. Backslash escapes: `\n \t \r \\ \" \$ \[ \] \{ \} \;`
 //!   and backslash-newline (continuation, becomes a space).
 
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::error::ScriptError;
@@ -34,8 +32,8 @@ pub(crate) struct Command {
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) enum Word {
     /// `{...}`: literal text, substitutions deferred. Shared so that
-    /// substituting a braced word from a cached AST is an `Rc` clone,
-    /// not a copy of the (possibly large) literal.
+    /// the compiled program pushes it with an `Rc` clone, not a copy of
+    /// the (possibly large) literal.
     Braced(Rc<str>),
     /// Bare or quoted word: fragments to substitute and concatenate.
     Subst(Vec<Frag>),
@@ -44,98 +42,14 @@ pub(crate) enum Word {
 /// A fragment of a substituted word.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) enum Frag {
-    /// Literal text, shared so substitution from a cached AST does not
-    /// copy it.
+    /// Literal text, shared for the same reason.
     Lit(Rc<str>),
     /// Variable reference: name, plus array index fragments for
     /// `$name(index)`.
     Var(String, Option<Vec<Frag>>),
-    /// `[script]` command substitution (inner source, parsed at eval).
-    Cmd(String),
-}
-
-/// Interner for parsed programs, keyed by source text.
-///
-/// RDO methods evaluate the same handful of source strings over and
-/// over — loop bodies once per iteration, proc bodies once per call,
-/// the object's code blob once per invocation — so the parse step is
-/// memoized process-wide (per thread; the interpreter is single-
-/// threaded by construction). Parse *errors* are never cached: they are
-/// rare, and caching them would pin failure text for sources that can
-/// no longer occur. The map is bounded by wholesale clearing at a cap,
-/// which keeps the common steady-state (a few dozen distinct sources)
-/// permanently warm without an LRU's bookkeeping.
-struct ProgramCache {
-    map: HashMap<Rc<str>, Rc<Script>>,
-    enabled: bool,
-    hits: u64,
-    misses: u64,
-}
-
-/// Distinct sources retained before the interner is cleared wholesale.
-const PROGRAM_CACHE_CAP: usize = 1024;
-
-thread_local! {
-    static PROGRAM_CACHE: RefCell<ProgramCache> = RefCell::new(ProgramCache {
-        map: HashMap::new(),
-        enabled: true,
-        hits: 0,
-        misses: 0,
-    });
-}
-
-/// Parses `src` through the program cache, returning a shared AST.
-pub(crate) fn parse_script_cached(src: &str) -> Result<Rc<Script>, ScriptError> {
-    PROGRAM_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if !cache.enabled {
-            return parse_script(src).map(Rc::new);
-        }
-        if let Some(hit) = cache.map.get(src).map(Rc::clone) {
-            cache.hits += 1;
-            return Ok(hit);
-        }
-        let parsed = Rc::new(parse_script(src)?);
-        cache.misses += 1;
-        if cache.map.len() >= PROGRAM_CACHE_CAP {
-            cache.map.clear();
-        }
-        cache.map.insert(Rc::from(src), Rc::clone(&parsed));
-        Ok(parsed)
-    })
-}
-
-/// Enables or disables the parse-once program cache for this thread.
-///
-/// Disabling clears the interner, restoring the parse-per-entry
-/// behavior benchmarks use as their baseline. The cache is purely a
-/// wall-clock optimization — results, errors, and step accounting are
-/// identical either way.
-pub fn set_program_cache_enabled(enabled: bool) {
-    PROGRAM_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        cache.enabled = enabled;
-        if !enabled {
-            cache.map.clear();
-        }
-        cache.hits = 0;
-        cache.misses = 0;
-    });
-}
-
-/// Whether the program cache is enabled on this thread. Loop-body and
-/// proc-body memo slots consult this too, so disabling really does
-/// restore parse-per-entry behavior end to end.
-pub(crate) fn program_cache_enabled() -> bool {
-    PROGRAM_CACHE.with(|cache| cache.borrow().enabled)
-}
-
-/// Returns `(hits, misses, entries)` for this thread's program cache.
-pub fn program_cache_stats() -> (u64, u64, usize) {
-    PROGRAM_CACHE.with(|cache| {
-        let cache = cache.borrow();
-        (cache.hits, cache.misses, cache.map.len())
-    })
+    /// `[script]` command substitution (inner source; compiled inline,
+    /// its own parse error raised only when the substitution runs).
+    Cmd(Rc<str>),
 }
 
 /// Maximum nesting depth of substitution fragments (`$a($b($c(...`).
@@ -382,7 +296,7 @@ impl<'a> P<'a> {
     }
 
     /// Parses `[...]`, returning the inner source text.
-    fn parse_bracketed(&mut self) -> Result<String, ScriptError> {
+    fn parse_bracketed(&mut self) -> Result<Rc<str>, ScriptError> {
         debug_assert_eq!(self.peek(), b'[');
         self.bump();
         let start = self.i;
@@ -398,7 +312,7 @@ impl<'a> P<'a> {
                     if depth == 0 {
                         let text = std::str::from_utf8(&self.s[start..self.i - 1])
                             .map_err(|_| ScriptError::parse("script is not valid UTF-8"))?;
-                        return Ok(text.to_owned());
+                        return Ok(Rc::from(text));
                     }
                 }
                 // Braces protect brackets inside command substitution.
@@ -576,47 +490,12 @@ mod tests {
     }
 
     #[test]
-    fn unbalanced_constructs_error() {
-        assert!(parse_script("puts {a").is_err());
-        assert!(parse_script("puts \"a").is_err());
-        assert!(parse_script("puts [cmd").is_err());
-        assert!(parse_script("puts $arr(1").is_err());
-    }
-
-    #[test]
     fn brackets_inside_braces_in_command_sub() {
         let s = script("set y [foreach v {a ]b} {puts $v}]");
         assert_eq!(
             s.commands[0].words[2],
             Word::Subst(vec![Frag::Cmd("foreach v {a ]b} {puts $v}".into())])
         );
-    }
-
-    #[test]
-    fn program_cache_shares_ast_and_honors_toggle() {
-        set_program_cache_enabled(true);
-        let a = parse_script_cached("set cache_probe 1").unwrap();
-        let b = parse_script_cached("set cache_probe 1").unwrap();
-        assert!(Rc::ptr_eq(&a, &b));
-        assert_eq!(*a, parse_script("set cache_probe 1").unwrap());
-
-        set_program_cache_enabled(false);
-        let c = parse_script_cached("set cache_probe 1").unwrap();
-        let d = parse_script_cached("set cache_probe 1").unwrap();
-        assert!(!Rc::ptr_eq(&c, &d));
-        set_program_cache_enabled(true);
-    }
-
-    #[test]
-    fn parse_errors_are_not_cached() {
-        set_program_cache_enabled(true);
-        let (_, misses_before, _) = program_cache_stats();
-        assert!(parse_script_cached("puts {oops").is_err());
-        assert!(parse_script_cached("puts {oops").is_err());
-        let (_, misses_after, _) = program_cache_stats();
-        // Both attempts re-parse: errors never enter the interner.
-        assert_eq!(misses_after, misses_before);
-        assert!(parse_script_cached("set still_fine 1").is_ok());
     }
 
     #[test]

@@ -125,9 +125,28 @@ impl Value {
 
     /// Interprets the value as a list, parsing its string form if needed.
     pub fn as_list(&self) -> Result<Vec<Value>, ScriptError> {
+        self.list_view().map(Cow::into_owned)
+    }
+
+    /// Borrowed list view: a `Value::List` lends its elements without
+    /// copying them; anything else parses its string form.
+    pub fn list_view(&self) -> Result<Cow<'_, [Value]>, ScriptError> {
         match self {
-            Value::List(items) => Ok(items.as_ref().clone()),
-            other => parse_list(&other.as_str()),
+            Value::List(items) => Ok(Cow::Borrowed(items.as_slice())),
+            other => parse_list(&other.as_str()).map(Cow::Owned),
+        }
+    }
+
+    /// Mutable list access for in-place `lappend`: shimmers the value to
+    /// a list (left untouched if its string form is not one) and
+    /// un-shares it, so a uniquely held list grows without copying.
+    pub(crate) fn list_mut(&mut self) -> Result<&mut Vec<Value>, ScriptError> {
+        if !matches!(self, Value::List(_)) {
+            *self = Value::list(parse_list(&self.as_str())?);
+        }
+        match self {
+            Value::List(items) => Ok(Rc::make_mut(items)),
+            _ => Err(ScriptError::new("expected list")),
         }
     }
 

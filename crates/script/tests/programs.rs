@@ -1,17 +1,74 @@
 //! Program-scale interpreter tests: multi-proc Tcl programs of the kind
 //! real RDOs are made of.
+//!
+//! Besides its own assertions, every test folds each evaluation's full
+//! observable outcome (result or error text and flags, `steps_used`,
+//! `puts` output) into a digest and checks it against the `program`
+//! lines of `crates/fuzz/golden/script_outcomes.txt`, recorded from the
+//! tree-walking evaluator the compiled one replaced: step accounting
+//! feeds every virtual-time figure, so it is contract, not detail.
 
-use rover_script::{Budget, Interp, NoHost, Value};
+use rover_script::{Budget, Interp, NoHost, ScriptError, Value};
 
-fn ev(src: &str) -> Value {
-    Interp::new()
-        .eval(&mut NoHost, src)
-        .expect("program evaluates")
+const GOLDEN: &str = include_str!("../../fuzz/golden/script_outcomes.txt");
+
+/// One test's interpreter plus the running outcome digest (FNV-1a).
+struct Program {
+    name: &'static str,
+    interp: Interp,
+    digest: u64,
+}
+
+impl Program {
+    fn new(name: &'static str) -> Program {
+        Program::with_budget(name, Budget::default())
+    }
+
+    fn with_budget(name: &'static str, budget: Budget) -> Program {
+        Program {
+            name,
+            interp: Interp::with_budget(budget),
+            digest: 0xcbf2_9ce4_8422_2325,
+        }
+    }
+
+    fn eval(&mut self, src: &str) -> Result<Value, ScriptError> {
+        let r = self.interp.eval(&mut NoHost, src);
+        let outcome = format!(
+            "{:?}\n{}\n{:?}\n",
+            r.as_ref().map(|v| v.as_str().into_owned()),
+            self.interp.steps_used(),
+            self.interp.take_output()
+        );
+        for b in outcome.bytes() {
+            self.digest = (self.digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        r
+    }
+}
+
+impl Drop for Program {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
+        }
+        let line = format!("program {} {:016x}", self.name, self.digest);
+        assert!(
+            GOLDEN.lines().any(|l| l == line),
+            "outcome digest moved (or is unrecorded): {line}"
+        );
+    }
+}
+
+fn ev(name: &'static str, src: &str) -> Value {
+    Program::new(name).eval(src).expect("program evaluates")
 }
 
 #[test]
 fn insertion_sort_program() {
-    let v = ev(r#"
+    let v = ev(
+        "insertion_sort_program",
+        r#"
         proc insert_sorted {lst x} {
             set out {}
             set placed 0
@@ -31,13 +88,16 @@ fn insertion_sort_program() {
             return $out
         }
         isort {5 3 9 1 7 3 8 2 6 4}
-    "#);
+    "#,
+    );
     assert_eq!(v.as_str(), "1 2 3 3 4 5 6 7 8 9");
 }
 
 #[test]
 fn word_frequency_with_arrays() {
-    let v = ev(r#"
+    let v = ev(
+        "word_frequency_with_arrays",
+        r#"
         proc freq {text} {
             foreach w [split $text] {
                 if {$w eq ""} {continue}
@@ -54,15 +114,15 @@ fn word_frequency_with_arrays() {
             return $out
         }
         freq "the cat and the dog and the bird"
-    "#);
+    "#,
+    );
     assert_eq!(v.as_str(), "{and 2} {bird 1} {cat 1} {dog 1} {the 3}");
 }
 
 #[test]
 fn bank_account_state_machine() {
-    let mut i = Interp::new();
+    let mut i = Program::new("bank_account_state_machine");
     i.eval(
-        &mut NoHost,
         r#"
         set balance 100
         proc deposit {amt} {
@@ -80,14 +140,14 @@ fn bank_account_state_machine() {
         "#,
     )
     .unwrap();
-    assert_eq!(i.eval(&mut NoHost, "deposit 50").unwrap(), Value::Int(150));
-    assert_eq!(i.eval(&mut NoHost, "withdraw 120").unwrap(), Value::Int(30));
-    let err = i.eval(&mut NoHost, "withdraw 31").unwrap_err();
+    assert_eq!(i.eval("deposit 50").unwrap(), Value::Int(150));
+    assert_eq!(i.eval("withdraw 120").unwrap(), Value::Int(30));
+    let err = i.eval("withdraw 31").unwrap_err();
     assert!(err.message.contains("insufficient"));
-    assert_eq!(i.eval(&mut NoHost, "set balance").unwrap(), Value::Int(30));
+    assert_eq!(i.eval("set balance").unwrap(), Value::Int(30));
     // catch-based client code recovers.
     assert_eq!(
-        i.eval(&mut NoHost, "if {[catch {withdraw 1000} msg]} {set msg}")
+        i.eval("if {[catch {withdraw 1000} msg]} {set msg}")
             .unwrap()
             .as_str(),
         "insufficient funds"
@@ -96,7 +156,9 @@ fn bank_account_state_machine() {
 
 #[test]
 fn matrix_transpose_via_nested_lists() {
-    let v = ev(r#"
+    let v = ev(
+        "matrix_transpose_via_nested_lists",
+        r#"
         proc transpose {m} {
             set rows [llength $m]
             set cols [llength [lindex $m 0]]
@@ -111,19 +173,22 @@ fn matrix_transpose_via_nested_lists() {
             return $out
         }
         transpose {{1 2 3} {4 5 6}}
-    "#);
+    "#,
+    );
     assert_eq!(v.as_str(), "{1 4} {2 5} {3 6}");
 }
 
 #[test]
 fn ackermann_small_with_recursion_budget() {
-    let mut i = Interp::with_budget(Budget {
-        max_steps: 500_000,
-        max_depth: 64,
-    });
+    let mut i = Program::with_budget(
+        "ackermann_small_with_recursion_budget",
+        Budget {
+            max_steps: 500_000,
+            max_depth: 64,
+        },
+    );
     let v = i
         .eval(
-            &mut NoHost,
             r#"
             proc ack {m n} {
                 if {$m == 0} {return [expr {$n + 1}]}
@@ -139,7 +204,9 @@ fn ackermann_small_with_recursion_budget() {
 
 #[test]
 fn csv_like_parsing_and_report() {
-    let v = ev(r#"
+    let v = ev(
+        "csv_like_parsing_and_report",
+        r#"
         set csv "alice,9,design\nbob,14,review\ncarol,16,retro"
         set total 0
         set names {}
@@ -149,13 +216,16 @@ fn csv_like_parsing_and_report() {
             incr total $slot
         }
         format "%s booked, slots sum %d" [join $names +] $total
-    "#);
+    "#,
+    );
     assert_eq!(v.as_str(), "alice+bob+carol booked, slots sum 39");
 }
 
 #[test]
 fn switch_driven_command_dispatcher() {
-    let v = ev(r#"
+    let v = ev(
+        "switch_driven_command_dispatcher",
+        r#"
         proc dispatch {cmd args} {
             switch -glob $cmd {
                 get* {return "GET [lindex $args 0]"}
@@ -164,13 +234,16 @@ fn switch_driven_command_dispatcher() {
             }
         }
         list [dispatch get_field n] [dispatch put_field n 42] [catch {dispatch frob} m] $m
-    "#);
+    "#,
+    );
     assert_eq!(v.as_str(), "{GET n} {PUT n=42} 1 {unknown command frob}");
 }
 
 #[test]
 fn string_processing_pipeline() {
-    let v = ev(r#"
+    let v = ev(
+        "string_processing_pipeline",
+        r#"
         proc slugify {s} {
             set s [string tolower [string trim $s]]
             set out {}
@@ -180,13 +253,16 @@ fn string_processing_pipeline() {
             join $out -
         }
         slugify "  Rover: a Toolkit   for MOBILE access  "
-    "#);
+    "#,
+    );
     assert_eq!(v.as_str(), "rover:-a-toolkit-for-mobile-access");
 }
 
 #[test]
 fn fizzbuzz_builds_correct_list() {
-    let v = ev(r#"
+    let v = ev(
+        "fizzbuzz_builds_correct_list",
+        r#"
         set out {}
         for {set i 1} {$i <= 15} {incr i} {
             if {$i % 15 == 0} {lappend out fizzbuzz} \
@@ -195,7 +271,8 @@ fn fizzbuzz_builds_correct_list() {
             else {lappend out $i}
         }
         set out
-    "#);
+    "#,
+    );
     assert_eq!(
         v.as_str(),
         "1 2 fizz 4 buzz fizz 7 8 fizz buzz 11 fizz 13 14 fizzbuzz"
@@ -205,7 +282,9 @@ fn fizzbuzz_builds_correct_list() {
 #[test]
 fn deep_data_structure_roundtrip() {
     // An address book as nested lists, queried with lindex/lsearch.
-    let v = ev(r#"
+    let v = ev(
+        "deep_data_structure_roundtrip",
+        r#"
         set book {}
         lappend book {alice {phone 555-1234 room 401}}
         lappend book {bob {phone 555-9876 room 112}}
@@ -220,16 +299,16 @@ fn deep_data_structure_roundtrip() {
             return ""
         }
         list [lookup $book alice room] [lookup $book bob phone] [lookup $book carol phone]
-    "#);
+    "#,
+    );
     assert_eq!(v.as_str(), "401 555-9876 {}");
 }
 
 #[test]
 fn long_running_program_fits_default_budget() {
-    let mut i = Interp::new();
+    let mut i = Program::new("long_running_program_fits_default_budget");
     let v = i
         .eval(
-            &mut NoHost,
             "set acc 0
              for {set i 0} {$i < 20000} {incr i} {
                  set acc [expr {($acc + $i) % 997}]
@@ -243,12 +322,14 @@ fn long_running_program_fits_default_budget() {
         acc = (acc + i) % 997;
     }
     assert_eq!(v, Value::Int(acc));
-    assert!(i.steps_used() < 1_000_000);
+    assert!(i.interp.steps_used() < 1_000_000);
 }
 
 #[test]
 fn upvar_implements_pass_by_name() {
-    let v = ev(r#"
+    let v = ev(
+        "upvar_implements_pass_by_name",
+        r#"
         proc double_it {varname} {
             upvar $varname x
             set x [expr {$x * 2}]
@@ -256,13 +337,16 @@ fn upvar_implements_pass_by_name() {
         set n 21
         double_it n
         set n
-    "#);
+    "#,
+    );
     assert_eq!(v, Value::Int(42));
 }
 
 #[test]
 fn upvar_list_helper_mutates_caller() {
-    let v = ev(r#"
+    let v = ev(
+        "upvar_list_helper_mutates_caller",
+        r#"
         proc push {listname item} {
             upvar 1 $listname l
             lappend l $item
@@ -279,13 +363,16 @@ fn upvar_list_helper_mutates_caller() {
         push stack c
         set got [pop stack]
         list $got $stack
-    "#);
+    "#,
+    );
     assert_eq!(v.as_str(), "c {a b}");
 }
 
 #[test]
 fn upvar_hash_zero_reaches_global() {
-    let v = ev(r#"
+    let v = ev(
+        "upvar_hash_zero_reaches_global",
+        r#"
         set counter 0
         proc helper {} {
             proc_inner
@@ -297,13 +384,16 @@ fn upvar_hash_zero_reaches_global() {
         helper
         helper
         set counter
-    "#);
+    "#,
+    );
     assert_eq!(v, Value::Int(2));
 }
 
 #[test]
 fn upvar_chain_through_two_frames() {
-    let v = ev(r#"
+    let v = ev(
+        "upvar_chain_through_two_frames",
+        r#"
         proc outer {} {
             set local 5
             middle local
@@ -318,12 +408,15 @@ fn upvar_chain_through_two_frames() {
             incr i 10
         }
         outer
-    "#);
+    "#,
+    );
     assert_eq!(v, Value::Int(15));
 }
 
 #[test]
 fn upvar_outside_proc_errors() {
-    let e = Interp::new().eval(&mut NoHost, "upvar x y").unwrap_err();
+    let e = Program::new("upvar_outside_proc_errors")
+        .eval("upvar x y")
+        .unwrap_err();
     assert!(e.message.contains("procedure") || e.message.contains("upvar"));
 }

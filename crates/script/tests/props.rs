@@ -4,9 +4,16 @@
 
 use proptest::prelude::*;
 
-use rover_script::{
-    format_list, parse_list, set_program_cache_enabled, Budget, Interp, NoHost, ScriptError, Value,
-};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use rover_script::{format_list, parse_list, Budget, Interp, NoHost, ScriptError, Value};
+
+/// Makes `src` text no thread has compiled yet, so its first evaluation
+/// is a cold compile and its second a program-cache hit.
+fn never_seen(src: &str) -> String {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    format!("{src}\n# {}", NEXT.fetch_add(1, Ordering::Relaxed))
+}
 
 /// Runs a script in a fresh interpreter, reducing the outcome to
 /// comparable data: result-or-error string plus the exact step count.
@@ -126,29 +133,26 @@ proptest! {
     }
 
     #[test]
-    fn cached_parse_matches_fresh_parse(src in "[ -~\\n]{0,200}") {
+    fn warm_program_cache_matches_cold_compile(src in "[ -~\\n]{0,200}") {
         // The program cache is wall-clock only: over arbitrary byte
-        // soup, a cache-off interpreter and two cache-on interpreters
-        // (the second hitting warm entries) must agree on the result,
-        // the error, and the exact step count.
-        set_program_cache_enabled(false);
-        let fresh = outcome(&src);
-        set_program_cache_enabled(true);
+        // soup, the evaluation that compiles a source and the ones that
+        // find it compiled must agree on the result, the error, and the
+        // exact step count.
+        let src = never_seen(&src);
         let cold = outcome(&src);
-        let warm = outcome(&src);
-        prop_assert_eq!(&fresh, &cold);
-        prop_assert_eq!(&fresh, &warm);
+        prop_assert_eq!(&cold, &outcome(&src));
+        prop_assert_eq!(&cold, &outcome(&src));
     }
 
     #[test]
-    fn cached_loops_match_fresh_loops(
+    fn warm_loops_match_cold_loops(
         n in 0u32..40,
         inc in 1i64..5,
         calls in 1u32..6,
     ) {
         // Structured hot-path scripts: loops re-entering their bodies
-        // and procs called repeatedly — the cases the cache accelerates.
-        let src = format!(
+        // and procs called repeatedly — what compile-once accelerates.
+        let src = never_seen(&format!(
             "proc step {{d}} {{global s; incr s $d}}\n\
              set s 0\n\
              for {{set i 0}} {{$i < {n}}} {{incr i}} {{step {inc}}}\n\
@@ -156,16 +160,11 @@ proptest! {
              while {{$j < {calls}}} {{incr j; step {inc}}}\n\
              foreach k {{1 2 3}} {{step $k}}\n\
              set s"
-        );
-        set_program_cache_enabled(false);
-        let fresh = outcome(&src);
-        set_program_cache_enabled(true);
+        ));
         let cold = outcome(&src);
-        let warm = outcome(&src);
-        prop_assert_eq!(&fresh, &cold);
-        prop_assert_eq!(&fresh, &warm);
+        prop_assert_eq!(&cold, &outcome(&src));
         let expect = i64::from(n) * inc + i64::from(calls) * inc + 6;
-        prop_assert_eq!(fresh.0.unwrap(), expect.to_string());
+        prop_assert_eq!(cold.0.unwrap(), expect.to_string());
     }
 
     #[test]
