@@ -7,8 +7,13 @@
 //! optional *tentative* copy reflecting locally applied, not-yet-
 //! committed exports (Bayou-style tentative data). Entries pinned by
 //! pending operations are never evicted.
+//!
+//! Object images are shared (`Rc`): the cache, an [`crate::Outcome`] and
+//! a tentative copy may all hold the same image, and a writer goes
+//! through `Rc::make_mut`, so a holder never sees a later mutation.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 
 use rover_sim::SimTime;
 use rover_wire::Version;
@@ -20,15 +25,16 @@ use crate::urn::Urn;
 #[derive(Debug)]
 pub struct CacheEntry {
     /// Last committed copy from the home server.
-    pub committed: RoverObject,
+    pub committed: Rc<RoverObject>,
     /// Local copy with pending exports applied (None = clean).
-    pub tentative: Option<RoverObject>,
+    pub tentative: Option<Rc<RoverObject>>,
     /// Number of QRPCs outstanding against this object (pin count).
     pub pending_ops: usize,
     /// User-requested hoard pin: never evicted while set.
     pub hoarded: bool,
-    /// Last access time (LRU key).
-    pub last_access: SimTime,
+    /// Recency key `(last access, order of last touch)` under which the
+    /// entry sits in [`Cache`]'s index; only the cache moves it.
+    recency: (SimTime, u64),
     /// A server callback announced this newer committed version; reads
     /// should refetch instead of serving the stale copy.
     pub invalidated_by: Option<Version>,
@@ -37,7 +43,7 @@ pub struct CacheEntry {
 impl CacheEntry {
     /// Returns the copy a reader should see: tentative if allowed and
     /// present, else committed.
-    pub fn read_copy(&self, accept_tentative: bool) -> &RoverObject {
+    pub fn read_copy(&self, accept_tentative: bool) -> &Rc<RoverObject> {
         match (&self.tentative, accept_tentative) {
             (Some(t), true) => t,
             _ => &self.committed,
@@ -49,6 +55,11 @@ impl CacheEntry {
         self.tentative.is_some()
     }
 
+    /// Last access time (LRU key).
+    pub fn last_access(&self) -> SimTime {
+        self.recency.0
+    }
+
     fn size(&self) -> usize {
         self.committed.size_bytes() + self.tentative.as_ref().map(|t| t.size_bytes()).unwrap_or(0)
     }
@@ -57,6 +68,10 @@ impl CacheEntry {
 /// The access manager's object cache.
 pub struct Cache {
     entries: HashMap<Urn, CacheEntry>,
+    /// Every entry by recency key, oldest first. Ticks are unique, so
+    /// equal timestamps evict in order of last touch.
+    index: BTreeMap<(SimTime, u64), Urn>,
+    ticks: u64,
     capacity_bytes: usize,
     used_bytes: usize,
 }
@@ -66,6 +81,8 @@ impl Cache {
     pub fn new(capacity_bytes: usize) -> Cache {
         Cache {
             entries: HashMap::new(),
+            index: BTreeMap::new(),
+            ticks: 0,
             capacity_bytes,
             used_bytes: 0,
         }
@@ -73,13 +90,13 @@ impl Cache {
 
     /// Returns the entry for `urn`, updating its LRU timestamp.
     pub fn touch(&mut self, urn: &Urn, now: SimTime) -> Option<&mut CacheEntry> {
-        match self.entries.get_mut(urn) {
-            Some(e) => {
-                e.last_access = now;
-                Some(e)
-            }
-            None => None,
+        let e = self.entries.get_mut(urn)?;
+        if let Some(u) = self.index.remove(&e.recency) {
+            self.ticks += 1;
+            e.recency = (now, self.ticks);
+            self.index.insert(e.recency, u);
         }
+        Some(e)
     }
 
     /// Returns the entry without touching LRU state.
@@ -94,50 +111,48 @@ impl Cache {
 
     /// Inserts or replaces the committed copy for `urn`, preserving any
     /// tentative copy and pin count. Returns URNs evicted to make room.
-    pub fn install_committed(&mut self, obj: RoverObject, now: SimTime) -> Vec<Urn> {
+    pub fn install_committed(&mut self, obj: Rc<RoverObject>, now: SimTime) -> Vec<Urn> {
         let urn = obj.urn.clone();
-        match self.entries.get_mut(&urn) {
+        let (old, new) = match self.touch(&urn, now) {
             Some(e) => {
-                self.used_bytes -= e.size();
+                let old = e.size();
                 // The install comes from the home server, which is
                 // authoritative: any invalidation marker is now moot
                 // (polling invalidates speculatively with version+1).
                 e.invalidated_by = None;
                 e.committed = obj;
-                e.last_access = now;
-                let sz = e.size();
-                self.used_bytes += sz;
+                (old, e.size())
             }
             None => {
+                self.ticks += 1;
                 let e = CacheEntry {
                     committed: obj,
                     tentative: None,
                     pending_ops: 0,
                     hoarded: false,
-                    last_access: now,
+                    recency: (now, self.ticks),
                     invalidated_by: None,
                 };
-                self.used_bytes += e.size();
+                let new = e.size();
+                self.index.insert(e.recency, urn.clone());
                 self.entries.insert(urn, e);
+                (0, new)
             }
-        }
+        };
+        self.used_bytes = self.used_bytes - old + new;
         self.evict_to_fit()
     }
 
-    /// Replaces (or sets) the tentative copy for a cached object.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the object is not cached; exports require an imported
-    /// copy, which the access manager guarantees.
-    pub fn set_tentative(&mut self, urn: &Urn, obj: RoverObject) {
-        let e = self
-            .entries
-            .get_mut(urn)
-            .expect("set_tentative on uncached object");
+    /// Replaces (or sets) the tentative copy for a cached object;
+    /// returns whether the object was cached.
+    pub fn set_tentative(&mut self, urn: &Urn, obj: Rc<RoverObject>) -> bool {
+        let Some(e) = self.entries.get_mut(urn) else {
+            return false;
+        };
         self.used_bytes -= e.size();
         e.tentative = Some(obj);
         self.used_bytes += e.size();
+        true
     }
 
     /// Drops the tentative copy (all pending exports resolved).
@@ -184,6 +199,12 @@ impl Cache {
         self.used_bytes
     }
 
+    /// Cached URNs, least recently used first: the order eviction
+    /// walks, before its filters.
+    pub fn lru_order(&self) -> impl Iterator<Item = &Urn> {
+        self.index.values()
+    }
+
     /// Sets or clears the user hoard pin on a cached object; returns
     /// whether the object was cached.
     pub fn set_hoarded(&mut self, urn: &Urn, on: bool) -> bool {
@@ -212,29 +233,33 @@ impl Cache {
     /// Removes an entry outright (used by tests and invalidation).
     pub fn remove(&mut self, urn: &Urn) -> Option<CacheEntry> {
         let e = self.entries.remove(urn)?;
+        self.index.remove(&e.recency);
         self.used_bytes -= e.size();
         Some(e)
     }
 
-    /// Evicts clean, unpinned, least-recently-used entries until within
-    /// capacity. Dirty (tentative) entries are never evicted — they hold
-    /// the only copy of the user's uncommitted work.
+    /// Evicts clean, unpinned entries, least recently used first, until
+    /// within capacity: one walk of the index from its oldest key, with
+    /// pin count, dirty and hoard as filters. Dirty (tentative) entries
+    /// are never evicted — they hold the only copy of the user's
+    /// uncommitted work.
     fn evict_to_fit(&mut self) -> Vec<Urn> {
+        let mut over = self.used_bytes.saturating_sub(self.capacity_bytes);
         let mut evicted = Vec::new();
-        while self.used_bytes > self.capacity_bytes {
-            let victim = self
-                .entries
-                .iter()
-                .filter(|(_, e)| e.pending_ops == 0 && !e.is_dirty() && !e.hoarded)
-                .min_by_key(|(_, e)| e.last_access)
-                .map(|(u, _)| u.clone());
-            match victim {
-                Some(u) => {
-                    self.remove(&u);
-                    evicted.push(u);
-                }
-                None => break, // Everything is pinned or dirty.
+        for urn in self.index.values() {
+            if over == 0 {
+                break;
             }
+            match self.entries.get(urn) {
+                Some(e) if e.pending_ops == 0 && !e.is_dirty() && !e.hoarded => {
+                    over = over.saturating_sub(e.size());
+                    evicted.push(urn.clone());
+                }
+                _ => {} // Pinned, dirty or hoarded.
+            }
+        }
+        for urn in &evicted {
+            self.remove(urn);
         }
         evicted
     }
@@ -244,9 +269,8 @@ impl Cache {
 mod tests {
     use super::*;
 
-    fn obj(path: &str, bytes: usize) -> RoverObject {
-        RoverObject::new(Urn::parse(&format!("urn:rover:t/{path}")).unwrap(), "t")
-            .with_field("body", &"x".repeat(bytes))
+    fn obj(path: &str, bytes: usize) -> Rc<RoverObject> {
+        Rc::new(RoverObject::new(urn(path), "t").with_field("body", &"x".repeat(bytes)))
     }
 
     fn urn(path: &str) -> Urn {
@@ -260,7 +284,7 @@ mod tests {
         assert!(c.contains(&urn("a")));
         let e = c.touch(&urn("a"), SimTime::from_micros(2)).unwrap();
         assert_eq!(e.read_copy(true).field("body").unwrap().len(), 100);
-        assert_eq!(e.last_access, SimTime::from_micros(2));
+        assert_eq!(e.last_access(), SimTime::from_micros(2));
     }
 
     #[test]
@@ -268,8 +292,10 @@ mod tests {
         let mut c = Cache::new(1 << 20);
         c.install_committed(obj("a", 10), SimTime::ZERO);
         let mut t = obj("a", 10);
-        t.fields.insert("extra".into(), "local".into());
-        c.set_tentative(&urn("a"), t);
+        Rc::make_mut(&mut t)
+            .fields
+            .insert("extra".into(), "local".into());
+        assert!(c.set_tentative(&urn("a"), t));
         let e = c.peek(&urn("a")).unwrap();
         assert!(e.is_dirty());
         assert_eq!(e.read_copy(true).field("extra"), Some("local"));
@@ -297,9 +323,7 @@ mod tests {
         c.install_committed(obj("pinned", 300), SimTime::from_micros(1));
         c.pin(&urn("pinned"), 1);
         c.install_committed(obj("dirty", 300), SimTime::from_micros(2));
-        let mut t = obj("dirty", 300);
-        t.fields.insert("dirty".into(), "1".into());
-        c.set_tentative(&urn("dirty"), t);
+        c.set_tentative(&urn("dirty"), obj("dirty", 300));
         let evicted = c.install_committed(obj("new", 300), SimTime::from_micros(3));
         // Nothing evictable: over capacity but pinned/dirty survive.
         assert!(evicted.is_empty() || !evicted.contains(&urn("pinned")));
@@ -328,7 +352,7 @@ mod tests {
         let mut c = Cache::new(1 << 20);
         c.install_committed(obj("a", 100), SimTime::ZERO);
         let mut newer = obj("a", 50);
-        newer.version = Version(9);
+        Rc::make_mut(&mut newer).version = Version(9);
         c.install_committed(newer, SimTime::from_micros(5));
         assert_eq!(c.version(&urn("a")), Version(9));
         assert_eq!(c.len(), 1);
@@ -340,5 +364,37 @@ mod tests {
         c.install_committed(obj("a", 10), SimTime::ZERO);
         c.pin(&urn("a"), -5);
         assert_eq!(c.peek(&urn("a")).unwrap().pending_ops, 0);
+    }
+
+    #[test]
+    fn set_tentative_on_uncached_object_reports_absence() {
+        let mut c = Cache::new(1 << 20);
+        assert!(!c.set_tentative(&urn("ghost"), obj("ghost", 10)));
+        assert_eq!((c.len(), c.used_bytes()), (0, 0));
+    }
+
+    // Regression: with equal timestamps the victim used to be whichever
+    // entry the `HashMap`'s per-instance hasher seed iterated first.
+    #[test]
+    fn equal_timestamps_evict_in_order_of_last_touch() {
+        let run = || {
+            let mut c = Cache::new(64 * obj("00", 100).size_bytes());
+            for i in 0..64 {
+                c.install_committed(obj(&format!("{i:02}"), 100), SimTime::ZERO);
+            }
+            // Re-touching the first eight at the same instant moves
+            // them behind the other 56.
+            for i in 0..8 {
+                c.touch(&urn(&format!("{i:02}")), SimTime::ZERO);
+            }
+            let mut evicted = Vec::new();
+            for i in 64..96 {
+                evicted.extend(c.install_committed(obj(&format!("{i:02}"), 100), SimTime::ZERO));
+            }
+            evicted
+        };
+        let expect: Vec<Urn> = (8..40).map(|i| urn(&format!("{i:02}"))).collect();
+        assert_eq!(run(), expect);
+        assert_eq!(run(), expect);
     }
 }

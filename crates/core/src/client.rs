@@ -370,12 +370,16 @@ impl Client {
         cl.borrow().cache.contains(urn)
     }
 
-    /// Returns a clone of the cached copy a reader would see.
-    pub fn cached_object(cl: &ClientRef, urn: &Urn, accept_tentative: bool) -> Option<RoverObject> {
+    /// Returns the cached image a reader would see (shared, not copied).
+    pub fn cached_object(
+        cl: &ClientRef,
+        urn: &Urn,
+        accept_tentative: bool,
+    ) -> Option<Rc<RoverObject>> {
         cl.borrow()
             .cache
             .peek(urn)
-            .map(|e| e.read_copy(accept_tentative).clone())
+            .map(|e| Rc::clone(e.read_copy(accept_tentative)))
     }
 
     // ------------------------------------------------------------------
@@ -420,7 +424,7 @@ impl Client {
                     let has_tent = entry.tentative.is_some();
                     let use_tent = has_tent && (accept_tentative || needs_own);
                     if !stale && (admissible_version || use_tent) {
-                        let obj = entry.read_copy(use_tent).clone();
+                        let obj = Rc::clone(entry.read_copy(use_tent));
                         let tentative = use_tent && has_tent;
                         let version = obj.version;
                         let sess = c.sessions.get_mut(&session.0).expect("checked above");
@@ -531,19 +535,23 @@ impl Client {
                 .peek(urn)
                 .ok_or_else(|| RoverError::NotCached(urn.to_string()))?;
 
-            // Apply locally on (a copy of) the freshest local state.
-            let mut tentative = entry.read_copy(true).clone();
+            // Apply locally on a copy of the freshest local state: the
+            // cache still holds the image, so `make_mut` copies it.
+            let mut tentative = Rc::clone(entry.read_copy(true));
             let vals: Vec<Value> = args.iter().map(Value::str).collect();
             let budget = c.cfg.budget;
-            let run = tentative.run_method(method, &vals, budget).map_err(|e| {
+            let applied = Rc::make_mut(&mut tentative).run_method(method, &vals, budget);
+            let run = applied.map_err(|e| {
                 if matches!(e, RoverError::ScriptParse(_)) {
                     sim.stats.incr("script.parse_rejected");
                 }
                 e
             })?;
+            if !c.cache.set_tentative(urn, tentative) {
+                return Err(RoverError::NotCached(urn.to_string()));
+            }
             let raw_cost = c.cfg.cpu.dispatch_cost() + c.cfg.cpu.interp_cost(run.steps);
             let local_cost = c.charge_serial(sim.now(), raw_cost);
-            c.cache.set_tentative(urn, tentative);
             *c.dirty_ops.entry(urn.clone()).or_insert(0) += 1;
 
             let base_version = c.cache.version(urn);
@@ -754,8 +762,9 @@ impl Client {
                 .peek_mut(urn)
                 .ok_or_else(|| RoverError::NotCached(urn.to_string()))?;
             // Run on the freshest cached copy in place: a query leaves
-            // it untouched, so there is nothing to copy first.
-            let obj = entry.tentative.as_mut().unwrap_or(&mut entry.committed);
+            // it untouched, so `make_mut` copies only while an `Outcome`
+            // still shares the image.
+            let obj = Rc::make_mut(entry.tentative.as_mut().unwrap_or(&mut entry.committed));
             let vals: Vec<Value> = args.iter().map(Value::str).collect();
             let run = obj.run_query(method, &vals, budget).map_err(|e| {
                 if matches!(e, RoverError::ScriptParse(_)) {
@@ -1269,7 +1278,10 @@ impl Client {
             (ready, delay)
         };
         sim.stats.incr("client.qrpc_issued");
-        sim.trace("qrpc", format!("issue req={} class={class:?}", req_id.0));
+        sim.trace(
+            "qrpc",
+            format_args!("issue req={} class={class:?}", req_id.0),
+        );
 
         if !ready.is_empty() {
             let cl2 = cl.clone();
@@ -1341,7 +1353,7 @@ impl Client {
                 Client::arm_rto(cl, sim, req);
             } else {
                 sim.stats.incr("client.retransmits");
-                sim.trace("qrpc", format!("retransmit req={req}"));
+                sim.trace("qrpc", format_args!("retransmit req={req}"));
                 Client::emit(
                     cl,
                     sim,
@@ -1504,7 +1516,10 @@ impl Client {
                 object: None,
             };
             sim.stats.incr("client.retry_exhausted");
-            sim.trace("qrpc", format!("give up req={req}: retry budget exhausted"));
+            sim.trace(
+                "qrpc",
+                format_args!("give up req={req}: retry budget exhausted"),
+            );
             (o.promise, outcome)
         };
         for ev in events {
@@ -1516,7 +1531,10 @@ impl Client {
 
     /// Drops a decided (or abandoned) request's record from the stable
     /// log, leaving a completion marker so a post-crash recovery does
-    /// not re-issue it; compacts periodically.
+    /// not re-issue it. Compaction re-frames every live record, so it
+    /// waits until the removals since the last one match the requests
+    /// still outstanding (or 64): the work stays linear in retirements
+    /// and the device holds fewer dead records than live ones (or 64).
     fn retire_log_record(&mut self, req: u64, log_seq: u64) {
         if log_seq == 0 {
             return;
@@ -1529,7 +1547,7 @@ impl Client {
             .log
             .append(RecordKind::Completion, req.to_be_bytes().to_vec());
         self.removals_since_compact += 1;
-        if self.removals_since_compact >= 64 {
+        if self.removals_since_compact >= self.outstanding.len().max(64) {
             // Compaction drops dead request bytes, which also obsoletes
             // every completion marker.
             let stale: Vec<u64> = self
@@ -1730,7 +1748,10 @@ impl Client {
             new_id
         };
         sim.stats.incr("client.redirects");
-        sim.trace("qrpc", format!("redirect req={req} -> req={}", new_id.0));
+        sim.trace(
+            "qrpc",
+            format_args!("redirect req={req} -> req={}", new_id.0),
+        );
         Client::enqueue_request(cl, sim, new_id.0, true);
     }
 
@@ -1803,10 +1824,10 @@ impl Client {
                 }
                 OpClass::Import => {
                     if reply.status == OpStatus::Ok {
-                        if let Ok(obj) = RoverObject::from_shared(&reply.payload) {
+                        if let Ok(obj) = RoverObject::from_shared(&reply.payload).map(Rc::new) {
                             let urn = obj.urn.clone();
                             outcome.value = Value::str(urn.as_str());
-                            outcome.object = Some(obj.clone());
+                            outcome.object = Some(Rc::clone(&obj));
                             for u in c.cache.install_committed(obj, sim.now()) {
                                 events.push(ClientEvent::Evicted { urn: u });
                             }
@@ -1840,8 +1861,8 @@ impl Client {
                         sess.note_write_done(&urn, committed_version);
                     }
                     // Install the server's post-decision state.
-                    if let Ok(obj) = RoverObject::from_shared(&reply.payload) {
-                        outcome.object = Some(obj.clone());
+                    if let Ok(obj) = RoverObject::from_shared(&reply.payload).map(Rc::new) {
+                        outcome.object = Some(Rc::clone(&obj));
                         for u in c.cache.install_committed(obj, sim.now()) {
                             events.push(ClientEvent::Evicted { urn: u });
                         }
@@ -1873,7 +1894,7 @@ impl Client {
             sim.stats.incr("client.qrpc_completed");
             sim.trace(
                 "qrpc",
-                format!("complete req={} status={:?}", reply.req_id.0, reply.status),
+                format_args!("complete req={} status={:?}", reply.req_id.0, reply.status),
             );
             sim.stats
                 .sample_duration("client.qrpc_rtt_ms", sim.now().since(o.issued_at));
@@ -1894,3 +1915,6 @@ impl Client {
         }
     }
 }
+
+#[cfg(test)]
+mod retire_test;

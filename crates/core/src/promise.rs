@@ -29,8 +29,9 @@ pub struct Outcome {
     /// network traffic.
     pub from_cache: bool,
     /// The object involved, when the operation produced one (imports and
-    /// committed exports).
-    pub object: Option<crate::object::RoverObject>,
+    /// committed exports): the image the cache holds, shared. Cache
+    /// writers copy on write, so it never changes under the holder.
+    pub object: Option<Rc<crate::object::RoverObject>>,
 }
 
 impl Outcome {

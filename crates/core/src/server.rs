@@ -583,7 +583,7 @@ impl Server {
                 sim.stats.incr("server.wal_append_failed");
                 sim.trace(
                     "server",
-                    format!("migrate-out append failed: {e}; crashing"),
+                    format_args!("migrate-out append failed: {e}; crashing"),
                 );
                 Server::crash(sv, sim);
                 return None;
@@ -631,7 +631,10 @@ impl Server {
             }
             Err(e) => {
                 sim.stats.incr("server.wal_append_failed");
-                sim.trace("server", format!("migrate-in append failed: {e}; crashing"));
+                sim.trace(
+                    "server",
+                    format_args!("migrate-in append failed: {e}; crashing"),
+                );
                 Server::crash(sv, sim);
                 return false;
             }
@@ -895,10 +898,7 @@ impl Server {
             sim.stats.add("server.staged_lost_on_crash", staged_lost);
         }
         sim.stats.incr("server.crashes");
-        sim.trace(
-            "server",
-            "crashed; dropping traffic until recovery".to_owned(),
-        );
+        sim.trace("server", "crashed; dropping traffic until recovery");
         let durable = sim.stats.counter("server.wal_appends");
         Server::emit(
             sv,
@@ -1057,7 +1057,7 @@ impl Server {
         sim.stats.sample_duration("server.recovery_ms", cost);
         sim.trace(
             "server",
-            format!(
+            format_args!(
                 "recovered: {recovered} commit(s) replayed, {truncated} torn byte(s) discarded"
             ),
         );
@@ -1184,7 +1184,7 @@ impl Server {
                 sim.stats.incr("server.wal_append_failed");
                 sim.stats
                     .add("server.staged_lost_on_crash", batch.len() as u64);
-                sim.trace("server", format!("group flush failed: {e}; crashing"));
+                sim.trace("server", format_args!("group flush failed: {e}; crashing"));
                 Server::crash(sv, sim);
                 return;
             }
@@ -1424,7 +1424,7 @@ impl Server {
             }
             Err(e) => {
                 sim.stats.incr("server.wal_append_failed");
-                sim.trace("server", format!("checkpoint failed: {e}; crashing"));
+                sim.trace("server", format_args!("checkpoint failed: {e}; crashing"));
                 Server::crash(sv, sim);
                 Err(e)
             }
@@ -1563,7 +1563,7 @@ impl Server {
         let cached = sv.borrow().dedup.get(&key).cloned();
         if let Some(reply) = cached {
             sim.stats.incr("server.dedup_replay");
-            sim.trace("server", format!("dedup replay req={}", req.req_id.0));
+            sim.trace("server", format_args!("dedup replay req={}", req.req_id.0));
             Server::send_reply(sv, sim, req.client, reply, req.priority);
             return;
         }
@@ -1577,7 +1577,7 @@ impl Server {
             sim.stats.incr("server.below_floor_duplicate");
             sim.trace(
                 "server",
-                format!("below-floor duplicate req={} floor={}", req.req_id.0, floor),
+                format_args!("below-floor duplicate req={} floor={}", req.req_id.0, floor),
             );
             let reply = Server::state_reply(sv, &req);
             Server::send_reply(sv, sim, req.client, reply, req.priority);
@@ -1619,7 +1619,7 @@ impl Server {
                 sim.stats.incr("server.wfr_held");
                 sim.trace(
                     "server",
-                    format!("wfr hold req={} behind on {urn}", req.req_id.0),
+                    format_args!("wfr hold req={} behind on {urn}", req.req_id.0),
                 );
                 sv.borrow_mut().wfr_held.entry(urn).or_default().push(req);
                 return;
@@ -1752,7 +1752,7 @@ impl Server {
                 sim.stats.incr("server.dedup_miss_reexec");
                 sim.trace(
                     "server",
-                    format!("dedup entry evicted; re-executing req={}", req.req_id.0),
+                    format_args!("dedup entry evicted; re-executing req={}", req.req_id.0),
                 );
             }
             // Hot-set tracking: every import/export against this shard
@@ -1810,7 +1810,7 @@ impl Server {
                 }
                 Err(e) => {
                     sim.stats.incr("server.wal_append_failed");
-                    sim.trace("server", format!("wal append failed: {e}; crashing"));
+                    sim.trace("server", format_args!("wal append failed: {e}; crashing"));
                     Server::crash(sv, sim);
                     return;
                 }

@@ -232,7 +232,7 @@ impl Net {
                 spec,
             });
         }
-        sim.trace("net", format!("link {}: faults installed", link.0));
+        sim.trace("net", format_args!("link {}: faults installed", link.0));
         if let Some(flap) = spec.flap {
             self.schedule_pattern(sim, link, flap.up_for, flap.down_for, flap.cycles);
         }
@@ -406,7 +406,10 @@ impl Net {
         if let Some(d) = draw {
             if d.drop {
                 sim.stats.incr("net.faults_injected.drop");
-                sim.trace("net", format!("link {}: fault dropped message", link.0));
+                sim.trace(
+                    "net",
+                    format_args!("link {}: fault dropped message", link.0),
+                );
                 if let Some(cb) = tx_done {
                     sim.schedule_at(ticket.tx_done, cb);
                 }
@@ -482,7 +485,7 @@ impl Net {
                     sim.stats.incr("net.corrupt_rejected");
                     sim.trace(
                         "net",
-                        format!("link {}: frame failed checksum, rejected", link.0),
+                        format_args!("link {}: frame failed checksum, rejected", link.0),
                     );
                     return;
                 }
@@ -532,7 +535,7 @@ impl Net {
             l.up = up;
             sim.trace(
                 "net",
-                format!("link {} {}", link.0, if up { "up" } else { "down" }),
+                format_args!("link {} {}", link.0, if up { "up" } else { "down" }),
             );
             if up {
                 l.ready_at = sim.now() + l.spec.setup;

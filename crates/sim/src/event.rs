@@ -131,11 +131,14 @@ impl Sim {
         }
     }
 
-    /// Records a trace point at the current virtual time (no-op unless
-    /// `sim.trace` is enabled).
-    pub fn trace(&mut self, tag: &'static str, detail: impl Into<String>) {
-        let now = self.now;
-        self.trace.record(now, tag, detail);
+    /// Records a trace point at the current virtual time. `detail` is
+    /// rendered only while `sim.trace` is enabled, so pass
+    /// `format_args!(…)`, not `format!(…)`: a disabled trace formats
+    /// nothing.
+    pub fn trace(&mut self, tag: &'static str, detail: impl std::fmt::Display) {
+        if self.trace.is_enabled() {
+            self.trace.record(self.now, tag, detail.to_string());
+        }
     }
 
     /// Returns the current virtual time.
@@ -412,6 +415,24 @@ mod tests {
     use super::*;
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    #[test]
+    fn disabled_trace_renders_nothing() {
+        struct Loud<'a>(&'a std::cell::Cell<u32>);
+        impl std::fmt::Display for Loud<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                self.0.set(self.0.get() + 1);
+                write!(f, "rendered")
+            }
+        }
+        let rendered = std::cell::Cell::new(0);
+        let mut sim = Sim::new(1);
+        sim.trace("t", format_args!("{}", Loud(&rendered)));
+        assert_eq!((rendered.get(), sim.trace.len()), (0, 0));
+        sim.trace.set_enabled(true);
+        sim.trace("t", format_args!("{}", Loud(&rendered)));
+        assert_eq!((rendered.get(), sim.trace.len()), (1, 1));
+    }
 
     #[test]
     fn events_fire_in_time_order() {

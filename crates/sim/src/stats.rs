@@ -137,6 +137,15 @@ pub struct Stats {
     samples: BTreeMap<String, Samples>,
 }
 
+/// Applies `f` to `key`'s slot, created at its default if absent. The
+/// key is copied only then: nearly every call lands on a live key.
+fn upsert<V: Default>(map: &mut BTreeMap<String, V>, key: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(key) {
+        Some(v) => f(v),
+        None => f(map.entry(key.to_owned()).or_default()),
+    }
+}
+
 impl Stats {
     /// Creates an empty statistics table.
     pub fn new() -> Self {
@@ -145,7 +154,7 @@ impl Stats {
 
     /// Adds `n` to the named counter, creating it at zero if absent.
     pub fn add(&mut self, key: &str, n: u64) {
-        *self.counters.entry(key.to_owned()).or_insert(0) += n;
+        upsert(&mut self.counters, key, |c| *c += n);
     }
 
     /// Increments the named counter by one.
@@ -158,7 +167,7 @@ impl Stats {
     /// Used for gauge-style snapshots (e.g. the event loop publishing
     /// `sim.heap_len`), where repeated publication must not accumulate.
     pub fn set(&mut self, key: &str, v: u64) {
-        self.counters.insert(key.to_owned(), v);
+        upsert(&mut self.counters, key, |c| *c = v);
     }
 
     /// Returns the value of a counter (zero if never touched).
@@ -168,7 +177,7 @@ impl Stats {
 
     /// Records a scalar sample under the named series.
     pub fn sample(&mut self, key: &str, v: f64) {
-        self.samples.entry(key.to_owned()).or_default().record(v);
+        upsert(&mut self.samples, key, |s| s.record(v));
     }
 
     /// Records a duration sample (milliseconds) under the named series.
