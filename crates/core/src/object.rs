@@ -99,14 +99,6 @@ impl RoverObject {
         self
     }
 
-    /// Drops the cached loaded interpreter, forcing the next
-    /// [`RoverObject::run_method`] to re-evaluate `code` from scratch.
-    /// Benchmarks use this to measure the uncached path; correctness
-    /// never requires it (cache hits re-check `code` and budget).
-    pub fn clear_method_cache(&mut self) {
-        *self.cache.0.borrow_mut() = None;
-    }
-
     /// Sets a data field (builder style).
     pub fn with_field(mut self, key: &str, value: &str) -> RoverObject {
         self.fields.insert(key.to_owned(), value.to_owned());
@@ -392,19 +384,36 @@ impl HostEnv for RdoHost<'_> {
     }
 }
 
-// Minimal glob (`*` and `?`) for rover::keys; the full matcher lives in
-// the script crate's `string match`.
+// Minimal glob (`*` and `?`, nothing else special) for rover::keys; the
+// full matcher lives in the script crate's `string match`. Iterative
+// with one backtrack point — the last `*` and the text position it was
+// last tried at — so a hostile pattern costs |pattern|·|key|, not 2^stars.
 fn glob_lite(pat: &str, s: &str) -> bool {
-    let p: Vec<char> = pat.chars().collect();
-    let t: Vec<char> = s.chars().collect();
-    fn go(p: &[char], t: &[char]) -> bool {
-        match p.first() {
-            None => t.is_empty(),
-            Some('*') => (0..=t.len()).any(|k| go(&p[1..], &t[k..])),
-            Some('?') => !t.is_empty() && go(&p[1..], &t[1..]),
-            Some(&c) => t.first() == Some(&c) && go(&p[1..], &t[1..]),
+    fn go<C: Copy + PartialEq + From<u8>>(p: &[C], t: &[C]) -> bool {
+        let (mut pi, mut ti) = (0, 0);
+        let mut star: Option<(usize, usize)> = None;
+        loop {
+            match (p.get(pi), t.get(ti)) {
+                (Some(&c), _) if c == C::from(b'*') => {
+                    star = Some((pi + 1, ti));
+                    pi += 1;
+                }
+                (None, None) => return true,
+                (Some(&c), Some(&x)) if c == C::from(b'?') || c == x => (pi, ti) = (pi + 1, ti + 1),
+                _ => match star {
+                    Some((after, at)) if at < t.len() => {
+                        star = Some((after, at + 1));
+                        (pi, ti) = (after, at + 1);
+                    }
+                    _ => return false,
+                },
+            }
         }
     }
+    if pat.is_ascii() && s.is_ascii() {
+        return go(pat.as_bytes(), s.as_bytes());
+    }
+    let (p, t): (Vec<char>, Vec<char>) = (pat.chars().collect(), s.chars().collect());
     go(&p, &t)
 }
 
@@ -442,6 +451,72 @@ impl Wire for RoverObject {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The matcher `glob_lite` replaced, kept as the reference: it
+    /// retries every suffix at each `*`, recursively.
+    fn glob_lite_recursive(pat: &str, s: &str) -> bool {
+        let p: Vec<char> = pat.chars().collect();
+        let t: Vec<char> = s.chars().collect();
+        fn go(p: &[char], t: &[char]) -> bool {
+            match p.first() {
+                None => t.is_empty(),
+                Some('*') => (0..=t.len()).any(|k| go(&p[1..], &t[k..])),
+                Some('?') => !t.is_empty() && go(&p[1..], &t[1..]),
+                Some(&c) => t.first() == Some(&c) && go(&p[1..], &t[1..]),
+            }
+        }
+        go(&p, &t)
+    }
+
+    /// Strings of up to 12 of the full matcher's metacharacters — only
+    /// `*` and `?` are special here — two letters, and now and then a
+    /// multi-byte letter (the `char` path).
+    fn glob_text() -> impl Strategy<Value = String> {
+        const ALPHABET: [char; 9] = ['a', 'b', '*', '?', '[', ']', '-', '\\', 'é'];
+        proptest::collection::vec(0..ALPHABET.len(), 0..=12)
+            .prop_map(|ix| ix.into_iter().map(|i| ALPHABET[i]).collect())
+    }
+
+    proptest! {
+        #[test]
+        fn glob_differential(pat in glob_text(), text in glob_text()) {
+            prop_assert_eq!(
+                glob_lite(&pat, &text),
+                glob_lite_recursive(&pat, &text),
+                "pattern {:?} text {:?}", pat, text
+            );
+        }
+    }
+
+    #[test]
+    fn keys_pattern_cost_is_bounded() {
+        // Sixteen stars over a 4 KB field name: the recursive matcher
+        // would still be running; `[` and `\\` stay literal.
+        let long = "a".repeat(4096);
+        let mut obj = RoverObject::new(Urn::parse("urn:rover:t/k").unwrap(), "t")
+            .with_code("proc keys {p} {rover::keys $p}")
+            .with_field(&long, "1")
+            .with_field(&format!("{long}b"), "2")
+            .with_field("x[1]", "3")
+            .with_field("x\\y", "4");
+        let mut keys = |pat: &str| {
+            let t0 = std::time::Instant::now();
+            let run = obj.run_method("keys", &[Value::str(pat)], Budget::default());
+            assert!(
+                t0.elapsed().as_secs() < 5,
+                "pattern {pat:?} took {:?}",
+                t0.elapsed()
+            );
+            run.unwrap().result.as_list().unwrap().len()
+        };
+        assert_eq!(keys(&format!("{}b", "*a".repeat(16))), 1);
+        assert_eq!(keys(&format!("{}c", "*a".repeat(16))), 0);
+        assert_eq!(keys("*a*"), 2);
+        assert_eq!(keys("x[1]"), 1);
+        assert_eq!(keys("x\\?"), 1);
+        assert_eq!(keys("x?*"), 2);
+    }
 
     fn counter() -> RoverObject {
         RoverObject::new(Urn::parse("urn:rover:test/counter").unwrap(), "counter")
@@ -618,7 +693,7 @@ mod tests {
             .unwrap(); // cache hit
         cold.run_method("add", &[Value::Int(1)], Budget::default())
             .unwrap();
-        cold.clear_method_cache();
+        *cold.cache.0.borrow_mut() = None;
         let c2 = cold
             .run_method("add", &[Value::Int(1)], Budget::default())
             .unwrap(); // forced fresh load

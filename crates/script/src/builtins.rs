@@ -71,6 +71,9 @@ fn lindex(args: &[Value]) -> Result<Value, Exc> {
 
 /// Resolves an index that may be `end` or `end-K`.
 fn index_of(v: &Value, len: usize) -> Result<usize, Exc> {
+    if let Value::Int(i) = v {
+        return Ok((*i).max(0) as usize);
+    }
     let s = v.as_str();
     if let Some(rest) = s.strip_prefix("end") {
         let back: i64 = if rest.is_empty() {
@@ -233,14 +236,14 @@ fn join(args: &[Value]) -> Result<Value, Exc> {
         .get(1)
         .map(|v| v.as_str())
         .unwrap_or_else(|| " ".into());
-    let items = list.list_view()?;
-    Ok(Value::from(
-        items
-            .iter()
-            .map(|v| v.as_str())
-            .collect::<Vec<_>>()
-            .join(&sep),
-    ))
+    let mut out = String::new();
+    for (i, item) in list.list_view()?.iter().enumerate() {
+        if i > 0 {
+            out.push_str(&sep);
+        }
+        item.write_to(&mut out);
+    }
+    Ok(Value::from(out))
 }
 
 fn split(args: &[Value]) -> Result<Value, Exc> {
@@ -532,84 +535,171 @@ fn array_cmd(interp: &mut Interp, args: &[Value]) -> Result<Value, Exc> {
 }
 
 /// Tcl-style glob matching: `*`, `?`, and `[chars]` / `[a-z]` sets.
+///
+/// Iterative, with one backtrack point (the last `*` and the text
+/// position it was last tried at), so a match costs at most
+/// |pattern|·|text| comparisons: `string match` charges one step
+/// whatever its arguments, and must not be a way around the budget.
 pub(crate) fn glob_match(pat: &str, s: &str) -> bool {
-    let p: Vec<char> = pat.chars().collect();
-    let t: Vec<char> = s.chars().collect();
-    glob_at(&p, 0, &t, 0)
+    if pat.is_ascii() && s.is_ascii() {
+        return glob(pat.as_bytes(), s.as_bytes());
+    }
+    let (p, t): (Vec<char>, Vec<char>) = (pat.chars().collect(), s.chars().collect());
+    glob(&p, &t)
 }
 
-fn glob_at(p: &[char], mut pi: usize, t: &[char], mut ti: usize) -> bool {
-    while pi < p.len() {
-        match p[pi] {
-            '*' => {
-                // Collapse consecutive stars, then try all suffixes.
-                while pi < p.len() && p[pi] == '*' {
-                    pi += 1;
-                }
-                if pi == p.len() {
-                    return true;
-                }
-                for k in ti..=t.len() {
-                    if glob_at(p, pi, t, k) {
-                        return true;
-                    }
-                }
-                return false;
-            }
-            '?' => {
-                if ti >= t.len() {
-                    return false;
-                }
+fn glob<C: Copy + PartialOrd + From<u8>>(p: &[C], t: &[C]) -> bool {
+    let is = |c: C, b: u8| c == C::from(b);
+    let (mut pi, mut ti) = (0, 0);
+    // Pattern index after the last `*`, and where in the text it resumes.
+    let mut star: Option<(usize, usize)> = None;
+    loop {
+        // What the pattern element at `pi` takes: `None` if it does not
+        // match here, else the pattern index after it.
+        let next = match (p.get(pi), t.get(ti)) {
+            (Some(&c), _) if is(c, b'*') => {
+                star = Some((pi + 1, ti));
                 pi += 1;
-                ti += 1;
+                continue;
             }
-            '[' => {
-                if ti >= t.len() {
-                    return false;
-                }
+            (None, None) => return true,
+            (None, Some(_)) | (Some(_), None) => None,
+            (Some(&c), Some(_)) if is(c, b'?') => Some(pi + 1),
+            (Some(&c), Some(&x)) if is(c, b'[') => {
                 let mut j = pi + 1;
                 let mut matched = false;
-                while j < p.len() && p[j] != ']' {
-                    if j + 2 < p.len() && p[j + 1] == '-' && p[j + 2] != ']' {
-                        if (p[j]..=p[j + 2]).contains(&t[ti]) {
-                            matched = true;
+                while let Some(&lo) = p.get(j).filter(|&&c| !is(c, b']')) {
+                    match (p.get(j + 1), p.get(j + 2)) {
+                        (Some(&dash), Some(&hi)) if is(dash, b'-') && !is(hi, b']') => {
+                            matched |= (lo..=hi).contains(&x);
+                            j += 3;
                         }
-                        j += 3;
-                    } else {
-                        if p[j] == t[ti] {
-                            matched = true;
+                        _ => {
+                            matched |= lo == x;
+                            j += 1;
                         }
-                        j += 1;
                     }
                 }
-                if j >= p.len() || !matched {
-                    return false;
-                }
-                pi = j + 1;
-                ti += 1;
+                // An unterminated set matches nothing.
+                (matched && j < p.len()).then_some(j + 1)
             }
-            '\\' if pi + 1 < p.len() => {
-                if ti >= t.len() || t[ti] != p[pi + 1] {
-                    return false;
-                }
-                pi += 2;
-                ti += 1;
+            (Some(&c), Some(&x)) => match p.get(pi + 1) {
+                Some(&lit) if is(c, b'\\') => (lit == x).then_some(pi + 2),
+                _ => (c == x).then_some(pi + 1),
+            },
+        };
+        match (next, star) {
+            (Some(after), _) => (pi, ti) = (after, ti + 1),
+            // Let the last `*` swallow one more character and retry.
+            (None, Some((after, at))) if at < t.len() => {
+                star = Some((after, at + 1));
+                (pi, ti) = (after, at + 1);
             }
-            c => {
-                if ti >= t.len() || t[ti] != c {
-                    return false;
-                }
-                pi += 1;
-                ti += 1;
-            }
+            _ => return false,
         }
     }
-    ti == t.len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::glob_match;
+    use proptest::prelude::*;
+
+    /// The matcher `glob_match` replaced, kept as the reference: it
+    /// retries every suffix at each `*`, recursively.
+    fn glob_recursive(pat: &str, s: &str) -> bool {
+        let p: Vec<char> = pat.chars().collect();
+        let t: Vec<char> = s.chars().collect();
+        glob_at(&p, 0, &t, 0)
+    }
+
+    fn glob_at(p: &[char], mut pi: usize, t: &[char], mut ti: usize) -> bool {
+        while pi < p.len() {
+            match p[pi] {
+                '*' => {
+                    // Collapse consecutive stars, then try all suffixes.
+                    while pi < p.len() && p[pi] == '*' {
+                        pi += 1;
+                    }
+                    if pi == p.len() {
+                        return true;
+                    }
+                    for k in ti..=t.len() {
+                        if glob_at(p, pi, t, k) {
+                            return true;
+                        }
+                    }
+                    return false;
+                }
+                '?' => {
+                    if ti >= t.len() {
+                        return false;
+                    }
+                    pi += 1;
+                    ti += 1;
+                }
+                '[' => {
+                    if ti >= t.len() {
+                        return false;
+                    }
+                    let mut j = pi + 1;
+                    let mut matched = false;
+                    while j < p.len() && p[j] != ']' {
+                        if j + 2 < p.len() && p[j + 1] == '-' && p[j + 2] != ']' {
+                            if (p[j]..=p[j + 2]).contains(&t[ti]) {
+                                matched = true;
+                            }
+                            j += 3;
+                        } else {
+                            if p[j] == t[ti] {
+                                matched = true;
+                            }
+                            j += 1;
+                        }
+                    }
+                    if j >= p.len() || !matched {
+                        return false;
+                    }
+                    pi = j + 1;
+                    ti += 1;
+                }
+                '\\' if pi + 1 < p.len() => {
+                    if ti >= t.len() || t[ti] != p[pi + 1] {
+                        return false;
+                    }
+                    pi += 2;
+                    ti += 1;
+                }
+                c => {
+                    if ti >= t.len() || t[ti] != c {
+                        return false;
+                    }
+                    pi += 1;
+                    ti += 1;
+                }
+            }
+        }
+        ti == t.len()
+    }
+
+    /// Strings of up to 12 of the glob metacharacters and two letters
+    /// (and, now and then, a multi-byte letter: the `char` path).
+    fn glob_text() -> impl Strategy<Value = String> {
+        const ALPHABET: [char; 9] = ['a', 'b', '*', '?', '[', ']', '-', '\\', 'é'];
+        proptest::collection::vec(0..ALPHABET.len(), 0..=12)
+            .prop_map(|ix| ix.into_iter().map(|i| ALPHABET[i]).collect())
+    }
+
+    proptest! {
+        #[test]
+        fn glob_differential(pat in glob_text(), text in glob_text()) {
+            prop_assert_eq!(
+                glob_match(&pat, &text),
+                glob_recursive(&pat, &text),
+                "pattern {:?} text {:?}", pat, text
+            );
+        }
+    }
 
     #[test]
     fn glob_basics() {

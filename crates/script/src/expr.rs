@@ -19,7 +19,7 @@
 use std::rc::Rc;
 
 use crate::error::Exc;
-use crate::value::Value;
+use crate::value::{parse_int, Value};
 
 /// One substitution the VM performs before the operator code runs.
 pub(crate) enum Operand {
@@ -32,17 +32,24 @@ pub(crate) enum Operand {
 /// Postfix operator code.
 pub(crate) enum EOp {
     Const(Value),
-    /// The n-th substituted operand.
+    /// The n-th substituted operand. Lowering emits each exactly once
+    /// (one per `$var`/`[cmd]` in the source), so evaluation moves it.
     Arg(u32),
     Neg,
     Not,
     BitNot,
-    Bin(&'static str),
+    Bin(BinFn),
     Ternary,
-    /// Math function over the top `argc` values.
-    Func(String, u32),
+    /// Math function (its name, for messages) over the top `argc` values.
+    Func(&'static str, MathFn, u32),
     Raise(String),
 }
+
+/// Binary operators and math functions are resolved, when the expression
+/// is lowered, to the function that implements them — as the compiler
+/// resolves a builtin's name — so evaluation never looks at their text.
+type BinFn = fn(&Value, &Value) -> Result<Value, Exc>;
+type MathFn = fn(&str, &[Value]) -> Result<Value, Exc>;
 
 enum Tok {
     Val(EOp),
@@ -259,17 +266,49 @@ struct P {
 
 /// Binary precedence levels, loosest first. `&&` and `||` are ordinary
 /// binary operators here: both sides are always evaluated.
-const LEVELS: [&[&str]; 10] = [
-    &["||"],
-    &["&&"],
-    &["|"],
-    &["^"],
-    &["&"],
-    &["==", "!=", "eq", "ne"],
-    &["<", ">", "<=", ">="],
-    &["<<", ">>"],
-    &["+", "-"],
-    &["*", "/", "%"],
+const LEVELS: [&[(&str, BinFn)]; 10] = [
+    &[("||", |a, b| Ok(Value::bool(a.as_bool()? || b.as_bool()?)))],
+    &[("&&", |a, b| Ok(Value::bool(a.as_bool()? && b.as_bool()?)))],
+    &[("|", |a, b| Ok(Value::Int(a.as_int()? | b.as_int()?)))],
+    &[("^", |a, b| Ok(Value::Int(a.as_int()? ^ b.as_int()?)))],
+    &[("&", |a, b| Ok(Value::Int(a.as_int()? & b.as_int()?)))],
+    &[
+        ("==", |a, b| Ok(Value::bool(value_cmp(a, b).is_eq()))),
+        ("!=", |a, b| Ok(Value::bool(value_cmp(a, b).is_ne()))),
+        ("eq", |a, b| Ok(Value::bool(a.as_str() == b.as_str()))),
+        ("ne", |a, b| Ok(Value::bool(a.as_str() != b.as_str()))),
+    ],
+    &[
+        ("<", |a, b| Ok(Value::bool(value_cmp(a, b).is_lt()))),
+        (">", |a, b| Ok(Value::bool(value_cmp(a, b).is_gt()))),
+        ("<=", |a, b| Ok(Value::bool(value_cmp(a, b).is_le()))),
+        (">=", |a, b| Ok(Value::bool(value_cmp(a, b).is_ge()))),
+    ],
+    &[
+        ("<<", |a, b| shift(a, b, i64::wrapping_shl)),
+        (">>", |a, b| shift(a, b, i64::wrapping_shr)),
+    ],
+    // Wrapping throughout: i64::MIN / -1 must not take the server down
+    // with the RDO that computed it.
+    &[
+        ("+", |a, b| {
+            arith("+", false, a, b, i64::wrapping_add, |d, e| d + e)
+        }),
+        ("-", |a, b| {
+            arith("-", false, a, b, i64::wrapping_sub, |d, e| d - e)
+        }),
+    ],
+    &[
+        ("*", |a, b| {
+            arith("*", false, a, b, i64::wrapping_mul, |d, e| d * e)
+        }),
+        ("/", |a, b| {
+            arith("/", true, a, b, i64::wrapping_div_euclid, |d, e| d / e)
+        }),
+        ("%", |a, b| {
+            arith("%", true, a, b, i64::wrapping_rem_euclid, |d, e| d % e)
+        }),
+    ],
 ];
 
 impl P {
@@ -289,7 +328,7 @@ impl P {
         }
     }
 
-    fn expect(&mut self, op: &str) -> Result<(), String> {
+    fn require(&mut self, op: &str) -> Result<(), String> {
         if self.eat(op) {
             Ok(())
         } else {
@@ -301,7 +340,7 @@ impl P {
         self.binary(0)?;
         if self.eat("?") {
             self.ternary()?;
-            self.expect(":")?;
+            self.require(":")?;
             self.ternary()?;
             self.out.push(EOp::Ternary);
         }
@@ -313,7 +352,8 @@ impl P {
             return self.unary();
         };
         self.binary(level + 1)?;
-        while let Some(op) = self.peek_op().filter(|o| ops.contains(o)) {
+        let find = |sym: &str| ops.iter().find(|(s, _)| *s == sym);
+        while let Some(&(_, op)) = self.peek_op().and_then(find) {
             self.i += 1;
             self.binary(level + 1)?;
             self.out.push(EOp::Bin(op));
@@ -338,7 +378,7 @@ impl P {
     fn primary(&mut self) -> Result<(), String> {
         if self.eat("(") {
             self.ternary()?;
-            return self.expect(")");
+            return self.require(")");
         }
         match self.toks.get_mut(self.i) {
             Some(Tok::Val(v)) => {
@@ -364,10 +404,15 @@ impl P {
                         if self.eat(")") {
                             break;
                         }
-                        self.expect(",")?;
+                        self.require(",")?;
                     }
                 }
-                self.out.push(EOp::Func(name, argc));
+                // An unknown name raises where the call would have run:
+                // after its arguments were evaluated.
+                self.out.push(match FUNCS.iter().find(|(n, _)| *n == name) {
+                    Some(&(name, f)) => EOp::Func(name, f, argc),
+                    None => EOp::Raise(format!("unknown math function \"{name}\"")),
+                });
                 Ok(())
             }
             _ => Err("missing operand in expression".into()),
@@ -387,11 +432,11 @@ pub(crate) fn eval(code: &[EOp], stack: &mut Vec<Value>, n: usize) -> Result<(),
     for op in code {
         let v = match op {
             EOp::Const(v) => v.clone(),
-            EOp::Arg(k) => stack[base + *k as usize].clone(),
+            EOp::Arg(k) => std::mem::replace(&mut stack[base + *k as usize], Value::Int(0)),
             EOp::Raise(msg) => return Err(Exc::err(msg.clone())),
-            EOp::Func(name, argc) => {
+            EOp::Func(name, f, argc) => {
                 let at = stack.len() - *argc as usize;
-                let v = call_func(name, &stack[at..])?;
+                let v = f(name, &stack[at..])?;
                 stack.truncate(at);
                 v
             }
@@ -407,7 +452,7 @@ pub(crate) fn eval(code: &[EOp], stack: &mut Vec<Value>, n: usize) -> Result<(),
             EOp::BitNot => Value::Int(!pop(stack).as_int()?),
             EOp::Bin(op) => {
                 let (rhs, lhs) = (pop(stack), pop(stack));
-                binary(op, &lhs, &rhs)?
+                op(&lhs, &rhs)?
             }
             EOp::Ternary => {
                 let (b, a, cond) = (pop(stack), pop(stack), pop(stack));
@@ -440,48 +485,18 @@ fn as_num(v: &Value) -> Option<Num> {
         return Some(Num::D(*d));
     }
     let s = v.as_str();
-    let t = s.trim();
-    if t.is_empty() {
-        return None;
+    match parse_int(&s) {
+        Some(i) => Some(Num::I(i)),
+        None => s.trim().parse().ok().map(Num::D),
     }
-    if let Some(h) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-        return i64::from_str_radix(h, 16).ok().map(Num::I);
-    }
-    if let Ok(i) = t.parse::<i64>() {
-        return Some(Num::I(i));
-    }
-    t.parse::<f64>().ok().map(Num::D)
 }
 
-fn binary(op: &'static str, a: &Value, b: &Value) -> Result<Value, Exc> {
-    use std::cmp::Ordering::*;
-    Ok(match op {
-        "||" => Value::bool(a.as_bool()? || b.as_bool()?),
-        "&&" => Value::bool(a.as_bool()? && b.as_bool()?),
-        "|" => Value::Int(a.as_int()? | b.as_int()?),
-        "^" => Value::Int(a.as_int()? ^ b.as_int()?),
-        "&" => Value::Int(a.as_int()? & b.as_int()?),
-        "==" => Value::bool(value_cmp(a, b) == Equal),
-        "!=" => Value::bool(value_cmp(a, b) != Equal),
-        "eq" => Value::bool(a.as_str() == b.as_str()),
-        "ne" => Value::bool(a.as_str() != b.as_str()),
-        "<" => Value::bool(value_cmp(a, b) == Less),
-        ">" => Value::bool(value_cmp(a, b) == Greater),
-        "<=" => Value::bool(value_cmp(a, b) != Greater),
-        ">=" => Value::bool(value_cmp(a, b) != Less),
-        "<<" | ">>" => {
-            let (x, n) = (a.as_int()?, b.as_int()?);
-            if !(0..64).contains(&n) {
-                return Err(Exc::err("shift amount out of range"));
-            }
-            Value::Int(if op == "<<" {
-                x.wrapping_shl(n as u32)
-            } else {
-                x >> n
-            })
-        }
-        _ => return arith(op, a, b),
-    })
+fn shift(a: &Value, b: &Value, by: fn(i64, u32) -> i64) -> Result<Value, Exc> {
+    let (x, n) = (a.as_int()?, b.as_int()?);
+    if !(0..64).contains(&n) {
+        return Err(Exc::err("shift amount out of range"));
+    }
+    Ok(Value::Int(by(x, n as u32)))
 }
 
 fn value_cmp(a: &Value, b: &Value) -> std::cmp::Ordering {
@@ -499,7 +514,16 @@ fn value_cmp(a: &Value, b: &Value) -> std::cmp::Ordering {
     }
 }
 
-fn arith(op: &str, a: &Value, b: &Value) -> Result<Value, Exc> {
+/// `+ - * / %`: integer when both operands are, double otherwise; an
+/// operator that `divides` rejects a zero right-hand side.
+fn arith(
+    op: &str,
+    divides: bool,
+    a: &Value,
+    b: &Value,
+    int: fn(i64, i64) -> i64,
+    float: fn(f64, f64) -> f64,
+) -> Result<Value, Exc> {
     let (x, y) = match (as_num(a), as_num(b)) {
         (Some(x), Some(y)) => (x, y),
         _ => {
@@ -508,92 +532,74 @@ fn arith(op: &str, a: &Value, b: &Value) -> Result<Value, Exc> {
             )))
         }
     };
-    let zero = || Exc::err("divide by zero");
     let (d, e) = match (x, y) {
-        // Wrapping throughout: i64::MIN / -1 must not take the server
-        // down with the RDO that computed it.
-        (Num::I(i), Num::I(j)) => {
-            return Ok(Value::Int(match op {
-                "+" => i.wrapping_add(j),
-                "-" => i.wrapping_sub(j),
-                "*" => i.wrapping_mul(j),
-                _ if j == 0 => return Err(zero()),
-                "/" => i.wrapping_div_euclid(j),
-                _ => i.wrapping_rem_euclid(j),
-            }))
-        }
+        (Num::I(_), Num::I(0)) if divides => return Err(Exc::err("divide by zero")),
+        (Num::I(i), Num::I(j)) => return Ok(Value::Int(int(i, j))),
         (Num::I(i), Num::D(e)) => (i as f64, e),
         (Num::D(d), Num::I(j)) => (d, j as f64),
         (Num::D(d), Num::D(e)) => (d, e),
     };
-    Ok(Value::Double(match op {
-        "+" => d + e,
-        "-" => d - e,
-        "*" => d * e,
-        _ if e == 0.0 => return Err(zero()),
-        "/" => d / e,
-        _ => d % e,
-    }))
+    if divides && e == 0.0 {
+        return Err(Exc::err("divide by zero"));
+    }
+    Ok(Value::Double(float(d, e)))
 }
 
-fn call_func(name: &str, args: &[Value]) -> Result<Value, Exc> {
-    let one = |args: &[Value]| -> Result<f64, Exc> {
-        if args.len() != 1 {
-            return Err(Exc::err(format!("{name}() takes one argument")));
+const FUNCS: [(&str, MathFn); 9] = [
+    ("abs", |_, args| match args {
+        [x] => match as_num(x) {
+            Some(Num::I(i)) => Ok(Value::Int(i.wrapping_abs())),
+            Some(Num::D(d)) => Ok(Value::Double(d.abs())),
+            None => Err(Exc::err("abs() needs a number")),
+        },
+        _ => Err(Exc::err("abs() takes one argument")),
+    }),
+    ("int", |f, args| Ok(Value::Int(one(f, args)? as i64))),
+    ("double", |f, args| Ok(Value::Double(one(f, args)?))),
+    ("round", |f, args| {
+        Ok(Value::Int(one(f, args)?.round() as i64))
+    }),
+    ("sqrt", |f, args| Ok(Value::Double(one(f, args)?.sqrt()))),
+    ("min", |f, args| extreme(f, args, std::cmp::Ordering::Less)),
+    ("max", |f, args| {
+        extreme(f, args, std::cmp::Ordering::Greater)
+    }),
+    ("pow", |f, args| {
+        two(f, args).map(|(x, y)| Value::Double(x.powf(y)))
+    }),
+    ("fmod", |f, args| {
+        let (x, y) = two(f, args)?;
+        if y == 0.0 {
+            return Err(Exc::err("divide by zero"));
         }
-        Ok(args[0].as_double()?)
-    };
-    match name {
-        "abs" => {
-            if args.len() != 1 {
-                return Err(Exc::err("abs() takes one argument"));
-            }
-            match as_num(&args[0]) {
-                Some(Num::I(i)) => Ok(Value::Int(i.wrapping_abs())),
-                Some(Num::D(d)) => Ok(Value::Double(d.abs())),
-                None => Err(Exc::err("abs() needs a number")),
-            }
-        }
-        "int" => Ok(Value::Int(one(args)? as i64)),
-        "double" => Ok(Value::Double(one(args)?)),
-        "round" => Ok(Value::Int(one(args)?.round() as i64)),
-        "sqrt" => Ok(Value::Double(one(args)?.sqrt())),
-        "min" | "max" => {
-            if args.is_empty() {
-                return Err(Exc::err(format!("{name}() needs arguments")));
-            }
-            let mut best = args[0].clone();
-            for a in &args[1..] {
-                let ord = value_cmp(a, &best);
-                let take = if name == "min" {
-                    ord == std::cmp::Ordering::Less
-                } else {
-                    ord == std::cmp::Ordering::Greater
-                };
-                if take {
-                    best = a.clone();
-                }
-            }
-            Ok(best)
-        }
-        "pow" => {
-            if args.len() != 2 {
-                return Err(Exc::err("pow() takes two arguments"));
-            }
-            Ok(Value::Double(
-                args[0].as_double()?.powf(args[1].as_double()?),
-            ))
-        }
-        "fmod" => {
-            if args.len() != 2 {
-                return Err(Exc::err("fmod() takes two arguments"));
-            }
-            let (a, b) = (args[0].as_double()?, args[1].as_double()?);
-            if b == 0.0 {
-                return Err(Exc::err("divide by zero"));
-            }
-            Ok(Value::Double(a % b))
-        }
-        other => Err(Exc::err(format!("unknown math function \"{other}\""))),
+        Ok(Value::Double(x % y))
+    }),
+];
+
+fn one(f: &str, args: &[Value]) -> Result<f64, Exc> {
+    match args {
+        [x] => Ok(x.as_double()?),
+        _ => Err(Exc::err(format!("{f}() takes one argument"))),
     }
+}
+
+fn two(f: &str, args: &[Value]) -> Result<(f64, f64), Exc> {
+    match args {
+        [x, y] => Ok((x.as_double()?, y.as_double()?)),
+        _ => Err(Exc::err(format!("{f}() takes two arguments"))),
+    }
+}
+
+/// `min`/`max`: an argument replaces the best so far when it compares
+/// `wanted` to it.
+fn extreme(f: &str, args: &[Value], wanted: std::cmp::Ordering) -> Result<Value, Exc> {
+    let Some((mut best, rest)) = args.split_first() else {
+        return Err(Exc::err(format!("{f}() needs arguments")));
+    };
+    for a in rest {
+        if value_cmp(a, best) == wanted {
+            best = a;
+        }
+    }
+    Ok(best.clone())
 }

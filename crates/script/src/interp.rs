@@ -159,6 +159,9 @@ pub struct Interp {
     output: String,
     /// Retired value stacks, reused by the next activation.
     spare: Vec<Vec<Value>>,
+    /// Where `Concat`/`Join` assemble their text, so that each makes
+    /// one allocation: the `Rc<str>` it pushes. Empty between uses.
+    scratch: String,
 }
 
 impl Interp {
@@ -515,22 +518,20 @@ impl Interp {
                     let (var, name) = self.place(name_of(*slot), fast(*slot), false);
                     stack.push(read(var.as_deref(), &name, Some(&idx.as_str()))?);
                 }
-                Op::Concat(n) => {
-                    let at = stack.len() - *n as usize;
-                    let mut out = String::new();
-                    for v in &stack[at..] {
-                        out.push_str(&v.as_str());
-                    }
-                    stack.truncate(at);
-                    stack.push(Value::from(out));
-                }
-                Op::Join(n) => {
-                    if *n != 1 {
+                Op::Concat(n) | Op::Join(n) => {
+                    let spaced = matches!(op, Op::Join(_));
+                    // One joined value passes through untouched.
+                    if !(spaced && *n == 1) {
                         let at = stack.len() - *n as usize;
-                        let words: Vec<_> = stack[at..].iter().map(|v| v.as_str()).collect();
-                        let joined = Value::from(words.join(" "));
+                        for (i, v) in stack[at..].iter().enumerate() {
+                            if spaced && i > 0 {
+                                self.scratch.push(' ');
+                            }
+                            v.write_to(&mut self.scratch);
+                        }
                         stack.truncate(at);
-                        stack.push(joined);
+                        stack.push(Value::str(&self.scratch));
+                        self.scratch.clear();
                     }
                 }
                 Op::Enter => self.enter()?,
@@ -1034,7 +1035,7 @@ fn append_all(args: &[Value]) -> impl FnOnce(&mut Value) -> Result<(), Exc> + '_
     move |v| {
         let mut s = v.as_str().into_owned();
         for a in args {
-            s.push_str(&a.as_str());
+            a.write_to(&mut s);
         }
         *v = Value::from(s);
         Ok(())

@@ -2,7 +2,7 @@
 //! form, and lists/numbers are recovered from strings on demand.
 
 use std::borrow::Cow;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
 use crate::error::ScriptError;
@@ -53,10 +53,26 @@ impl Value {
     /// ownership use [`Cow::into_owned`].
     pub fn as_str(&self) -> Cow<'_, str> {
         match self {
-            Value::Int(i) => Cow::Owned(i.to_string()),
-            Value::Double(d) => Cow::Owned(format_double(*d)),
             Value::Str(s) => Cow::Borrowed(&**s),
-            Value::List(items) => Cow::Owned(format_list(items)),
+            other => {
+                let mut out = String::new();
+                other.write_to(&mut out);
+                Cow::Owned(out)
+            }
+        }
+    }
+
+    /// Appends the canonical string form to `out`: what
+    /// `out.push_str(&v.as_str())` does, without the temporary.
+    pub(crate) fn write_to(&self, out: &mut String) {
+        match self {
+            // Writing to a `String` cannot fail.
+            Value::Int(i) => drop(write!(out, "{i}")),
+            Value::Double(d) => write_double(out, *d),
+            Value::Str(s) => out.push_str(s),
+            Value::List(items) => {
+                write_list(out, items);
+            }
         }
     }
 
@@ -76,14 +92,8 @@ impl Value {
             Value::Double(d) if d.fract() == 0.0 => Ok(*d as i64),
             other => {
                 let s = other.as_str();
-                let t = s.trim();
-                if let Some(hex) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-                    i64::from_str_radix(hex, 16)
-                        .map_err(|_| ScriptError::new(format!("expected integer but got \"{s}\"")))
-                } else {
-                    t.parse::<i64>()
-                        .map_err(|_| ScriptError::new(format!("expected integer but got \"{s}\"")))
-                }
+                parse_int(&s)
+                    .ok_or_else(|| ScriptError::new(format!("expected integer but got \"{s}\"")))
             }
         }
     }
@@ -111,16 +121,16 @@ impl Value {
             return Ok(*d != 0.0);
         }
         let s = self.as_str();
-        match s.trim().to_ascii_lowercase().as_str() {
-            "1" | "true" | "yes" | "on" => Ok(true),
-            "0" | "false" | "no" | "off" => Ok(false),
-            _ => match self.as_double() {
-                Ok(d) => Ok(d != 0.0),
-                Err(_) => Err(ScriptError::new(format!(
-                    "expected boolean but got \"{s}\""
-                ))),
-            },
+        let t = s.trim();
+        let is = |words: [&str; 4]| words.iter().any(|w| t.eq_ignore_ascii_case(w));
+        if is(["1", "true", "yes", "on"]) {
+            return Ok(true);
         }
+        if is(["0", "false", "no", "off"]) {
+            return Ok(false);
+        }
+        let number = self.as_double().map(|d| d != 0.0);
+        number.map_err(|_| ScriptError::new(format!("expected boolean but got \"{s}\"")))
     }
 
     /// Interprets the value as a list, parsing its string form if needed.
@@ -212,127 +222,251 @@ impl From<bool> for Value {
     }
 }
 
-/// Formats a double the way Tcl does: integers keep a trailing `.0`.
-fn format_double(d: f64) -> String {
-    if d.is_finite() && d.fract() == 0.0 && d.abs() < 1e15 {
-        format!("{d:.1}")
-    } else {
-        format!("{d}")
+/// Integer text: decimal or `0x` hex, surrounding whitespace ignored.
+pub(crate) fn parse_int(s: &str) -> Option<i64> {
+    // The commonest case, decided exactly without the general parser:
+    // 1 to 18 ASCII digits, which cannot overflow.
+    if (1..=18).contains(&s.len()) && s.bytes().all(|b| b.is_ascii_digit()) {
+        return Some(s.bytes().fold(0, |n, b| n * 10 + i64::from(b - b'0')));
     }
+    let t = s.trim();
+    match t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
+        Some(hex) => i64::from_str_radix(hex, 16).ok(),
+        None => t.parse().ok(),
+    }
+}
+
+/// Writes a double the way Tcl does: integers keep a trailing `.0`.
+fn write_double(out: &mut String, d: f64) {
+    // Writing to a `String` cannot fail.
+    let _ = if d.is_finite() && d.fract() == 0.0 && d.abs() < 1e15 {
+        write!(out, "{d:.1}")
+    } else {
+        write!(out, "{d}")
+    };
 }
 
 /// Formats a list in Tcl syntax: elements separated by single spaces,
 /// braced when they contain metacharacters or are empty. Elements whose
-/// braces are unbalanced (or that end in a backslash) cannot be braced
+/// braces are unbalanced (or that contain a backslash) cannot be braced
 /// and fall back to backslash quoting, as in Tcl proper.
 pub fn format_list(items: &[Value]) -> String {
     let mut out = String::new();
+    write_list(&mut out, items);
+    out
+}
+
+/// [`format_list`] into a caller's buffer: numbers print in place (they
+/// never need quoting) and every string element is classified in one
+/// pass. Returns how the text written must itself be quoted as an
+/// element of an enclosing list, which follows from its elements, so a
+/// nested list is never scanned again: elements written plain or braced
+/// leave it balanced and free of backslashes.
+fn write_list(out: &mut String, items: &[Value]) -> Quoting {
+    let mut whole = match items.len() {
+        1 => Quoting::Plain,
+        _ => Quoting::Brace,
+    };
     for (i, item) in items.iter().enumerate() {
         if i > 0 {
             out.push(' ');
         }
-        let s = item.as_str();
-        if !needs_quoting(&s) {
-            out.push_str(&s);
-        } else if braces_balanced(&s) && !s.contains('\\') {
-            out.push('{');
-            out.push_str(&s);
-            out.push('}');
-        } else {
-            for c in s.chars() {
-                if c.is_whitespace() || matches!(c, '{' | '}' | '[' | ']' | '$' | '"' | '\\' | ';')
-                {
-                    out.push('\\');
+        let quoting = match item {
+            Value::Str(s) => {
+                let quoting = Quoting::of(s);
+                match quoting {
+                    Quoting::Plain => out.push_str(s),
+                    Quoting::Brace => {
+                        out.push('{');
+                        out.push_str(s);
+                        out.push('}');
+                    }
+                    Quoting::Backslash => write_escaped(out, s),
                 }
-                out.push(c);
+                quoting
             }
+            Value::List(inner) => {
+                // Written braced, which it nearly always is, then amended.
+                let mark = out.len();
+                out.push('{');
+                let quoting = write_list(out, inner);
+                match quoting {
+                    Quoting::Plain => drop(out.remove(mark)),
+                    Quoting::Brace => out.push('}'),
+                    Quoting::Backslash => {
+                        let inner = out.split_off(mark + 1);
+                        out.truncate(mark);
+                        write_escaped(out, &inner);
+                    }
+                }
+                quoting
+            }
+            number => {
+                number.write_to(out);
+                Quoting::Plain
+            }
+        };
+        whole = whole.max(quoting);
+    }
+    whole
+}
+
+/// How a list element is written — the contract `format_list` keeps.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Quoting {
+    /// Non-empty, no whitespace and none of `{ } [ ] $ " \ ;`: as is.
+    Plain,
+    /// Otherwise, if its braces balance and it has no backslash: `{…}`.
+    Brace,
+    /// Otherwise: a backslash before each whitespace or metacharacter.
+    Backslash,
+}
+
+/// What the codec's scans need to know about a byte, one bit each (so a
+/// scan can OR together what it saw). `WIDE` is the lead byte of a
+/// multi-byte character, which may be a space.
+const PLAIN: u8 = 0;
+const META: u8 = 1;
+const OPEN: u8 = 2;
+const CLOSE: u8 = 4;
+const ESCAPE: u8 = 8;
+const WIDE: u8 = 16;
+const CLASS: [u8; 256] = {
+    let mut table = [PLAIN; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = match b as u8 {
+            b'{' => OPEN,
+            b'}' => CLOSE,
+            b'\\' => ESCAPE,
+            b'[' | b']' | b'$' | b'"' | b';' | b'\t'..=b'\r' | b' ' => META,
+            0xC0.. => WIDE,
+            _ => PLAIN,
+        };
+        b += 1;
+    }
+    table
+};
+
+impl Quoting {
+    fn of(s: &str) -> Quoting {
+        let (mut seen, mut depth, mut dipped) = (PLAIN, 0i64, false);
+        for &b in s.as_bytes() {
+            let class = CLASS[usize::from(b)];
+            seen |= class;
+            depth += i64::from(class == OPEN) - i64::from(class == CLOSE);
+            dipped |= depth < 0;
+        }
+        // Multi-byte characters are looked at only if nothing else
+        // already decided the element needs quoting.
+        let quote = s.is_empty()
+            || seen & !WIDE != PLAIN
+            || (seen == WIDE && s.chars().any(|c| !c.is_ascii() && c.is_whitespace()));
+        match (quote, dipped || depth != 0 || seen & ESCAPE != 0) {
+            (false, _) => Quoting::Plain,
+            (true, false) => Quoting::Brace,
+            (true, true) => Quoting::Backslash,
         }
     }
-    out
 }
 
-fn needs_quoting(s: &str) -> bool {
-    s.is_empty()
-        || s.chars().any(|c| {
-            c.is_whitespace() || matches!(c, '{' | '}' | '[' | ']' | '$' | '"' | '\\' | ';')
-        })
-}
-
-fn braces_balanced(s: &str) -> bool {
-    let mut depth = 0i64;
+fn write_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth < 0 {
-                    return false;
-                }
-            }
-            _ => {}
+        let special = if c.is_ascii() {
+            CLASS[c as usize] != PLAIN
+        } else {
+            c.is_whitespace()
+        };
+        if special {
+            out.push('\\');
         }
+        out.push(c);
     }
-    depth == 0
+}
+
+/// Byte length of the character at byte `i` of `s` and whether it is
+/// whitespace. ASCII is decided from the byte alone; `char::is_whitespace`
+/// is consulted only for multi-byte characters, so U+0085, U+00A0 and
+/// U+2003 separate words exactly as they always did.
+#[inline]
+fn char_at(s: &str, i: usize) -> (usize, bool) {
+    match s.as_bytes().get(i) {
+        Some(b'\t'..=b'\r' | b' ') => (1, true),
+        Some(0x80..) => s
+            .get(i..)
+            .and_then(|rest| rest.chars().next())
+            .map_or((1, false), |c| (c.len_utf8(), c.is_whitespace())),
+        _ => (1, false),
+    }
 }
 
 /// Parses a string as a Tcl list: whitespace-separated words, with
-/// `{...}` grouping (nesting allowed) and `"..."` grouping.
+/// `{...}` grouping (nesting allowed) and `"..."` grouping. One pass
+/// over the bytes; a word without escapes is cut straight from `s`.
 pub fn parse_list(s: &str) -> Result<Vec<Value>, ScriptError> {
-    let b: Vec<char> = s.chars().collect();
+    let b = s.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;
-    while i < b.len() {
-        while i < b.len() && b[i].is_whitespace() {
-            i += 1;
+    while let Some(&first) = b.get(i) {
+        let (len, space) = char_at(s, i);
+        if space {
+            i += len;
+            continue;
         }
-        if i >= b.len() {
-            break;
-        }
-        let mut word = String::new();
-        if b[i] == '{' {
-            let mut depth = 1;
-            i += 1;
-            while i < b.len() {
-                match b[i] {
-                    '{' => depth += 1,
-                    '}' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
+        let grouped = matches!(first, b'{' | b'"');
+        let start = i + usize::from(grouped);
+        // Where the word's text ends, and its text if escapes changed it.
+        let (end, built) = match first {
+            b'{' => {
+                let mut depth = 1i64;
+                let close = b.get(start..).unwrap_or(&[]).iter().position(|&c| {
+                    depth += i64::from(c == b'{') - i64::from(c == b'}');
+                    depth == 0
+                });
+                match close {
+                    Some(n) => (start + n, None),
+                    None => return Err(ScriptError::new("unmatched open brace in list")),
+                }
+            }
+            _ => {
+                let quoted = first == b'"';
+                // Once a backslash is met the word is built in `built`,
+                // from runs of `s`; `run` is where the next one starts.
+                let (mut built, mut run) = (None::<String>, start);
+                i = start;
+                let end = loop {
+                    match b.get(i) {
+                        Some(&c) if CLASS[usize::from(c)] == PLAIN => i += 1,
+                        Some(b'"') if quoted => break i,
+                        None if quoted => return Err(ScriptError::new("unmatched quote in list")),
+                        None => break i,
+                        // `\x` stands for `x`, whatever `x` is; a backslash
+                        // that ends the input, for itself.
+                        Some(b'\\') => {
+                            let word = built.get_or_insert_with(String::new);
+                            word.push_str(s.get(run..i).unwrap_or(""));
+                            run = if i + 1 < b.len() { i + 1 } else { i };
+                            i = run + char_at(s, run).0;
                         }
+                        Some(_) => match char_at(s, i) {
+                            (_, true) if !quoted => break i,
+                            (len, _) => i += len,
+                        },
                     }
-                    _ => {}
+                };
+                if let Some(word) = &mut built {
+                    word.push_str(s.get(run..end).unwrap_or(""));
                 }
-                word.push(b[i]);
-                i += 1;
+                (end, built)
             }
-            if depth != 0 {
-                return Err(ScriptError::new("unmatched open brace in list"));
-            }
-            i += 1; // closing brace
-        } else if b[i] == '"' {
-            i += 1;
-            while i < b.len() && b[i] != '"' {
-                if b[i] == '\\' && i + 1 < b.len() {
-                    i += 1;
-                }
-                word.push(b[i]);
-                i += 1;
-            }
-            if i >= b.len() {
-                return Err(ScriptError::new("unmatched quote in list"));
-            }
-            i += 1;
-        } else {
-            while i < b.len() && !b[i].is_whitespace() {
-                if b[i] == '\\' && i + 1 < b.len() {
-                    i += 1;
-                }
-                word.push(b[i]);
-                i += 1;
-            }
-        }
-        out.push(Value::from(word));
+        };
+        out.push(Value::Str(match built {
+            Some(word) => Rc::from(word),
+            None => Rc::from(s.get(start..end).unwrap_or("")),
+        }));
+        // Past the closing brace or quote; a bare word ends on the
+        // separator, which the next round skips.
+        i = end + usize::from(grouped);
     }
     Ok(out)
 }

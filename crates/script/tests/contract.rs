@@ -130,3 +130,45 @@ fn hostile_arithmetic_wraps_instead_of_panicking() {
         "9223372036854775807"
     );
 }
+
+#[test]
+fn glob_matching_is_polynomial_because_it_costs_one_step() {
+    // `string match` charges a single step whatever its arguments, so
+    // its cost must be bounded by their size: the recursive matcher
+    // took minutes on the first of these and would not finish the rest.
+    let timed = |src: &str| {
+        let t0 = std::time::Instant::now();
+        let out = ok(src);
+        assert!(t0.elapsed().as_secs() < 5, "took {:?}", t0.elapsed());
+        out
+    };
+    let six = format!("string match {}b {}", "*a".repeat(6), "a".repeat(120));
+    assert_eq!(timed(&six), ("0".into(), 1));
+    let sixteen = "*a".repeat(16);
+    let text = "a".repeat(4096);
+    assert_eq!(
+        timed(&format!("string match {sixteen}b {text}")),
+        ("0".into(), 1)
+    );
+    assert_eq!(
+        timed(&format!("string match {sixteen}b {text}b")),
+        ("1".into(), 1)
+    );
+    // The same matcher behind `lsearch` and `switch -glob`.
+    assert_eq!(
+        timed(&format!("lsearch [list x {text} {text}b] {sixteen}b")),
+        ("2".into(), 2)
+    );
+    assert_eq!(
+        timed(&format!(
+            "switch -glob {text} {{{sixteen}b {{set r no}} {sixteen} {{set r yes}}}}"
+        )),
+        ("yes".into(), 2)
+    );
+    // Non-ASCII text takes the `char` path; same bound, same answers.
+    let wide = "é".repeat(2048);
+    assert_eq!(
+        timed(&format!("string match {}x {wide}", "*é".repeat(16))),
+        ("0".into(), 1)
+    );
+}
