@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks for this release's hot paths: the
 //! generation-stamped event loop (vs the old tombstone-set design),
-//! zero-copy fragmentation (vs the old copy-per-hop path), the RDO
+//! fragmentation and reassembly of a 1 MiB envelope, the RDO
 //! execution fast path (a loop-heavy method on the compiled evaluator,
 //! and the cheapest call on the reusable per-object interpreter), and
 //! the space-saving hot-set tracker (vs a naive full-sorted-map tracker
@@ -22,7 +22,7 @@ use rover_core::{HotSet, RoverObject, Urn};
 use rover_net::{split_envelope, Reassembler};
 use rover_script::{Budget, Value};
 use rover_sim::{Sim, SimDuration, SimTime};
-use rover_wire::{Bytes, Envelope, Fragment, HostId, MsgKind, Wire};
+use rover_wire::{Bytes, Envelope, HostId, MsgKind};
 
 const BACKLOG: usize = 10_000;
 const ROUND: u64 = 100;
@@ -181,38 +181,8 @@ fn big_envelope() -> Envelope {
     }
 }
 
-/// The pre-`Bytes` fragmentation path: chunks copied out of the body on
-/// split, copied again out of each fragment on decode, then concatenated.
-fn copy_roundtrip(env: &Envelope) -> usize {
-    let total = env.body.len().div_ceil(MTU) as u32;
-    let mut frags = Vec::with_capacity(total as usize);
-    for idx in 0..total {
-        let start = idx as usize * MTU;
-        let end = (start + MTU).min(env.body.len());
-        let frag = Fragment {
-            orig_kind: env.kind.to_byte(),
-            msg_id: 9,
-            idx,
-            total,
-            chunk: Bytes::from(env.body[start..end].to_vec()),
-        };
-        frags.push(frag.to_bytes());
-    }
-    let mut chunks: Vec<Vec<u8>> = vec![Vec::new(); total as usize];
-    for body in &frags {
-        // `from_bytes` has no shared source, so the chunk is copied.
-        let frag = Fragment::from_bytes(body).unwrap();
-        chunks[frag.idx as usize] = frag.chunk.to_vec();
-    }
-    let mut out = Vec::new();
-    for c in chunks {
-        out.extend_from_slice(&c);
-    }
-    out.len()
-}
-
-/// The current path: `split_envelope` slices, `Reassembler` decodes
-/// shared views and performs the single exactly-sized rebuild.
+/// `split_envelope` slices, `Reassembler` decodes shared views and
+/// performs the single exactly-sized rebuild.
 fn bytes_roundtrip(env: &Envelope) -> usize {
     let frags = split_envelope(env.clone(), MTU, 9);
     let mut re = Reassembler::new(4);
@@ -230,11 +200,6 @@ fn bench_frag(c: &mut Criterion) {
     c.bench_function("frag/roundtrip_1mib_bytes", |b| {
         b.iter(|| {
             assert_eq!(black_box(bytes_roundtrip(&env)), MIB);
-        });
-    });
-    c.bench_function("frag/roundtrip_1mib_copy_baseline", |b| {
-        b.iter(|| {
-            assert_eq!(black_box(copy_roundtrip(&env)), MIB);
         });
     });
 }

@@ -60,11 +60,14 @@ pub struct CheckpointImage {
 
 /// Serializes `img` into the `ROV1` + `ROV2` byte format.
 pub fn encode_checkpoint(img: &CheckpointImage) -> Vec<u8> {
-    let mut enc = Encoder::new();
+    Encoder::exact(|enc| put_checkpoint(img, enc)).into_vec()
+}
+
+fn put_checkpoint(img: &CheckpointImage, enc: &mut Encoder) {
     enc.put_u32(ROV1_MAGIC);
     enc.put_u32(img.objects.len() as u32);
     for o in &img.objects {
-        o.encode(&mut enc);
+        o.encode(enc);
     }
     enc.put_u32(img.expected_seq.len() as u32);
     for ((client, session), expected) in &img.expected_seq {
@@ -91,9 +94,8 @@ pub fn encode_checkpoint(img: &CheckpointImage) -> Vec<u8> {
     for ((client, req), reply) in &img.dedup {
         enc.put_u32(*client);
         enc.put_u64(*req);
-        reply.encode(&mut enc);
+        reply.encode(enc);
     }
-    enc.into_vec()
 }
 
 fn wire(e: WireError) -> RoverError {

@@ -94,6 +94,10 @@ enum OpClass {
 
 struct Outstanding {
     request: QrpcRequest,
+    /// `request` marshalled: the bytes the stable log holds and every
+    /// transmission carries. Rebuilt only when `request` changes (the
+    /// piggybacked floor moved, or a redirect re-addressed it).
+    image: Bytes,
     log_seq: u64,
     promise: Promise,
     urn: Option<Urn>,
@@ -177,7 +181,7 @@ impl Client {
         store: MemStore,
     ) -> ClientRef {
         let client = Client::boot(sim, net, cfg, links, store);
-        let recovered: Vec<(u64, QrpcRequest)> = {
+        let recovered: Vec<(u64, QrpcRequest, Bytes)> = {
             let c = client.borrow();
             let completed: std::collections::HashSet<u64> = c
                 .log
@@ -191,16 +195,16 @@ impl Client {
                 .filter_map(|r| {
                     QrpcRequest::from_shared(&r.payload)
                         .ok()
-                        .map(|q| (r.seq, q))
+                        .map(|q| (r.seq, q, r.payload.clone()))
                 })
-                .filter(|(_, q)| !completed.contains(&q.req_id.0))
+                .filter(|(_, q, _)| !completed.contains(&q.req_id.0))
                 .collect()
         };
         {
             let mut c = client.borrow_mut();
             let epoch = c.link_epoch;
             let rto = c.cfg.rto;
-            for (log_seq, request) in &recovered {
+            for (log_seq, request, image) in &recovered {
                 c.next_req = c.next_req.max(request.req_id.0 + 1);
                 let class = match &request.op {
                     RoverOp::Import => OpClass::Import,
@@ -214,6 +218,7 @@ impl Client {
                     request.req_id.0,
                     Outstanding {
                         request: request.clone(),
+                        image: image.clone(),
                         log_seq: *log_seq,
                         promise: Promise::new(),
                         urn,
@@ -232,7 +237,7 @@ impl Client {
         }
         sim.stats
             .add("client.recovered_qrpcs", recovered.len() as u64);
-        for (_, request) in recovered {
+        for (_, request, _) in recovered {
             Client::enqueue_request(&client, sim, request.req_id.0, true);
         }
         client
@@ -870,7 +875,7 @@ impl Client {
         sim: &mut Sim,
         session: SessionId,
     ) -> Result<Promise, RoverError> {
-        let (request, marshal, link, net, server) = {
+        let (request, image, marshal, link, net, server) = {
             let mut c = cl.borrow_mut();
             let request = c.build_request(
                 RoverOp::Ping,
@@ -885,7 +890,7 @@ impl Client {
             let marshal = c.charge_serial(sim.now(), m);
             let link = HostSched::active_link(&c.sched, &c.net);
             let dst = c.server_for("urn:rover:sys/ping");
-            (request, marshal, link, c.net.clone(), dst)
+            (request, bytes, marshal, link, c.net.clone(), dst)
         };
         let link = link.ok_or_else(|| RoverError::Wire("disconnected".into()))?;
 
@@ -897,7 +902,8 @@ impl Client {
             c.outstanding.insert(
                 request.req_id.0,
                 Outstanding {
-                    request: request.clone(),
+                    request,
+                    image: image.clone(),
                     log_seq: 0,
                     promise: promise.clone(),
                     urn: None,
@@ -913,8 +919,12 @@ impl Client {
                 },
             );
         }
-        let host = Client::host(cl);
-        let env = Envelope::request(host, server, &request);
+        let env = Envelope {
+            kind: MsgKind::Request,
+            src: Client::host(cl),
+            dst: server,
+            body: image,
+        };
         let net2 = net.clone();
         sim.schedule_after(marshal, move |sim| {
             // Direct send: a failure is surfaced by never resolving.
@@ -1257,6 +1267,7 @@ impl Client {
                 req_id.0,
                 Outstanding {
                     request,
+                    image: bytes,
                     log_seq,
                     promise: promise.clone(),
                     urn: urn.clone(),
@@ -1339,9 +1350,18 @@ impl Client {
                     }
                     // Piggyback the freshest acknowledgement floor on
                     // every copy of the request that hits the wire, so
-                    // the server's dedup eviction keeps pace.
-                    o.request.acked_below = floor;
-                    let env = Envelope::request(host, dst, &o.request);
+                    // the server's dedup eviction keeps pace. The logged
+                    // image goes out as it is unless the floor moved.
+                    if o.request.acked_below != floor {
+                        o.request.acked_below = floor;
+                        o.image = o.request.to_bytes();
+                    }
+                    let env = Envelope {
+                        kind: MsgKind::Request,
+                        src: host,
+                        dst,
+                        body: o.image.clone(),
+                    };
                     Some((env, o.request.priority, sched, net))
                 }
                 _ => None,
@@ -1733,6 +1753,7 @@ impl Client {
                     }
                 }
             }
+            o.image = o.request.to_bytes();
             o.dst = dst;
             o.enqueue_epoch = c.link_epoch;
             o.retries = 0;

@@ -423,8 +423,7 @@ impl Wire for RoverObject {
         enc.put_str(&self.type_name);
         enc.put_str(&self.code);
         self.version.encode(enc);
-        let pairs: Vec<(&String, &String)> = self.fields.iter().collect();
-        enc.put_seq(&pairs, |e, (k, v)| {
+        enc.put_seq(&self.fields, |e, (k, v)| {
             e.put_str(k);
             e.put_str(v);
         });
@@ -436,12 +435,12 @@ impl Wire for RoverObject {
         let type_name = dec.get_str()?;
         let code = dec.get_str()?;
         let version = Version::decode(dec)?;
-        let pairs = dec.get_seq(|d| Ok((d.get_str()?, d.get_str()?)))?;
+        let fields = dec.get_seq(|d| Ok((d.get_str()?, d.get_str()?)))?;
         Ok(RoverObject {
             urn,
             type_name,
             code,
-            fields: pairs.into_iter().collect(),
+            fields,
             version,
             cache: MethodCache::default(),
         })

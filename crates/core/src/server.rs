@@ -118,6 +118,53 @@ struct PendingCommit {
     cpu_done: rover_sim::SimTime,
 }
 
+/// A request past the admission gates, with what every later stage
+/// needs decoded exactly once: the admit → execute → stage seam.
+struct Admitted {
+    req: QrpcRequest,
+    /// `req.urn` parsed; `None` is answered `Rejected` at execution.
+    urn: Option<Urn>,
+    /// An export's decoded payload; `None` for other operations and for
+    /// an export whose payload does not decode (answered `Rejected`).
+    export: Option<ExportPayload>,
+}
+
+impl Admitted {
+    fn new(req: QrpcRequest) -> Admitted {
+        let urn = Urn::parse(&req.urn).ok();
+        let export = match &req.op {
+            RoverOp::Export { .. } => ExportPayload::from_shared(&req.payload).ok(),
+            _ => None,
+        };
+        Admitted { req, urn, export }
+    }
+
+    /// Ordered-write sequence this request consumes (0 = unordered);
+    /// recorded in the commit record so the session floor recovers.
+    fn ordered_seq(&self) -> u64 {
+        self.export.as_ref().map_or(0, |p| p.session_seq)
+    }
+
+    /// Builds the durable record for this request's execution. Only a
+    /// successful export changes the store, and its reply payload *is*
+    /// the new object image, marshalled at execute time: the record
+    /// shares those bytes, so commits staged behind it never alias it.
+    fn commit_record(&self, reply: &QrpcReply) -> CommitRecord {
+        let committed = matches!(self.req.op, RoverOp::Export { .. })
+            && matches!(reply.status, OpStatus::Ok | OpStatus::Resolved);
+        CommitRecord {
+            client: self.req.client,
+            req_id: self.req.req_id,
+            acked_below: self.req.acked_below,
+            session: self.req.session,
+            session_seq: self.ordered_seq(),
+            urn: self.req.urn.clone(),
+            obj: committed.then(|| reply.payload.clone()),
+            reply: reply.clone(),
+        }
+    }
+}
+
 /// How replies reach one client.
 struct ReplyRoute {
     /// Candidate links, best first.
@@ -152,7 +199,7 @@ pub struct Server {
     /// Per (client, session): next admissible ordered-write sequence.
     expected_seq: HashMap<(u32, u64), u64>,
     /// Ordered writes held for a predecessor.
-    held: HashMap<(u32, u64), BTreeMap<u64, QrpcRequest>>,
+    held: HashMap<(u32, u64), BTreeMap<u64, Admitted>>,
     /// Cross-shard writes-follow-reads holds: requests whose carried
     /// session read-vector names a committed version this shard has not
     /// reached yet, keyed by the object they wait on. Drained when that
@@ -1095,46 +1142,14 @@ impl Server {
         Ok(())
     }
 
-    /// Builds the durable record for an executed request. The object
-    /// image is captured *now* (immediately post-execution), so commits
-    /// staged behind it in a group never alias its snapshot.
-    fn make_commit_record(
-        &self,
-        req: &QrpcRequest,
-        urn: Option<&Urn>,
-        session_seq: u64,
-        reply: &QrpcReply,
-    ) -> CommitRecord {
-        let obj = match (&req.op, reply.status) {
-            // Only a successful export changes the store; everything
-            // else commits bookkeeping only.
-            (RoverOp::Export { .. }, OpStatus::Ok | OpStatus::Resolved) => {
-                urn.and_then(|u| self.store.get(u)).map(|o| o.to_bytes())
-            }
-            _ => None,
-        };
-        CommitRecord {
-            client: req.client,
-            req_id: req.req_id,
-            acked_below: req.acked_below,
-            session: req.session,
-            session_seq,
-            urn: req.urn.clone(),
-            obj,
-            reply: reply.clone(),
-        }
-    }
-
     /// Appends this commit's record to the WAL and syncs it; the receipt
     /// prices the flush on the virtual clock.
     fn wal_append_commit(
         &mut self,
-        req: &QrpcRequest,
-        urn: Option<&Urn>,
-        session_seq: u64,
+        adm: &Admitted,
         reply: &QrpcReply,
     ) -> Result<FlushReceipt, LogError> {
-        let rec = self.make_commit_record(req, urn, session_seq, reply);
+        let rec = adm.commit_record(reply);
         let wal = self.wal.as_mut().expect("wal attached");
         wal.log.append(REC_COMMIT, rec.to_bytes())?;
         let receipt = wal.log.flush()?;
@@ -1164,10 +1179,9 @@ impl Server {
             }
             std::mem::take(&mut s.pending)
         };
-        let records: Vec<CommitRecord> = batch.iter().map(|p| p.rec.clone()).collect();
         let res = {
             let mut s = sv.borrow_mut();
-            let payload = encode_commit_batch(&records);
+            let payload = encode_commit_batch(batch.iter().map(|p| &p.rec));
             let wal = s.wal.as_mut().expect("group commit requires a wal");
             wal.log
                 .append(REC_COMMIT_BATCH, payload)
@@ -1316,32 +1330,27 @@ impl Server {
     /// Group-commit staging: charges the execute/marshal CPU (no flush
     /// on the critical path), stages the commit record into the pending
     /// batch, and triggers a size-cap flush or arms the window timer.
-    #[allow(clippy::too_many_arguments)]
     fn stage_commit(
         sv: &ServerRef,
         sim: &mut Sim,
-        req: &QrpcRequest,
-        parsed: Option<Urn>,
-        ordered_seq: u64,
+        adm: &Admitted,
         reply: QrpcReply,
         steps: u64,
         ordinal: u64,
     ) {
-        let committed = matches!(req.op, RoverOp::Export { .. })
-            && matches!(reply.status, OpStatus::Ok | OpStatus::Resolved);
         let (total, flush_now, arm, window) = {
             let mut s = sv.borrow_mut();
             let raw = s.cfg.cpu.interp_cost(steps) + s.cfg.cpu.marshal_cost(reply.payload.len());
             let total = s.charge_serial(sim.now(), raw);
-            let notify = if committed && s.cfg.callbacks {
-                parsed.clone().map(|u| (u, reply.version))
+            let rec = adm.commit_record(&reply);
+            let notify = if rec.obj.is_some() && s.cfg.callbacks {
+                adm.urn.clone().map(|u| (u, reply.version))
             } else {
                 None
             };
-            let rec = s.make_commit_record(req, parsed.as_ref(), ordered_seq, &reply);
             s.pending.push(PendingCommit {
                 rec,
-                prio: req.priority,
+                prio: adm.req.priority,
                 notify,
                 staged_at: sim.now(),
                 cpu_done: sim.now() + total,
@@ -1626,14 +1635,10 @@ impl Server {
             }
         }
 
-        let ordered_seq = match &req.op {
-            RoverOp::Export { .. } => ExportPayload::from_shared(&req.payload)
-                .map(|p| p.session_seq)
-                .unwrap_or(0),
-            _ => 0,
-        };
+        let adm = Admitted::new(req);
+        let ordered_seq = adm.ordered_seq();
         if ordered_seq > 0 {
-            let skey = (req.client.0, req.session.0);
+            let skey = (adm.req.client.0, adm.req.session.0);
             let expected = {
                 let mut s = sv.borrow_mut();
                 *s.expected_seq.entry(skey).or_insert(1)
@@ -1644,20 +1649,20 @@ impl Server {
                     .held
                     .entry(skey)
                     .or_default()
-                    .insert(ordered_seq, req);
+                    .insert(ordered_seq, adm);
                 return;
             }
             if ordered_seq < expected {
                 // A stale duplicate whose dedup entry was evicted: never
                 // re-execute; answer with the current committed state.
                 sim.stats.incr("server.stale_duplicate");
-                let reply = Server::state_reply(sv, &req);
-                Server::send_reply(sv, sim, req.client, reply, req.priority);
+                let reply = Server::state_reply(sv, &adm.req);
+                Server::send_reply(sv, sim, adm.req.client, reply, adm.req.priority);
                 return;
             }
             // ordered_seq == expected: process, then drain any held
             // successors.
-            Server::process(sv, sim, req);
+            Server::process(sv, sim, adm);
             loop {
                 // A crash mid-drain kills the host; remaining held
                 // writes die with the volatile state.
@@ -1675,7 +1680,7 @@ impl Server {
                 }
             }
         } else {
-            Server::process(sv, sim, req);
+            Server::process(sv, sim, adm);
         }
     }
 
@@ -1702,23 +1707,13 @@ impl Server {
         }
     }
 
-    fn process(sv: &ServerRef, sim: &mut Sim, req: QrpcRequest) {
+    fn process(sv: &ServerRef, sim: &mut Sim, adm: Admitted) {
         if sv.borrow().crashed {
             sim.stats.incr("server.dropped_while_crashed");
             return;
         }
+        let req = &adm.req;
         let client = req.client;
-        // Parse the request URN exactly once; execution and the
-        // callback fan-out below both use this parse.
-        let parsed = Urn::parse(&req.urn).ok();
-        // Ordered-write sequence this commit consumes (0 = unordered);
-        // recorded in the commit record so the session floor recovers.
-        let ordered_seq = match &req.op {
-            RoverOp::Export { .. } => ExportPayload::from_shared(&req.payload)
-                .map(|p| p.session_seq)
-                .unwrap_or(0),
-            _ => 0,
-        };
 
         // With a WAL attached this is a commit: number it (the scripted
         // crash ordinal, monotone across restarts) and honour a crash
@@ -1764,7 +1759,7 @@ impl Server {
             }
             let rr_before = s.replica_reads_n;
             let pr_before = s.parse_rejected_n;
-            let out = s.execute(&req, parsed.as_ref());
+            let out = s.execute(&adm);
             if s.replica_reads_n > rr_before {
                 sim.stats.incr("server.replica_reads");
             }
@@ -1799,7 +1794,7 @@ impl Server {
         if wal_bound && !group {
             let res = {
                 let mut s = sv.borrow_mut();
-                s.wal_append_commit(&req, parsed.as_ref(), ordered_seq, &reply)
+                s.wal_append_commit(&adm, &reply)
             };
             match res {
                 Ok(receipt) => {
@@ -1827,14 +1822,11 @@ impl Server {
         // Record dedup + ordering bookkeeping.
         {
             let mut s = sv.borrow_mut();
-            if let RoverOp::Export { .. } = &req.op {
-                if let Ok(p) = ExportPayload::from_shared(&req.payload) {
-                    if p.session_seq > 0 {
-                        let skey = (req.client.0, req.session.0);
-                        let e = s.expected_seq.entry(skey).or_insert(1);
-                        *e = (*e).max(p.session_seq + 1);
-                    }
-                }
+            let seq = adm.ordered_seq();
+            if seq > 0 {
+                let skey = (req.client.0, req.session.0);
+                let e = s.expected_seq.entry(skey).or_insert(1);
+                *e = (*e).max(seq + 1);
             }
             let key = (req.client.0, req.req_id.0);
             s.executed
@@ -1853,21 +1845,12 @@ impl Server {
         }
 
         if group {
-            Server::stage_commit(
-                sv,
-                sim,
-                &req,
-                parsed.clone(),
-                ordered_seq,
-                reply,
-                steps,
-                ordinal,
-            );
+            Server::stage_commit(sv, sim, &adm, reply, steps, ordinal);
             // The object's version advanced at execute time: any
             // cross-shard writes-follow-reads holds it satisfies
             // re-enter admission now (after this commit staged, so WAL
             // order preserves the dependency).
-            Server::drain_wfr(sv, sim, parsed.as_ref());
+            Server::drain_wfr(sv, sim, adm.urn.as_ref());
             return;
         }
 
@@ -1914,7 +1897,7 @@ impl Server {
         let committed = matches!(req.op, RoverOp::Export { .. })
             && matches!(reply_status, OpStatus::Ok | OpStatus::Resolved);
         if committed && sv.borrow().cfg.callbacks {
-            if let Some(urn) = &parsed {
+            if let Some(urn) = &adm.urn {
                 Server::notify_importers(sv, sim, urn, reply_version, client);
             }
         }
@@ -1923,7 +1906,7 @@ impl Server {
         // cross-shard writes-follow-reads holds this commit satisfied
         // (after the commit's own WAL record, preserving dependency
         // order on replay).
-        Server::drain_wfr(sv, sim, parsed.as_ref());
+        Server::drain_wfr(sv, sim, adm.urn.as_ref());
     }
 
     /// Re-admits cross-shard writes-follow-reads holds waiting on `urn`
@@ -2023,17 +2006,17 @@ impl Server {
         }
     }
 
-    /// Pure state transition: executes `req` against the store and
-    /// returns the reply plus interpreter steps consumed. `urn` is the
-    /// caller's already-parsed `req.urn` (`None` = unparsable).
-    fn execute(&mut self, req: &QrpcRequest, urn: Option<&Urn>) -> (QrpcReply, u64) {
+    /// Pure state transition: executes the admitted request against the
+    /// store and returns the reply plus interpreter steps consumed.
+    fn execute(&mut self, adm: &Admitted) -> (QrpcReply, u64) {
+        let req = &adm.req;
         let fail = |status: OpStatus| QrpcReply {
             req_id: req.req_id,
             status,
             version: Version(0),
             payload: Bytes::new(),
         };
-        let Some(urn) = urn else {
+        let Some(urn) = &adm.urn else {
             return (fail(OpStatus::Rejected), 0);
         };
 
@@ -2138,11 +2121,10 @@ impl Server {
             }
 
             RoverOp::Export { .. } => {
-                let payload = match ExportPayload::from_shared(&req.payload) {
-                    Ok(p) => p,
-                    Err(_) => return (fail(OpStatus::Rejected), 0),
+                let Some(payload) = &adm.export else {
+                    return (fail(OpStatus::Rejected), 0);
                 };
-                let Some(current) = self.store.get(urn) else {
+                let Some(current) = self.store.get_mut(urn) else {
                     // A write whose object was migrated away (or never
                     // homed here): the client re-routes it to the
                     // current home. The reply still commits dedup +
@@ -2165,7 +2147,7 @@ impl Server {
                         .map(|b| b.as_ref())
                         .unwrap_or(&RejectResolver);
                     (
-                        resolver.resolve(current, req.base_version, &payload),
+                        resolver.resolve(current, req.base_version, payload),
                         OpStatus::Resolved,
                     )
                 } else {
@@ -2176,22 +2158,21 @@ impl Server {
                     Resolution::Reject => {
                         // Reflect the conflict with the current state so
                         // the user can reconcile.
-                        let obj = self.store.get(urn).expect("checked");
                         (
                             QrpcReply {
                                 req_id: req.req_id,
                                 status: OpStatus::Conflict,
-                                version: obj.version,
-                                payload: obj.to_bytes(),
+                                version: current.version,
+                                payload: current.to_bytes(),
                             },
                             0,
                         )
                     }
                     Resolution::Merged(mut merged) => {
-                        let v = Version(self.store.get(urn).expect("checked").version.0 + 1);
+                        let v = Version(current.version.0 + 1);
                         merged.version = v;
                         let bytes = merged.to_bytes();
-                        self.store.insert(urn.clone(), merged);
+                        *current = merged;
                         (
                             QrpcReply {
                                 req_id: req.req_id,
@@ -2203,18 +2184,17 @@ impl Server {
                         )
                     }
                     Resolution::Reexecute => {
-                        let obj = self.store.get_mut(urn).expect("checked");
                         let args: Vec<rover_script::Value> =
                             payload.args.iter().map(rover_script::Value::str).collect();
-                        match obj.run_method(&payload.method, &args, self.cfg.budget) {
+                        match current.run_method(&payload.method, &args, self.cfg.budget) {
                             Ok(run) => {
-                                obj.version = Version(obj.version.0 + 1);
+                                current.version = Version(current.version.0 + 1);
                                 (
                                     QrpcReply {
                                         req_id: req.req_id,
                                         status: resolved_status,
-                                        version: obj.version,
-                                        payload: obj.to_bytes(),
+                                        version: current.version,
+                                        payload: current.to_bytes(),
                                     },
                                     run.steps,
                                 )

@@ -140,6 +140,7 @@ fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(b: &Bytes) -> bool {
     match T::from_shared(b) {
         Ok(v) => {
             let enc = v.to_bytes();
+            assert_eq!(v.encoded_len(), enc.len(), "encoded_len is not exact");
             let v2 = T::from_shared(&enc).expect("re-decode of an accepted value");
             assert_eq!(v2, v, "round-trip mismatch");
             true

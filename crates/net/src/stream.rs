@@ -314,6 +314,21 @@ mod tests {
         })
     }
 
+    // `Frame`'s share of the exact-length property (see `rover-wire`'s
+    // `tests/exact_len.rs`); it lives here because the type is private.
+    proptest::proptest! {
+        #[test]
+        fn frame_exact_len(
+            ack: bool, seq: u64, payload in proptest::collection::vec(0u8..=255, 0..2048),
+        ) {
+            let frame = Frame { ack, seq, payload: Bytes::from(payload) };
+            let bytes = frame.to_bytes();
+            assert_eq!(frame.encoded_len(), bytes.len());
+            let buf = Vec::from(bytes);
+            assert_eq!(buf.capacity(), buf.len(), "the buffer grew");
+        }
+    }
+
     #[test]
     fn in_order_delivery_on_clean_link() {
         let (mut sim, net, link) = rig(0.0);

@@ -95,7 +95,7 @@ impl From<io::Error> for TransportError {
 /// writes are two segments and two syscalls.
 pub fn write_frame(w: &mut impl Write, env: &Envelope) -> Result<(), TransportError> {
     // Encode behind a placeholder prefix, then fill the length in.
-    let mut enc = Encoder::new();
+    let mut enc = Encoder::with_capacity(4 + env.encoded_len());
     enc.put_u32(0);
     env.encode(&mut enc);
     let mut frame = enc.into_vec();

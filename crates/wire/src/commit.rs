@@ -110,13 +110,19 @@ impl Wire for MigrateRecord {
 /// leaves a torn frame that recovery discards whole, never a partially
 /// replayed batch. (No reply for any commit in the batch has left the
 /// host before the flush succeeded, so discarding the group is safe.)
-pub fn encode_commit_batch(records: &[CommitRecord]) -> Bytes {
-    let mut enc = Encoder::new();
-    enc.put_u32(records.len() as u32);
-    for r in records {
-        r.encode(&mut enc);
-    }
-    enc.finish()
+pub fn encode_commit_batch<'a, I>(records: I) -> Bytes
+where
+    I: IntoIterator<Item = &'a CommitRecord>,
+    I::IntoIter: ExactSizeIterator + Clone,
+{
+    let records = records.into_iter();
+    Encoder::exact(|enc| {
+        enc.put_u32(records.len() as u32);
+        for r in records.clone() {
+            r.encode(enc);
+        }
+    })
+    .finish()
 }
 
 /// Decodes a batch payload written by [`encode_commit_batch`]. Object

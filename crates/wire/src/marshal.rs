@@ -70,6 +70,9 @@ pub const MAX_FIELD_LEN: usize = 16 << 20;
 #[derive(Debug, Default)]
 pub struct Encoder {
     buf: Vec<u8>,
+    /// `Some(n)` on a measuring pass: nothing is stored, `n` bytes have
+    /// been counted.
+    counted: Option<usize>,
 }
 
 impl Encoder {
@@ -82,47 +85,74 @@ impl Encoder {
     pub fn with_capacity(n: usize) -> Self {
         Encoder {
             buf: Vec::with_capacity(n),
+            counted: None,
         }
+    }
+
+    /// Counts the bytes `fill` writes, storing none of them.
+    pub fn measure(fill: impl FnOnce(&mut Encoder)) -> usize {
+        let mut enc = Encoder {
+            buf: Vec::new(),
+            counted: Some(0),
+        };
+        fill(&mut enc);
+        enc.len()
+    }
+
+    /// Runs `fill` twice: a measuring pass, then into a buffer allocated
+    /// once at the measured size. The size is exact by construction —
+    /// the same code measures and writes.
+    pub fn exact(fill: impl Fn(&mut Encoder)) -> Self {
+        let mut enc = Encoder::with_capacity(Encoder::measure(&fill));
+        fill(&mut enc);
+        enc
     }
 
     /// Returns the number of bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.counted.unwrap_or(self.buf.len())
     }
 
     /// Returns `true` if nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        match &mut self.counted {
+            Some(n) => *n += bytes.len(),
+            None => self.buf.extend_from_slice(bytes),
+        }
     }
 
     /// Writes one byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put(&[v]);
     }
 
     /// Writes a big-endian `u16`.
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.put(&v.to_be_bytes());
     }
 
     /// Writes a big-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.put(&v.to_be_bytes());
     }
 
     /// Writes a big-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.put(&v.to_be_bytes());
     }
 
     /// Writes a big-endian `i64`.
     pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.put(&v.to_be_bytes());
     }
 
     /// Writes an IEEE-754 `f64`.
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.put(&v.to_be_bytes());
     }
 
     /// Writes a boolean as one tag byte.
@@ -139,7 +169,7 @@ impl Encoder {
     pub fn put_bytes(&mut self, v: &[u8]) {
         assert!(v.len() <= MAX_FIELD_LEN, "field too large: {}", v.len());
         self.put_u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
+        self.put(v);
     }
 
     /// Writes a length-prefixed UTF-8 string.
@@ -162,10 +192,13 @@ impl Encoder {
     }
 
     /// Writes a `u32` count followed by each element.
-    pub fn put_seq<T, F>(&mut self, items: &[T], mut put: F)
+    pub fn put_seq<I, F>(&mut self, items: I, mut put: F)
     where
-        F: FnMut(&mut Encoder, &T),
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+        F: FnMut(&mut Encoder, I::Item),
     {
+        let items = items.into_iter();
         assert!(items.len() <= MAX_FIELD_LEN, "sequence too long");
         self.put_u32(items.len() as u32);
         for it in items {
@@ -343,20 +376,18 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// Reads a sequence written by [`Encoder::put_seq`].
-    pub fn get_seq<T, F>(&mut self, mut get: F) -> Result<Vec<T>, WireError>
+    /// Reads a sequence written by [`Encoder::put_seq`] into any
+    /// collection; nothing is reserved from the declared count.
+    pub fn get_seq<T, C, F>(&mut self, mut get: F) -> Result<C, WireError>
     where
+        C: FromIterator<T>,
         F: FnMut(&mut Decoder<'a>) -> Result<T, WireError>,
     {
         let n = self.get_u32()? as usize;
         if n > MAX_FIELD_LEN {
             return Err(WireError::TooLarge(n));
         }
-        let mut out = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            out.push(get(self)?);
-        }
-        Ok(out)
+        (0..n).map(|_| get(self)).collect()
     }
 }
 
@@ -368,9 +399,17 @@ pub trait Wire: Sized {
     /// Reads one value from `dec`.
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError>;
 
-    /// Convenience: marshals this value into a fresh buffer.
+    /// Exact length of this value's wire form. The default measures
+    /// with the same [`Wire::encode`] that writes, so it cannot drift
+    /// from the format; override only where the length is already known.
+    fn encoded_len(&self) -> usize {
+        Encoder::measure(|enc| self.encode(enc))
+    }
+
+    /// Convenience: marshals this value into a fresh buffer, allocated
+    /// once at [`Wire::encoded_len`].
     fn to_bytes(&self) -> Bytes {
-        let mut enc = Encoder::new();
+        let mut enc = Encoder::with_capacity(self.encoded_len());
         self.encode(&mut enc);
         enc.finish()
     }
@@ -487,7 +526,7 @@ mod tests {
         e.put_seq(&items, |e, s| e.put_str(s));
         let b = e.finish();
         let mut d = Decoder::new(&b);
-        assert_eq!(d.get_seq(|d| d.get_str()).unwrap(), items);
+        assert_eq!(d.get_seq::<_, Vec<_>, _>(|d| d.get_str()).unwrap(), items);
     }
 
     #[test]

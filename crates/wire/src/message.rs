@@ -577,6 +577,11 @@ impl Wire for Envelope {
         enc.put_u32(crate::crc32(&self.body));
     }
 
+    // Known without a measuring pass, which would checksum the body.
+    fn encoded_len(&self) -> usize {
+        self.wire_size()
+    }
+
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
         let tag = dec.get_u8()?;
         let kind = MsgKind::from_byte(tag).ok_or(WireError::BadTag(tag))?;
