@@ -75,9 +75,10 @@ impl Calendar {
         }
     }
 
-    /// The calendar object's URN.
-    pub fn urn(&self) -> Urn {
-        Urn::new("cal", &self.name).expect("valid calendar urn")
+    /// The calendar object's URN; [`RoverError::BadUrn`] if the
+    /// calendar's name does not make one.
+    pub fn urn(&self) -> Result<Urn, RoverError> {
+        Urn::new("cal", &self.name)
     }
 
     /// Imports the calendar into the local cache.
@@ -85,7 +86,7 @@ impl Calendar {
         Client::import(
             &self.client,
             sim,
-            &self.urn(),
+            &self.urn()?,
             self.session,
             Priority::FOREGROUND,
         )
@@ -96,7 +97,7 @@ impl Calendar {
         Client::export(
             &self.client,
             sim,
-            &self.urn(),
+            &self.urn()?,
             self.session,
             "book",
             &[&slot.to_string(), &self.owner, title],
@@ -109,7 +110,7 @@ impl Calendar {
         Client::export(
             &self.client,
             sim,
-            &self.urn(),
+            &self.urn()?,
             self.session,
             "cancel",
             &[&slot.to_string(), &self.owner],
@@ -120,7 +121,7 @@ impl Calendar {
     /// Reads the agenda from the cached copy (tentative entries
     /// included — the user sees their own unsynced bookings).
     pub fn agenda_local(&self, sim: &mut Sim) -> Result<Promise, RoverError> {
-        Client::invoke_local(&self.client, sim, &self.urn(), "agenda", &[])
+        Client::invoke_local(&self.client, sim, &self.urn()?, "agenda", &[])
     }
 
     /// Looks a slot up on the cached copy.
@@ -128,7 +129,7 @@ impl Calendar {
         Client::invoke_local(
             &self.client,
             sim,
-            &self.urn(),
+            &self.urn()?,
             "lookup",
             &[&slot.to_string()],
         )

@@ -93,19 +93,20 @@ impl MailReader {
         }
     }
 
-    /// URN of one of this user's folders.
-    pub fn folder_urn(&self, folder: &str) -> Urn {
-        Urn::new("mail", &format!("{}/{folder}", self.user)).expect("valid folder urn")
+    /// URN of one of this user's folders; [`RoverError::BadUrn`] if the
+    /// names do not make one (a space, a `<`).
+    pub fn folder_urn(&self, folder: &str) -> Result<Urn, RoverError> {
+        Urn::new("mail", &format!("{}/{folder}", self.user))
     }
 
     /// URN of a message within a folder.
-    pub fn msg_urn(&self, folder: &str, id: &str) -> Urn {
-        Urn::new("mail", &format!("{}/{folder}/{id}", self.user)).expect("valid msg urn")
+    pub fn msg_urn(&self, folder: &str, id: &str) -> Result<Urn, RoverError> {
+        Urn::new("mail", &format!("{}/{folder}/{id}", self.user))
     }
 
     /// URN of this user's outbox spool.
-    pub fn outbox_urn(&self) -> Urn {
-        Urn::new("mail", &format!("{}/outbox", self.user)).expect("valid outbox urn")
+    pub fn outbox_urn(&self) -> Result<Urn, RoverError> {
+        Urn::new("mail", &format!("{}/outbox", self.user))
     }
 
     /// Imports a folder (summary lines included) at foreground priority.
@@ -113,7 +114,7 @@ impl MailReader {
         Client::import(
             &self.client,
             sim,
-            &self.folder_urn(folder),
+            &self.folder_urn(folder)?,
             self.session,
             Priority::FOREGROUND,
         )
@@ -129,21 +130,30 @@ impl MailReader {
         Client::import(
             &self.client,
             sim,
-            &self.msg_urn(folder, id),
+            &self.msg_urn(folder, id)?,
             self.session,
             Priority::FOREGROUND,
         )
     }
 
     /// Prefetches message bodies (before an anticipated disconnection).
-    pub fn prefetch_messages(&self, sim: &mut Sim, folder: &str, ids: &[String]) {
-        let urns: Vec<Urn> = ids.iter().map(|id| self.msg_urn(folder, id)).collect();
+    pub fn prefetch_messages(
+        &self,
+        sim: &mut Sim,
+        folder: &str,
+        ids: &[String],
+    ) -> Result<(), RoverError> {
+        let urns: Vec<Urn> = ids
+            .iter()
+            .map(|id| self.msg_urn(folder, id))
+            .collect::<Result<_, _>>()?;
         Client::prefetch(&self.client, sim, &urns, self.session);
+        Ok(())
     }
 
     /// URN of a folder's hoard collection (built by [`MailboxGen`]).
-    pub fn hoard_urn(&self, folder: &str) -> Urn {
-        Urn::new("mail", &format!("{}/{folder}/hoard", self.user)).expect("valid hoard urn")
+    pub fn hoard_urn(&self, folder: &str) -> Result<Urn, RoverError> {
+        Urn::new("mail", &format!("{}/{folder}/hoard", self.user))
     }
 
     /// Hoards a whole folder with one request: fetches the folder's
@@ -151,7 +161,7 @@ impl MailReader {
     /// all message bodies) — the paper's one-click "collections of
     /// objects to be prefetched".
     pub fn hoard(&self, sim: &mut Sim, folder: &str) -> Result<Promise, RoverError> {
-        Client::prefetch_collection(&self.client, sim, &self.hoard_urn(folder), self.session)
+        Client::prefetch_collection(&self.client, sim, &self.hoard_urn(folder)?, self.session)
     }
 
     /// Lists message summaries from the cached folder copy (local RDO
@@ -160,7 +170,7 @@ impl MailReader {
         Client::invoke_local(
             &self.client,
             sim,
-            &self.folder_urn(folder),
+            &self.folder_urn(folder)?,
             "summaries",
             &[],
         )
@@ -177,7 +187,7 @@ impl MailReader {
         Client::invoke_remote(
             &self.client,
             sim,
-            &self.folder_urn(folder),
+            &self.folder_urn(folder)?,
             self.session,
             "filter_from",
             &[who],
@@ -197,7 +207,7 @@ impl MailReader {
         Client::export(
             &self.client,
             sim,
-            &self.outbox_urn(),
+            &self.outbox_urn()?,
             self.session,
             "deposit",
             &[id, &self.user, subject, body],
@@ -216,7 +226,7 @@ impl MailReader {
         Client::export(
             &self.client,
             sim,
-            &self.folder_urn(folder),
+            &self.folder_urn(folder)?,
             self.session,
             "del_msg",
             &[id],

@@ -7,8 +7,8 @@ use rover_apps::calendar::{calendar_object, Calendar};
 use rover_apps::mail::{MailReader, MailboxGen};
 use rover_apps::web::{run_session, BrowseMode, BrowserProxy, WebGen};
 use rover_core::{
-    Client, ClientConfig, ClientRef, Guarantees, OpStatus, ScriptResolver, Server, ServerConfig,
-    ServerRef,
+    Client, ClientConfig, ClientRef, Guarantees, OpStatus, RoverError, ScriptResolver, Server,
+    ServerConfig, ServerRef,
 };
 use rover_net::{LinkId, LinkSpec, Net};
 use rover_sim::{Sim, SimDuration};
@@ -87,7 +87,7 @@ fn mail_compose_while_disconnected_drains_later() {
     let p = Client::import(
         &client,
         &mut sim,
-        &reader.outbox_urn(),
+        &reader.outbox_urn().unwrap(),
         reader.session,
         rover_wire::Priority::NORMAL,
     )
@@ -116,7 +116,7 @@ fn mail_compose_while_disconnected_drains_later() {
     sim.run();
     assert!(handles.iter().all(|h| h.committed.is_ready()));
     let sv = server.borrow();
-    let outbox = sv.get_object(&reader.outbox_urn()).unwrap();
+    let outbox = sv.get_object(&reader.outbox_urn().unwrap()).unwrap();
     assert_eq!(
         outbox
             .fields
@@ -179,7 +179,7 @@ fn mail_two_readers_merge_deletes() {
     assert!(s2 == OpStatus::Ok || s2 == OpStatus::Resolved);
 
     let sv = server.borrow();
-    let folder = sv.get_object(&laptop.folder_urn("inbox")).unwrap();
+    let folder = sv.get_object(&laptop.folder_urn("inbox").unwrap()).unwrap();
     let ids_field = folder.field("ids").unwrap();
     assert!(!ids_field.contains(&ids[1]));
     assert!(!ids_field.contains(&ids[5]));
@@ -215,6 +215,31 @@ fn mail_filter_ships_function_not_data() {
         folder_bytes > filter_bytes * 3,
         "folder fetch {folder_bytes}B vs shipped filter {filter_bytes}B"
     );
+}
+
+#[test]
+fn names_that_make_no_urn_are_errors_not_panics() {
+    let (mut sim, _net, _link, _server, client) = rig(LinkSpec::ETHERNET_10M);
+    let bad = |r: Result<_, RoverError>| matches!(r, Err(RoverError::BadUrn(_)));
+    let reader = MailReader::new(&client, "alice", Guarantees::ALL);
+    assert!(bad(reader.open_folder(&mut sim, "Sent Items").map(drop)));
+    assert!(bad(reader
+        .read_message(&mut sim, "inbox", "<a@b>")
+        .map(drop)));
+    assert!(bad(reader.summaries_local(&mut sim, "a b").map(drop)));
+    assert!(bad(reader.hoard(&mut sim, "in box").map(drop)));
+    assert!(bad(reader
+        .delete_message(&mut sim, "in box", "m1")
+        .map(drop)));
+    let ids = ["m1".to_owned(), "<a@b>".to_owned()];
+    assert!(bad(reader.prefetch_messages(&mut sim, "inbox", &ids)));
+    // The user's own name is caller-supplied too.
+    let odd = MailReader::new(&client, "al ice", Guarantees::ALL);
+    assert!(bad(odd.compose(&mut sim, "o1", "s", "b").map(drop)));
+    let cal = Calendar::new(&client, "team room", "alice", Guarantees::ALL);
+    assert!(bad(cal.open(&mut sim).map(drop)));
+    assert!(bad(cal.book(&mut sim, 9, "standup").map(drop)));
+    assert!(bad(cal.lookup_local(&mut sim, 9).map(drop)));
 }
 
 // ----------------------------------------------------------------------
@@ -285,7 +310,7 @@ fn calendar_disconnected_booking_and_slot_conflict() {
     );
 
     let sv = server.borrow();
-    let cal = sv.get_object(&alice.urn()).unwrap();
+    let cal = sv.get_object(&alice.urn().unwrap()).unwrap();
     assert!(cal.field("ev9").is_some());
     assert!(cal.field("ev11").unwrap().contains("alice"));
     assert!(cal.field("ev14").unwrap().contains("bob"));
@@ -312,7 +337,7 @@ fn calendar_cancel_roundtrip() {
     assert_eq!(c.committed.poll().unwrap().status, OpStatus::Ok);
     assert!(server
         .borrow()
-        .get_object(&cal.urn())
+        .get_object(&cal.urn().unwrap())
         .unwrap()
         .field("ev10")
         .is_none());

@@ -6,7 +6,7 @@ use rover_apps::calendar::{calendar_object, Calendar};
 use rover_apps::mail::{MailReader, MailboxGen};
 use rover_apps::web::{run_session, BrowseMode, BrowserProxy, WebGen};
 use rover_core::{
-    Client, ClientConfig, Guarantees, OpStatus, ScriptResolver, Server, ServerConfig,
+    Client, ClientConfig, Guarantees, OpStatus, RoverError, ScriptResolver, Server, ServerConfig,
 };
 use rover_net::{LinkSpec, Net};
 use rover_sim::{Sim, SimDuration};
@@ -53,15 +53,20 @@ pub fn e6_mail(r: &mut Report) {
             .populate(&rig.server);
             let reader = MailReader::new(&rig.client, "alice", Guarantees::ALL);
 
-            let mut wait = rig.time_op(|r| reader.open_folder(&mut r.sim, "inbox").unwrap());
-            if prefetch {
-                reader.prefetch_messages(&mut rig.sim, "inbox", &ids);
-            }
-            for id in ids.iter().take(READS) {
-                rig.sim.run_for(think);
-                wait += rig.time_op(|r| reader.read_message(&mut r.sim, "inbox", id).unwrap());
-            }
-            waits.push(wait);
+            let session = |rig: &mut Rig| -> Result<f64, RoverError> {
+                let folder = reader.open_folder(&mut rig.sim, "inbox")?;
+                let mut wait = rig.time_op(|_| folder);
+                if prefetch {
+                    reader.prefetch_messages(&mut rig.sim, "inbox", &ids)?;
+                }
+                for id in ids.iter().take(READS) {
+                    rig.sim.run_for(think);
+                    let message = reader.read_message(&mut rig.sim, "inbox", id)?;
+                    wait += rig.time_op(|_| message);
+                }
+                Ok(wait)
+            };
+            waits.push(session(&mut rig).unwrap());
             if prefetch {
                 hits = rig.sim.stats.counter("client.cache_hits");
             }
@@ -97,14 +102,18 @@ pub fn e6_mail(r: &mut Report) {
         }
         .populate(&rig.server);
         let reader = MailReader::new(&rig.client, "alice", Guarantees::ALL);
-        let p = Client::import(
-            &rig.client,
-            &mut rig.sim,
-            &reader.outbox_urn(),
-            reader.session,
-            rover_wire::Priority::NORMAL,
-        )
-        .unwrap();
+        let p = reader
+            .outbox_urn()
+            .and_then(|urn| {
+                Client::import(
+                    &rig.client,
+                    &mut rig.sim,
+                    &urn,
+                    reader.session,
+                    rover_wire::Priority::NORMAL,
+                )
+            })
+            .unwrap();
         rig.await_promise(&p);
 
         rig.net.set_up(&mut rig.sim, rig.link, false);
@@ -248,8 +257,10 @@ pub fn e7_calendar(r: &mut Report) {
         }
     }
     let sv = server.borrow();
-    let final_slots = sv
-        .get_object(&alice.urn())
+    let final_slots = alice
+        .urn()
+        .ok()
+        .and_then(|urn| sv.get_object(&urn))
         .unwrap()
         .fields
         .keys()

@@ -292,9 +292,7 @@ mod tests {
         let mut c = Cache::new(1 << 20);
         c.install_committed(obj("a", 10), SimTime::ZERO);
         let mut t = obj("a", 10);
-        Rc::make_mut(&mut t)
-            .fields
-            .insert("extra".into(), "local".into());
+        Rc::make_mut(&mut t).fields.insert("extra".into(), "local");
         assert!(c.set_tentative(&urn("a"), t));
         let e = c.peek(&urn("a")).unwrap();
         assert!(e.is_dirty());

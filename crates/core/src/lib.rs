@@ -83,7 +83,7 @@ pub use config::{ClientConfig, CommitPolicy, LogPolicy, ServerConfig, StorageMod
 pub use error::RoverError;
 pub use events::{ClientEvent, ServerEvent};
 pub use hotset::HotSet;
-pub use object::{collection_object, MethodRun, RoverObject};
+pub use object::{collection_object, Fields, MethodRun, RoverObject};
 pub use payload::{ExportPayload, InvokePayload};
 pub use promise::{Outcome, Promise};
 pub use rebalance::{Migration, Rebalancer};

@@ -31,12 +31,108 @@ pub struct RoverObject {
     /// call (procs, typically).
     pub code: String,
     /// Named data fields.
-    pub fields: BTreeMap<String, String>,
+    pub fields: Fields,
     /// Commit version at the home server (0 = never committed).
     pub version: Version,
     /// Loaded-interpreter cache (see [`MethodCache`]); never on the
     /// wire, never part of equality.
     cache: MethodCache,
+}
+
+/// An object's named data fields.
+///
+/// A field is text — that is what crosses the wire and what
+/// [`RoverObject::size_bytes`] counts — held the way the interpreter
+/// holds it: a shared string [`Value`], which the first `rover::get` of
+/// it turns into the form that keeps its parsed list beside the text
+/// ([`Value::into_memo`]). From then on `rover::get` hands the method
+/// that value (a reference-count bump, not a copy), so a method that
+/// walks the same index on every call parses it once per object image
+/// rather than once per call; a field no method reads — a message body —
+/// stays the one allocation it was decoded into. A clone of the object
+/// shares every field with the original until one of them writes it.
+/// Text and memo are replaced together, by `rover::set`, `rover::del`,
+/// a rollback, or [`Fields::insert`] / [`Fields::remove`] from Rust;
+/// nothing edits a field in place.
+#[derive(Clone, Default, PartialEq)]
+pub struct Fields(BTreeMap<String, Value>);
+
+impl Fields {
+    /// Creates an empty field map.
+    pub fn new() -> Fields {
+        Fields::default()
+    }
+
+    /// Sets `key` to `value`'s string form.
+    pub fn insert(&mut self, key: String, value: impl Into<Value>) {
+        self.0.insert(key, stored(value.into()));
+    }
+
+    /// Returns a field's text, if present.
+    pub fn get(&self, key: &str) -> Option<&str> {
+        self.0.get(key).map(text)
+    }
+
+    /// Removes a field; `true` if it was present.
+    pub fn remove(&mut self, key: &str) -> bool {
+        self.0.remove(key).is_some()
+    }
+
+    /// Whether `key` is a field.
+    pub fn contains_key(&self, key: &str) -> bool {
+        self.0.contains_key(key)
+    }
+
+    /// Field names, in order.
+    pub fn keys(&self) -> impl ExactSizeIterator<Item = &String> {
+        self.0.keys()
+    }
+
+    /// Every field's name and text, in name order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&String, &str)> {
+        self.0.iter().map(|(k, v)| (k, text(v)))
+    }
+
+    /// Number of fields.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether there are no fields.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+/// The form a value is stored in: one that holds its text. A list keeps
+/// its items beside it, so the method that reads back what it (or an
+/// earlier call) built with `lappend` does not parse it.
+fn stored(v: Value) -> Value {
+    match v {
+        Value::Str(_) | Value::Memo(_) => v,
+        other => other.into_memo(),
+    }
+}
+
+/// A stored field's text: every way in goes through [`stored`].
+fn text(v: &Value) -> &str {
+    v.text().unwrap_or_default()
+}
+
+impl<V: Into<Value>> FromIterator<(String, V)> for Fields {
+    fn from_iter<I: IntoIterator<Item = (String, V)>>(iter: I) -> Fields {
+        Fields(
+            iter.into_iter()
+                .map(|(k, v)| (k, stored(v.into())))
+                .collect(),
+        )
+    }
+}
+
+impl fmt::Debug for Fields {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
 }
 
 /// Cache of the interpreter produced by evaluating an object's `code`.
@@ -87,7 +183,7 @@ impl RoverObject {
             urn,
             type_name: type_name.to_owned(),
             code: String::new(),
-            fields: BTreeMap::new(),
+            fields: Fields::new(),
             version: Version(0),
             cache: MethodCache::default(),
         }
@@ -101,17 +197,18 @@ impl RoverObject {
 
     /// Sets a data field (builder style).
     pub fn with_field(mut self, key: &str, value: &str) -> RoverObject {
-        self.fields.insert(key.to_owned(), value.to_owned());
+        self.fields.insert(key.to_owned(), value);
         self
     }
 
     /// Returns a field's value, if present.
     pub fn field(&self, key: &str) -> Option<&str> {
-        self.fields.get(key).map(String::as_str)
+        self.fields.get(key)
     }
 
     /// Returns the approximate in-memory / on-wire size in bytes, used
-    /// for cache accounting and transfer modelling.
+    /// for cache accounting and transfer modelling. A field counts as
+    /// its text, whether or not its list form has been parsed.
     pub fn size_bytes(&self) -> usize {
         self.code.len()
             + self.urn.as_str().len()
@@ -178,7 +275,7 @@ impl RoverObject {
         };
         let mut host = RdoHost {
             urn: &self.urn,
-            fields: &mut self.fields,
+            fields: &mut self.fields.0,
             calls: 0,
             journal: BTreeMap::new(),
         };
@@ -286,17 +383,28 @@ pub struct MethodRun {
 /// | `rover::urn` | this object's URN |
 struct RdoHost<'a> {
     urn: &'a Urn,
-    fields: &'a mut BTreeMap<String, String>,
+    fields: &'a mut BTreeMap<String, Value>,
     /// Handled `rover::*` invocations; `run_method` caches a loaded
     /// interpreter only when the load made none (a pure load).
     calls: u64,
     /// Write journal: each key's value (`None` = absent) before this
     /// run first wrote it. Rollback and `mutated` cost what the run
-    /// wrote, not what the object holds.
-    journal: BTreeMap<String, Option<String>>,
+    /// wrote, not what the object holds, and a rollback puts back the
+    /// value itself, parsed list form included.
+    journal: BTreeMap<String, Option<Value>>,
 }
 
 impl RdoHost<'_> {
+    /// A field as `rover::get` hands it out: in the memoised form, which
+    /// the stored value takes the first time a method reads it.
+    fn read(&mut self, key: &str) -> Option<Value> {
+        let v = self.fields.get_mut(key)?;
+        if !matches!(v, Value::Memo(_)) {
+            *v = v.clone().into_memo();
+        }
+        Some(v.clone())
+    }
+
     /// Records `key`'s pre-run value, once, ahead of a write to it.
     fn note(&mut self, key: &str) {
         if !self.journal.contains_key(key) {
@@ -332,23 +440,18 @@ impl HostEnv for RdoHost<'_> {
     ) -> Option<Result<Value, ScriptError>> {
         let r = match name {
             "rover::get" => match args {
-                [k] => match self.fields.get(&*k.as_str()) {
-                    Some(v) => Ok(Value::str(v)),
+                [k] => match self.read(&k.as_str()) {
+                    Some(v) => Ok(v),
                     None => Err(ScriptError::new(format!("no such field \"{k}\""))),
                 },
-                [k, default] => Ok(self
-                    .fields
-                    .get(&*k.as_str())
-                    .map(Value::str)
-                    .unwrap_or_else(|| default.clone())),
+                [k, default] => Ok(self.read(&k.as_str()).unwrap_or_else(|| default.clone())),
                 _ => Err(ScriptError::new("usage: rover::get key ?default?")),
             },
             "rover::set" => match args {
                 [k, v] => {
                     let key = k.as_str();
                     self.note(&key);
-                    self.fields
-                        .insert(key.into_owned(), v.as_str().into_owned());
+                    self.fields.insert(key.into_owned(), stored(v.clone()));
                     Ok(v.clone())
                 }
                 _ => Err(ScriptError::new("usage: rover::set key value")),
@@ -423,7 +526,7 @@ impl Wire for RoverObject {
         enc.put_str(&self.type_name);
         enc.put_str(&self.code);
         self.version.encode(enc);
-        enc.put_seq(&self.fields, |e, (k, v)| {
+        enc.put_seq(self.fields.iter(), |e, (k, v)| {
             e.put_str(k);
             e.put_str(v);
         });
@@ -435,7 +538,7 @@ impl Wire for RoverObject {
         let type_name = dec.get_str()?;
         let code = dec.get_str()?;
         let version = Version::decode(dec)?;
-        let fields = dec.get_seq(|d| Ok((d.get_str()?, d.get_str()?)))?;
+        let fields = dec.get_seq(|d| Ok((d.get_str()?, Value::str(d.str_ref()?))))?;
         Ok(RoverObject {
             urn,
             type_name,
@@ -641,6 +744,117 @@ mod tests {
         assert_eq!(obj.fields, before);
     }
 
+    fn index() -> RoverObject {
+        RoverObject::new(Urn::parse("urn:rover:t/index").unwrap(), "t")
+            .with_code(
+                "proc n {} {llength [rover::get ids]}
+                 proc raw {} {rover::get ids}
+                 proc put {v} {rover::set ids $v}
+                 proc drop {} {rover::del ids}
+                 proc fail {} {rover::set ids {x y z w}; error [llength [rover::get ids]]}
+                 proc peek {} {rover::set ids {p q}; llength [rover::get ids]}",
+            )
+            .with_field("ids", "a b c")
+    }
+
+    fn call(obj: &mut RoverObject, method: &str, args: &[Value]) -> String {
+        match obj.run_method(method, args, Budget::default()) {
+            Ok(run) => run.result.as_str().into_owned(),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    /// The stored value itself, to tell "same text" from "same value".
+    fn memo_of(obj: &RoverObject, key: &str) -> Rc<rover_script::MemoStr> {
+        match obj.fields.0.get(key) {
+            Some(Value::Memo(m)) => Rc::clone(m),
+            other => panic!("field {key} is {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_list_read_after_a_write_sees_the_write() {
+        let mut obj = index();
+        assert_eq!(call(&mut obj, "n", &[]), "3");
+        // rover::set, with a string and with a list the VM built.
+        call(&mut obj, "put", &[Value::str("a b")]);
+        assert_eq!(call(&mut obj, "n", &[]), "2");
+        call(&mut obj, "put", &[Value::list(vec![Value::Int(1); 5])]);
+        assert_eq!(call(&mut obj, "n", &[]), "5");
+        assert_eq!(obj.field("ids"), Some("1 1 1 1 1"));
+        // Rust-side insert.
+        obj.fields.insert("ids".into(), "solo");
+        assert_eq!(call(&mut obj, "n", &[]), "1");
+        // A failed method and a query both read their own write (4 and
+        // 2 items) and put back the value they found, parsed list and all.
+        let before = memo_of(&obj, "ids");
+        assert!(call(&mut obj, "fail", &[]).ends_with('4'));
+        let run = obj.run_query("peek", &[], Budget::default()).unwrap();
+        assert_eq!((run.result.as_str().as_ref(), run.mutated), ("2", true));
+        assert!(Rc::ptr_eq(&before, &memo_of(&obj, "ids")));
+        assert_eq!(call(&mut obj, "n", &[]), "1");
+        // rover::del, then a Rust-side remove of what a method set.
+        call(&mut obj, "drop", &[]);
+        assert!(call(&mut obj, "n", &[]).contains("no such field"));
+        call(&mut obj, "put", &[Value::str("a b")]);
+        assert!(obj.fields.remove("ids") && !obj.fields.remove("ids"));
+        assert!(call(&mut obj, "n", &[]).contains("no such field"));
+    }
+
+    #[test]
+    fn a_field_is_one_string_until_a_method_reads_it() {
+        let mut obj = RoverObject::from_bytes(&index().to_bytes()).unwrap();
+        obj.fields.insert("other".into(), "x y");
+        call(&mut obj, "n", &[]);
+        assert!(matches!(obj.fields.0.get("ids"), Some(Value::Memo(_))));
+        assert!(matches!(obj.fields.0.get("other"), Some(Value::Str(_))));
+    }
+
+    #[test]
+    fn a_clone_shares_fields_until_it_writes_them() {
+        let mut obj = index();
+        assert_eq!(call(&mut obj, "n", &[]), "3");
+        let mut scratch = obj.clone();
+        assert!(Rc::ptr_eq(&memo_of(&obj, "ids"), &memo_of(&scratch, "ids")));
+        call(&mut scratch, "put", &[Value::str("only")]);
+        assert_eq!(call(&mut scratch, "n", &[]), "1");
+        assert_eq!(obj.field("ids"), Some("a b c"));
+        assert_eq!(call(&mut obj, "n", &[]), "3");
+    }
+
+    #[test]
+    fn text_that_is_not_a_list_says_so_every_time() {
+        let mut obj = index().with_field("ids", "{a b");
+        let first = call(&mut obj, "n", &[]);
+        assert!(first.contains("unmatched open brace"), "{first}");
+        assert_eq!(call(&mut obj, "n", &[]), first);
+        assert_eq!(call(&mut obj, "raw", &[]), "{a b");
+        assert_eq!(obj.field("ids"), Some("{a b"));
+    }
+
+    #[test]
+    fn fields_read_as_text_from_rust() {
+        let fields: Fields = [("b", "2"), ("a", "x y")]
+            .into_iter()
+            .map(|(k, v)| (k.to_owned(), v))
+            .collect();
+        assert_eq!(fields.get("a"), Some("x y"));
+        assert!(fields.contains_key("b") && !fields.contains_key("c"));
+        assert_eq!(fields.keys().collect::<Vec<_>>(), ["a", "b"]);
+        let pairs: Vec<_> = fields.iter().map(|(k, v)| (k.as_str(), v)).collect();
+        assert_eq!(pairs, [("a", "x y"), ("b", "2")]);
+        assert_eq!((fields.len(), fields.is_empty()), (2, false));
+        assert_eq!(format!("{fields:?}"), r#"{"a": "x y", "b": "2"}"#);
+        // Equality is on text: how a field came to hold it is not seen.
+        let mut other = Fields::new();
+        other.insert(
+            "a".into(),
+            Value::list(vec![Value::str("x"), Value::str("y")]),
+        );
+        other.insert("b".into(), Value::Int(2));
+        assert_eq!(fields, other);
+    }
+
     #[test]
     fn host_commands_cover_fields() {
         let mut obj = RoverObject::new(Urn::parse("urn:rover:t/h").unwrap(), "t").with_code(
@@ -723,7 +937,7 @@ mod tests {
         let r1 = obj.run_method("snap", &[], Budget::default()).unwrap();
         assert_eq!(r1.result.as_str(), "1");
         assert!(obj.cache.0.borrow().is_none());
-        obj.fields.insert("n".into(), "2".into());
+        obj.fields.insert("n".into(), "2");
         let r2 = obj.run_method("snap", &[], Budget::default()).unwrap();
         assert_eq!(r2.result.as_str(), "2");
     }

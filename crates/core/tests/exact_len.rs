@@ -34,7 +34,7 @@ fn arb_object() -> impl Strategy<Value = RoverObject> {
             let urn = Urn::parse(&format!("urn:rover:{path}")).expect("valid urn");
             let mut obj = RoverObject::new(urn, &type_name).with_code(&code);
             obj.version = Version(version);
-            obj.fields = fields;
+            obj.fields = fields.into_iter().collect();
             obj
         })
 }

@@ -251,7 +251,7 @@ fn export_rollback_preserves_tentative_consistency() {
     {
         let mut sv = r.server.borrow_mut();
         let mut cur = sv.get_object(&urn("c")).unwrap().clone();
-        cur.fields.insert("owner".into(), "eve".into());
+        cur.fields.insert("owner".into(), "eve");
         cur.version = rover_wire::Version(cur.version.0 + 1);
         sv.put_object(cur);
     }

@@ -459,7 +459,7 @@ fn script_resolver_merges_calendar_style() {
     {
         let mut sv = b.server.borrow_mut();
         let mut cur = sv.get_object(&urn("cal")).unwrap().clone();
-        cur.fields.insert("slot9".into(), "eve".into());
+        cur.fields.insert("slot9".into(), "eve");
         cur.version = rover_wire::Version(cur.version.0 + 1);
         sv.put_object(cur);
     }

@@ -606,11 +606,9 @@ impl Interp {
                     stack.push(code);
                 }
                 Op::ForeachInit => {
-                    // A list value is shared with the loop, not copied.
-                    let list = match pop(stack) {
-                        v @ Value::List(_) => v,
-                        other => Value::list(other.as_list()?),
-                    };
+                    // A list, or a string's memoised list form, is shared
+                    // with the loop, not copied.
+                    let list = Value::List(pop(stack).shared_list()?);
                     stack.extend([list, Value::Int(0)]);
                 }
                 Op::ForeachNext { slots, done } => {

@@ -48,4 +48,4 @@ mod value;
 
 pub use error::ScriptError;
 pub use interp::{Budget, HostEnv, Interp, NoHost};
-pub use value::{format_list, parse_list, Value};
+pub use value::{format_list, parse_list, MemoStr, Value};

@@ -2,6 +2,7 @@
 //! form, and lists/numbers are recovered from strings on demand.
 
 use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
@@ -28,6 +29,29 @@ pub enum Value {
     Str(Rc<str>),
     /// A list (canonical string form is Tcl list syntax).
     List(Rc<Vec<Value>>),
+    /// A string that remembers its list form: the form a value rests in
+    /// between invocations (an object's field), where the same text is
+    /// read as a list again and again. `Str` stays the form of strings
+    /// the VM makes and drops.
+    Memo(Rc<MemoStr>),
+}
+
+/// A string and, once something has asked for it, the list it parses
+/// to — or the error that parse ended in. The text never changes, so
+/// the memo is never stale; whoever replaces the text replaces both.
+#[derive(Debug)]
+pub struct MemoStr {
+    text: Rc<str>,
+    list: OnceCell<Result<Rc<Vec<Value>>, ScriptError>>,
+}
+
+impl MemoStr {
+    fn list(&self) -> Result<&Rc<Vec<Value>>, ScriptError> {
+        self.list
+            .get_or_init(|| parse_list(&self.text).map(Rc::new))
+            .as_ref()
+            .map_err(Clone::clone)
+    }
 }
 
 impl Value {
@@ -41,6 +65,31 @@ impl Value {
         Value::Str(Rc::from(s.as_ref()))
     }
 
+    /// The same value in the memoised form. A string shares its text; a
+    /// list renders its text once and keeps its items as the memo if
+    /// they would read the same parsed back from it (no `Double` among
+    /// them), else it is re-read from its text like any other string.
+    pub fn into_memo(self) -> Value {
+        let (text, list) = match self {
+            Value::Memo(_) => return self,
+            Value::Str(s) => (s, OnceCell::new()),
+            Value::List(items) if survives_text(&items) => {
+                (Rc::from(format_list(&items)), OnceCell::from(Ok(items)))
+            }
+            other => (Rc::from(&*other.as_str()), OnceCell::new()),
+        };
+        Value::Memo(Rc::new(MemoStr { text, list }))
+    }
+
+    /// The string form, where the value holds it as text.
+    pub fn text(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            Value::Memo(m) => Some(&m.text),
+            Value::Int(_) | Value::Double(_) | Value::List(_) => None,
+        }
+    }
+
     /// Creates a boolean value (Tcl booleans are 0/1 integers).
     pub fn bool(b: bool) -> Value {
         Value::Int(b as i64)
@@ -52,11 +101,11 @@ impl Value {
     /// only numbers and lists render a fresh `String`. Callers that need
     /// ownership use [`Cow::into_owned`].
     pub fn as_str(&self) -> Cow<'_, str> {
-        match self {
-            Value::Str(s) => Cow::Borrowed(&**s),
-            other => {
+        match self.text() {
+            Some(s) => Cow::Borrowed(s),
+            None => {
                 let mut out = String::new();
-                other.write_to(&mut out);
+                self.write_to(&mut out);
                 Cow::Owned(out)
             }
         }
@@ -70,6 +119,7 @@ impl Value {
             Value::Int(i) => drop(write!(out, "{i}")),
             Value::Double(d) => write_double(out, *d),
             Value::Str(s) => out.push_str(s),
+            Value::Memo(m) => out.push_str(&m.text),
             Value::List(items) => {
                 write_list(out, items);
             }
@@ -81,6 +131,7 @@ impl Value {
     pub fn as_rc_str(&self) -> Rc<str> {
         match self {
             Value::Str(s) => Rc::clone(s),
+            Value::Memo(m) => Rc::clone(&m.text),
             other => Rc::from(&*other.as_str()),
         }
     }
@@ -139,11 +190,23 @@ impl Value {
     }
 
     /// Borrowed list view: a `Value::List` lends its elements without
-    /// copying them; anything else parses its string form.
+    /// copying them and a `Value::Memo` lends its memo, parsing its text
+    /// the first time only; anything else parses its string form.
     pub fn list_view(&self) -> Result<Cow<'_, [Value]>, ScriptError> {
         match self {
             Value::List(items) => Ok(Cow::Borrowed(items.as_slice())),
+            Value::Memo(m) => m.list().map(|items| Cow::Borrowed(items.as_slice())),
             other => parse_list(&other.as_str()).map(Cow::Owned),
+        }
+    }
+
+    /// The list form behind an `Rc`: shared with a `Value::List` or a
+    /// `Value::Memo`, parsed afresh from anything else.
+    pub(crate) fn shared_list(&self) -> Result<Rc<Vec<Value>>, ScriptError> {
+        match self {
+            Value::List(items) => Ok(Rc::clone(items)),
+            Value::Memo(m) => m.list().map(Rc::clone),
+            other => parse_list(&other.as_str()).map(Rc::new),
         }
     }
 
@@ -152,7 +215,7 @@ impl Value {
     /// un-shares it, so a uniquely held list grows without copying.
     pub(crate) fn list_mut(&mut self) -> Result<&mut Vec<Value>, ScriptError> {
         if !matches!(self, Value::List(_)) {
-            *self = Value::list(parse_list(&self.as_str())?);
+            *self = Value::List(self.shared_list()?);
         }
         match self {
             Value::List(items) => Ok(Rc::make_mut(items)),
@@ -164,8 +227,9 @@ impl Value {
     pub fn is_empty(&self) -> bool {
         match self {
             Value::Str(s) => s.is_empty(),
+            Value::Memo(m) => m.text.is_empty(),
             Value::List(l) => l.is_empty(),
-            _ => false,
+            Value::Int(_) | Value::Double(_) => false,
         }
     }
 
@@ -272,19 +336,8 @@ fn write_list(out: &mut String, items: &[Value]) -> Quoting {
             out.push(' ');
         }
         let quoting = match item {
-            Value::Str(s) => {
-                let quoting = Quoting::of(s);
-                match quoting {
-                    Quoting::Plain => out.push_str(s),
-                    Quoting::Brace => {
-                        out.push('{');
-                        out.push_str(s);
-                        out.push('}');
-                    }
-                    Quoting::Backslash => write_escaped(out, s),
-                }
-                quoting
-            }
+            Value::Str(s) => write_quoted(out, s),
+            Value::Memo(m) => write_quoted(out, &m.text),
             Value::List(inner) => {
                 // Written braced, which it nearly always is, then amended.
                 let mark = out.len();
@@ -301,7 +354,7 @@ fn write_list(out: &mut String, items: &[Value]) -> Quoting {
                 }
                 quoting
             }
-            number => {
+            number @ (Value::Int(_) | Value::Double(_)) => {
                 number.write_to(out);
                 Quoting::Plain
             }
@@ -309,6 +362,33 @@ fn write_list(out: &mut String, items: &[Value]) -> Quoting {
         whole = whole.max(quoting);
     }
     whole
+}
+
+/// Writes one string element, quoted as it must be.
+fn write_quoted(out: &mut String, s: &str) -> Quoting {
+    let quoting = Quoting::of(s);
+    match quoting {
+        Quoting::Plain => out.push_str(s),
+        Quoting::Brace => {
+            out.push('{');
+            out.push_str(s);
+            out.push('}');
+        }
+        Quoting::Backslash => write_escaped(out, s),
+    }
+    quoting
+}
+
+/// Whether parsing the text of these items back gives items that behave
+/// as these do. Strings do by the codec's round trip and an `Int` is its
+/// decimal text to every coercion; a `Double` is not (`as_int` takes
+/// `Double(4.0)` and refuses `"4.0"`).
+fn survives_text(items: &[Value]) -> bool {
+    items.iter().all(|item| match item {
+        Value::Int(_) | Value::Str(_) | Value::Memo(_) => true,
+        Value::Double(_) => false,
+        Value::List(inner) => survives_text(inner),
+    })
 }
 
 /// How a list element is written — the contract `format_list` keeps.
@@ -550,6 +630,69 @@ mod tests {
         let reparsed = Value::str(outer.as_str()).as_list().unwrap();
         assert_eq!(reparsed.len(), 2);
         assert_eq!(reparsed[0].as_list().unwrap()[0].as_str(), "x y");
+    }
+
+    #[test]
+    fn a_value_is_three_words() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+    }
+
+    fn memo(s: &str) -> Value {
+        Value::str(s).into_memo()
+    }
+
+    #[test]
+    fn memo_reads_as_its_text_without_copying_it() {
+        let v = memo(" 17 ");
+        assert!(matches!(v.as_str(), Cow::Borrowed(" 17 ")));
+        assert!(Rc::ptr_eq(&v.as_rc_str(), &v.as_rc_str()));
+        assert_eq!(v.as_int().unwrap(), 17);
+        assert!(v.as_bool().unwrap());
+        assert_eq!(v, Value::str(" 17 "));
+        assert_eq!(v, memo(" 17 "));
+        assert!(memo("").is_empty() && !v.is_empty());
+        // A string moves into the form with its text shared.
+        let s = Value::str("a b");
+        assert!(Rc::ptr_eq(
+            &s.as_rc_str(),
+            &s.clone().into_memo().as_rc_str()
+        ));
+    }
+
+    #[test]
+    fn memo_parses_once_and_shares_the_list() {
+        let v = memo("a {b c} d");
+        let first = v.shared_list().unwrap();
+        assert_eq!(first.len(), 3);
+        // The second reader, and a clone of the value, get the same list.
+        assert!(Rc::ptr_eq(&first, &v.clone().shared_list().unwrap()));
+        assert!(matches!(v.list_view().unwrap(), Cow::Borrowed(_)));
+        // `lappend` un-shares: the memo keeps what the text says.
+        let mut grown = v.clone();
+        grown.list_mut().unwrap().push(Value::str("e"));
+        assert_eq!(grown.as_str(), "a {b c} d e");
+        assert_eq!(v.list_view().unwrap().len(), 3);
+        // Text that is not a list says so every time, and stays a string.
+        let bad = memo("{a b");
+        let e1 = bad.list_view().unwrap_err();
+        assert_eq!(bad.list_view().unwrap_err(), e1);
+        assert_eq!(bad.clone().list_mut().unwrap_err(), e1);
+        assert_eq!(bad.as_str(), "{a b");
+    }
+
+    #[test]
+    fn a_list_made_memo_keeps_its_items_unless_text_would_change_them() {
+        let items = Value::list(vec![Value::str("a b"), Value::Int(2)]);
+        let kept = items.clone().into_memo();
+        assert_eq!(kept.as_str(), "{a b} 2");
+        assert!(Rc::ptr_eq(
+            &kept.shared_list().unwrap(),
+            &items.shared_list().unwrap()
+        ));
+        // `Double(4.0)` is an integer to `incr`; the text "4.0" is not.
+        let lossy = Value::list(vec![Value::Double(4.0)]).into_memo();
+        assert_eq!(lossy.as_str(), "4.0");
+        assert!(lossy.list_view().unwrap()[0].as_int().is_err());
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! of the comparison. The single-pass codec must agree with them on
 //! every input: same words or same error from parsing, same bytes from
 //! formatting, and the same round trips.
+//!
+//! The reference knows strings and lists only. The memoised string form
+//! (`Value::Memo`, what an object's field rests in) must be
+//! indistinguishable from the string it holds, so the generator puts it
+//! at every depth — list form not yet asked for, already parsed, or
+//! kept from the list it was made from — and the reference reads it as
+//! its text.
 
 use proptest::prelude::*;
 use rover_script::{format_list, parse_list, Value};
@@ -25,6 +32,7 @@ mod reference {
             Value::Double(d) => Cow::Owned(format_double(*d)),
             Value::Str(s) => Cow::Borrowed(&**s),
             Value::List(items) => Cow::Owned(format_list(items)),
+            Value::Memo(_) => Cow::Borrowed(v.text().unwrap_or_default()),
         }
     }
 
@@ -171,7 +179,37 @@ fn text() -> impl Strategy<Value = String> {
         .prop_map(|ix| ix.into_iter().map(|i| ALPHABET[i]).collect())
 }
 
-/// Value trees: `Int`, `Double`, `Str`, and `List` down to `depth`.
+/// A memoised string whose list form has been asked for: the memo holds
+/// the parsed items, or the parse error.
+fn warm(s: String) -> Value {
+    let v = Value::str(s).into_memo();
+    let _ = v.list_view();
+    v
+}
+
+/// How every item of `v`'s list form coerces, and the items of those
+/// items, `depth` levels down.
+fn coercions(v: &Value, depth: u32) -> String {
+    let items = v.as_list().unwrap_or_default();
+    let one = |i: &Value| {
+        let below = if depth > 0 {
+            coercions(i, depth - 1)
+        } else {
+            String::new()
+        };
+        format!(
+            "{:?} {:?} {:?} [{below}]",
+            i.as_str(),
+            i.as_int().ok(),
+            i.as_bool().ok()
+        )
+    };
+    items.iter().map(one).collect::<Vec<_>>().join(", ")
+}
+
+/// Value trees: `Int`, `Double`, `Str`, `Memo` (cold and warm) and
+/// `List` down to `depth`, a list now and then turned into the `Memo`
+/// that keeps it.
 fn tree(depth: u32) -> BoxedStrategy<Value> {
     let leaf = prop_oneof![
         (-1_000_000i64..1_000_000).prop_map(Value::Int),
@@ -188,15 +226,14 @@ fn tree(depth: u32) -> BoxedStrategy<Value> {
         .prop_map(Value::Double),
         text().prop_map(Value::str),
         text().prop_map(Value::str),
+        text().prop_map(|s| Value::str(s).into_memo()),
+        text().prop_map(warm),
     ];
     if depth == 0 {
         return leaf.boxed();
     }
-    prop_oneof![
-        leaf,
-        proptest::collection::vec(tree(depth - 1), 0..5).prop_map(Value::list)
-    ]
-    .boxed()
+    let list = || proptest::collection::vec(tree(depth - 1), 0..5).prop_map(Value::list);
+    prop_oneof![leaf, list(), list().prop_map(Value::into_memo)].boxed()
 }
 
 proptest! {
@@ -224,6 +261,28 @@ proptest! {
         if parsed(reference::parse_list(&want)) == Ok(texts.clone()) {
             prop_assert_eq!(back, Ok(texts));
         }
+    }
+
+    #[test]
+    fn a_memo_is_the_string_it_holds(v in tree(3)) {
+        // Whatever it was made from: same text, and a list form whose
+        // items read as parsing that text reads them (or the same error),
+        // the second time as the first.
+        let want = reference::text(&v).into_owned();
+        let memo = v.clone().into_memo();
+        prop_assert_eq!(&*memo.as_str(), &want);
+        prop_assert_eq!(&memo, &Value::str(&want));
+        prop_assert_eq!(memo.is_empty(), want.is_empty());
+        for _ in 0..2 {
+            prop_assert_eq!(
+                parsed(memo.as_list()),
+                parsed(reference::parse_list(&want)),
+                "text {:?}", want
+            );
+        }
+        // ...and coerces as it: the items a list-made memo keeps were
+        // never through text, so this is what `into_memo` has to decide.
+        prop_assert_eq!(coercions(&memo, 3), coercions(&Value::str(&want), 3));
     }
 
     #[test]

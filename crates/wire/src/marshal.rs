@@ -356,12 +356,16 @@ impl<'a> Decoder<'a> {
         })
     }
 
+    /// Reads a length-prefixed UTF-8 string without allocating: the
+    /// returned text borrows from the decoder's input buffer, so a
+    /// caller that keeps it in a form of its own copies it once.
+    pub fn str_ref(&mut self) -> Result<&'a str, WireError> {
+        std::str::from_utf8(self.bytes_ref()?).map_err(|_| WireError::BadUtf8)
+    }
+
     /// Reads a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, WireError> {
-        let raw = self.bytes_ref()?;
-        std::str::from_utf8(raw)
-            .map(str::to_owned)
-            .map_err(|_| WireError::BadUtf8)
+        self.str_ref().map(str::to_owned)
     }
 
     /// Reads an optional field written by [`Encoder::put_opt`].
@@ -483,6 +487,19 @@ mod tests {
         assert!(std::ptr::eq(first.as_ptr(), b[4..].as_ptr()));
         assert_eq!(d.bytes_ref().unwrap(), b"defg");
         d.expect_end().unwrap();
+    }
+
+    #[test]
+    fn str_ref_borrows_and_validates() {
+        let mut e = Encoder::new();
+        e.put_str("héllo");
+        e.put_bytes(&[0xFF, 0xFE]);
+        let b = e.finish();
+        let mut d = Decoder::new(&b);
+        let text = d.str_ref().unwrap();
+        assert_eq!(text, "héllo");
+        assert!(std::ptr::eq(text.as_ptr(), b[4..].as_ptr()));
+        assert_eq!(d.str_ref(), Err(WireError::BadUtf8));
     }
 
     #[test]

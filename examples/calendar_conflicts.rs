@@ -99,7 +99,7 @@ fn main() {
     assert_eq!(b10.committed.poll().unwrap().status, OpStatus::Conflict);
 
     let sv = server.borrow();
-    let cal = sv.get_object(&alice.urn()).unwrap();
+    let cal = sv.get_object(&alice.urn().unwrap()).unwrap();
     println!("\nfinal server calendar:");
     for (k, v) in cal.fields.iter().filter(|(k, _)| k.starts_with("ev")) {
         println!("  slot {:>2}: {v}", &k[2..]);

@@ -48,14 +48,14 @@ fn main() {
     let _ = Client::import(
         &client,
         &mut sim,
-        &reader.outbox_urn(),
+        &reader.outbox_urn().unwrap(),
         reader.session,
         Priority::NORMAL,
     )
     .unwrap();
     sim.run_for(SimDuration::from_secs(1));
     assert!(p.is_ready());
-    reader.prefetch_messages(&mut sim, "inbox", &ids);
+    reader.prefetch_messages(&mut sim, "inbox", &ids).unwrap();
     sim.run_for(SimDuration::from_secs(60));
     let (objs, bytes) = Client::cache_usage(&client);
     println!("office: prefetched {objs} objects ({bytes} bytes) over Ethernet");
@@ -109,13 +109,13 @@ fn main() {
         sim.now().since(t1)
     );
     let sv = server.borrow();
-    let outbox = sv.get_object(&reader.outbox_urn()).unwrap();
+    let outbox = sv.get_object(&reader.outbox_urn().unwrap()).unwrap();
     let sent = outbox
         .fields
         .keys()
         .filter(|k| k.starts_with("msg"))
         .count();
-    let folder = sv.get_object(&reader.folder_urn("inbox")).unwrap();
+    let folder = sv.get_object(&reader.folder_urn("inbox").unwrap()).unwrap();
     let remaining = rover::script::parse_list(folder.field("ids").unwrap())
         .unwrap()
         .len();

@@ -62,7 +62,7 @@ fn commuter_day_full_cycle() {
     let ob = Client::import(
         &client,
         &mut sim,
-        &reader.outbox_urn(),
+        &reader.outbox_urn().unwrap(),
         reader.session,
         Priority::NORMAL,
     )
@@ -73,7 +73,7 @@ fn commuter_day_full_cycle() {
     for p in [&f, &ob, &c, &w] {
         assert_eq!(p.poll().expect("hydrated at office").status, OpStatus::Ok);
     }
-    reader.prefetch_messages(&mut sim, "inbox", &ids);
+    reader.prefetch_messages(&mut sim, "inbox", &ids).unwrap();
     sim.run_for(SimDuration::from_secs(30));
 
     // --- Train: both links down; keep working. -------------------------
@@ -126,19 +126,19 @@ fn commuter_day_full_cycle() {
 
     let sv = server.borrow();
     assert!(sv
-        .get_object(&cal.urn())
+        .get_object(&cal.urn().unwrap())
         .unwrap()
         .field("ev9")
         .unwrap()
         .contains("alice"));
     assert!(sv
-        .get_object(&cal.urn())
+        .get_object(&cal.urn().unwrap())
         .unwrap()
         .field("ev14")
         .unwrap()
         .contains("alice"));
     assert!(sv
-        .get_object(&reader.outbox_urn())
+        .get_object(&reader.outbox_urn().unwrap())
         .unwrap()
         .field("msgout1")
         .is_some());
