@@ -53,7 +53,8 @@ pub fn atomic_write(path: &Path, contents: &str) -> Result<(), String> {
 }
 
 /// Advances `sim` to the wall clock's current instant, firing everything
-/// due. (`run_until` requires a non-decreasing deadline.)
+/// due. (`run_until` requires a non-decreasing deadline.) Outbound
+/// frames are queued meanwhile; the driver flushes them once after.
 fn catch_up(sim: &mut Sim, clock: &WallClock) {
     let wall = clock.now().max(sim.now());
     sim.run_until(wall);
@@ -136,6 +137,15 @@ pub struct ServerSummary {
 struct Conn {
     transport: TcpTransport,
     host: Option<HostId>,
+}
+
+/// Writes every connection's queued frames, one write each. A failed
+/// write is a drop: the client retransmits and the dedup table replays
+/// the reply.
+fn flush_all(conns: &RefCell<BTreeMap<u64, Conn>>) {
+    for c in conns.borrow_mut().values_mut() {
+        let _ = c.transport.flush();
+    }
 }
 
 /// Where a throwaway connection to a listener bound at `local` lands.
@@ -282,10 +292,8 @@ pub fn run_server(opts: &ServerOpts, shutdown: Arc<AtomicBool>) -> Result<Server
                                 let target = routes2.borrow().get(&env.dst).copied();
                                 let mut cs = conns2.borrow_mut();
                                 if let Some(c) = target.and_then(|i| cs.get_mut(&i)) {
-                                    // A failed write is a drop: the
-                                    // client retransmits and the dedup
-                                    // table replays the reply.
-                                    let _ = c.transport.send(&env);
+                                    // Leaves at the turn's flush.
+                                    let _ = c.transport.queue(&env);
                                 }
                             });
                             link
@@ -297,6 +305,7 @@ pub fn run_server(opts: &ServerOpts, shutdown: Arc<AtomicBool>) -> Result<Server
         }
 
         catch_up(&mut sim, &clock);
+        flush_all(&conns);
         if shutdown.load(Ordering::Relaxed) {
             break;
         }
@@ -308,6 +317,7 @@ pub fn run_server(opts: &ServerOpts, shutdown: Arc<AtomicBool>) -> Result<Server
     // then let immediate follow-up events (reply dispatch) drain.
     Server::flush_and_checkpoint(&server, &mut sim);
     sim.run_for(SimDuration::from_millis(5));
+    flush_all(&conns);
     // The acceptor sits in `accept()`; a throwaway connection wakes it
     // to see the flag. If even that cannot be made, leave it detached
     // rather than wait on it forever.
@@ -410,8 +420,9 @@ pub fn run_client(opts: &ClientOpts) -> Result<ClientSummary, String> {
     let client = Client::new(&mut sim, &net, cfg, vec![link]);
     let session = Client::create_session(&client, Guarantees::ALL, true);
 
-    // Outbound proxy: envelopes the sim routes to the server host go
-    // out the TCP transport; failures are drops (RTO recovers).
+    // Outbound proxy: envelopes the sim routes to the server host are
+    // queued on the TCP transport and leave at the turn's flush;
+    // failures are drops (RTO recovers).
     let notify_clock = clock.clone();
     let policy = ReconnectPolicy {
         initial: Duration::from_millis(50),
@@ -425,7 +436,7 @@ pub fn run_client(opts: &ClientOpts) -> Result<ClientSummary, String> {
     )));
     let t2 = transport.clone();
     register_reassembling_host(&net, SERVER_HOST, move |_sim, _net, env| {
-        let _ = t2.borrow_mut().send(&env);
+        let _ = t2.borrow_mut().queue(&env);
     });
     // Down until the dial completes; the up transition re-arms every
     // parked request exactly as a sim link flap would.
@@ -473,6 +484,7 @@ pub fn run_client(opts: &ClientOpts) -> Result<ClientSummary, String> {
     loop {
         reconnects += pump(&mut sim).0;
         catch_up(&mut sim, &clock);
+        let _ = transport.borrow_mut().flush();
 
         // Op pump: once the import resolves, keep `window` exports in
         // flight until all `ops` are issued.
@@ -545,6 +557,7 @@ pub fn run_client(opts: &ClientOpts) -> Result<ClientSummary, String> {
     loop {
         let dropped = pump(&mut sim).1;
         catch_up(&mut sim, &clock);
+        let _ = transport.borrow_mut().flush();
         if bye.is_ready() || dropped || clock.now() >= give_up {
             break;
         }

@@ -1400,23 +1400,16 @@ impl Server {
         }
     }
 
-    /// Snapshots the full server state into the log as a checkpoint
-    /// record, then compacts everything older than it. On success the
-    /// device holds one checkpoint plus the commits since.
+    /// Replaces the log with a checkpoint record of the full server
+    /// state. On success the device holds exactly that one record.
     fn write_checkpoint(sv: &ServerRef, sim: &mut Sim) -> Result<(), LogError> {
         let res = {
             let mut s = sv.borrow_mut();
             s.checkpoint_inner()
         };
         match res {
-            Ok((device_bytes, written, compact_failed)) => {
+            Ok((device_bytes, written)) => {
                 sim.stats.incr("server.checkpoints");
-                if compact_failed {
-                    // The device keeps dead frames (recovery ignores
-                    // records older than the newest checkpoint); only
-                    // space reclamation was lost.
-                    sim.stats.incr("server.wal_compact_failed");
-                }
                 // Price the snapshot write like any other flush.
                 let cost = {
                     let mut s = sv.borrow_mut();
@@ -1440,10 +1433,10 @@ impl Server {
         }
     }
 
-    /// Appends + syncs the checkpoint record and prunes the log behind
-    /// it. Returns (device bytes after, snapshot bytes written, whether
-    /// compaction failed non-fatally).
-    fn checkpoint_inner(&mut self) -> Result<(u64, usize, bool), LogError> {
+    /// Writes the checkpoint record in place of the whole log, durably
+    /// and in one atomic step: a crash leaves the old log or the new
+    /// one. Returns (device bytes after, snapshot bytes written).
+    fn checkpoint_inner(&mut self) -> Result<(u64, usize), LogError> {
         // A snapshot with staged-but-unflushed commits baked in would
         // make an undurable group visible to recovery; every call site
         // flushes or empties the batch first.
@@ -1454,26 +1447,9 @@ impl Server {
             .wal
             .as_mut()
             .ok_or_else(|| LogError::Io("no wal attached".into()))?;
-        let seq = wal.log.append(REC_CHECKPOINT, snap)?;
-        wal.log.flush()?;
-        let old: Vec<u64> = wal
-            .log
-            .records()
-            .map(|r| r.seq)
-            .filter(|&q| q < seq)
-            .collect();
-        let had_old = !old.is_empty();
-        for q in old {
-            let _ = wal.log.remove(q);
-        }
-        // A failed compaction is safe: the durable image still contains
-        // the (now-dead) pre-checkpoint frames, and recovery ignores
-        // anything older than the newest checkpoint. When nothing was
-        // removed (the very first checkpoint) there is nothing to
-        // reclaim, so the device rewrite is skipped entirely.
-        let compact_failed = had_old && wal.log.compact().is_err();
+        wal.log.replace_all(REC_CHECKPOINT, snap)?;
         wal.commits_since_ckpt = 0;
-        Ok((wal.log.device_len(), written, compact_failed))
+        Ok((wal.log.device_len(), written))
     }
 
     // ------------------------------------------------------------------

@@ -677,28 +677,86 @@ mod committed_prefix {
 mod committed_prefix_real_file {
     use super::*;
     use proptest::prelude::*;
+    use std::path::{Path, PathBuf};
 
-    /// Unique scratch path for one proptest case.
-    fn wal_path(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("rover-durab-{}", std::process::id()));
+    /// A fresh scratch directory per proptest case.
+    fn case_dir(tag: &str) -> PathBuf {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static CASE: AtomicU64 = AtomicU64::new(0);
+        let n = CASE.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("rover-durab-{tag}-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{tag}.wal"))
+        dir
+    }
+
+    /// `path`'s sibling with `.suffix` appended to the whole name.
+    fn sibling(path: &Path, suffix: &str) -> PathBuf {
+        let mut name = path.as_os_str().to_owned();
+        name.push(suffix);
+        PathBuf::from(name)
+    }
+
+    /// Reboots a server from the file at `path` and checks it against
+    /// the committed-prefix oracle: its canonical state is that of a
+    /// crash-free server fed exactly the first `m` exports (`m` read off
+    /// the recovered counter), and replaying all `k` then dedups the
+    /// prefix and executes the rest, exactly once each. Returns `m`.
+    fn reboot_matches_oracle(path: &Path, seed: u64, k: u64) -> u64 {
+        let mut f = raw_rig(seed, 0);
+        Server::attach_wal(
+            &f.server,
+            &mut f.sim,
+            Box::new(FileStore::open(path).unwrap()),
+        )
+        .unwrap();
+        let m: u64 = server_n(&f.server).parse().unwrap();
+        assert!(m <= k);
+        let mut o = raw_rig(seed, 0);
+        for j in 0..m {
+            raw_send(&mut o, j);
+        }
+        assert_eq!(
+            f.server.borrow().export_store(),
+            o.server.borrow().export_store(),
+            "recovered state != committed-prefix oracle (m={m})"
+        );
+        for j in 0..k {
+            raw_send(&mut f, j);
+        }
+        assert_eq!(server_n(&f.server), k.to_string());
+        assert_eq!(f.sim.stats.counter("server.dedup_miss_reexec"), 0);
+        m
+    }
+
+    fn server_n(server: &rover_core::ServerRef) -> String {
+        server
+            .borrow()
+            .get_object(&urn("c"))
+            .unwrap()
+            .field("n")
+            .unwrap()
+            .to_owned()
     }
 
     // The committed-prefix oracle again, but on a *real* file: the WAL
-    // is written through `FileStore` (real `fsync`), the crash is a
-    // real `set_len` truncation at an arbitrary byte offset (torn tail
-    // included), and recovery re-opens the same path. The sim-backed
-    // run above proves the logic; this proves the file backend.
+    // is written through `FileStore` (real `fsync`), the crash tears it
+    // at an arbitrary byte offset, and recovery re-opens the same path.
+    // A device shows a tear two ways: the file cut short (`set_len`), or
+    // the lost bytes read back as the zeros of the preallocated tail,
+    // the length kept. The sim-backed run above proves the logic; this
+    // proves the file backend.
     proptest! {
         #[test]
         fn recovery_equals_committed_prefix_oracle_on_real_files(
             k in 3u64..9,
             frac in 0.0f64..1.0,
             seed in 0u64..500,
+            into_zeros: bool,
         ) {
-            let path = wal_path(&format!("cp-{seed}-{k}"));
-            let _ = std::fs::remove_file(&path);
+            let dir = case_dir("cp");
+            let path = dir.join("w.wal");
 
             // Full run onto the real device, learning its geometry.
             let (base_len, full_len) = {
@@ -713,44 +771,85 @@ mod committed_prefix_real_file {
                 (base, full)
             };
             prop_assert!(full_len > base_len);
-            prop_assert_eq!(full_len, std::fs::metadata(&path).unwrap().len());
+            // The file is allocated ahead of the log, with zeros.
+            let raw = std::fs::read(&path).unwrap();
+            prop_assert!(raw.len() as u64 > full_len);
+            prop_assert!(raw[full_len as usize..].iter().all(|&b| b == 0));
 
             // Power failure: everything past `cut` never hit the disk.
             let cut = base_len + ((full_len - base_len) as f64 * frac) as u64;
             let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-            file.set_len(cut).unwrap();
+            if into_zeros {
+                use std::os::unix::fs::FileExt;
+                file.write_all_at(&vec![0; raw.len() - cut as usize], cut).unwrap();
+            } else {
+                file.set_len(cut).unwrap();
+            }
             file.sync_data().unwrap();
             drop(file);
 
-            // Reboot from the truncated file.
-            let mut f = raw_rig(seed, 0);
-            let store = FileStore::open(&path).unwrap();
-            Server::attach_wal(&f.server, &mut f.sim, Box::new(store)).unwrap();
-            let m = f.sim.stats.counter("server.recovered_commits");
+            let m = reboot_matches_oracle(&path, seed, k);
             prop_assert!(m <= k);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
 
-            // Oracle: crash-free volatile server fed exactly the prefix.
-            let mut o = raw_rig(seed, 0);
-            for j in 0..m {
-                raw_send(&mut o, j);
+        // A crash at every step of a checkpoint's name swap. With
+        // checkpoints every few commits the device is reset (recycled)
+        // several times; afterwards `w.wal` holds the newest generation
+        // and `w.wal.spare` the one before it. Rebuild the on-disk state
+        // after each step of the last swap (`hard_link(path, prev)`,
+        // `rename(spare, path)`, `rename(prev, spare)`) and reboot:
+        // recovery removes the leftover names and lands on a committed
+        // prefix — the older image (state 0, 1) or the newer (2, 3).
+        #[test]
+        fn interrupted_reset_recovers_a_committed_prefix(
+            k in 4u64..10,
+            every in 1usize..4,
+            seed in 0u64..500,
+            step in 0u8..4,
+        ) {
+            let dir = case_dir("swap");
+            let path = dir.join("w.wal");
+            let spare = sibling(&path, ".spare");
+            let prev = sibling(&path, ".prev");
+            {
+                let mut d = raw_rig(seed, every);
+                let store = FileStore::open(&path).unwrap();
+                Server::attach_wal(&d.server, &mut d.sim, Box::new(store)).unwrap();
+                for j in 0..k {
+                    raw_send(&mut d, j);
+                }
+                prop_assert!(d.sim.stats.counter("server.checkpoints") >= 2);
             }
-            prop_assert_eq!(
-                f.server.borrow().export_store(),
-                o.server.borrow().export_store(),
-                "recovered state != committed-prefix oracle (m={}, cut={})", m, cut
-            );
+            prop_assert!(spare.exists() && !prev.exists());
+            let newer = dir.join("newer");
+            match step {
+                // Spare written and synced, no name moved yet.
+                0 => {
+                    std::fs::rename(&path, &newer).unwrap();
+                    std::fs::rename(&spare, &path).unwrap();
+                    std::fs::rename(&newer, &spare).unwrap();
+                }
+                // `path` linked as `.prev`.
+                1 => {
+                    std::fs::rename(&path, &newer).unwrap();
+                    std::fs::rename(&spare, &path).unwrap();
+                    std::fs::hard_link(&path, &prev).unwrap();
+                    std::fs::rename(&newer, &spare).unwrap();
+                }
+                // The new image renamed over `path`.
+                2 => std::fs::rename(&spare, &prev).unwrap(),
+                // `.prev` renamed to `.spare`: the completed swap.
+                _ => {}
+            }
 
-            // Convergence: replaying the whole stream dedups the prefix
-            // and executes the rest, exactly once each.
-            for j in 0..k {
-                raw_send(&mut f, j);
+            let m = reboot_matches_oracle(&path, seed, k);
+            if step >= 2 {
+                prop_assert_eq!(m, k);
             }
-            prop_assert_eq!(
-                f.server.borrow().get_object(&urn("c")).unwrap().field("n"),
-                Some(format!("{k}").as_str())
-            );
-            prop_assert_eq!(f.sim.stats.counter("server.dedup_miss_reexec"), 0);
-            let _ = std::fs::remove_file(&path);
+            prop_assert!(!prev.exists(), "leftover .prev survived open");
+            prop_assert!(!spare.exists(), "leftover .spare survived open");
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }

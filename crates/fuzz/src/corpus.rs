@@ -237,8 +237,11 @@ pub fn wire_corpus() -> Vec<(WireTarget, Vec<u8>)> {
     out
 }
 
-/// The log-plane seed corpus: valid WAL device images (uncompressed and
-/// compressed payload variants), as the recovery scan would read them.
+/// The log-plane seed corpus: WAL device images as the recovery scan
+/// would read them — valid logs (uncompressed and compressed payload
+/// variants), then the shapes a preallocated file takes: a zero tail, a
+/// last frame torn into zeros, and a header torn and completed by zeros
+/// (`len = 0, crc = 0`). Every image replays at least one record.
 pub fn log_corpus() -> Vec<Vec<u8>> {
     let mut out = Vec::new();
     for compress_payloads in [false, true] {
@@ -271,6 +274,22 @@ pub fn log_corpus() -> Vec<Vec<u8>> {
         .expect("append to mem store");
     let mut store = log.into_store();
     out.push(store.read_all().expect("mem store read"));
+
+    let valid = out[0].clone();
+    // The last frame of `valid` starts here (six frames, 30- and
+    // 40-byte payloads, 20-byte headers).
+    let last = valid.len() - (20 + 40);
+    let zero_tailed = |mut image: Vec<u8>| {
+        image.resize(image.len() + 256, 0);
+        image
+    };
+    out.push(zero_tailed(valid.clone()));
+    let mut torn = valid.clone();
+    torn[last + 20 + 17..].fill(0);
+    out.push(zero_tailed(torn));
+    let mut header = valid;
+    header[last + 12..].fill(0);
+    out.push(zero_tailed(header));
     out
 }
 
@@ -351,12 +370,26 @@ mod tests {
     }
 
     #[test]
-    fn log_corpus_images_scan_clean() {
-        for image in log_corpus() {
+    fn log_corpus_images_replay() {
+        // The valid and zero-tailed images scan clean; the two torn
+        // ones stop at the last frame and keep the five before it.
+        let images = log_corpus();
+        assert_eq!(images.len(), 6);
+        for (i, image) in images.into_iter().enumerate() {
             let mut store = MemStore::new();
             store.reset(&image).expect("reset mem store");
             let log = OpLog::open(store).expect("corpus image opens");
-            assert_eq!(log.tail_skipped_bytes(), 0);
+            let report = log.scan_report();
+            if i < 4 {
+                assert_eq!(
+                    (report.issue, report.tail_skipped_bytes),
+                    (None, 0),
+                    "image {i}"
+                );
+            } else {
+                assert!(report.issue.is_some(), "image {i}");
+                assert_eq!(log.len(), 5, "image {i}");
+            }
             assert!(!log.is_empty());
         }
     }

@@ -5,7 +5,7 @@
 
 use std::panic::{self, AssertUnwindSafe};
 
-use rover_log::{MemStore, OpLog, StableStore};
+use rover_log::{LogError, LogRecord, MemStore, OpLog, ScanReport, StableStore};
 use rover_script::{Budget, Interp, NoHost};
 use rover_wire::{
     decode_commit_batch, encode_commit_batch, Bytes, CommitRecord, Envelope, Fragment, HttpRequest,
@@ -218,6 +218,21 @@ fn drive_wire(target: WireTarget, input: &[u8]) -> bool {
     }
 }
 
+/// Opens `image` followed by zeros: its scan report, logical device
+/// length and replayed records.
+fn open_zero_padded(image: &[u8]) -> Result<(ScanReport, u64, Vec<LogRecord>), LogError> {
+    let mut padded = image.to_vec();
+    padded.resize(image.len() + 64, 0);
+    let mut store = MemStore::new();
+    store.reset(&padded)?;
+    let log = OpLog::open(store)?;
+    Ok((
+        log.scan_report(),
+        log.device_len(),
+        log.records().cloned().collect(),
+    ))
+}
+
 fn drive_log(input: &[u8]) -> bool {
     let mut store = MemStore::new();
     store.reset(input).expect("mem store reset");
@@ -231,7 +246,21 @@ fn drive_log(input: &[u8]) -> bool {
         "scan skipped more bytes than the device holds"
     );
     assert_eq!(scan.records, log.len(), "scan report miscounts records");
+    assert_eq!(
+        scan.issue.is_none(),
+        scan.tail_skipped_bytes == 0,
+        "a clean end skips nothing; a torn one skips a non-zero byte"
+    );
     let records: Vec<_> = log.records().cloned().collect();
+    if scan.issue.is_none() {
+        // A zero tail after a clean log — a preallocated file — is a
+        // clean end too, and the store learns where the log ends.
+        let want = (scan, log.device_len(), records.clone());
+        assert!(
+            matches!(open_zero_padded(input), Ok(got) if got == want),
+            "a zero tail after a clean log is not a clean end"
+        );
+    }
     // The open truncated the device to the parsed prefix: reopening the
     // same store must be clean and replay the identical records.
     let store = log.into_store();

@@ -200,6 +200,10 @@ impl<S: StableStore> StableStore for FaultStore<S> {
         Ok(())
     }
 
+    fn set_end(&mut self, end: u64) -> Result<(), LogError> {
+        self.inner.set_end(end)
+    }
+
     fn durable_len(&self) -> u64 {
         self.inner.durable_len()
     }

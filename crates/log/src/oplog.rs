@@ -7,10 +7,12 @@
 //! [len u32] [crc32 u32 over payload] [payload]
 //! ```
 //!
-//! `flags` bit 0 marks an LZSS-compressed payload. Recovery scans from
-//! the start and stops at the first frame that is truncated or fails its
-//! checksum — exactly the torn-write behaviour a crash mid-flush
-//! produces.
+//! `flags` bit 0 marks an LZSS-compressed payload. No record is empty,
+//! so `len` is never zero. Recovery scans from the start and stops at
+//! the first frame that is truncated or fails its checksum — exactly
+//! the torn-write behaviour a crash mid-flush produces — or at a
+//! remainder that is all zeros, which is a clean end: a device may be
+//! allocated ahead of the log with zeros ([`crate::FileStore`]).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -36,6 +38,9 @@ pub enum LogError {
     },
     /// The referenced sequence number is not in the log.
     NoSuchRecord(u64),
+    /// An append carried an empty payload. No record is empty, so the
+    /// recovery scan can read a zero length as a torn header.
+    EmptyRecord,
 }
 
 impl LogError {
@@ -50,6 +55,7 @@ impl fmt::Display for LogError {
             LogError::Io(e) => write!(f, "stable store I/O error: {e}"),
             LogError::Corrupt { at } => write!(f, "corrupt log frame at byte {at}"),
             LogError::NoSuchRecord(seq) => write!(f, "no log record with seq {seq}"),
+            LogError::EmptyRecord => write!(f, "empty log record"),
         }
     }
 }
@@ -62,11 +68,16 @@ impl std::error::Error for LogError {}
 /// issue.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ScanIssue {
-    /// Fewer bytes than a frame header remained: a write torn mid-header.
+    /// Fewer bytes than a frame header remained: a write torn
+    /// mid-header. Also a header whose length reads zero: no record is
+    /// empty, so that is a header torn and completed by the zeros of a
+    /// preallocated tail (`crc32` of nothing is 0, so the checksum
+    /// cannot tell).
     TruncatedHeader {
         /// Device offset of the partial frame.
         at: u64,
-        /// Bytes that remained.
+        /// Bytes that remained (of a zero-completed header: those up
+        /// to its last non-zero byte).
         have: usize,
     },
     /// The magic bytes did not match: overwritten or garbage region.
@@ -150,7 +161,10 @@ pub struct ScanReport {
     pub records: usize,
     /// Why the scan stopped early, if it did.
     pub issue: Option<ScanIssue>,
-    /// Unparseable tail bytes discarded (0 on a clean open).
+    /// Unparseable tail bytes discarded: from where the scan stopped
+    /// through the last non-zero byte of the device (0 on a clean open).
+    /// Zeros are never skipped bytes — not those after a clean end (a
+    /// preallocated tail), nor those after a torn frame.
     pub tail_skipped_bytes: u64,
 }
 
@@ -259,11 +273,14 @@ impl<S: StableStore> OpLog<S> {
         // One refcounted image of the device: replayed payloads are
         // zero-copy views into it (unless compressed).
         let bytes = Bytes::from(store.read_all()?);
+        // Past the last non-zero byte is the zero tail: a frame may end
+        // inside it, but none starts there.
+        let nonzero = bytes.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
         let mut records = BTreeMap::new();
         let mut next_seq = 1;
         let mut pos = 0usize;
         let mut issue = None;
-        while pos < bytes.len() {
+        while pos < nonzero {
             match parse_frame(&bytes, pos) {
                 Ok((rec, used)) => {
                     next_seq = next_seq.max(rec.seq + 1);
@@ -276,16 +293,20 @@ impl<S: StableStore> OpLog<S> {
                 }
             }
         }
-        if pos < bytes.len() {
+        let skipped = nonzero.saturating_sub(pos);
+        if issue.is_some() {
             // Torn/corrupt tail: truncate the device to the parsed
             // prefix, otherwise post-recovery appends land *after* the
             // tear and the next recovery scan stops before them.
             store.reset(&bytes[..pos])?;
+        } else if pos < bytes.len() {
+            // A clean end followed by zeros: nothing to rewrite.
+            store.set_end(pos as u64)?;
         }
         let scan = ScanReport {
             records: records.len(),
             issue,
-            tail_skipped_bytes: (bytes.len() - pos) as u64,
+            tail_skipped_bytes: skipped as u64,
         };
         Ok(OpLog {
             store,
@@ -300,7 +321,8 @@ impl<S: StableStore> OpLog<S> {
     }
 
     /// Bytes of unparseable tail (torn or corrupt frames) discarded by
-    /// [`OpLog::open`]'s recovery scan; zero on a clean open.
+    /// [`OpLog::open`]'s recovery scan; zero on a clean open (see
+    /// [`ScanReport::tail_skipped_bytes`]).
     pub fn tail_skipped_bytes(&self) -> u64 {
         self.scan.tail_skipped_bytes
     }
@@ -315,15 +337,11 @@ impl<S: StableStore> OpLog<S> {
     ///
     /// Under [`FlushPolicy::PerOperation`] the record is durable when
     /// this returns; under group commit it becomes durable when the group
-    /// fills (or on an explicit [`OpLog::flush`]).
+    /// fills (or on an explicit [`OpLog::flush`]). An empty payload is
+    /// refused ([`LogError::EmptyRecord`]).
     pub fn append(&mut self, kind: RecordKind, payload: impl Into<Bytes>) -> Result<u64, LogError> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let rec = LogRecord {
-            seq,
-            kind,
-            payload: payload.into(),
-        };
+        let rec = self.new_record(kind, payload.into())?;
+        let seq = rec.seq;
         let frame = encode_frame(&rec, self.compress);
         self.buffered += frame.len();
         self.store.append(&frame)?;
@@ -339,6 +357,35 @@ impl<S: StableStore> OpLog<S> {
             _ => {}
         }
         Ok(seq)
+    }
+
+    /// Replaces the whole log with one new record, durable on return:
+    /// every live record is dropped and the device holds exactly the new
+    /// record's frame, written by one atomic [`StableStore::reset`] — a
+    /// crash leaves the old log or the new one.
+    pub fn replace_all(
+        &mut self,
+        kind: RecordKind,
+        payload: impl Into<Bytes>,
+    ) -> Result<u64, LogError> {
+        let rec = self.new_record(kind, payload.into())?;
+        let seq = rec.seq;
+        self.store.reset(&encode_frame(&rec, self.compress))?;
+        self.records.clear();
+        self.records.insert(seq, rec);
+        self.buffered = 0;
+        self.appended_since_sync = 0;
+        Ok(seq)
+    }
+
+    /// Numbers a new record; refuses an empty one.
+    fn new_record(&mut self, kind: RecordKind, payload: Bytes) -> Result<LogRecord, LogError> {
+        if payload.is_empty() {
+            return Err(LogError::EmptyRecord);
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Ok(LogRecord { seq, kind, payload })
     }
 
     /// Forces buffered records to stable storage.
@@ -490,6 +537,15 @@ fn parse_frame(src: &Bytes, pos: usize) -> Result<(LogRecord, usize), ScanIssue>
                 at,
                 have: buf.len(),
             })? as usize;
+    if len == 0 {
+        // Torn inside the header and completed by zeros.
+        let have = buf
+            .iter()
+            .take(HEADER_LEN)
+            .rposition(|&b| b != 0)
+            .map_or(0, |i| i + 1);
+        return Err(ScanIssue::TruncatedHeader { at, have });
+    }
     let sum =
         read_array::<4>(buf, 16)
             .map(u32::from_be_bytes)
@@ -664,13 +720,146 @@ mod tests {
         let mut store = log.into_store();
         let mut bytes = store.read_all().unwrap();
         let good = bytes.len();
-        bytes.extend_from_slice(&[0u8; 40]); // zeroed region after the frame
+        bytes.extend_from_slice(&[0xEE; 40]); // garbage after the frame
         store.reset(&bytes).unwrap();
         let log = OpLog::open(store).unwrap();
         assert_eq!(log.len(), 1);
         let issue = log.scan_report().issue.unwrap();
         assert_eq!(issue.reason(), "bad_magic");
         assert_eq!(issue.at(), good as u64);
+        assert_eq!(log.tail_skipped_bytes(), 40);
+    }
+
+    #[test]
+    fn zero_tail_is_a_clean_end_and_is_not_rewritten() {
+        let mut log = OpLog::open(MemStore::new()).unwrap();
+        log.append(RecordKind::Request, b"ok".to_vec()).unwrap();
+        let mut store = log.into_store();
+        let mut bytes = store.read_all().unwrap();
+        let good = bytes.len();
+        bytes.extend_from_slice(&[0u8; 40]); // preallocated, never written
+        store.reset(&bytes).unwrap();
+        let log = OpLog::open(store).unwrap();
+        assert_eq!(
+            log.scan_report(),
+            ScanReport {
+                records: 1,
+                issue: None,
+                tail_skipped_bytes: 0
+            }
+        );
+        // The store was told where the log ends.
+        assert_eq!(log.device_len(), good as u64);
+        // An all-zero device is an empty log.
+        let mut store = MemStore::new();
+        store.reset(&[0u8; 100]).unwrap();
+        let log = OpLog::open(store).unwrap();
+        assert_eq!(log.scan_report(), ScanReport::default());
+    }
+
+    #[test]
+    fn garbage_then_zeros_skips_only_the_garbage() {
+        let mut log = OpLog::open(MemStore::new()).unwrap();
+        log.append(RecordKind::Request, b"good".to_vec()).unwrap();
+        log.append(RecordKind::Request, b"torn".to_vec()).unwrap();
+        let mut store = log.into_store();
+        let mut bytes = store.read_all().unwrap();
+        let n = bytes.len();
+        // The second frame's last two payload bytes never reached the
+        // device; it reads them back as zeros, then more zeros.
+        bytes[n - 2..].fill(0);
+        bytes.extend_from_slice(&[0u8; 64]);
+        store.reset(&bytes).unwrap();
+        let log = OpLog::open(store).unwrap();
+        let report = log.scan_report();
+        assert_eq!(report.records, 1);
+        assert_eq!(report.issue.unwrap().reason(), "checksum_mismatch");
+        assert_eq!(report.tail_skipped_bytes, (HEADER_LEN + 2) as u64);
+    }
+
+    #[test]
+    fn empty_records_are_refused() {
+        let mut log = OpLog::open(MemStore::new()).unwrap();
+        assert!(matches!(
+            log.append(RecordKind::Request, Vec::new()),
+            Err(LogError::EmptyRecord)
+        ));
+        assert!(matches!(
+            log.replace_all(RecordKind::Request, Vec::new()),
+            Err(LogError::EmptyRecord)
+        ));
+        assert_eq!(log.device_len(), 0);
+        assert_eq!(log.append(RecordKind::Request, b"a".to_vec()).unwrap(), 1);
+    }
+
+    #[test]
+    fn header_torn_and_completed_by_zeros_is_a_torn_header() {
+        // In a preallocated file the bytes a crash did not persist read
+        // back as zero. A header torn anywhere after its length field
+        // starts reads `len = 0, crc = 0`, and `crc32(&[]) == 0`: before
+        // the zero-length rule that parsed as a valid empty record. For
+        // the last frame and every split point `k`, zero `[k, end)`:
+        // recovery keeps exactly the earlier frames and a reopen is
+        // clean.
+        let mut log = OpLog::open(MemStore::new()).unwrap();
+        log.append(RecordKind::Request, b"first".to_vec()).unwrap();
+        log.append(RecordKind::Other(9), b"second".to_vec())
+            .unwrap();
+        let mut store = log.into_store();
+        let image = store.read_all().unwrap();
+        let start = HEADER_LEN + 5;
+        for k in start..image.len() {
+            let mut torn = image.clone();
+            torn[k..].fill(0);
+            torn.extend_from_slice(&[0u8; 32]);
+            let mut store = MemStore::new();
+            store.reset(&torn).unwrap();
+            let log = OpLog::open(store).unwrap();
+            let recs: Vec<_> = log.records().collect();
+            assert_eq!(recs.len(), 1, "split at {k}");
+            assert_eq!(recs[0].payload, b"first", "split at {k}");
+            let report = log.scan_report();
+            if k > start {
+                assert_eq!(report.issue.unwrap().at(), start as u64, "split at {k}");
+            }
+            let log = OpLog::open(log.into_store()).unwrap();
+            assert_eq!(log.scan_report().issue, None, "split at {k}");
+            assert_eq!(log.len(), 1, "split at {k}");
+        }
+        // The zero-length case itself names the header bytes that survived.
+        let mut torn = image.clone();
+        torn[start + 12..].fill(0);
+        let mut store = MemStore::new();
+        store.reset(&torn).unwrap();
+        let issue = OpLog::open(store).unwrap().scan_report().issue;
+        assert_eq!(
+            issue,
+            Some(ScanIssue::TruncatedHeader {
+                at: start as u64,
+                have: 12
+            })
+        );
+    }
+
+    #[test]
+    fn replace_all_leaves_exactly_one_frame() {
+        let mut log = OpLog::open(MemStore::new()).unwrap();
+        let s1 = log
+            .replace_all(RecordKind::Other(7), b"ckpt-1".to_vec())
+            .unwrap();
+        let one = log.device_len();
+        log.append(RecordKind::Request, b"commit".to_vec()).unwrap();
+        // One reset to the new frame; older records are gone.
+        let s3 = log
+            .replace_all(RecordKind::Other(7), b"ckpt-2".to_vec())
+            .unwrap();
+        assert_eq!((s1, s3), (1, 3));
+        assert_eq!(log.len(), 1);
+        assert_eq!(log.device_len(), one);
+        let log = OpLog::open(log.into_store()).unwrap();
+        let recs: Vec<_> = log.records().collect();
+        assert_eq!(recs.len(), 1);
+        assert_eq!((recs[0].seq, &recs[0].payload[..]), (3, &b"ckpt-2"[..]));
     }
 
     #[test]

@@ -10,7 +10,7 @@ proptest! {
     #[test]
     fn recovery_yields_intact_flushed_prefix(
         payloads in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..300), 1..30,
+            proptest::collection::vec(any::<u8>(), 1..300), 1..30,
         ),
         tear in any::<u64>(),
         compress: bool,
@@ -41,8 +41,8 @@ proptest! {
 
     #[test]
     fn unflushed_records_never_survive_crash(
-        flushed in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..100), 0..10),
-        unflushed in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..100), 1..10),
+        flushed in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..100), 0..10),
+        unflushed in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..100), 1..10),
     ) {
         let mut log = OpLog::open_with(MemStore::new(), FlushPolicy::Manual, false).unwrap();
         for p in &flushed {
@@ -119,7 +119,7 @@ proptest! {
         for &(op, arg) in &ops {
             match op {
                 0 => {
-                    let payload = vec![(arg % 251) as u8; (arg % 200) as usize];
+                    let payload = vec![(arg % 251) as u8; (arg % 200) as usize + 1];
                     let seq = log.append(RecordKind::Request, payload.clone()).unwrap();
                     payload_of.insert(seq, payload);
                     appended.push(seq);

@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use rover_sim::Sim;
-use rover_wire::{Encoder, Envelope, Wire};
+use rover_wire::{Bytes, Encoder, Envelope, Wire};
 
 use crate::spec::LinkId;
 use crate::topo::Net;
@@ -89,23 +89,26 @@ impl From<io::Error> for TransportError {
     }
 }
 
-/// Writes one length-prefixed envelope frame: `[u32 BE length][envelope
-/// wire form]`. The envelope's own CRC travels inside the wire form.
-/// Prefix and body leave in one write: on a `TCP_NODELAY` socket two
-/// writes are two segments and two syscalls.
-pub fn write_frame(w: &mut impl Write, env: &Envelope) -> Result<(), TransportError> {
-    // Encode behind a placeholder prefix, then fill the length in.
-    let mut enc = Encoder::with_capacity(4 + env.encoded_len());
-    enc.put_u32(0);
-    env.encode(&mut enc);
-    let mut frame = enc.into_vec();
-    let body = frame.len() - 4;
+/// Encodes one length-prefixed envelope frame: `[u32 BE length]
+/// [envelope wire form]`, in one buffer allocated at size. The
+/// envelope's own CRC travels inside the wire form.
+fn encode_frame(env: &Envelope) -> Result<Vec<u8>, TransportError> {
+    let body = env.encoded_len();
     let len = u32::try_from(body)
         .ok()
         .filter(|l| *l <= MAX_FRAME_BYTES)
         .ok_or_else(|| TransportError::Protocol(format!("frame too large: {body} B")))?;
-    frame[..4].copy_from_slice(&len.to_be_bytes());
-    w.write_all(&frame)?;
+    let mut enc = Encoder::with_capacity(4 + body);
+    enc.put_u32(len);
+    env.encode(&mut enc);
+    Ok(enc.into_vec())
+}
+
+/// Writes one length-prefixed envelope frame. Prefix and body leave in
+/// one write: on a `TCP_NODELAY` socket two writes are two segments and
+/// two syscalls.
+pub fn write_frame(w: &mut impl Write, env: &Envelope) -> Result<(), TransportError> {
+    w.write_all(&encode_frame(env)?)?;
     w.flush()?;
     Ok(())
 }
@@ -122,7 +125,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<Envelope, TransportError> {
     }
     let mut body = vec![0u8; len as usize];
     r.read_exact(&mut body)?;
-    Envelope::from_bytes(&body)
+    // The envelope's body is a view of the frame buffer, not a copy.
+    Envelope::from_shared(&Bytes::from(body))
         .map_err(|e| TransportError::Protocol(format!("undecodable envelope: {e:?}")))
 }
 
@@ -304,10 +308,14 @@ impl TcpShared {
 ///
 /// A reader thread per connection turns inbound frames into
 /// [`TransportEvent`]s and fires the notify hook so a blocked driver
-/// wakes; sends are blocking writes on the caller's thread.
+/// wakes. Outbound frames are [`queue`](TcpTransport::queue)d and leave
+/// in one blocking write per [`flush`](TcpTransport::flush) on the
+/// caller's thread; [`Transport::send`] is a queue and a flush.
 pub struct TcpTransport {
     shared: Arc<TcpShared>,
     connected: bool,
+    /// Frames queued since the last flush, back to back.
+    outbox: Vec<u8>,
 }
 
 impl TcpTransport {
@@ -352,6 +360,7 @@ impl TcpTransport {
         TcpTransport {
             shared,
             connected: false,
+            outbox: Vec::new(),
         }
     }
 
@@ -376,7 +385,43 @@ impl TcpTransport {
         Ok(TcpTransport {
             shared,
             connected: false,
+            outbox: Vec::new(),
         })
+    }
+
+    /// Queues one envelope frame; it leaves at the next
+    /// [`flush`](TcpTransport::flush). `Err` only for a frame too large
+    /// to send at all.
+    pub fn queue(&mut self, env: &Envelope) -> Result<(), TransportError> {
+        let frame = encode_frame(env)?;
+        if self.outbox.is_empty() {
+            self.outbox = frame;
+        } else {
+            self.outbox.extend_from_slice(&frame);
+        }
+        Ok(())
+    }
+
+    /// Writes every queued frame in one write. `Err` means the channel
+    /// is down or just died: the queued frames are dropped, and QRPC's
+    /// retransmission owns recovery.
+    pub fn flush(&mut self) -> Result<(), TransportError> {
+        if self.outbox.is_empty() {
+            return Ok(());
+        }
+        let mut guard = self.shared.writer.lock().unwrap_or_else(|e| e.into_inner());
+        let res = match guard.as_mut() {
+            None => Err(TransportError::Closed),
+            Some(w) => w.write_all(&self.outbox).map_err(TransportError::from),
+        };
+        if res.is_err() {
+            // A failed write means the connection is dead; drop the
+            // writer so later flushes fail fast. The reader will queue
+            // the Disconnected transition.
+            *guard = None;
+        }
+        self.outbox.clear();
+        res
     }
 
     /// Stops the connector/reader threads and closes the connection.
@@ -402,21 +447,11 @@ impl Drop for TcpTransport {
 }
 
 impl Transport for TcpTransport {
+    /// Queues `env` and flushes: the frame, and anything queued before
+    /// it, is on the wire when this returns.
     fn send(&mut self, env: &Envelope) -> Result<(), TransportError> {
-        let mut guard = self.shared.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(w) = guard.as_mut() else {
-            return Err(TransportError::Closed);
-        };
-        match write_frame(w, env) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                // A failed write means the connection is dead; drop the
-                // writer so subsequent sends fail fast. The reader will
-                // queue the Disconnected transition.
-                *guard = None;
-                Err(e)
-            }
-        }
+        self.queue(env)?;
+        self.flush()
     }
 
     fn poll_event(&mut self) -> Option<TransportEvent> {
@@ -679,6 +714,51 @@ mod tests {
         );
         assert_eq!(got.body[0], 11);
         client.shutdown();
+    }
+
+    #[test]
+    fn queued_frames_leave_in_order_at_one_flush() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut client = TcpTransport::connect(addr, ReconnectPolicy::default(), || {});
+        let (sock, _) = listener.accept().unwrap();
+        let mut server = TcpTransport::from_stream(sock, || {}).unwrap();
+        wait_for(
+            || match client.poll_event() {
+                Some(TransportEvent::Connected) => Some(()),
+                _ => None,
+            },
+            "client connect",
+        );
+
+        // Nothing leaves until the flush; then all of it, in order.
+        for tag in 1..=3 {
+            client.queue(&env(tag, 100 * tag as usize)).unwrap();
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(drain_frames(&mut server).is_empty());
+        client.flush().unwrap();
+        // `send` is a queue and a flush: it also carries what was queued.
+        client.queue(&env(4, 10)).unwrap();
+        client.send(&env(5, 10)).unwrap();
+        let mut got = Vec::new();
+        wait_for(
+            || {
+                got.extend(drain_frames(&mut server));
+                (got.len() == 5).then_some(())
+            },
+            "five frames",
+        );
+        let tags: Vec<u8> = got.iter().map(|e| e.body[0]).collect();
+        assert_eq!(tags, [1, 2, 3, 4, 5]);
+        assert_eq!(got[2], env(3, 300));
+
+        // A flush with the channel down drops the queue.
+        server.shutdown();
+        client.shutdown();
+        client.queue(&env(6, 10)).unwrap();
+        assert_eq!(client.flush(), Err(TransportError::Closed));
+        assert_eq!(client.flush(), Ok(()));
     }
 
     #[test]
