@@ -102,6 +102,12 @@ impl Fields {
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
+
+    /// A field's stored value: its form, not just its text.
+    #[cfg(test)]
+    pub(crate) fn value(&self, key: &str) -> Option<&Value> {
+        self.0.get(key)
+    }
 }
 
 /// The form a value is stored in: one that holds its text. A list keeps

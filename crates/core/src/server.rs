@@ -2061,7 +2061,7 @@ impl Server {
                     Ok(p) => p,
                     Err(_) => return (fail(OpStatus::Rejected), 0),
                 };
-                let Some(obj) = self.store.get(urn) else {
+                let Some(obj) = self.store.get_mut(urn) else {
                     let status = if self.homed_elsewhere(&req.urn) {
                         OpStatus::WrongShard
                     } else {
@@ -2069,11 +2069,12 @@ impl Server {
                     };
                     return (fail(status), 0);
                 };
-                // Invocations are read-only: run on a scratch copy.
-                let mut scratch = obj.clone();
+                // Invocations are read-only: run in place, every write
+                // undone, so the stored object keeps the field memos it
+                // makes.
                 let args: Vec<rover_script::Value> =
                     payload.args.iter().map(rover_script::Value::str).collect();
-                match scratch.run_method(&payload.method, &args, self.cfg.budget) {
+                match obj.run_query(&payload.method, &args, self.cfg.budget) {
                     Ok(run) => {
                         let mut enc = Encoder::new();
                         enc.put_str(&run.result.as_str());
@@ -2293,3 +2294,5 @@ impl Server {
 
 #[cfg(test)]
 mod dedup_diff;
+#[cfg(test)]
+mod invoke_in_place;

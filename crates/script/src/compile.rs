@@ -19,6 +19,16 @@
 //! expression evaluation and every loop test, and `ForeachNext` charges
 //! per iteration. Nothing else charges.
 //!
+//! Four shapes are fused as they are emitted, none of them a `Step`: a
+//! `set`/`incr` whose result the next `Pop` discards becomes
+//! [`Op::SetDrop`]/[`Op::IncrDrop`] (see [`Compiler::emit`]); an `incr`
+//! by a literal integer carries it instead of pushing it; an expression
+//! that is one binary operator over two substitutions becomes
+//! [`Op::Bin`]; and a `Bin` that an `if`/loop test branches on becomes
+//! [`Op::BinJumpIfFalse`]. A fused pair never has a jump target on its
+//! second instruction, so every path through the code runs what it ran
+//! unfused, and steps, results, errors and output are unchanged.
+//!
 //! A body or `[cmd]` whose text does not parse compiles to a run-time
 //! [`Op::EvalSrc`] of that text, so its parse error is raised when — and
 //! only when — it first runs, and (errors never being cached) every
@@ -30,9 +40,9 @@ use std::rc::Rc;
 
 use crate::builtins::{self, Builtin};
 use crate::error::ScriptError;
-use crate::expr::{self, EOp, Operand};
+use crate::expr::{self, BinFn, EOp, Operand};
 use crate::parser::{parse_script, Command, Frag, Script, Word};
-use crate::value::{parse_list, Value};
+use crate::value::{parse_int, parse_list, Value};
 
 /// One instruction. Operands live on the VM's value stack; "push"/"pop"
 /// below refer to it.
@@ -63,7 +73,11 @@ pub(crate) enum Op {
     /// `set`/`incr`/`append`/`lappend` on a literal scalar name; the
     /// values they consume are on the stack.
     Set(u32),
-    Incr(u32, bool),
+    /// `incr`'s amount is a constant (1 when absent), or `None`: popped.
+    Incr(u32, Option<i64>),
+    /// `Set`/`Incr` whose result is discarded: nothing is pushed.
+    SetDrop(u32),
+    IncrDrop(u32, Option<i64>),
     Append(u32, u32),
     Lappend(u32, u32),
     /// Pop source text, run it as a script / evaluate it as an
@@ -72,9 +86,14 @@ pub(crate) enum Op {
     ExprSrc,
     /// Run operator code over the top n values (the operands).
     Expr(Rc<[EOp]>, u32),
+    /// `Expr` whose code is one binary operator over its two operands:
+    /// pop the right and left operand, push the result.
+    Bin(BinFn),
     Jump(u32),
     /// Pop a value, coerce to boolean, jump when false.
     JumpIfFalse(u32),
+    /// `Bin` and the `JumpIfFalse` testing its result.
+    BinJumpIfFalse(BinFn, u32),
     /// Open a handler region: a loop body's resumes `break` at `brk` and
     /// `continue` at `cont`; a `catch` body's takes everything catchable
     /// to `brk`, the caught value and return code pushed.
@@ -231,6 +250,13 @@ struct Compiler {
     /// Compile bodies and conditions in place (false only for
     /// [`control_glue`]).
     inline: bool,
+    /// Fuse instructions as they are emitted (false only in the tests'
+    /// reference lowering).
+    fuse: bool,
+    /// The latest position a jump or handler lands on. Targets are taken
+    /// at the position about to be emitted, so the instruction there is
+    /// a target iff this is its position.
+    label: u32,
 }
 
 /// The word's text if no substitution can change it.
@@ -254,10 +280,46 @@ fn raise(msg: impl Into<String>) -> Op {
     Op::Raise(Rc::new(ScriptError::new(msg)))
 }
 
+/// Whether a new compiler fuses. Always, outside the tests' reference
+/// lowering ([`unfused`]).
+#[cfg(not(test))]
+fn fusing() -> bool {
+    true
+}
+
+#[cfg(test)]
+thread_local! {
+    static UNFUSED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+#[cfg(test)]
+fn fusing() -> bool {
+    !UNFUSED.with(std::cell::Cell::get)
+}
+
+/// Runs `f` with this thread compiling the reference lowering — the
+/// one without fusion — from an empty program cache, emptied again
+/// after, so neither lowering ever runs a program of the other's.
+#[cfg(test)]
+pub(crate) fn unfused<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore;
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            UNFUSED.with(|u| u.set(false));
+            PROGRAMS.with(|c| c.borrow_mut().clear());
+        }
+    }
+    PROGRAMS.with(|c| c.borrow_mut().clear());
+    UNFUSED.with(|u| u.set(true));
+    let _restore = Restore;
+    f()
+}
+
 impl Compiler {
     fn new(inline: bool) -> Compiler {
         Compiler {
             inline,
+            fuse: fusing(),
             ..Compiler::default()
         }
     }
@@ -282,7 +344,25 @@ impl Compiler {
         self.names.len() as u32 - 1
     }
 
+    /// Appends `op`. A `Pop` directly after a `Set`/`Incr`, or a
+    /// `JumpIfFalse` directly after a `Bin`, is fused into it — unless a
+    /// jump lands on `op`, whose other way in still pushes the value it
+    /// consumes (after `if {…} {incr x} else {…}`, the then-branch jumps
+    /// to the `Pop` that follows the else-branch's `incr`).
     fn emit(&mut self, op: Op) -> usize {
+        if self.fuse && self.label != self.here() {
+            let fused = match (&op, self.code.last()) {
+                (Op::Pop, Some(&Op::Set(slot))) => Some(Op::SetDrop(slot)),
+                (Op::Pop, Some(&Op::Incr(slot, by))) => Some(Op::IncrDrop(slot, by)),
+                (&Op::JumpIfFalse(to), Some(&Op::Bin(f))) => Some(Op::BinJumpIfFalse(f, to)),
+                _ => None,
+            };
+            if let Some(fused) = fused {
+                let at = self.code.len() - 1;
+                self.code[at] = fused;
+                return at;
+            }
+        }
         self.code.push(op);
         self.code.len() - 1
     }
@@ -300,12 +380,21 @@ impl Compiler {
         self.code.len() as u32
     }
 
+    /// The next instruction's position, which something will jump to.
+    fn label(&mut self) -> u32 {
+        self.label = self.here();
+        self.label
+    }
+
     /// Points the jump (or handler target) at `at` to the next
     /// instruction.
     fn land(&mut self, at: usize) {
-        let here = self.here();
+        let here = self.label();
         match &mut self.code[at] {
-            Op::Jump(t) | Op::JumpIfFalse(t) | Op::Region { brk: t, .. } => *t = here,
+            Op::Jump(t)
+            | Op::JumpIfFalse(t)
+            | Op::BinJumpIfFalse(_, t)
+            | Op::Region { brk: t, .. } => *t = here,
             Op::ForeachNext { done, .. } => *done = here,
             _ => {}
         }
@@ -366,7 +455,11 @@ impl Compiler {
                 Operand::Cmd(src) => self.body(&src),
             }
         }
-        self.emit(Op::Expr(code, n));
+        let op = match (&*code, self.fuse) {
+            ([EOp::Arg(0), EOp::Arg(1), EOp::Bin(f)], true) => Op::Bin(*f),
+            _ => Op::Expr(code, n),
+        };
+        self.emit(op);
     }
 
     fn word(&mut self, w: &Word) {
@@ -457,12 +550,20 @@ impl Compiler {
         let op = match (name, rest) {
             ("set", 0) => Op::Load(self.slot(var)),
             ("set", 1) => Op::Set(self.slot(var)),
-            ("incr", 0 | 1) => Op::Incr(self.slot(var), rest == 1),
+            ("incr", 0) => Op::Incr(self.slot(var), Some(1)),
+            ("incr", 1) => {
+                // A literal amount that reads as an integer is carried:
+                // `Push` and `Incr` fused, no text parsed per run.
+                let by = la[1].as_deref().filter(|_| self.fuse).and_then(parse_int);
+                Op::Incr(self.slot(var), by)
+            }
             ("append", _) => Op::Append(self.slot(var), rest),
             ("lappend", _) => Op::Lappend(self.slot(var), rest),
             _ => return false,
         };
-        self.words(&args[1..]);
+        if !matches!(op, Op::Incr(_, Some(_))) {
+            self.words(&args[1..]);
+        }
         self.emit(op);
         true
     }
@@ -508,7 +609,7 @@ impl Compiler {
                     self.body(init);
                     self.emit(Op::Pop);
                 }
-                let top = self.here();
+                let top = self.label();
                 self.emit(Op::Step);
                 self.expr(test);
                 let exit = self.emit(Op::JumpIfFalse(0));
@@ -517,7 +618,7 @@ impl Compiler {
                 if let Some(next) = next {
                     // `continue` lands here: `next` runs outside the
                     // region, so a `break` inside it propagates.
-                    let here = self.here();
+                    let here = self.label();
                     if let Op::Region { cont, .. } = &mut self.code[region] {
                         *cont = here;
                     }
@@ -551,7 +652,7 @@ impl Compiler {
                     Ok(names) => {
                         let slots = names.iter().map(|n| self.slot(&n.as_str())).collect();
                         self.emit(Op::ForeachInit);
-                        let top = self.here();
+                        let top = self.label();
                         let next = self.emit(Op::ForeachNext { slots, done: 0 });
                         let region = self.region(false, top);
                         self.loop_body(&body);
@@ -679,7 +780,7 @@ impl Compiler {
             while clauses[j].as_str() == "-" && j + 2 < clauses.len() {
                 j += 2;
             }
-            arms.push((clauses[k].as_rc_str(), self.here()));
+            arms.push((clauses[k].as_rc_str(), self.label()));
             self.body(&clauses[j].as_rc_str());
             ends.push(self.emit(Op::Jump(0)));
         }
@@ -691,7 +792,7 @@ impl Compiler {
                 clause_arg,
                 defect,
                 arms,
-                end: self.here(),
+                end: self.label(),
             }),
             n,
         );

@@ -48,7 +48,7 @@ pub(crate) enum EOp {
 /// Binary operators and math functions are resolved, when the expression
 /// is lowered, to the function that implements them — as the compiler
 /// resolves a builtin's name — so evaluation never looks at their text.
-type BinFn = fn(&Value, &Value) -> Result<Value, Exc>;
+pub(crate) type BinFn = fn(&Value, &Value) -> Result<Value, Exc>;
 type MathFn = fn(&str, &[Value]) -> Result<Value, Exc>;
 
 enum Tok {

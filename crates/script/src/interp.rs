@@ -436,7 +436,12 @@ impl Interp {
         let mut pc = 0usize;
         let r = loop {
             let exc = match self.run(host, prog, direct, &mut stack, &mut handlers, &mut pc) {
-                Ok(v) => break Ok(v),
+                Ok(v) => {
+                    // Every path through a program leaves exactly its
+                    // result, which `run` has taken.
+                    debug_assert!(stack.is_empty(), "unbalanced program stack");
+                    break Ok(v);
+                }
                 Err(exc) => exc,
             };
             match self.unwind(exc, &mut stack, &mut handlers) {
@@ -554,10 +559,28 @@ impl Interp {
                     write(var, &name, None, v.clone())?;
                     stack.push(v);
                 }
-                Op::Incr(slot, has_amount) => {
-                    let by = if *has_amount { pop(stack).as_int()? } else { 1 };
+                Op::SetDrop(slot) => {
+                    let v = pop(stack);
                     let (var, name) = self.place(name_of(*slot), fast(*slot), true);
-                    stack.push(modify(var, &name, None, Value::Int(0), incr_by(by))?);
+                    write(var, &name, None, v)?;
+                }
+                Op::Incr(slot, by) | Op::IncrDrop(slot, by) => {
+                    let by = match by {
+                        Some(by) => *by,
+                        None => pop(stack).as_int()?,
+                    };
+                    let (var, name) = self.place(name_of(*slot), fast(*slot), true);
+                    let v = match var {
+                        // The commonest case adds where the integer lives.
+                        Some(Var::Scalar(Value::Int(i))) => {
+                            *i = i.wrapping_add(by);
+                            Value::Int(*i)
+                        }
+                        var => modify(var, &name, None, Value::Int(0), incr_by(by))?,
+                    };
+                    if let Op::Incr(..) = op {
+                        stack.push(v);
+                    }
                 }
                 Op::Append(slot, n) | Op::Lappend(slot, n) => {
                     let at = stack.len() - *n as usize;
@@ -581,9 +604,19 @@ impl Interp {
                     stack.push(self.exec(host, &code)?);
                 }
                 Op::Expr(code, n) => expr::eval(code, stack, *n as usize)?,
+                Op::Bin(f) => {
+                    let (rhs, lhs) = (pop(stack), pop(stack));
+                    stack.push(f(&lhs, &rhs)?);
+                }
                 Op::Jump(to) => *pc = *to as usize,
                 Op::JumpIfFalse(to) => {
                     if !pop(stack).as_bool()? {
+                        *pc = *to as usize;
+                    }
+                }
+                Op::BinJumpIfFalse(f, to) => {
+                    let (rhs, lhs) = (pop(stack), pop(stack));
+                    if !f(&lhs, &rhs)?.as_bool()? {
                         *pc = *to as usize;
                     }
                 }

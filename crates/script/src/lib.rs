@@ -42,10 +42,12 @@ mod builtins;
 mod compile;
 mod error;
 mod expr;
+#[cfg(test)]
+mod fusion_differential;
 mod interp;
 mod parser;
 mod value;
 
 pub use error::ScriptError;
 pub use interp::{Budget, HostEnv, Interp, NoHost};
-pub use value::{format_list, parse_list, MemoStr, Value};
+pub use value::{format_list, parse_list, ListItems, MemoStr, Value};

@@ -2,7 +2,7 @@
 //! form, and lists/numbers are recovered from strings on demand.
 
 use std::borrow::Cow;
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
@@ -28,7 +28,7 @@ pub enum Value {
     /// A string.
     Str(Rc<str>),
     /// A list (canonical string form is Tcl list syntax).
-    List(Rc<Vec<Value>>),
+    List(Rc<ListItems>),
     /// A string that remembers its list form: the form a value rests in
     /// between invocations (an object's field), where the same text is
     /// read as a list again and again. `Str` stays the form of strings
@@ -42,13 +42,13 @@ pub enum Value {
 #[derive(Debug)]
 pub struct MemoStr {
     text: Rc<str>,
-    list: OnceCell<Result<Rc<Vec<Value>>, ScriptError>>,
+    list: OnceCell<Result<Rc<ListItems>, ScriptError>>,
 }
 
 impl MemoStr {
-    fn list(&self) -> Result<&Rc<Vec<Value>>, ScriptError> {
+    fn list(&self) -> Result<&Rc<ListItems>, ScriptError> {
         self.list
-            .get_or_init(|| parse_list(&self.text).map(Rc::new))
+            .get_or_init(|| parse_list(&self.text).map(ListItems::shared))
             .as_ref()
             .map_err(Clone::clone)
     }
@@ -202,11 +202,11 @@ impl Value {
 
     /// The list form behind an `Rc`: shared with a `Value::List` or a
     /// `Value::Memo`, parsed afresh from anything else.
-    pub(crate) fn shared_list(&self) -> Result<Rc<Vec<Value>>, ScriptError> {
+    pub(crate) fn shared_list(&self) -> Result<Rc<ListItems>, ScriptError> {
         match self {
             Value::List(items) => Ok(Rc::clone(items)),
             Value::Memo(m) => m.list().map(Rc::clone),
-            other => parse_list(&other.as_str()).map(Rc::new),
+            other => parse_list(&other.as_str()).map(ListItems::shared),
         }
     }
 
@@ -218,7 +218,7 @@ impl Value {
             *self = Value::List(self.shared_list()?);
         }
         match self {
-            Value::List(items) => Ok(Rc::make_mut(items)),
+            Value::List(items) => Ok(&mut Rc::make_mut(items).0),
             _ => Err(ScriptError::new("expected list")),
         }
     }
@@ -235,7 +235,63 @@ impl Value {
 
     /// Builds a list value.
     pub fn list(items: Vec<Value>) -> Value {
-        Value::List(Rc::new(items))
+        Value::List(ListItems::shared(items))
+    }
+}
+
+/// A list's items. Dropping them recurses into the lists among them as
+/// far as [`DROP_DEPTH`] levels; below that, item vectors are handed to
+/// the outermost drop on this thread, which frees them from a heap
+/// stack. However deeply a value nests, dropping it costs bounded host
+/// stack, and a list of ordinary depth drops as a `Vec` does. (The
+/// `Drop` is here rather than on [`Value`], so dropping a number or a
+/// string runs no code of it.)
+#[derive(Clone, Debug)]
+pub struct ListItems(Vec<Value>);
+
+/// How many list drops may nest on the host stack.
+const DROP_DEPTH: u32 = 256;
+
+thread_local! {
+    /// How many [`ListItems`] drops are under way on this thread.
+    static DROPPING: Cell<u32> = const { Cell::new(0) };
+    /// Item vectors met deeper than [`DROP_DEPTH`], for the outermost
+    /// drop to free.
+    static DEFERRED: RefCell<Vec<Vec<Value>>> = const { RefCell::new(Vec::new()) };
+}
+
+impl ListItems {
+    fn shared(items: Vec<Value>) -> Rc<ListItems> {
+        Rc::new(ListItems(items))
+    }
+}
+
+impl std::ops::Deref for ListItems {
+    type Target = Vec<Value>;
+
+    fn deref(&self) -> &Vec<Value> {
+        &self.0
+    }
+}
+
+impl Drop for ListItems {
+    fn drop(&mut self) {
+        let items = std::mem::take(&mut self.0);
+        let depth = DROPPING.get();
+        if depth >= DROP_DEPTH {
+            // (Once the thread is tearing down its locals, the items
+            // drop here instead.)
+            let _ = DEFERRED.try_with(|d| d.borrow_mut().push(items));
+            return;
+        }
+        DROPPING.set(depth + 1);
+        drop(items);
+        if depth == 0 {
+            while let Some(items) = DEFERRED.try_with(|d| d.borrow_mut().pop()).ok().flatten() {
+                drop(items);
+            }
+        }
+        DROPPING.set(depth);
     }
 }
 
@@ -325,43 +381,75 @@ pub fn format_list(items: &[Value]) -> String {
 /// pass. Returns how the text written must itself be quoted as an
 /// element of an enclosing list, which follows from its elements, so a
 /// nested list is never scanned again: elements written plain or braced
-/// leave it balanced and free of backslashes.
+/// leave it balanced and free of backslashes. The lists being written
+/// are kept on a heap stack, so nesting depth costs no host stack.
 fn write_list(out: &mut String, items: &[Value]) -> Quoting {
-    let mut whole = match items.len() {
-        1 => Quoting::Plain,
-        _ => Quoting::Brace,
-    };
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
+    let mut open = Open::new(items, out.len());
+    // The lists `open` is nested in, innermost last.
+    let mut outer: Vec<Open<'_>> = Vec::new();
+    loop {
+        let Some(item) = open.items.next() else {
+            let Some(parent) = outer.pop() else {
+                return open.whole;
+            };
+            // A nested list is written braced, which it nearly always
+            // is, then amended to what its elements called for.
+            match open.whole {
+                Quoting::Plain => drop(out.remove(open.mark)),
+                Quoting::Brace => out.push('}'),
+                Quoting::Backslash => {
+                    let inner = out.split_off(open.mark + 1);
+                    out.truncate(open.mark);
+                    write_escaped(out, &inner);
+                }
+            }
+            let whole = open.whole;
+            open = parent;
+            open.whole = open.whole.max(whole);
+            continue;
+        };
+        if !std::mem::take(&mut open.first) {
             out.push(' ');
         }
         let quoting = match item {
             Value::Str(s) => write_quoted(out, s),
             Value::Memo(m) => write_quoted(out, &m.text),
             Value::List(inner) => {
-                // Written braced, which it nearly always is, then amended.
                 let mark = out.len();
                 out.push('{');
-                let quoting = write_list(out, inner);
-                match quoting {
-                    Quoting::Plain => drop(out.remove(mark)),
-                    Quoting::Brace => out.push('}'),
-                    Quoting::Backslash => {
-                        let inner = out.split_off(mark + 1);
-                        out.truncate(mark);
-                        write_escaped(out, &inner);
-                    }
-                }
-                quoting
+                outer.push(std::mem::replace(&mut open, Open::new(inner, mark)));
+                continue;
             }
             number @ (Value::Int(_) | Value::Double(_)) => {
                 number.write_to(out);
                 Quoting::Plain
             }
         };
-        whole = whole.max(quoting);
+        open.whole = open.whole.max(quoting);
     }
-    whole
+}
+
+/// A list [`write_list`] is in the middle of: the items left to write,
+/// how the list must be quoted so far, and where its text starts.
+struct Open<'a> {
+    items: std::slice::Iter<'a, Value>,
+    first: bool,
+    whole: Quoting,
+    mark: usize,
+}
+
+impl<'a> Open<'a> {
+    fn new(items: &'a [Value], mark: usize) -> Open<'a> {
+        Open {
+            items: items.iter(),
+            first: true,
+            whole: match items.len() {
+                1 => Quoting::Plain,
+                _ => Quoting::Brace,
+            },
+            mark,
+        }
+    }
 }
 
 /// Writes one string element, quoted as it must be.
@@ -384,11 +472,21 @@ fn write_quoted(out: &mut String, s: &str) -> Quoting {
 /// decimal text to every coercion; a `Double` is not (`as_int` takes
 /// `Double(4.0)` and refuses `"4.0"`).
 fn survives_text(items: &[Value]) -> bool {
-    items.iter().all(|item| match item {
-        Value::Int(_) | Value::Str(_) | Value::Memo(_) => true,
-        Value::Double(_) => false,
-        Value::List(inner) => survives_text(inner),
-    })
+    // Nested lists wait on a heap stack: depth costs no host stack.
+    let (mut items, mut nested) = (items, Vec::new());
+    loop {
+        for item in items {
+            match item {
+                Value::Int(_) | Value::Str(_) | Value::Memo(_) => {}
+                Value::Double(_) => return false,
+                Value::List(inner) => nested.push(inner.as_slice()),
+            }
+        }
+        match nested.pop() {
+            Some(next) => items = next,
+            None => return true,
+        }
+    }
 }
 
 /// How a list element is written — the contract `format_list` keeps.

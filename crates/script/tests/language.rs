@@ -415,6 +415,39 @@ fn budget_errors_are_not_catchable() {
 }
 
 #[test]
+fn a_list_nested_200_000_deep_renders_and_frees_on_a_small_thread() {
+    // Rendering a value and dropping it both walk its nesting; neither
+    // may spend host stack per level. A 2 MiB thread is what
+    // `std::thread::spawn` gives a host's worker.
+    const DEPTH: usize = 200_000;
+    let worker = std::thread::Builder::new().stack_size(2 << 20);
+    let lens = worker
+        .spawn(|| {
+            let mut i = Interp::with_budget(Budget {
+                max_steps: 2_000_000,
+                max_depth: 64,
+            });
+            let src = "set l {}; set i 0; while {$i < 200000} {set l [list $l]; incr i}; set l";
+            let v = i.eval(&mut NoHost, src).expect("builds");
+            drop(i);
+            let script = v.as_str().len();
+            // The same depth built from Rust, through the memo form a
+            // field rests in (which renders it and checks its items).
+            let mut deep = Value::list(Vec::new());
+            for _ in 0..DEPTH {
+                deep = Value::list(vec![deep]);
+            }
+            let memo = deep.into_memo().as_str().len();
+            drop(v);
+            (script, memo)
+        })
+        .expect("spawns")
+        .join()
+        .expect("no overflow");
+    assert_eq!(lens, (2 * DEPTH, 2 * DEPTH));
+}
+
+#[test]
 fn steps_accumulate_and_reset() {
     let mut i = Interp::new();
     i.eval(&mut NoHost, "set x 1").unwrap();

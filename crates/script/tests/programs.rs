@@ -1,12 +1,15 @@
-//! Program-scale interpreter tests: multi-proc Tcl programs of the kind
-//! real RDOs are made of.
-//!
-//! Besides its own assertions, every test folds each evaluation's full
-//! observable outcome (result or error text and flags, `steps_used`,
-//! `puts` output) into a digest and checks it against the `program`
-//! lines of `crates/fuzz/golden/script_outcomes.txt`, recorded from the
-//! tree-walking evaluator the compiled one replaced: step accounting
-//! feeds every virtual-time figure, so it is contract, not detail.
+// Program-scale interpreter tests: multi-proc Tcl programs of the kind
+// real RDOs are made of.
+//
+// Besides its own assertions, every test folds each evaluation's full
+// observable outcome (result or error text and flags, `steps_used`,
+// `puts` output) into a digest and checks it against the `program`
+// lines of `crates/fuzz/golden/script_outcomes.txt`, recorded from the
+// tree-walking evaluator the compiled one replaced: step accounting
+// feeds every virtual-time figure, so it is contract, not detail.
+//
+// (Plain comments, not `//!`: the library's unit tests `include!` this
+// file to run every program under both of the compiler's lowerings.)
 
 use rover_script::{Budget, Interp, NoHost, ScriptError, Value};
 

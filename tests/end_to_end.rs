@@ -298,6 +298,91 @@ fn three_clients_share_one_server() {
 }
 
 #[test]
+fn loop_heavy_method_runs_the_same_on_client_and_server() {
+    // A `while` with `incr` and a comparison, and a `foreach` with
+    // `lappend`: the statement shapes the interpreter runs most. The
+    // result, the steps and the virtual time each side charges for
+    // them are pinned; steps feed every virtual-time figure.
+    let mut sim = Sim::new(77);
+    let net = Net::new();
+    let link = net.add_link(LinkSpec::ETHERNET_10M, LAPTOP, HOME);
+    let server = Server::new(&net, ServerConfig::workstation(HOME));
+    server.borrow_mut().add_route(LAPTOP, link);
+    let urn = Urn::parse("urn:rover:t/loops").unwrap();
+    let obj = rover::RoverObject::new(urn.clone(), "loops")
+        .with_code(
+            "proc tally {n} {
+                 set s 0
+                 set i 0
+                 while {$i < $n} {
+                     incr s $i
+                     incr i
+                 }
+                 set out {}
+                 foreach w [rover::get words] {
+                     if {$w eq \"skip\"} continue
+                     lappend out [string length $w]
+                 }
+                 list $s $out
+             }",
+        )
+        .with_field("words", "mobile skip information access skip toolkit");
+    let run = obj
+        .clone()
+        .run_query(
+            "tally",
+            &[rover::script::Value::Int(300)],
+            Default::default(),
+        )
+        .unwrap();
+    assert_eq!(
+        (run.result.as_str().as_ref(), run.steps),
+        ("44850 {6 11 6 7}", 1239)
+    );
+    server.borrow_mut().put_object(obj);
+
+    let client = Client::new(
+        &mut sim,
+        &net,
+        ClientConfig::thinkpad(LAPTOP, HOME),
+        vec![link],
+    );
+    let session = Client::create_session(&client, Guarantees::ALL, true);
+    let import = Client::import(&client, &mut sim, &urn, session, Priority::FOREGROUND).unwrap();
+    sim.run();
+    assert_eq!(import.poll().unwrap().status, OpStatus::Ok);
+
+    let start = sim.now();
+    let local = Client::invoke_local(&client, &mut sim, &urn, "tally", &["300"]).unwrap();
+    sim.run();
+    let start_remote = sim.now();
+    let remote = Client::invoke_remote(
+        &client,
+        &mut sim,
+        &urn,
+        session,
+        "tally",
+        &["300"],
+        Priority::FOREGROUND,
+    )
+    .unwrap();
+    sim.run();
+    let took = |p: &rover::Promise, from: rover::SimTime| {
+        let out = p.poll().expect("resolved");
+        let us = p.resolved_at().expect("resolved").since(from).as_micros();
+        (out.status, out.value.as_str().into_owned(), us)
+    };
+    assert_eq!(
+        took(&local, start),
+        (OpStatus::Ok, "44850 {6 11 6 7}".to_owned(), 12540)
+    );
+    assert_eq!(
+        took(&remote, start_remote),
+        (OpStatus::Ok, "44850 {6 11 6 7}".to_owned(), 20478)
+    );
+}
+
+#[test]
 fn facade_reexports_cover_public_api() {
     // Compile-time check that the facade exposes the useful surface.
     fn _assert_types() {
