@@ -5,7 +5,6 @@ pub mod apps;
 pub mod drain;
 pub mod micro;
 pub mod migration;
-pub mod realclock;
 pub mod scale;
 pub mod soak;
 pub mod tables;
@@ -33,7 +32,6 @@ pub const ALL: &[&str] = &[
     "s1-scale",
     "s2-shard-scaling",
     "s3-hot-balance",
-    "s4-realclock",
 ];
 
 /// Runs one experiment by id into a buffered [`Report`]; `None` for
@@ -62,20 +60,7 @@ pub fn run_report(id: &str) -> Option<crate::report::Report> {
         "s1-scale" => scale::s1_scale(&mut r),
         "s2-shard-scaling" => scale::s2_shard_scaling(&mut r),
         "s3-hot-balance" => scale::s3_hot_balance(&mut r),
-        "s4-realclock" => realclock::s4_realclock(&mut r),
         _ => return None,
     }
     Some(r)
-}
-
-/// Runs one experiment by id, printing its report; returns false for
-/// unknown ids.
-pub fn run(id: &str) -> bool {
-    match run_report(id) {
-        Some(r) => {
-            print!("{}", r.text());
-            true
-        }
-        None => false,
-    }
 }

@@ -66,6 +66,14 @@ const SERVER: HostId = HostId(1);
 /// at `HostId(10)`.
 pub const MAX_SHARDS: usize = 8;
 
+/// Arrival bursts the population is split into, and the gap between
+/// consecutive bursts.
+const BURSTS: usize = 16;
+const BURST_GAP: SimDuration = SimDuration::from_millis(100);
+/// Open-loop inter-export think time (closed-loop clients chain on the
+/// previous commit instead).
+const THINK: SimDuration = SimDuration::from_millis(10);
+
 /// Every Nth client of a sharded run becomes a cross-shard verifier
 /// (one session spanning two shards, MR/WFR asserted on every commit).
 const VERIFIER_EVERY: usize = 64;
@@ -79,17 +87,6 @@ pub struct ScaleConfig {
     pub clients: usize,
     /// Exports issued per client.
     pub ops_per_client: usize,
-    /// Arrival bursts the population is split into.
-    pub bursts: usize,
-    /// Gap between consecutive arrival bursts.
-    pub burst_gap: SimDuration,
-    /// Open-loop inter-export think time (closed-loop clients chain on
-    /// the previous commit instead).
-    pub think: SimDuration,
-    /// Give every client this link class instead of the round-robin
-    /// ethernet/WaveLAN/CSLIP mix (the hotpath gate pins ethernet so
-    /// the *server*, not a 14.4k modem, is the bottleneck).
-    pub link_override: Option<LinkSpec>,
     /// Server commit policy under test.
     pub policy: CommitPolicy,
     /// Home-server shards the URN space is hash-partitioned across
@@ -131,10 +128,6 @@ impl ScaleConfig {
             seed,
             clients,
             ops_per_client,
-            bursts: 16,
-            burst_gap: SimDuration::from_millis(100),
-            think: SimDuration::from_millis(10),
-            link_override: None,
             policy: CommitPolicy::PerOperation,
             shards: 1,
             shard_crashes: 0,
@@ -800,7 +793,7 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
     let mut clients: Vec<ClientRef> = Vec::with_capacity(cfg.clients);
     for i in 0..cfg.clients {
         let host = client_host(i);
-        let spec = cfg.link_override.unwrap_or_else(|| link_class(i));
+        let spec = link_class(i);
         let urn = urns[draws.obj[i]].clone();
         let home = map.host_for(urn.as_str());
         let home_idx = (home.0 - SERVER.0) as usize;
@@ -853,12 +846,12 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
         let cl = Client::new(&mut sim, &net, ccfg, links);
         let session = Client::create_session(&cl, Guarantees::ALL, true);
 
-        let burst = (i * cfg.bursts.max(1)) / cfg.clients.max(1);
+        let burst = (i * BURSTS) / cfg.clients.max(1);
         let jitter = SimDuration::from_micros(draws.jitter_us[i]);
         let arrival =
-            SimDuration::from_micros(cfg.burst_gap.as_micros() * burst as u64 + jitter.as_micros());
+            SimDuration::from_micros(BURST_GAP.as_micros() * burst as u64 + jitter.as_micros());
         let closed = i % 2 == 0;
-        let (cl2, st2, ops, think) = (cl.clone(), st.clone(), cfg.ops_per_client, cfg.think);
+        let (cl2, st2, ops) = (cl.clone(), st.clone(), cfg.ops_per_client);
         match verifier_pair {
             Some((surn, shost)) => {
                 // Cross-shard verifier: warm both shards' read floors,
@@ -934,7 +927,7 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
                             for j in 0..ops {
                                 let (cl3, urn3, st3) = (cl2.clone(), urn.clone(), st2.clone());
                                 sim.schedule_after(
-                                    SimDuration::from_micros(think.as_micros() * j as u64),
+                                    SimDuration::from_micros(THINK.as_micros() * j as u64),
                                     move |sim| {
                                         issue_export(sim, &cl3, &urn3, session, host, home, &st3);
                                     },

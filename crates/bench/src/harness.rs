@@ -9,12 +9,11 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use crate::exps;
 
-/// One finished experiment: its rendered text, headline virtual-time
-/// metrics, and how long it took in wall-clock terms.
+/// One finished experiment: its rendered text and headline
+/// virtual-time metrics.
 pub struct ExpResult {
     /// Experiment id (e.g. `e1-null-qrpc`).
     pub id: String,
@@ -22,8 +21,6 @@ pub struct ExpResult {
     pub text: String,
     /// Headline metrics recorded by the experiment.
     pub metrics: Vec<(String, f64)>,
-    /// Wall-clock milliseconds spent running the experiment.
-    pub wall_ms: f64,
 }
 
 /// Returns the default worker count: the machine's available
@@ -52,15 +49,12 @@ pub fn run_parallel(ids: &[&str], jobs: usize) -> Vec<ExpResult> {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(id) = ids.get(i) else { break };
-                let t0 = Instant::now();
                 let report =
                     exps::run_report(id).unwrap_or_else(|| panic!("unknown experiment \"{id}\""));
-                let wall_ms = t0.elapsed().as_secs_f64() * 1000.0;
                 let result = ExpResult {
                     id: (*id).to_owned(),
                     text: report.text().to_owned(),
                     metrics: report.metrics().to_vec(),
-                    wall_ms,
                 };
                 let mut slots = match slots.lock() {
                     Ok(s) => s,
@@ -109,29 +103,30 @@ fn json_f64(v: f64) -> String {
 }
 
 /// Serializes results as the `BENCH_rover.json` document: one entry per
-/// experiment with wall-clock milliseconds and the experiment's
-/// headline virtual-time metrics.
-pub fn results_json(results: &[ExpResult], jobs: usize) -> String {
+/// experiment with its headline virtual-time metrics, one metric per
+/// line so a plain `diff` names the metric that moved. The document is
+/// a pure function of the results: no clock, no worker count.
+pub fn results_json(results: &[ExpResult]) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"suite\": \"rover-bench\",\n");
-    out.push_str(&format!("  \"jobs\": {jobs},\n"));
-    out.push_str(&format!(
-        "  \"total_wall_ms\": {},\n",
-        json_f64(results.iter().map(|r| r.wall_ms).sum())
-    ));
     out.push_str("  \"experiments\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str("    {\n");
         out.push_str(&format!("      \"id\": \"{}\",\n", json_escape(&r.id)));
-        out.push_str(&format!("      \"wall_ms\": {},\n", json_f64(r.wall_ms)));
-        out.push_str("      \"metrics\": {");
-        for (j, (k, v)) in r.metrics.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
+        if r.metrics.is_empty() {
+            out.push_str("      \"metrics\": {}\n");
+        } else {
+            out.push_str("      \"metrics\": {\n");
+            for (j, (k, v)) in r.metrics.iter().enumerate() {
+                let sep = if j + 1 == r.metrics.len() { "" } else { "," };
+                out.push_str(&format!(
+                    "        \"{}\": {}{sep}\n",
+                    json_escape(k),
+                    json_f64(*v)
+                ));
             }
-            out.push_str(&format!("\"{}\": {}", json_escape(k), json_f64(*v)));
+            out.push_str("      }\n");
         }
-        out.push_str("}\n");
         out.push_str(if i + 1 == results.len() {
             "    }\n"
         } else {
@@ -147,11 +142,10 @@ pub fn results_json(results: &[ExpResult], jobs: usize) -> String {
 pub fn write_results_json(
     dir: &std::path::Path,
     results: &[ExpResult],
-    jobs: usize,
 ) -> std::io::Result<std::path::PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join("BENCH_rover.json");
-    std::fs::write(&path, results_json(results, jobs))?;
+    std::fs::write(&path, results_json(results))?;
     Ok(path)
 }
 
@@ -170,16 +164,22 @@ mod tests {
 
     #[test]
     fn results_json_shape() {
-        let results = vec![ExpResult {
-            id: "e1".into(),
-            text: String::new(),
-            metrics: vec![("rtt_ms".into(), 3.25)],
-            wall_ms: 10.0,
-        }];
-        let s = results_json(&results, 4);
-        assert!(s.contains("\"id\": \"e1\""));
-        assert!(s.contains("\"rtt_ms\": 3.25"));
-        assert!(s.contains("\"jobs\": 4"));
-        assert!(s.ends_with("}\n"));
+        let results = vec![
+            ExpResult {
+                id: "t1".into(),
+                text: String::new(),
+                metrics: vec![],
+            },
+            ExpResult {
+                id: "e1".into(),
+                text: String::new(),
+                metrics: vec![("rtt_ms".into(), 3.25), ("ops".into(), 2.0)],
+            },
+        ];
+        let s = results_json(&results);
+        assert!(s.contains("      \"metrics\": {}\n"));
+        assert!(s.contains("\n        \"rtt_ms\": 3.25,\n        \"ops\": 2\n      }\n"));
+        assert!(!s.contains("wall") && !s.contains("jobs"));
+        assert!(s.ends_with("  ]\n}\n"));
     }
 }

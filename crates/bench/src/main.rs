@@ -13,9 +13,9 @@
 //! Experiments are independent virtual-time simulations, so `--jobs N`
 //! (default: all cores) runs them concurrently and prints the buffered
 //! reports in canonical order — the report bytes are identical to a
-//! serial run. `all` also writes `results/BENCH_rover.json` with
-//! per-experiment wall-clock time and headline virtual-time metrics
-//! (override the directory with `--json <dir>`, disable with
+//! serial run. `all` also writes `results/BENCH_rover.json` with every
+//! experiment's headline virtual-time metrics, byte-identical at any
+//! `--jobs` (override the directory with `--json <dir>`, disable with
 //! `--json none`).
 
 #![deny(unsafe_code)]
@@ -92,7 +92,7 @@ fn main() {
         None => None,
     };
     if let Some(dir) = json_dir {
-        match harness::write_results_json(std::path::Path::new(&dir), &results, jobs) {
+        match harness::write_results_json(std::path::Path::new(&dir), &results) {
             Ok(path) => eprintln!("wrote {}", path.display()),
             Err(e) => {
                 eprintln!("failed to write {dir}/BENCH_rover.json: {e}");

@@ -23,7 +23,8 @@ fn render(results: &[harness::ExpResult]) -> String {
 }
 
 /// `--jobs 4` must produce byte-identical report text and identical
-/// headline metrics to `--jobs 1`, across the full experiment suite.
+/// headline metrics to `--jobs 1`, across the full experiment suite,
+/// and so a byte-identical `BENCH_rover.json`.
 #[test]
 fn parallel_report_is_byte_identical_to_serial() {
     let serial = harness::run_parallel(exps::ALL, 1);
@@ -36,18 +37,6 @@ fn parallel_report_is_byte_identical_to_serial() {
     );
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.id, p.id, "canonical order broken");
-        // s4-realclock is the one wall-clock experiment: its report
-        // text is deterministic (checked above) but its metrics are
-        // measured real time, which no scheduler can reproduce.
-        if s.id == "s4-realclock" {
-            assert_eq!(
-                s.metrics.iter().map(|(k, _)| k).collect::<Vec<_>>(),
-                p.metrics.iter().map(|(k, _)| k).collect::<Vec<_>>(),
-                "metric keys differ for {}",
-                s.id
-            );
-            continue;
-        }
         assert_eq!(s.metrics, p.metrics, "metrics differ for {}", s.id);
     }
 }

@@ -45,9 +45,13 @@ pub fn counter_object() -> RoverObject {
 }
 
 /// Writes `contents` to `path` atomically (tmp + rename), so concurrent
-/// readers never observe a torn file.
+/// readers never observe a torn file. The temp file is `<path>.tmp`,
+/// `.tmp` appended to the whole name, so `run.addr` and `run.prog`
+/// never share one.
 pub fn atomic_write(path: &Path, contents: &str) -> Result<(), String> {
-    let tmp = path.with_extension("tmp");
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
     std::fs::write(&tmp, contents).map_err(|e| format!("write {}: {e}", tmp.display()))?;
     std::fs::rename(&tmp, path).map_err(|e| format!("rename {}: {e}", path.display()))
 }
@@ -619,4 +623,24 @@ pub fn read_counter(server: &rover_core::ServerRef) -> Result<u64, String> {
         .ok_or_else(|| "counter field missing".to_string())?
         .parse::<u64>()
         .map_err(|e| format!("counter not a number: {e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `a.addr`'s temp file is `a.addr.tmp`: a directory at `a.tmp`
+    /// (or a sibling `a.prog`'s write) does not collide with it.
+    #[test]
+    fn atomic_write_temp_file_keeps_the_whole_name() {
+        let dir = std::env::temp_dir().join(format!("rover-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("a.tmp")).unwrap();
+        let path = dir.join("a.addr");
+        atomic_write(&path, "127.0.0.1:1").unwrap();
+        atomic_write(&path, "127.0.0.1:2").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "127.0.0.1:2");
+        assert!(!dir.join("a.addr.tmp").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -200,6 +200,10 @@ impl HotSet {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -256,5 +260,78 @@ mod tests {
             h.top()
         };
         assert_eq!(run(), run());
+    }
+
+    /// Feeds `stream` to a K-slot tracker and an exact `BTreeMap`
+    /// counter, asserts the space-saving guarantees, and returns both.
+    fn against_exact(k: usize, stream: &[String]) -> (HotSet, BTreeMap<&str, u64>) {
+        let mut h = HotSet::new(k);
+        let mut exact: BTreeMap<&str, u64> = BTreeMap::new();
+        for key in stream {
+            h.touch(key);
+            *exact.entry(key).or_default() += 1;
+        }
+        let top = h.top();
+        assert!(h.len() <= k, "{} keys tracked with K = {k}", h.len());
+        for (key, count) in &top {
+            let truth = exact[key.as_str()];
+            assert!(*count >= truth, "{key}: counted {count} < true {truth}");
+        }
+        let n = stream.len() as u64;
+        for (key, &truth) in &exact {
+            if truth * k as u64 > n {
+                assert!(
+                    top.iter().any(|(t, _)| t == key),
+                    "{key} drew {truth} of {n} hits (> N/K, K = {k}) but is untracked"
+                );
+            }
+        }
+        (h, exact)
+    }
+
+    proptest! {
+        #[test]
+        fn space_saving_bounds_hold_against_an_exact_counter(
+            k in 1usize..=64,
+            keys in 1usize..=10_000,
+            draws in proptest::collection::vec((0u8..4, 0usize..10_000), 0..2_000),
+        ) {
+            // A quarter of the hits land on a 4-key head, so the > N/K
+            // guarantee has keys to bind at large K; a small `keys`
+            // population supplies them at small K.
+            let stream: Vec<String> = draws
+                .into_iter()
+                .map(|(r, x)| format!("k{}", if r == 0 { x % 4 } else { x % keys }))
+                .collect();
+            against_exact(k, &stream);
+        }
+    }
+
+    /// A zipf-shaped stream over 10k URNs: a quarter of the hits on one
+    /// object, most of the rest on a 16-object head, one in sixteen
+    /// anywhere in the population. The sketch's hottest key is the
+    /// exact counter's.
+    #[test]
+    fn zipf_10k_urns_top_key_matches_the_exact_counter() {
+        const URNS: usize = 10_000;
+        let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+        let stream: Vec<String> = (0..50_000usize)
+            .map(|i| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let r = (state >> 33) as usize;
+                let obj = match i % 16 {
+                    0..=3 => 0,
+                    15 => r % URNS,
+                    _ => r % 16,
+                };
+                format!("urn:rover:bench/obj{obj}")
+            })
+            .collect();
+        let (h, exact) = against_exact(32, &stream);
+        let hottest = exact.iter().max_by_key(|(_, &c)| c).map(|(k, _)| *k);
+        assert_eq!(Some(h.top()[0].0.as_str()), hottest);
+        assert!(exact.len() > 32 * 50, "the stream spans the population");
     }
 }

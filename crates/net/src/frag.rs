@@ -216,19 +216,21 @@ mod tests {
 
     #[test]
     fn split_and_reassemble_roundtrip() {
-        let e = env(10_000);
-        let frags = split_envelope(e.clone(), 1460, 9);
-        assert_eq!(frags.len(), 7);
-        assert!(frags.iter().all(|f| f.kind == MsgKind::Fragment));
-        let mut r = Reassembler::new(8);
-        let mut out = None;
-        for f in frags {
-            if let Some(m) = r.accept(f) {
-                out = Some(m);
+        for (n, count) in [(10_000, 7), (1 << 20, 719)] {
+            let e = env(n);
+            let frags = split_envelope(e.clone(), 1460, 9);
+            assert_eq!(frags.len(), count);
+            assert!(frags.iter().all(|f| f.kind == MsgKind::Fragment));
+            let mut r = Reassembler::new(8);
+            let mut out = None;
+            for f in frags {
+                if let Some(m) = r.accept(f) {
+                    out = Some(m);
+                }
             }
+            assert_eq!(out, Some(e));
+            assert_eq!(r.pending(), 0);
         }
-        assert_eq!(out, Some(e));
-        assert_eq!(r.pending(), 0);
     }
 
     #[test]

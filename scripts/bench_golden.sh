@@ -3,10 +3,10 @@
 #
 # The standing invariant (ROADMAP.md): every virtual-time BENCH metric
 # stays byte-identical unless a PR says why it moved. This runs the
-# whole suite serially and compares every metric of every experiment
-# against the checked-in results/BENCH_rover.json, ignoring only what
-# is measured in wall time: `jobs`, the `wall_ms` fields, and the
-# `s4.*` metrics (s4-realclock is the one real-clock experiment).
+# whole suite at the default `--jobs` and diffs the JSON it writes
+# against the checked-in results/BENCH_rover.json. The document holds
+# no wall-clock field and one metric per line, so a difference names
+# the metric.
 #
 #   scripts/bench_golden.sh            # builds rover-bench, then checks
 #   BENCH_BIN=path scripts/bench_golden.sh   # check with a built binary
@@ -26,18 +26,11 @@ fi
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-"$bin" all --jobs 1 --json "$tmp" > /dev/null
+"$bin" all --json "$tmp" > /dev/null
 
-# One metric per line, so a difference names the metric.
-virtual_time_only() {
-    sed -E -e '/^ *"(jobs|total_wall_ms|wall_ms)":/d' \
-        -e 's/"s4\.[^"]*": [^,}]*(, )?//g' \
-        -e 's/, "/,\n"/g' "$1"
-}
-
-if diff <(virtual_time_only "$GOLDEN") <(virtual_time_only "$tmp/BENCH_rover.json"); then
+if diff "$GOLDEN" "$tmp/BENCH_rover.json"; then
     echo "bench_golden: ok ($(grep -c '"id":' "$GOLDEN") experiments match $GOLDEN)"
 else
-    echo "bench_golden: FAIL — virtual-time metrics differ from $GOLDEN (< golden, > this build)" >&2
+    echo "bench_golden: FAIL — metrics differ from $GOLDEN (< golden, > this build)" >&2
     exit 1
 fi
