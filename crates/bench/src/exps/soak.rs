@@ -58,8 +58,8 @@ pub struct SoakConfig {
     /// Server crash/restart cycles scheduled mid-traffic (0 = the
     /// server never fails and no write-ahead log is attached).
     pub server_crashes: usize,
-    /// Run the server's commit path under group commit (batched WAL
-    /// flushes + coalesced replies) instead of per-operation flush.
+    /// Run the server's commit path with batches of 8 (batched WAL
+    /// flushes + coalesced replies) instead of groups of one.
     /// Implies a write-ahead log even when `server_crashes == 0`.
     pub group_commit: bool,
 }
@@ -138,8 +138,8 @@ pub struct SoakOutcome {
     /// Mean recovery scan time across restarts, in microseconds
     /// (virtual time; 0 when the server never crashed).
     pub recovery_us_mean: u64,
-    /// Group flushes performed (`server.group_commits`; 0 under the
-    /// per-operation policy).
+    /// Group flushes performed (`server.group_commits`; one per commit
+    /// under the per-operation policy).
     pub group_commits: u64,
     /// Mean commits per group flush x100 (100 = one per flush).
     pub group_batch_mean_x100: u64,
@@ -149,8 +149,8 @@ pub struct SoakOutcome {
     pub group_batch_p99_x100: u64,
     /// Replies that rode an earlier reply's coalesced envelope.
     pub reply_coalesced: u64,
-    /// Mean staged-to-durable wait per commit, in microseconds (0 under
-    /// the per-operation policy, where nothing ever waits staged).
+    /// Mean staged-to-durable wait per commit, in microseconds (under
+    /// the per-operation policy, the flush itself).
     pub flush_wait_us_mean: u64,
     /// Median staged-to-durable wait, microseconds.
     pub flush_wait_us_p50: u64,

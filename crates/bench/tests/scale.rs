@@ -11,10 +11,14 @@ fn scale_soak_converges_with_invariants() {
     assert_eq!(o.final_total, o.ops);
     assert_eq!(o.committed, o.ops);
     assert_eq!(o.reexecs, 0);
-    assert_eq!(o.group_commits, 0, "per-op arm must never group-flush");
     // The WAL logs every processed request (imports included), so the
     // count floors at one record per export.
     assert!(o.wal_appends >= o.ops, "one WAL record per commit minimum");
+    assert_eq!(
+        o.group_commits, o.wal_appends,
+        "per-op arm flushes groups of one"
+    );
+    assert_eq!(o.batch_p99_x100, 100);
     assert_eq!(o.retransmits, 0, "clean links never retransmit");
 
     let g = run_scale(ScaleConfig::new(3, 200, 2).with_policy(GROUP_POLICY))

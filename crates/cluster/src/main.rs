@@ -6,6 +6,9 @@
 //!   client --connect A [--host-id N] [--ops N] [--window N]
 //!          [--progress F] [--rto-ms N] [--deadline-s N]
 //!   dump   --wal F [--out F]
+//!
+//! `--group-batch` is the server's commit group size (default 32); `0`
+//! and `1` both flush each commit on its own.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -86,7 +86,8 @@ pub struct ServerOpts {
     /// Path of the write-ahead log file (created if absent; a non-empty
     /// file is recovered from).
     pub wal: PathBuf,
-    /// Group-commit batch size; `0` selects per-operation commit.
+    /// Group-commit batch size; `0` and `1` both flush each commit on
+    /// its own.
     pub group_batch: usize,
     /// Group-commit window in milliseconds.
     pub group_window_ms: u64,
@@ -188,12 +189,10 @@ pub fn run_server(opts: &ServerOpts, shutdown: Arc<AtomicBool>) -> Result<Server
     cfg.cpu = CpuModel::FREE;
     cfg.mtu = NO_FRAG_MTU;
     cfg.checkpoint_every = opts.checkpoint_every;
-    if opts.group_batch > 0 {
-        cfg.commit = CommitPolicy::Group {
-            max_batch: opts.group_batch,
-            window: SimDuration::from_millis(opts.group_window_ms),
-        };
-    }
+    cfg.commit = CommitPolicy::Group {
+        max_batch: opts.group_batch,
+        window: SimDuration::from_millis(opts.group_window_ms),
+    };
     let server = Server::new(&net, cfg);
     server
         .borrow_mut()

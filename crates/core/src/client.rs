@@ -25,7 +25,7 @@ use rover_wire::{
 };
 
 use crate::cache::Cache;
-use crate::config::{ClientConfig, LogPolicy};
+use crate::config::ClientConfig;
 use crate::events::ClientEvent;
 use crate::object::RoverObject;
 use crate::payload::{ExportPayload, InvokePayload};
@@ -147,7 +147,6 @@ pub struct Client {
     /// from cutting the *next* batch's window short (mirrors the
     /// server-side group-commit guard).
     group_timer_gen: u64,
-    unflushed: usize,
     next_req: u64,
     next_session: u64,
     /// Incremented on every link-down transition; a request enqueued in
@@ -283,7 +282,6 @@ impl Client {
             parked: Vec::new(),
             group_timer_armed: false,
             group_timer_gen: 0,
-            unflushed: 0,
             next_req: 1,
             next_session: 1,
             link_epoch: 0,
@@ -1206,38 +1204,18 @@ impl Client {
             let marshal = c.cfg.cpu.marshal_cost(bytes.len());
             sim.stats.sample_duration("client.marshal_ms", marshal);
 
-            // Stable-log handling per policy.
-            let (log_seq, flush_cost, ready) = match c.cfg.log_policy {
-                LogPolicy::None => (0, rover_sim::SimDuration::ZERO, vec![req_id.0]),
-                LogPolicy::PerOperation => {
+            // Stable-log handling per policy: a per-operation flush is a
+            // group of one.
+            let (log_seq, flush_cost, ready) = match c.cfg.log_policy.group() {
+                None => (0, rover_sim::SimDuration::ZERO, vec![req_id.0]),
+                Some((n, timeout)) => {
                     let seq = c
                         .log
                         .append(RecordKind::Request, bytes.clone())
                         .expect("in-memory log append");
-                    let receipt = c.log.flush().expect("in-memory log flush");
-                    let cost = c.cfg.storage.flush_cost(receipt);
-                    sim.stats.sample_duration("client.flush_ms", cost);
-                    (seq, cost, vec![req_id.0])
-                }
-                LogPolicy::GroupCommit { n, timeout } => {
-                    let seq = c
-                        .log
-                        .append(RecordKind::Request, bytes.clone())
-                        .expect("in-memory log append");
-                    c.unflushed += 1;
                     c.parked.push(req_id.0);
-                    if c.unflushed >= n {
-                        let receipt = c.log.flush().expect("flush");
-                        let cost = c.cfg.storage.flush_cost(receipt);
-                        sim.stats.sample_duration("client.flush_ms", cost);
-                        c.unflushed = 0;
-                        // The size cap beat the window timer to this
-                        // batch: retire the timer (generation bump) so
-                        // its eventual firing cannot cut the next
-                        // batch's window short.
-                        c.group_timer_armed = false;
-                        c.group_timer_gen += 1;
-                        let ready = std::mem::take(&mut c.parked);
+                    if c.parked.len() >= n {
+                        let (ready, cost) = c.flush_parked(sim);
                         (seq, cost, ready)
                     } else {
                         if !c.group_timer_armed {
@@ -1313,11 +1291,7 @@ impl Client {
             if c.parked.is_empty() {
                 return;
             }
-            let receipt = c.log.flush().expect("flush");
-            let cost = c.cfg.storage.flush_cost(receipt);
-            sim.stats.sample_duration("client.flush_ms", cost);
-            c.unflushed = 0;
-            (std::mem::take(&mut c.parked), cost)
+            c.flush_parked(sim)
         };
         let cl2 = cl.clone();
         sim.schedule_after(cost, move |sim| {
@@ -1325,6 +1299,17 @@ impl Client {
                 Client::enqueue_request(&cl2, sim, id, true);
             }
         });
+    }
+
+    /// Forces the log and takes the parked requests the flush made
+    /// durable, with the flush's cost. Disarms the window timer, whose
+    /// batch this was. The caller schedules the release.
+    fn flush_parked(&mut self, sim: &mut Sim) -> (Vec<u64>, rover_sim::SimDuration) {
+        let receipt = self.log.flush().expect("in-memory log flush");
+        let cost = self.cfg.storage.flush_cost(receipt);
+        sim.stats.sample_duration("client.flush_ms", cost);
+        self.group_timer_armed = false;
+        (std::mem::take(&mut self.parked), cost)
     }
 
     /// Hands a tracked request to the network scheduler.

@@ -59,7 +59,8 @@ impl StorageModel {
 /// When the client forces QRPC log records to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LogPolicy {
-    /// Flush on every QRPC (the paper's prototype).
+    /// Flush on every QRPC (the paper's prototype): group commit with a
+    /// group of one.
     PerOperation,
     /// Group commit: flush when `n` records have accumulated or after
     /// `timeout` since the first unflushed record, whichever is first.
@@ -72,6 +73,18 @@ pub enum LogPolicy {
     /// No stable log at all (ablation lower bound: queued requests do
     /// not survive a crash).
     None,
+}
+
+impl LogPolicy {
+    /// The group this policy commits in, as (records per group, window);
+    /// `None` when nothing is logged.
+    pub(crate) fn group(self) -> Option<(usize, SimDuration)> {
+        match self {
+            LogPolicy::PerOperation => Some((1, SimDuration::ZERO)),
+            LogPolicy::GroupCommit { n, timeout } => Some((n, timeout)),
+            LogPolicy::None => None,
+        }
+    }
 }
 
 /// Client-side configuration.
@@ -159,22 +172,20 @@ impl ClientConfig {
 /// When the server makes executed commits durable and schedules their
 /// replies.
 ///
-/// The paper lists group commit as not-implemented future work (§5.2);
-/// the per-operation policy reproduces the prototype's one-flush-per-
-/// QRPC critical path, and [`CommitPolicy::Group`] is the amortized
-/// engine: executed requests stage their commit records into a pending
-/// batch, one flush commits the whole group as a *single* WAL record,
-/// and only then are the group's replies scheduled.
+/// The paper lists group commit as not-implemented future work (§5.2).
+/// Every WAL-bound request takes the one commit path: it stages its
+/// commit record into a pending batch, one flush commits the whole group
+/// as a *single* WAL record, and only then are the group's replies
+/// scheduled. The prototype's one-flush-per-QRPC critical path is the
+/// group of one, [`CommitPolicy::PER_OPERATION`] (the default).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CommitPolicy {
-    /// One synchronous WAL flush per executed QRPC (the paper's
-    /// prototype; the default).
-    PerOperation,
     /// Group commit: flush the pending batch when `max_batch` commits
     /// have staged or `window` after the first one staged, whichever
     /// comes first.
     Group {
-        /// Commits per group before a size-triggered flush.
+        /// Commits per group before a size-triggered flush; `0` and `1`
+        /// both flush each commit as it stages.
         max_batch: usize,
         /// Maximum time the oldest staged commit may wait unflushed.
         window: SimDuration,
@@ -182,10 +193,11 @@ pub enum CommitPolicy {
 }
 
 impl CommitPolicy {
-    /// True when this policy batches commits.
-    pub fn is_group(&self) -> bool {
-        matches!(self, CommitPolicy::Group { .. })
-    }
+    /// One flush per commit, at stage time (the paper's prototype).
+    pub const PER_OPERATION: CommitPolicy = CommitPolicy::Group {
+        max_batch: 1,
+        window: SimDuration::ZERO,
+    };
 }
 
 /// Server-side configuration.
@@ -238,7 +250,7 @@ impl ServerConfig {
             mtu: rover_net::DEFAULT_MTU,
             storage: StorageModel::SERVER_DISK_1995,
             checkpoint_every: 64,
-            commit: CommitPolicy::PerOperation,
+            commit: CommitPolicy::PER_OPERATION,
             replicate_hot: 0,
         }
     }

@@ -95,8 +95,8 @@ pub enum ServerEvent {
     /// write-ahead-log append failed). All volatile state is gone;
     /// requests are dropped until recovery.
     Crashed {
-        /// Commits made durable before the crash
-        /// (`server.wal_appends` at crash time).
+        /// Commits this server made durable before the crash, over its
+        /// lifetime (restarts included).
         durable_commits: u64,
     },
     /// Crash-restart recovery rebuilt the server from checkpoint + log
@@ -116,9 +116,9 @@ pub enum ServerEvent {
         /// Device size in bytes after compaction.
         device_bytes: u64,
     },
-    /// A group-commit batch was flushed durably as one WAL record
-    /// ([`crate::CommitPolicy::Group`]); its replies are now eligible to
-    /// leave the host.
+    /// A group-commit batch (one commit under
+    /// [`crate::CommitPolicy::PER_OPERATION`]) was flushed durably as one
+    /// WAL record; its replies are now eligible to leave the host.
     GroupCommit {
         /// Commits made durable by this flush.
         records: usize,

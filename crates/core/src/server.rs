@@ -46,8 +46,6 @@ pub type ServerRef = Rc<RefCell<Server>>;
 
 type ServerListener = Rc<RefCell<dyn FnMut(&mut Sim, &ServerEvent)>>;
 
-/// Write-ahead-log record kind: one [`CommitRecord`].
-const REC_COMMIT: RecordKind = RecordKind::Other(0x10);
 /// Write-ahead-log record kind: a full state snapshot (the `ROV1`
 /// checkpoint image produced by [`Server::export_store`]).
 const REC_CHECKPOINT: RecordKind = RecordKind::Other(0x11);
@@ -77,14 +75,10 @@ pub enum CrashPoint {
     /// client's retransmission executes freshly (a *first* execution —
     /// nothing was ever committed or replied).
     BeforeAppend,
-    /// Crash after the commit record is appended but before the reply
-    /// is sent. Under per-operation flush the record is already durable:
-    /// after recovery the client's retransmission hits the recovered
-    /// dedup cache and replays the original reply — never a
-    /// re-execution. Under group commit ([`CommitPolicy::Group`]) the
-    /// record has only *staged* into the pending batch — a crash between
-    /// execute and the group flush — so nothing is durable, no reply
-    /// ever left, and the retransmission executes freshly.
+    /// Crash after the commit record has *staged* into the pending batch
+    /// but before the group flush, at any batch size (a group of one
+    /// included): nothing is durable, no reply ever left, and after
+    /// recovery the client's retransmission executes freshly.
     AfterAppend,
 }
 
@@ -98,7 +92,7 @@ struct Wal {
 }
 
 /// One executed-but-not-yet-durable commit staged in the pending
-/// group-commit batch ([`CommitPolicy::Group`]). Its reply (cached in
+/// group-commit batch. Its reply (cached in
 /// `rec.reply`) may not leave the host before the group flush
 /// completes.
 struct PendingCommit {
@@ -212,8 +206,8 @@ pub struct Server {
     /// pipelined, so the CPU executes the next requests while the disk
     /// syncs the previous batch.
     disk_free_at: rover_sim::SimTime,
-    /// Executed commits staged for the next group flush
-    /// ([`CommitPolicy::Group`]); empty under per-operation flush.
+    /// Executed commits staged for the next group flush; always empty
+    /// between requests under a group of one.
     pending: Vec<PendingCommit>,
     /// True while a window timer for the current pending batch is
     /// outstanding.
@@ -266,6 +260,10 @@ pub struct Server {
     /// WAL-bound commits processed across the server's lifetime (keeps
     /// counting through restarts; the scripted-crash ordinal).
     commit_ordinal: u64,
+    /// Commits this server has flushed durably (lifetime; keeps counting
+    /// through restarts). Per server: the `server.wal_appends` counter
+    /// sums every shard sharing the [`Sim`].
+    flushed_commits: u64,
     /// Durability-plane event listeners.
     listeners: Vec<ServerListener>,
 }
@@ -304,6 +302,7 @@ impl Server {
             crashed: false,
             crash_at: None,
             commit_ordinal: 0,
+            flushed_commits: 0,
             listeners: Vec::new(),
         }));
         let weak = Rc::downgrade(&server);
@@ -572,15 +571,17 @@ impl Server {
         }
     }
 
-    /// Appends and syncs one migration record; `None` receipt means no
-    /// WAL is attached (volatile server — the move is volatile too).
-    fn wal_append_migrate(
+    /// Appends and syncs one migration record and charges the flush
+    /// serially; a no-op without a WAL (volatile server — the move is
+    /// volatile too).
+    fn log_migrate(
         &mut self,
+        now: rover_sim::SimTime,
         urn: &str,
         obj: Option<Bytes>,
-    ) -> Result<Option<FlushReceipt>, LogError> {
+    ) -> Result<(), LogError> {
         let Some(wal) = self.wal.as_mut() else {
-            return Ok(None);
+            return Ok(());
         };
         let rec = MigrateRecord {
             urn: urn.to_string(),
@@ -589,7 +590,9 @@ impl Server {
         wal.log.append(REC_MIGRATE, rec.to_bytes())?;
         let receipt = wal.log.flush()?;
         wal.commits_since_ckpt += 1;
-        Ok(Some(receipt))
+        let cost = self.cfg.storage.flush_cost(receipt);
+        self.charge_serial(now, cost);
+        Ok(())
     }
 
     /// The source side of a rebalancing move: flushes any staged group
@@ -612,30 +615,12 @@ impl Server {
                 return None;
             }
         }
-        let (obj, res) = {
-            let mut s = sv.borrow_mut();
-            let obj = s.store.remove(urn)?;
-            let res = s.wal_append_migrate(urn.as_str(), None);
-            (obj, res)
-        };
-        match res {
-            Ok(receipt) => {
-                if let Some(receipt) = receipt {
-                    let mut s = sv.borrow_mut();
-                    let cost = s.cfg.storage.flush_cost(receipt);
-                    s.charge_serial(sim.now(), cost);
-                }
-            }
-            Err(e) => {
-                sim.stats.incr("server.wal_append_failed");
-                sim.trace(
-                    "server",
-                    format_args!("migrate-out append failed: {e}; crashing"),
-                );
-                Server::crash(sv, sim);
-                return None;
-            }
-        }
+        let obj = sv.borrow_mut().store.remove(urn)?;
+        let now = sim.now();
+        Server::write_or_crash(sv, sim, "migrate-out append", |s| {
+            s.log_migrate(now, urn.as_str(), None)
+        })
+        .ok()?;
         sim.stats.incr("server.migrated_out");
         // Free every hold waiting on the departed object; re-admission
         // answers them under the post-migration routing.
@@ -658,33 +643,21 @@ impl Server {
             return false;
         }
         let urn = obj.urn.clone();
-        let res = {
+        let bytes = obj.to_bytes();
+        {
             let mut s = sv.borrow_mut();
             s.replicas.remove(&urn);
             if let Some((map, idx)) = &s.shard_routing {
                 map.retract_replica(urn.as_str(), *idx);
             }
-            let bytes = obj.to_bytes();
             s.store.insert(urn.clone(), obj);
-            s.wal_append_migrate(urn.as_str(), Some(bytes))
-        };
-        match res {
-            Ok(receipt) => {
-                if let Some(receipt) = receipt {
-                    let mut s = sv.borrow_mut();
-                    let cost = s.cfg.storage.flush_cost(receipt);
-                    s.charge_serial(sim.now(), cost);
-                }
-            }
-            Err(e) => {
-                sim.stats.incr("server.wal_append_failed");
-                sim.trace(
-                    "server",
-                    format_args!("migrate-in append failed: {e}; crashing"),
-                );
-                Server::crash(sv, sim);
-                return false;
-            }
+        }
+        let now = sim.now();
+        let res = Server::write_or_crash(sv, sim, "migrate-in append", |s| {
+            s.log_migrate(now, urn.as_str(), Some(bytes))
+        });
+        if res.is_err() {
+            return false;
         }
         sim.stats.incr("server.migrated_in");
         Server::drain_wfr(sv, sim, Some(&urn));
@@ -946,14 +919,8 @@ impl Server {
         }
         sim.stats.incr("server.crashes");
         sim.trace("server", "crashed; dropping traffic until recovery");
-        let durable = sim.stats.counter("server.wal_appends");
-        Server::emit(
-            sv,
-            sim,
-            ServerEvent::Crashed {
-                durable_commits: durable,
-            },
-        );
+        let durable_commits = sv.borrow().flushed_commits;
+        Server::emit(sv, sim, ServerEvent::Crashed { durable_commits });
     }
 
     /// Should the scripted crash fire at `point` for commit `ordinal`?
@@ -1031,12 +998,7 @@ impl Server {
                 if r.seq <= ckpt_seq {
                     continue;
                 }
-                if r.kind == REC_COMMIT {
-                    let c =
-                        CommitRecord::from_shared(&r.payload).map_err(crate::RoverError::from)?;
-                    s.apply_commit(c)?;
-                    recovered += 1;
-                } else if r.kind == REC_COMMIT_BATCH {
+                if r.kind == REC_COMMIT_BATCH {
                     // One frame, many commits: the frame CRC already
                     // vouched for the whole group (a torn batch never
                     // parses as a record at all).
@@ -1062,6 +1024,14 @@ impl Server {
                             }
                         }
                     }
+                } else {
+                    // Not a kind this server writes (a log framing one
+                    // commit per record, say): skipping it would drop
+                    // commits silently.
+                    return Err(crate::RoverError::Log(format!(
+                        "unknown wal record kind {:?}",
+                        r.kind
+                    )));
                 }
             }
             // Re-prune executed ids below the recovered floors, exactly
@@ -1142,21 +1112,6 @@ impl Server {
         Ok(())
     }
 
-    /// Appends this commit's record to the WAL and syncs it; the receipt
-    /// prices the flush on the virtual clock.
-    fn wal_append_commit(
-        &mut self,
-        adm: &Admitted,
-        reply: &QrpcReply,
-    ) -> Result<FlushReceipt, LogError> {
-        let rec = adm.commit_record(reply);
-        let wal = self.wal.as_mut().expect("wal attached");
-        wal.log.append(REC_COMMIT, rec.to_bytes())?;
-        let receipt = wal.log.flush()?;
-        wal.commits_since_ckpt += 1;
-        Ok(receipt)
-    }
-
     /// True while `key`'s original execution sits in the unflushed
     /// pending batch — its reply exists but is not yet durable, so it
     /// must not be replayed to a retransmission.
@@ -1171,38 +1126,27 @@ impl Server {
     /// The flush occupies the *disk* timeline; the CPU keeps executing
     /// requests that stage into the next batch meanwhile (the pipeline).
     fn group_flush(sv: &ServerRef, sim: &mut Sim) {
-        let batch = {
+        {
             let mut s = sv.borrow_mut();
             s.group_timer_armed = false;
             if s.crashed || s.pending.is_empty() {
                 return;
             }
-            std::mem::take(&mut s.pending)
-        };
-        let res = {
-            let mut s = sv.borrow_mut();
-            let payload = encode_commit_batch(batch.iter().map(|p| &p.rec));
-            let wal = s.wal.as_mut().expect("group commit requires a wal");
-            wal.log
-                .append(REC_COMMIT_BATCH, payload)
-                .and_then(|_| wal.log.flush())
-        };
-        let receipt = match res {
-            Ok(r) => r,
-            Err(e) => {
-                // A failed append or sync mid-batch is a crash: the
-                // device may hold a torn frame (recovery discards the
-                // whole batch), and no reply in the group ever leaves.
-                // The batch was already taken out of `pending`, so
-                // account its loss here rather than in `crash`.
-                sim.stats.incr("server.wal_append_failed");
-                sim.stats
-                    .add("server.staged_lost_on_crash", batch.len() as u64);
-                sim.trace("server", format_args!("group flush failed: {e}; crashing"));
-                Server::crash(sv, sim);
-                return;
-            }
-        };
+        }
+        // A failed append or sync mid-batch is a crash: the device may
+        // hold a torn frame (recovery discards the whole batch), and the
+        // batch dies staged, so no reply in the group ever leaves.
+        let flushed = Server::write_or_crash(sv, sim, "group flush", |s| {
+            let payload = encode_commit_batch(s.pending.iter().map(|p| &p.rec));
+            let n = s.pending.len();
+            let wal = s.wal_mut()?;
+            wal.log.append(REC_COMMIT_BATCH, payload)?;
+            let receipt = wal.log.flush()?;
+            wal.commits_since_ckpt += n;
+            Ok(receipt)
+        });
+        let Ok(receipt) = flushed else { return };
+        let batch = std::mem::take(&mut sv.borrow_mut().pending);
         let n = batch.len();
         sim.stats.incr("server.group_commits");
         sim.stats.add("server.wal_appends", n as u64);
@@ -1214,7 +1158,7 @@ impl Server {
         // work are done.
         let (done, fire_delay) = {
             let mut s = sv.borrow_mut();
-            s.wal.as_mut().expect("wal attached").commits_since_ckpt += n;
+            s.flushed_commits += n as u64;
             let cost = s.cfg.storage.flush_cost(receipt);
             let start = s.disk_free_at.max(sim.now());
             let done = start + cost;
@@ -1355,9 +1299,7 @@ impl Server {
                 staged_at: sim.now(),
                 cpu_done: sim.now() + total,
             });
-            let CommitPolicy::Group { max_batch, window } = s.cfg.commit else {
-                unreachable!("stage_commit requires a group policy");
-            };
+            let CommitPolicy::Group { max_batch, window } = s.cfg.commit;
             let flush_now = s.pending.len() >= max_batch.max(1);
             let arm = !flush_now && s.pending.len() == 1;
             (total, flush_now, arm, window)
@@ -1403,53 +1345,61 @@ impl Server {
     /// Replaces the log with a checkpoint record of the full server
     /// state. On success the device holds exactly that one record.
     fn write_checkpoint(sv: &ServerRef, sim: &mut Sim) -> Result<(), LogError> {
-        let res = {
-            let mut s = sv.borrow_mut();
-            s.checkpoint_inner()
-        };
-        match res {
-            Ok((device_bytes, written)) => {
-                sim.stats.incr("server.checkpoints");
-                // Price the snapshot write like any other flush.
-                let cost = {
-                    let mut s = sv.borrow_mut();
-                    let raw = s.cfg.storage.flush_cost(FlushReceipt {
-                        bytes: written,
-                        records: 1,
-                        synced: true,
-                    });
-                    s.charge_serial(sim.now(), raw)
-                };
-                let _ = cost;
-                Server::emit(sv, sim, ServerEvent::Checkpoint { device_bytes });
-                Ok(())
-            }
-            Err(e) => {
-                sim.stats.incr("server.wal_append_failed");
-                sim.trace("server", format_args!("checkpoint failed: {e}; crashing"));
-                Server::crash(sv, sim);
-                Err(e)
-            }
-        }
+        let now = sim.now();
+        let device_bytes =
+            Server::write_or_crash(sv, sim, "checkpoint", |s| s.checkpoint_inner(now))?;
+        sim.stats.incr("server.checkpoints");
+        Server::emit(sv, sim, ServerEvent::Checkpoint { device_bytes });
+        Ok(())
     }
 
     /// Writes the checkpoint record in place of the whole log, durably
-    /// and in one atomic step: a crash leaves the old log or the new
-    /// one. Returns (device bytes after, snapshot bytes written).
-    fn checkpoint_inner(&mut self) -> Result<(u64, usize), LogError> {
+    /// and in one atomic step (a crash leaves the old log or the new
+    /// one), and prices the snapshot write like any other flush.
+    /// Returns the device bytes after.
+    fn checkpoint_inner(&mut self, now: rover_sim::SimTime) -> Result<u64, LogError> {
         // A snapshot with staged-but-unflushed commits baked in would
         // make an undurable group visible to recovery; every call site
         // flushes or empties the batch first.
         debug_assert!(self.pending.is_empty(), "checkpoint with staged commits");
         let snap = self.export_store();
         let written = snap.len();
-        let wal = self
-            .wal
-            .as_mut()
-            .ok_or_else(|| LogError::Io("no wal attached".into()))?;
+        let wal = self.wal_mut()?;
         wal.log.replace_all(REC_CHECKPOINT, snap)?;
         wal.commits_since_ckpt = 0;
-        Ok((wal.log.device_len(), written))
+        let device_bytes = wal.log.device_len();
+        let cost = self.cfg.storage.flush_cost(FlushReceipt {
+            bytes: written,
+            records: 1,
+            synced: true,
+        });
+        self.charge_serial(now, cost);
+        Ok(device_bytes)
+    }
+
+    /// The attached log, or the error a write without one reports.
+    fn wal_mut(&mut self) -> Result<&mut Wal, LogError> {
+        self.wal
+            .as_mut()
+            .ok_or_else(|| LogError::Io("no wal attached".into()))
+    }
+
+    /// Runs one durable write. A failed write is a power failure in the
+    /// middle of it: counted, traced, and the host crashes; the device
+    /// may hold a torn frame, which recovery discards.
+    fn write_or_crash<T>(
+        sv: &ServerRef,
+        sim: &mut Sim,
+        what: &str,
+        write: impl FnOnce(&mut Server) -> Result<T, LogError>,
+    ) -> Result<T, LogError> {
+        let res = write(&mut sv.borrow_mut());
+        if let Err(e) = &res {
+            sim.stats.incr("server.wal_append_failed");
+            sim.trace("server", format_args!("{what} failed: {e}; crashing"));
+            Server::crash(sv, sim);
+        }
+        res
     }
 
     // ------------------------------------------------------------------
@@ -1758,43 +1708,6 @@ impl Server {
             _ => {}
         }
 
-        // Under a group policy the commit stages into the pending batch
-        // below; durability and the reply wait for the group flush.
-        let group = wal_bound && sv.borrow().cfg.commit.is_group();
-
-        // Per-operation durability point: the commit record reaches
-        // stable storage before any reply is scheduled. A failed append
-        // or sync is a mid-flush crash — the host goes down with a
-        // possibly-torn frame on the device, which recovery truncates.
-        let mut wal_cost = rover_sim::SimDuration::ZERO;
-        if wal_bound && !group {
-            let res = {
-                let mut s = sv.borrow_mut();
-                s.wal_append_commit(&adm, &reply)
-            };
-            match res {
-                Ok(receipt) => {
-                    sim.stats.incr("server.wal_appends");
-                    sim.stats
-                        .add("server.wal_flush_bytes", receipt.bytes as u64);
-                    wal_cost = sv.borrow().cfg.storage.flush_cost(receipt);
-                }
-                Err(e) => {
-                    sim.stats.incr("server.wal_append_failed");
-                    sim.trace("server", format_args!("wal append failed: {e}; crashing"));
-                    Server::crash(sv, sim);
-                    return;
-                }
-            }
-            // Crash scripted *after* the append: the commit is durable
-            // but the reply never leaves — after recovery the client's
-            // retransmission hits the recovered dedup cache.
-            if sv.borrow().crash_due(ordinal, CrashPoint::AfterAppend) {
-                Server::crash(sv, sim);
-                return;
-            }
-        }
-
         // Record dedup + ordering bookkeeping.
         {
             let mut s = sv.borrow_mut();
@@ -1820,68 +1733,45 @@ impl Server {
             }
         }
 
-        if group {
-            Server::stage_commit(sv, sim, &adm, reply, steps, ordinal);
-            // The object's version advanced at execute time: any
-            // cross-shard writes-follow-reads holds it satisfies
-            // re-enter admission now (after this commit staged, so WAL
-            // order preserves the dependency).
-            Server::drain_wfr(sv, sim, adm.urn.as_ref());
-            return;
-        }
-
-        // Checkpoint when due; a failed checkpoint crashes the host
-        // (the commit above is already durable, so the unsent reply is
-        // recovered into the dedup cache and replayed on retransmit).
         if wal_bound {
-            let due = {
-                let s = sv.borrow();
-                s.cfg.checkpoint_every > 0
-                    && s.wal
-                        .as_ref()
-                        .is_some_and(|w| w.commits_since_ckpt >= s.cfg.checkpoint_every)
+            // The commit stages into the pending batch; durability, the
+            // reply and any callbacks wait for its group flush.
+            Server::stage_commit(sv, sim, &adm, reply, steps, ordinal);
+        } else {
+            // Volatile server: charge execution + reply marshalling,
+            // then transmit.
+            let total = {
+                let mut s = sv.borrow_mut();
+                let raw =
+                    s.cfg.cpu.interp_cost(steps) + s.cfg.cpu.marshal_cost(reply.payload.len());
+                s.charge_serial(sim.now(), raw)
             };
-            if due {
-                let _ = Server::write_checkpoint(sv, sim);
-                if sv.borrow().crashed {
-                    return;
+            sim.stats.sample_duration("server.exec_ms", total);
+            sim.stats.incr("server.requests");
+            let reply_status = reply.status;
+            let reply_version = reply.version;
+            let sv2 = sv.clone();
+            let prio = req.priority;
+            sim.schedule_after(total, move |sim| {
+                Server::send_reply(&sv2, sim, client, reply, prio);
+            });
+
+            // Cache-invalidation callbacks: tell other importers that a
+            // new version committed (paper §2's "server callbacks"
+            // option).
+            let committed = matches!(req.op, RoverOp::Export { .. })
+                && matches!(reply_status, OpStatus::Ok | OpStatus::Resolved);
+            if committed && sv.borrow().cfg.callbacks {
+                if let Some(urn) = &adm.urn {
+                    Server::notify_importers(sv, sim, urn, reply_version, client);
                 }
-            }
-        }
-
-        // Charge execution + reply marshalling + the commit flush, then
-        // transmit.
-        let total = {
-            let mut s = sv.borrow_mut();
-            let raw = s.cfg.cpu.interp_cost(steps)
-                + s.cfg.cpu.marshal_cost(reply.payload.len())
-                + wal_cost;
-            s.charge_serial(sim.now(), raw)
-        };
-        sim.stats.sample_duration("server.exec_ms", total);
-        sim.stats.incr("server.requests");
-        let reply_status = reply.status;
-        let reply_version = reply.version;
-        let sv2 = sv.clone();
-        let prio = req.priority;
-        sim.schedule_after(total, move |sim| {
-            Server::send_reply(&sv2, sim, client, reply, prio);
-        });
-
-        // Cache-invalidation callbacks: tell other importers that a new
-        // version committed (paper §2's "server callbacks" option).
-        let committed = matches!(req.op, RoverOp::Export { .. })
-            && matches!(reply_status, OpStatus::Ok | OpStatus::Resolved);
-        if committed && sv.borrow().cfg.callbacks {
-            if let Some(urn) = &adm.urn {
-                Server::notify_importers(sv, sim, urn, reply_version, client);
             }
         }
 
         // The object's version advanced at execute time: drain any
         // cross-shard writes-follow-reads holds this commit satisfied
-        // (after the commit's own WAL record, preserving dependency
-        // order on replay).
+        // (after the commit staged, so WAL order preserves the
+        // dependency).
         Server::drain_wfr(sv, sim, adm.urn.as_ref());
     }
 

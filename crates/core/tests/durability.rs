@@ -3,18 +3,19 @@
 //! held-buffer drop accounting, checkpoint compaction, and the warm
 //! `import_store` regression.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use rover_core::{
     Client, ClientConfig, CrashPoint, ExportPayload, Guarantees, OpStatus, Priority,
     ReexecuteResolver, RoverObject, Server, ServerConfig, ServerEvent, Urn,
 };
-use rover_log::{FaultKind, FaultStore, FileStore, MemStore};
+use rover_log::{FaultKind, FaultStore, FileStore, FlushPolicy, MemStore, OpLog, RecordKind};
 use rover_net::{LinkSpec, Net};
 use rover_sim::{Sim, SimDuration};
 use rover_wire::{
-    Envelope, HostId, QrpcReply, QrpcRequest, RequestId, RoverOp, SessionId, Version, Wire,
+    Bytes, CommitRecord, Envelope, HostId, QrpcReply, QrpcRequest, RequestId, RoverOp, SessionId,
+    Version, Wire,
 };
 
 const CLIENT: HostId = HostId(1);
@@ -168,17 +169,26 @@ fn crash_restart_recovers_objects_ordering_and_dedup() {
 }
 
 #[test]
-fn after_append_crash_replays_reply_from_recovered_dedup() {
+fn lost_reply_of_durable_commit_replays_from_recovered_dedup() {
     let mut r = rig(13, ServerConfig::workstation(SERVER));
     attach_mem_wal(&mut r);
     import(&mut r);
     auto_restart(&r, SimDuration::from_secs(1));
 
-    // Commit 1 was the import; crash after commit 3's append: the
-    // commit is durable but its reply never leaves the host.
-    r.server
-        .borrow_mut()
-        .script_crash(3, CrashPoint::AfterAppend);
+    // Flush 1 was the import; cut power as soon as flush 3 is durable,
+    // before its reply can leave the host. The crash runs as its own
+    // event: crashing inside the listener would re-enter it.
+    let flushes = Rc::new(Cell::new(0));
+    let sv = r.server.clone();
+    Server::on_event(&r.server, move |sim, ev| {
+        if matches!(ev, ServerEvent::GroupCommit { .. }) {
+            flushes.set(flushes.get() + 1);
+            if flushes.get() == 3 {
+                let sv = sv.clone();
+                sim.schedule_after(SimDuration::ZERO, move |sim| Server::crash_now(&sv, sim));
+            }
+        }
+    });
     let mut handles = Vec::new();
     for _ in 0..4 {
         handles.push(export_add(&mut r));
@@ -192,6 +202,7 @@ fn after_append_crash_replays_reply_from_recovered_dedup() {
     }
     assert_eq!(server_field_n(&r), "4", "every export applied exactly once");
     assert_eq!(r.sim.stats.counter("server.crashes"), 1);
+    assert_eq!(r.sim.stats.counter("server.reply_dropped_crashed"), 1);
     assert_eq!(
         r.sim.stats.counter("server.dedup_miss_reexec"),
         0,
@@ -458,6 +469,7 @@ fn crashed_server_drops_traffic_and_events_narrate_the_outage() {
         sink.borrow_mut().push(ev.clone())
     });
 
+    // Commit 2 stages and the host dies before its flush.
     r.server
         .borrow_mut()
         .script_crash(2, CrashPoint::AfterAppend);
@@ -478,15 +490,105 @@ fn crashed_server_drops_traffic_and_events_narrate_the_outage() {
 
     let evs = events.borrow();
     assert!(
-        matches!(evs[0], ServerEvent::Crashed { durable_commits } if durable_commits == 2),
+        matches!(evs[0], ServerEvent::Crashed { durable_commits } if durable_commits == 1),
         "crash event carries the durable-commit count: {evs:?}"
     );
     assert!(
         evs.iter().any(|e| matches!(
             e,
-            ServerEvent::Recovered { commits, .. } if *commits == 2
+            ServerEvent::Recovered { commits, .. } if *commits == 1
         )),
-        "recovery replayed both durable commits: {evs:?}"
+        "recovery replayed the import alone; the staged export died: {evs:?}"
+    );
+    assert_eq!(r.sim.stats.counter("server.staged_lost_on_crash"), 1);
+    assert_eq!(
+        server_field_n(&r),
+        "1",
+        "the retransmission executed freshly"
+    );
+}
+
+#[test]
+fn recovery_rejects_a_record_kind_it_does_not_write() {
+    // One commit record framed on its own (kind 0x10), as servers that
+    // flushed each commit outside a group wrote them: refused, never
+    // skipped with its commit.
+    let reply = QrpcReply {
+        req_id: RequestId(1),
+        status: OpStatus::Ok,
+        version: Version(1),
+        payload: Bytes::new(),
+    };
+    let rec = CommitRecord {
+        client: CLIENT,
+        req_id: RequestId(1),
+        acked_below: 0,
+        session: SessionId(1),
+        session_seq: 0,
+        urn: urn("c").as_str().to_owned(),
+        obj: None,
+        reply,
+    };
+    let mut log = OpLog::open_with(MemStore::new(), FlushPolicy::Manual, false).unwrap();
+    log.append(RecordKind::Other(0x10), rec.to_bytes()).unwrap();
+    log.flush().unwrap();
+    let mut sim = Sim::new(24);
+    let store = Box::new(log.into_store());
+    let res = Server::recover(
+        &Net::new(),
+        ServerConfig::workstation(SERVER),
+        &mut sim,
+        store,
+    );
+    assert!(res.is_err());
+}
+
+#[test]
+fn crash_event_counts_only_the_crashed_servers_commits() {
+    // Two servers on one simulator share its stats: a crash must report
+    // the crashed server's own durable commits.
+    let mut sim = Sim::new(23);
+    let net = Net::new();
+    net.register_host(CLIENT, |_sim, _net, _env: Envelope| {});
+    let mut servers = Vec::new();
+    for host in [SERVER, HostId(3)] {
+        let link = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, host);
+        let server = Server::new(&net, ServerConfig::workstation(host));
+        server.borrow_mut().add_route(CLIENT, link);
+        Server::attach_wal(&server, &mut sim, Box::new(MemStore::new())).unwrap();
+        servers.push((server, link, host));
+    }
+    // Two commits on the first server, three on the second.
+    for ((_, link, host), n) in servers.iter().zip([2, 3]) {
+        for id in 1..=n {
+            let req = QrpcRequest {
+                req_id: RequestId(id),
+                client: CLIENT,
+                session: SessionId(1),
+                op: RoverOp::Ping,
+                urn: urn("c").as_str().to_owned(),
+                base_version: Version(0),
+                priority: Priority::NORMAL,
+                auth: 0,
+                acked_below: 0,
+                payload: Bytes::new(),
+                read_vector: Vec::new(),
+            };
+            net.send(&mut sim, *link, Envelope::request(CLIENT, *host, &req))
+                .unwrap();
+        }
+    }
+    sim.run();
+    assert_eq!(sim.stats.counter("server.wal_appends"), 5);
+
+    let events: Rc<RefCell<Vec<ServerEvent>>> = Rc::default();
+    let sink = events.clone();
+    let first = &servers[0].0;
+    Server::on_event(first, move |_sim, ev| sink.borrow_mut().push(ev.clone()));
+    Server::crash_now(first, &mut sim);
+    assert_eq!(
+        *events.borrow(),
+        [ServerEvent::Crashed { durable_commits: 2 }]
     );
 }
 

@@ -53,20 +53,23 @@ impl StableStore for SharedStore {
     }
 }
 
-/// Every commit record on `device`, in log order.
-fn commit_records(device: &[u8]) -> Vec<CommitRecord> {
+/// The payload of every commit-batch frame on `device`, in log order.
+fn batch_payloads(device: &[u8]) -> Vec<Bytes> {
     let mut store = MemStore::new();
     store.reset(device).unwrap();
     let log = OpLog::open_with(store, FlushPolicy::Manual, false).unwrap();
-    let mut out = Vec::new();
-    for r in log.records() {
-        match r.kind {
-            RecordKind::Other(0x10) => out.push(CommitRecord::from_shared(&r.payload).unwrap()),
-            RecordKind::Other(0x12) => out.extend(decode_commit_batch(&r.payload).unwrap()),
-            _ => {}
-        }
-    }
-    out
+    log.records()
+        .filter(|r| r.kind == RecordKind::Other(0x12))
+        .map(|r| r.payload.clone())
+        .collect()
+}
+
+/// Every commit record on `device`, in log order.
+fn commit_records(device: &[u8]) -> Vec<CommitRecord> {
+    batch_payloads(device)
+        .iter()
+        .flat_map(|p| decode_commit_batch(p).unwrap())
+        .collect()
 }
 
 struct ServerRig {
@@ -189,14 +192,22 @@ fn stored(r: &ServerRig, req: &QrpcRequest) -> Option<Bytes> {
         .and_then(|u| server.get_object(&u).map(Wire::to_bytes))
 }
 
-/// `crc32` and length of the WAL device after [`script`], recorded from
-/// commit `89e744a`, which marshalled the record's image separately.
-const PER_OP_DEVICE: (u32, usize) = (142_954_268, 3026);
+/// `crc32` and length of the WAL device after [`script`], one flush per
+/// commit: nine groups of one.
+const PER_OP_DEVICE: (u32, usize) = (2_357_298_553, 3062);
+/// `crc32` and total length of the nine commit records on that device,
+/// each as logged. Recorded from commit `066f6f4`, which framed every
+/// record on its own: a group of one frames the same bytes behind a
+/// count of one.
+const PER_OP_RECORDS: (u32, usize) = (1_186_978_669, 2388);
+/// `crc32` and length of the WAL device after [`script`] in groups of
+/// four, recorded from commit `89e744a`, which marshalled the record's
+/// image separately.
 const GROUP_DEVICE: (u32, usize) = (3_198_927_767, 2918);
 
 #[test]
 fn committed_export_has_one_image_per_operation() {
-    let mut r = server_rig(CommitPolicy::PerOperation);
+    let mut r = server_rig(CommitPolicy::PER_OPERATION);
     let mut images = Vec::new();
     for req in script() {
         send(&mut r, &req);
@@ -238,6 +249,16 @@ fn committed_export_has_one_image_per_operation() {
         assert_eq!(&rec.obj, image);
         assert_eq!(&rec.reply, reply);
     }
+    let mut logged = Vec::new();
+    for batch in batch_payloads(&device) {
+        assert_eq!(
+            decode_commit_batch(&batch).unwrap().len(),
+            1,
+            "a group of one"
+        );
+        logged.extend_from_slice(&batch[4..]);
+    }
+    assert_eq!((crc32(&logged), logged.len()), PER_OP_RECORDS);
     assert_eq!((crc32(&device), device.len()), PER_OP_DEVICE);
 }
 

@@ -1,0 +1,47 @@
+#!/usr/bin/env bash
+# Non-test source lines per crate.
+#
+# Counts the non-blank lines that are not `//` comments above each
+# file's first `#[cfg(test)]` (or `#![cfg(test)]`) marker in
+# `crates/*/src` — the part of a file scripts/panic_audit.sh audits —
+# and sums them per crate. Given a git revision, counts that revision's
+# tree by the same rule and prints the delta, so every change reports
+# its size the same way.
+#
+#   scripts/loc.sh          # this working tree
+#   scripts/loc.sh HEAD~1   # ... against HEAD~1
+set -euo pipefail
+cd "$(dirname "$0")/.."
+export LC_ALL=C
+
+# Prints "crate lines" per crate for the `crates/` directory under `$1`.
+tally() {
+    (cd "$1" && find crates -path 'crates/*/src/*' -name '*.rs' | sort) | while read -r f; do
+        n=$(awk '/#!?\[cfg\(test\)\]/{exit} {print}' "$1/$f" \
+            | { grep -vE '^[[:space:]]*(//|$)' || :; } \
+            | wc -l)
+        crate=${f#crates/}
+        echo "${crate%%/*} $n"
+    done | awk '{s[$1] += $2} END {for (c in s) print c, s[c]}' | sort
+}
+
+if [ $# -eq 0 ]; then
+    tally . | awk '
+        BEGIN {printf "%-8s %7s\n", "crate", "lines"}
+        {printf "%-8s %7d\n", $1, $2; t += $2}
+        END {printf "%-8s %7d\n", "total", t}'
+    exit 0
+fi
+
+rev=$1
+if ! git rev-parse --verify --quiet "$rev^{commit}" > /dev/null; then
+    echo "loc: unknown revision '$rev'" >&2
+    exit 2
+fi
+old=$(mktemp -d)
+trap 'rm -rf "$old"' EXIT
+git archive "$rev" crates | tar -x -C "$old"
+join -a1 -a2 -e0 -o 0,1.2,2.2 <(tally .) <(tally "$old") | awk -v rev="$rev" '
+    BEGIN {printf "%-8s %7s %7s %7s\n", "crate", "lines", substr(rev, 1, 7), "delta"}
+    {printf "%-8s %7d %7d %+7d\n", $1, $2, $3, $2 - $3; a += $2; b += $3}
+    END {printf "%-8s %7d %7d %+7d\n", "total", a, b, a - b}'
