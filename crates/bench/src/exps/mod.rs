@@ -9,6 +9,8 @@ pub mod scale;
 pub mod soak;
 pub mod tables;
 
+use rover_sim::Stats;
+
 /// All experiment ids, in report order.
 pub const ALL: &[&str] = &[
     "t1-api",
@@ -63,4 +65,27 @@ pub fn run_report(id: &str) -> Option<crate::report::Report> {
         _ => return None,
     }
     Some(r)
+}
+
+/// Mean, p50 and p99 of the sample series `name`, each times `scale`
+/// and rounded; all three `default` if the series was never recorded.
+fn scaled_summary(stats: &Stats, name: &str, scale: f64, default: u64) -> [u64; 3] {
+    stats.series(name).map_or([default; 3], |s| {
+        [s.mean(), s.quantile(0.50), s.quantile(0.99)].map(|v| (v * scale).round() as u64)
+    })
+}
+
+/// Adversarial-input rejections across all three codec planes: wire
+/// decode failures, WAL scan issues, and script parse rejections.
+/// Summed by prefix so new reason tags fold in automatically.
+fn input_rejected(stats: &Stats) -> u64 {
+    stats
+        .counters()
+        .filter(|(k, _)| {
+            k.starts_with("wire.decode_rejected.")
+                || k.starts_with("log.scan_rejected.")
+                || *k == "script.parse_rejected"
+        })
+        .map(|(_, v)| v)
+        .sum()
 }

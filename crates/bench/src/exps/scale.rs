@@ -51,6 +51,7 @@ use rover_net::{LinkSpec, Net};
 use rover_sim::{Sim, SimDuration, SimTime};
 use rover_wire::{HostId, OpStatus, Priority, RequestId, SessionId};
 
+use super::{input_rejected, scaled_summary};
 use crate::report::Report;
 use crate::table::Table;
 
@@ -1036,30 +1037,10 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
     let wal_appends = sim.stats.counter("server.wal_appends");
     let wal_flush_bytes = sim.stats.counter("server.wal_flush_bytes");
     let group_commits = sim.stats.counter("server.group_commits");
-    let batch_mean_x100 = sim
-        .stats
-        .series("server.group_commit_batch_size")
-        .map_or(100, |s| (s.mean() * 100.0).round() as u64);
-    let batch_p50_x100 = sim
-        .stats
-        .series("server.group_commit_batch_size")
-        .map_or(100, |s| (s.quantile(0.50) * 100.0).round() as u64);
-    let batch_p99_x100 = sim
-        .stats
-        .series("server.group_commit_batch_size")
-        .map_or(100, |s| (s.quantile(0.99) * 100.0).round() as u64);
-    let flush_wait_us_mean = sim
-        .stats
-        .series("server.flush_wait_ms")
-        .map_or(0, |s| (s.mean() * 1000.0).round() as u64);
-    let flush_wait_us_p50 = sim
-        .stats
-        .series("server.flush_wait_ms")
-        .map_or(0, |s| (s.quantile(0.50) * 1000.0).round() as u64);
-    let flush_wait_us_p99 = sim
-        .stats
-        .series("server.flush_wait_ms")
-        .map_or(0, |s| (s.quantile(0.99) * 1000.0).round() as u64);
+    let [batch_mean_x100, batch_p50_x100, batch_p99_x100] =
+        scaled_summary(&sim.stats, "server.group_commit_batch_size", 100.0, 100);
+    let [flush_wait_us_mean, flush_wait_us_p50, flush_wait_us_p99] =
+        scaled_summary(&sim.stats, "server.flush_wait_ms", 1000.0, 0);
     let reply_coalesced = sim.stats.counter("server.reply_coalesced");
     let retransmits = sim.stats.counter("client.retransmits");
     let crashes = sim.stats.counter("server.crashes");
@@ -1085,38 +1066,15 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
             ((max as f64 / mean) * 100.0).round() as u64
         }
     };
-    let imbalance_p50_x100 = sim
-        .stats
-        .series("scale.imbalance_window")
-        .map_or(100, |s| (s.quantile(0.50) * 100.0).round() as u64);
-    let imbalance_p99_x100 = sim
-        .stats
-        .series("scale.imbalance_window")
-        .map_or(100, |s| (s.quantile(0.99) * 100.0).round() as u64);
-    let qdepth_p50_x100 = sim
-        .stats
-        .series("server.qdepth")
-        .map_or(0, |s| (s.quantile(0.50) * 100.0).round() as u64);
-    let qdepth_p99_x100 = sim
-        .stats
-        .series("server.qdepth")
-        .map_or(0, |s| (s.quantile(0.99) * 100.0).round() as u64);
+    let [_, imbalance_p50_x100, imbalance_p99_x100] =
+        scaled_summary(&sim.stats, "scale.imbalance_window", 100.0, 100);
+    let [_, qdepth_p50_x100, qdepth_p99_x100] =
+        scaled_summary(&sim.stats, "server.qdepth", 100.0, 0);
     let replica_reads = sim.stats.counter("server.replica_reads");
     let replicas_published = sim.stats.counter("server.replicas_published");
     let migrations = sim.stats.counter("server.migrated_out");
     let redirects = sim.stats.counter("client.redirects");
-    // Adversarial-input rejections across all three codec planes,
-    // summed by prefix so new reason tags fold in automatically.
-    let input_rejected: u64 = sim
-        .stats
-        .counters()
-        .filter(|(k, _)| {
-            k.starts_with("wire.decode_rejected.")
-                || k.starts_with("log.scan_rejected.")
-                || *k == "script.parse_rejected"
-        })
-        .map(|(_, v)| v)
-        .sum();
+    let input_rejected = input_rejected(&sim.stats);
 
     if final_total != total_ops {
         return Err(format!(

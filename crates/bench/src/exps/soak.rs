@@ -43,6 +43,7 @@ use rover_net::{FaultSpec, FlapSpec, LinkSpec, Net};
 use rover_sim::{Sim, SimDuration};
 use rover_wire::{HostId, OpStatus, Priority, SessionId};
 
+use super::{input_rejected, scaled_summary};
 use crate::report::Report;
 use crate::table::Table;
 
@@ -334,44 +335,15 @@ pub fn run_seed(cfg: SoakConfig) -> Result<SoakOutcome, String> {
     let checkpoints = sim.stats.counter("server.checkpoints");
     let recovered_commits = sim.stats.counter("server.recovered_commits");
     let recovery_truncated_tail = sim.stats.counter("server.recovery_truncated_tail");
-    let recovery_us_mean = sim
-        .stats
-        .series("server.recovery_ms")
-        .map_or(0, |s| (s.mean() * 1000.0).round() as u64);
+    let [recovery_us_mean, ..] = scaled_summary(&sim.stats, "server.recovery_ms", 1000.0, 0);
     let group_commits = sim.stats.counter("server.group_commits");
-    let group_batch_mean_x100 = sim
-        .stats
-        .series("server.group_commit_batch_size")
-        .map_or(100, |s| (s.mean() * 100.0).round() as u64);
-    let group_batch_p50_x100 = sim
-        .stats
-        .series("server.group_commit_batch_size")
-        .map_or(100, |s| (s.quantile(0.50) * 100.0).round() as u64);
-    let group_batch_p99_x100 = sim
-        .stats
-        .series("server.group_commit_batch_size")
-        .map_or(100, |s| (s.quantile(0.99) * 100.0).round() as u64);
+    let [group_batch_mean_x100, group_batch_p50_x100, group_batch_p99_x100] =
+        scaled_summary(&sim.stats, "server.group_commit_batch_size", 100.0, 100);
     let reply_coalesced = sim.stats.counter("server.reply_coalesced");
-    let flush_wait_us_mean = sim
-        .stats
-        .series("server.flush_wait_ms")
-        .map_or(0, |s| (s.mean() * 1000.0).round() as u64);
-    let flush_wait_us_p50 = sim
-        .stats
-        .series("server.flush_wait_ms")
-        .map_or(0, |s| (s.quantile(0.50) * 1000.0).round() as u64);
-    let flush_wait_us_p99 = sim
-        .stats
-        .series("server.flush_wait_ms")
-        .map_or(0, |s| (s.quantile(0.99) * 1000.0).round() as u64);
-    let qdepth_p50_x100 = sim
-        .stats
-        .series("server.qdepth")
-        .map_or(0, |s| (s.quantile(0.50) * 100.0).round() as u64);
-    let qdepth_p99_x100 = sim
-        .stats
-        .series("server.qdepth")
-        .map_or(0, |s| (s.quantile(0.99) * 100.0).round() as u64);
+    let [flush_wait_us_mean, flush_wait_us_p50, flush_wait_us_p99] =
+        scaled_summary(&sim.stats, "server.flush_wait_ms", 1000.0, 0);
+    let [_, qdepth_p50_x100, qdepth_p99_x100] =
+        scaled_summary(&sim.stats, "server.qdepth", 100.0, 0);
     let corrupt_injected = sim.stats.counter("net.faults_injected.corrupt");
     let corrupt_rejected = sim.stats.counter("net.corrupt_rejected");
     let faults = corrupt_injected
@@ -379,19 +351,7 @@ pub fn run_seed(cfg: SoakConfig) -> Result<SoakOutcome, String> {
         + sim.stats.counter("net.faults_injected.dup")
         + sim.stats.counter("net.faults_injected.jitter");
     let retransmits = sim.stats.counter("client.retransmits");
-    // Adversarial-input rejections across all three codec planes: wire
-    // decode failures, WAL scan issues, and script parse rejections.
-    // Summed by prefix so new reason tags fold in automatically.
-    let input_rejected: u64 = sim
-        .stats
-        .counters()
-        .filter(|(k, _)| {
-            k.starts_with("wire.decode_rejected.")
-                || k.starts_with("log.scan_rejected.")
-                || *k == "script.parse_rejected"
-        })
-        .map(|(_, v)| v)
-        .sum();
+    let input_rejected = input_rejected(&sim.stats);
 
     // Convergence invariants.
     if final_n != ops {

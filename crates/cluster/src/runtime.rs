@@ -11,9 +11,9 @@ use std::time::Duration;
 
 use rover_core::{
     Client, ClientConfig, CommitPolicy, Guarantees, LogPolicy, Priority, ReexecuteResolver,
-    RoverObject, Server, ServerConfig, StorageModel, Urn,
+    RoverError, RoverObject, Server, ServerConfig, ServerRef, StorageModel, Urn,
 };
-use rover_log::{FileStore, MemStore};
+use rover_log::{FileStore, MemStore, StableStore};
 use rover_net::{
     register_reassembling_host, LinkId, LinkSpec, Net, ReconnectPolicy, TcpTransport, Transport,
     TransportEvent,
@@ -56,12 +56,38 @@ pub fn atomic_write(path: &Path, contents: &str) -> Result<(), String> {
     std::fs::rename(&tmp, path).map_err(|e| format!("rename {}: {e}", path.display()))
 }
 
+/// Builds the counter-serving home server on `store`, recovering
+/// whatever the device holds. Nothing is modelled: under a wall clock
+/// the store's fsync and the CPU this process burns are the real costs,
+/// and a modelled charge on top of them is a real timer wait. `tune`
+/// adjusts the config before the server is built.
+fn counter_server(
+    sim: &mut Sim,
+    net: &Net,
+    store: Box<dyn StableStore>,
+    tune: impl FnOnce(&mut ServerConfig),
+) -> Result<ServerRef, RoverError> {
+    let mut cfg = ServerConfig::workstation(SERVER_HOST);
+    cfg.storage = StorageModel::FREE;
+    cfg.cpu = CpuModel::FREE;
+    cfg.mtu = NO_FRAG_MTU;
+    tune(&mut cfg);
+    let server = Server::new(net, cfg);
+    server
+        .borrow_mut()
+        .register_resolver("counter", Box::new(ReexecuteResolver));
+    // Seed before attaching: on an empty device the object lands in the
+    // initial checkpoint; on recovery the checkpoint replaces it.
+    server.borrow_mut().put_object(counter_object());
+    Server::attach_wal(&server, sim, store)?;
+    Ok(server)
+}
+
 /// Advances `sim` to the wall clock's current instant, firing everything
 /// due. (`run_until` requires a non-decreasing deadline.) Outbound
 /// frames are queued meanwhile; the driver flushes them once after.
 fn catch_up(sim: &mut Sim, clock: &WallClock) {
-    let wall = clock.now().max(sim.now());
-    sim.run_until(wall);
+    sim.run_until(clock.now().max(sim.now()));
 }
 
 /// Computes how long the driver may sleep: until the sim's next timer,
@@ -181,29 +207,16 @@ pub fn run_server(opts: &ServerOpts, shutdown: Arc<AtomicBool>) -> Result<Server
     let mut sim = Sim::new(0);
     let net = Net::new();
 
-    let mut cfg = ServerConfig::workstation(SERVER_HOST);
-    // Nothing is modelled under a wall clock: the FileStore's fsync and
-    // the CPU this process burns are the real costs, and a modelled
-    // charge on top of them is a real timer wait.
-    cfg.storage = StorageModel::FREE;
-    cfg.cpu = CpuModel::FREE;
-    cfg.mtu = NO_FRAG_MTU;
-    cfg.checkpoint_every = opts.checkpoint_every;
-    cfg.commit = CommitPolicy::Group {
-        max_batch: opts.group_batch,
-        window: SimDuration::from_millis(opts.group_window_ms),
-    };
-    let server = Server::new(&net, cfg);
-    server
-        .borrow_mut()
-        .register_resolver("counter", Box::new(ReexecuteResolver));
-    // Seed before attaching: on an empty device the object lands in the
-    // initial checkpoint; on recovery the checkpoint replaces it.
-    server.borrow_mut().put_object(counter_object());
     let store =
         FileStore::open(&opts.wal).map_err(|e| format!("wal {}: {e}", opts.wal.display()))?;
-    Server::attach_wal(&server, &mut sim, Box::new(store))
-        .map_err(|e| format!("attach wal: {e}"))?;
+    let server = counter_server(&mut sim, &net, Box::new(store), |cfg| {
+        cfg.checkpoint_every = opts.checkpoint_every;
+        cfg.commit = CommitPolicy::Group {
+            max_batch: opts.group_batch,
+            window: SimDuration::from_millis(opts.group_window_ms),
+        };
+    })
+    .map_err(|e| format!("attach wal: {e}"))?;
     let recovered = sim.stats.counter("server.recovered_commits");
 
     // Acceptor thread: blocks in `accept()` and hands fresh transports
@@ -418,7 +431,6 @@ pub fn run_client(opts: &ClientOpts) -> Result<ClientSummary, String> {
     let rto = cfg.rto;
     cfg.rto_backoff = 2.0;
     cfg.rto_max = SimDuration::from_micros((opts.rto.as_micros() as u64).saturating_mul(16));
-    cfg.rto_jitter = 0.0;
     cfg.retry_budget = None; // Retry until the server returns.
     let client = Client::new(&mut sim, &net, cfg, vec![link]);
     let session = Client::create_session(&client, Guarantees::ALL, true);
@@ -588,23 +600,14 @@ pub fn run_client(opts: &ClientOpts) -> Result<ClientSummary, String> {
 pub fn recover_snapshot(wal: &Path) -> Result<(Vec<u8>, u64), String> {
     let bytes = std::fs::read(wal).map_err(|e| format!("read {}: {e}", wal.display()))?;
     let mut store = MemStore::new();
-    use rover_log::StableStore;
     store
         .reset(&bytes)
         .map_err(|e| format!("load wal image: {e}"))?;
 
     let mut sim = Sim::new(0);
     let net = Net::new();
-    let mut cfg = ServerConfig::workstation(SERVER_HOST);
-    cfg.storage = StorageModel::FREE;
-    cfg.cpu = CpuModel::FREE;
-    cfg.mtu = NO_FRAG_MTU;
-    let server = Server::new(&net, cfg);
-    server
-        .borrow_mut()
-        .register_resolver("counter", Box::new(ReexecuteResolver));
-    server.borrow_mut().put_object(counter_object());
-    Server::attach_wal(&server, &mut sim, Box::new(store)).map_err(|e| format!("recover: {e}"))?;
+    let server = counter_server(&mut sim, &net, Box::new(store), |_| {})
+        .map_err(|e| format!("recover: {e}"))?;
     sim.run();
 
     let snap = server.borrow().export_store();
@@ -613,7 +616,7 @@ pub fn recover_snapshot(wal: &Path) -> Result<(Vec<u8>, u64), String> {
 }
 
 /// Reads the counter object's value from a live server reference.
-pub fn read_counter(server: &rover_core::ServerRef) -> Result<u64, String> {
+pub fn read_counter(server: &ServerRef) -> Result<u64, String> {
     let s = server.borrow();
     let obj = s
         .get_object(&counter_urn())

@@ -14,7 +14,6 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
-use rand::Rng;
 use rover_log::{FlushPolicy, MemStore, OpLog, RecordKind};
 use rover_net::{HostSched, LinkId, Net, SchedRef};
 use rover_script::Value;
@@ -1378,28 +1377,12 @@ impl Client {
     /// reconnection. (This also lets `Sim::run` drain while requests
     /// wait out a disconnection.)
     fn arm_rto(cl: &ClientRef, sim: &mut Sim, req: u64) {
-        let interval = {
-            let mut c = cl.borrow_mut();
-            let cur = match c.outstanding.get_mut(&req) {
-                Some(o) if !o.rto_armed && !o.direct => {
-                    o.rto_armed = true;
-                    o.rto_cur
-                }
-                _ => return,
-            };
-            let jitter = c.cfg.rto_jitter;
-            drop(c);
-            if jitter > 0.0 {
-                // Jitter decorrelates probe storms when many requests
-                // were issued together. The draw is skipped entirely at
-                // jitter 0.0 so default runs stay byte-deterministic.
-                let u: f64 = sim.rng().gen();
-                rover_sim::SimDuration::from_micros(
-                    (cur.as_micros() as f64 * (1.0 + jitter * u)) as u64,
-                )
-            } else {
-                cur
+        let interval = match cl.borrow_mut().outstanding.get_mut(&req) {
+            Some(o) if !o.rto_armed && !o.direct => {
+                o.rto_armed = true;
+                o.rto_cur
             }
+            _ => return,
         };
         let cl2 = cl.clone();
         sim.schedule_after(interval, move |sim| {

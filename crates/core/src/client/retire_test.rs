@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rover_net::LinkSpec;
 
 use super::*;

@@ -124,11 +124,6 @@ pub struct ClientConfig {
     pub rto_backoff: f64,
     /// Upper bound the backed-off probe interval never exceeds.
     pub rto_max: SimDuration,
-    /// Random jitter fraction added to each probe interval: the actual
-    /// delay is `interval * (1 + jitter * u)` with `u` uniform in
-    /// `[0, 1)`. `0.0` draws no randomness at all (fully deterministic
-    /// probe timing, the default).
-    pub rto_jitter: f64,
     /// Maximum retransmissions per queued QRPC before the client gives
     /// up and resolves the promise with [`rover_wire::OpStatus::Unreachable`].
     /// `None` retries forever (the paper's behaviour).
@@ -160,7 +155,6 @@ impl ClientConfig {
             rto: SimDuration::from_secs(120),
             rto_backoff: 2.0,
             rto_max: SimDuration::from_secs(1200),
-            rto_jitter: 0.0,
             retry_budget: None,
             budget: Budget::default(),
             auth_token: 0,

@@ -422,11 +422,6 @@ impl Server {
         self.replica_reads_n
     }
 
-    /// Peer replicas currently installed here.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// The hot tracker's current view restricted to objects actually
     /// homed (and stored) here, hottest first — the rebalancer's
     /// migration candidates.

@@ -387,18 +387,6 @@ impl ShardMap {
             .as_ref()
             .map_or_else(Vec::new, |d| d.borrow().commit_loads.clone())
     }
-
-    /// The directory's registered version of shard `holder`'s replica
-    /// of `urn`, if any.
-    pub fn replica_version(&self, urn: &str, holder: usize) -> Option<u64> {
-        let dynamic = self.dynamic.as_ref()?;
-        let d = dynamic.borrow();
-        d.replicas
-            .get(urn)?
-            .iter()
-            .find(|(s, _)| *s == holder)
-            .map(|(_, v)| *v)
-    }
 }
 
 /// Does a migration pin capture `urn`? The pin claims the exact name

@@ -6,9 +6,9 @@
 use rover_core::{encode_checkpoint, CheckpointImage, RoverObject, Urn};
 use rover_log::{FlushPolicy, MemStore, OpLog, RecordKind, StableStore};
 use rover_wire::{
-    compress, encode_commit_batch, Bytes, CommitRecord, Envelope, Fragment, HostId, HttpRequest,
-    HttpResponse, MigrateRecord, MsgKind, OpStatus, Priority, QrpcReply, QrpcRequest, ReplicaFrame,
-    ReplyBatch, RequestId, RoverOp, SessionId, Version, Wire,
+    compress, encode_commit_batch, Bytes, CommitRecord, Envelope, Fragment, HostId, MigrateRecord,
+    MsgKind, OpStatus, Priority, QrpcReply, QrpcRequest, ReplicaFrame, ReplyBatch, RequestId,
+    RoverOp, SessionId, Version, Wire,
 };
 
 /// Which decoder a wire-plane corpus entry seeds.
@@ -36,10 +36,6 @@ pub enum WireTarget {
     Checkpoint,
     /// LZSS-compressed stream.
     Lzss,
-    /// HTTP/1.0 request text.
-    HttpRequest,
-    /// HTTP/1.0 response text.
-    HttpResponse,
 }
 
 impl WireTarget {
@@ -57,8 +53,6 @@ impl WireTarget {
             WireTarget::Migrate => "migrate",
             WireTarget::Checkpoint => "checkpoint",
             WireTarget::Lzss => "lzss",
-            WireTarget::HttpRequest => "http_request",
-            WireTarget::HttpResponse => "http_response",
         }
     }
 }
@@ -217,23 +211,6 @@ pub fn wire_corpus() -> Vec<(WireTarget, Vec<u8>)> {
         WireTarget::Lzss,
         compress(&(0..=255u8).collect::<Vec<u8>>()),
     ));
-    out.push((
-        WireTarget::HttpRequest,
-        HttpRequest::new("POST", "/rover/export", b"payload bytes".to_vec()).to_bytes(),
-    ));
-    out.push((
-        WireTarget::HttpResponse,
-        HttpResponse {
-            status: 200,
-            reason: "OK".into(),
-            headers: vec![
-                ("Server".into(), "rover/0.1".into()),
-                ("Content-Length".into(), "5".into()),
-            ],
-            body: b"hello".to_vec(),
-        }
-        .to_bytes(),
-    ));
     out
 }
 
@@ -358,8 +335,6 @@ mod tests {
                 WireTarget::Migrate => MigrateRecord::from_shared(&b).is_ok(),
                 WireTarget::Checkpoint => rover_core::decode_checkpoint(&b).is_ok(),
                 WireTarget::Lzss => rover_wire::decompress(&b).is_ok(),
-                WireTarget::HttpRequest => HttpRequest::parse(&b).is_ok(),
-                WireTarget::HttpResponse => HttpResponse::parse(&b).is_ok(),
             };
             assert!(
                 ok,

@@ -8,9 +8,8 @@ use std::panic::{self, AssertUnwindSafe};
 use rover_log::{LogError, LogRecord, MemStore, OpLog, ScanReport, StableStore};
 use rover_script::{Budget, Interp, NoHost};
 use rover_wire::{
-    decode_commit_batch, encode_commit_batch, Bytes, CommitRecord, Envelope, Fragment, HttpRequest,
-    HttpResponse, MigrateRecord, QrpcReply, QrpcRequest, ReplicaFrame, ReplyBatch, Wire,
-    MAX_DECOMPRESSED,
+    decode_commit_batch, encode_commit_batch, Bytes, CommitRecord, Envelope, Fragment,
+    MigrateRecord, QrpcReply, QrpcRequest, ReplicaFrame, ReplyBatch, Wire, MAX_DECOMPRESSED,
 };
 
 use crate::corpus::{log_corpus, script_corpus, wire_corpus, WireTarget};
@@ -21,7 +20,7 @@ use crate::rng::case_rng;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Codec {
     /// Every wire decoder: messages, commit records, checkpoint images,
-    /// LZSS streams, HTTP framing.
+    /// LZSS streams.
     Wire,
     /// The WAL recovery scan over mutated device images.
     Log,
@@ -191,26 +190,6 @@ fn drive_wire(target: WireTarget, input: &[u8]) -> bool {
                     out,
                     "lzss round-trip mismatch"
                 );
-                true
-            }
-            Err(_) => false,
-        },
-        WireTarget::HttpRequest => match HttpRequest::parse(&b) {
-            Ok((req, used)) => {
-                assert!(used <= input.len(), "http consumed past the buffer");
-                let (again, _) =
-                    HttpRequest::parse(&req.to_bytes()).expect("re-parse of accepted request");
-                assert_eq!(again, req, "http request round-trip mismatch");
-                true
-            }
-            Err(_) => false,
-        },
-        WireTarget::HttpResponse => match HttpResponse::parse(&b) {
-            Ok((rep, used)) => {
-                assert!(used <= input.len(), "http consumed past the buffer");
-                let (again, _) =
-                    HttpResponse::parse(&rep.to_bytes()).expect("re-parse of accepted response");
-                assert_eq!(again, rep, "http response round-trip mismatch");
                 true
             }
             Err(_) => false,

@@ -1,8 +1,8 @@
 //! Deterministic, structure-aware fuzz plane for the Rover codecs.
 //!
 //! Three codec planes parse bytes that cross a trust boundary — the
-//! wire decoders (messages, commit records, checkpoint images, LZSS,
-//! HTTP framing), the WAL recovery scan, and the rover-script parser.
+//! wire decoders (messages, commit records, checkpoint images, LZSS),
+//! the WAL recovery scan, and the rover-script parser.
 //! This crate drives each of them with *mutated valid inputs* under one
 //! invariant:
 //!

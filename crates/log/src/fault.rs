@@ -99,11 +99,6 @@ impl<S: StableStore> FaultStore<S> {
         self.injected
     }
 
-    /// Number of armed faults not yet fired.
-    pub fn pending_faults(&self) -> usize {
-        self.script.len()
-    }
-
     /// Cumulative bytes submitted to the inner device (useful when
     /// scripting offsets relative to "now").
     pub fn written(&self) -> u64 {

@@ -33,7 +33,6 @@ mod frag;
 mod sched;
 mod smtp;
 mod spec;
-mod stream;
 mod topo;
 mod transport;
 
@@ -44,11 +43,10 @@ pub use frag::{
 pub use sched::{HostSched, SchedMode, SchedRef, DEFAULT_MTU};
 pub use smtp::{SmtpRelay, SmtpRelayRef};
 pub use spec::{LinkId, LinkSpec};
-pub use stream::{Stream, StreamRef};
 pub use topo::{DeliveryTicket, Net, NetError};
 pub use transport::{
-    read_frame, write_frame, ReconnectPolicy, SimTransport, TcpTransport, Transport,
-    TransportError, TransportEvent, MAX_FRAME_BYTES,
+    read_frame, write_frame, ReconnectPolicy, TcpTransport, Transport, TransportError,
+    TransportEvent, MAX_FRAME_BYTES,
 };
 
 pub use rover_wire::{Envelope, HostId, MsgKind, Priority};

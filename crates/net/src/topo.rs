@@ -238,14 +238,6 @@ impl Net {
         }
     }
 
-    /// Removes any installed fault spec from `link`; already-scheduled
-    /// flap transitions still fire.
-    pub fn clear_faults(&self, link: LinkId) {
-        if let Some(l) = self.0.borrow_mut().links.get_mut(link.0) {
-            l.faults = None;
-        }
-    }
-
     /// Sets the link's random per-message loss probability.
     ///
     /// # Panics

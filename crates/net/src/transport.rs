@@ -1,18 +1,14 @@
-//! The transport seam: framed envelopes over a sim link or a real TCP
-//! socket behind one trait.
+//! The transport seam: framed envelopes over a real TCP socket behind
+//! one trait.
 //!
-//! The discrete-event fabric ([`Net`], [`HostSched`](crate::HostSched),
-//! [`split_envelope`](crate::split_envelope)) moves [`Envelope`]s in
-//! virtual time. [`Transport`] abstracts that movement so the same
-//! runtime code can drive either backend:
-//!
-//! - [`SimTransport`] routes through the existing [`Net`] fabric — link
-//!   models, faults, flaps and all — so transport-level code stays
-//!   testable under the deterministic chaos plane.
-//! - [`TcpTransport`] speaks length-prefixed [`Envelope`] frames over a
-//!   real `TcpStream`, with a reader thread, and (for the connecting
-//!   side) a per-peer reconnect loop whose exponential backoff mirrors
-//!   the QRPC RTO policy shape (`initial · backoff^n`, capped).
+//! The discrete-event fabric ([`Net`](crate::Net),
+//! [`HostSched`](crate::HostSched), [`split_envelope`](crate::split_envelope))
+//! moves [`Envelope`]s in virtual time. [`Transport`] is the seam the
+//! real-clock runtime drives instead; its one backend,
+//! [`TcpTransport`], speaks length-prefixed [`Envelope`] frames over a
+//! real `TcpStream`, with a reader thread, and (for the connecting
+//! side) a per-peer reconnect loop whose exponential backoff mirrors
+//! the QRPC RTO policy shape (`initial · backoff^n`, capped).
 //!
 //! Failures are typed ([`TransportError`]): connection refused, peer
 //! reset, timeout, clean close, and protocol violations are distinct
@@ -27,11 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use rover_sim::Sim;
 use rover_wire::{Bytes, Encoder, Envelope, Wire};
-
-use crate::spec::LinkId;
-use crate::topo::Net;
 
 /// Upper bound on one frame's envelope payload. Arrives off the wire
 /// before any validation, so it is capped exactly like
@@ -133,8 +125,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Envelope, TransportError> {
 /// A connectivity or data event surfaced by a transport backend.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TransportEvent {
-    /// The underlying channel came up (TCP connect succeeded / sim link
-    /// went up).
+    /// The underlying channel came up (TCP connect succeeded).
     Connected,
     /// The underlying channel went down, with the classified cause.
     Disconnected(TransportError),
@@ -158,83 +149,6 @@ pub trait Transport {
 
     /// Whether the channel is currently up.
     fn is_connected(&self) -> bool;
-}
-
-// ---------------------------------------------------------------------
-// Sim backend
-// ---------------------------------------------------------------------
-
-/// The sim backend: frames ride the deterministic [`Net`] fabric (link
-/// serialization, faults, flaps) between two registered hosts.
-///
-/// `send` enqueues; [`SimTransport::pump`] flushes queued frames onto
-/// the link inside the event loop (the fabric needs `&mut Sim`, which
-/// the [`Transport`] trait deliberately does not thread through).
-pub struct SimTransport {
-    net: Net,
-    link: LinkId,
-    outbox: VecDeque<Envelope>,
-    inbox: std::rc::Rc<std::cell::RefCell<VecDeque<TransportEvent>>>,
-    up: std::rc::Rc<std::cell::Cell<bool>>,
-}
-
-impl SimTransport {
-    /// Binds a transport endpoint for `local` on `link`: installs the
-    /// host handler (delivered envelopes become [`TransportEvent::Frame`]s)
-    /// and a link watcher (up/down transitions become
-    /// connected/disconnected events).
-    pub fn bind(net: &Net, link: LinkId, local: rover_wire::HostId) -> SimTransport {
-        let inbox = std::rc::Rc::new(std::cell::RefCell::new(VecDeque::new()));
-        let up = std::rc::Rc::new(std::cell::Cell::new(net.is_up(link)));
-        let sink = inbox.clone();
-        crate::frag::register_reassembling_host(net, local, move |_sim, _net, env| {
-            sink.borrow_mut().push_back(TransportEvent::Frame(env));
-        });
-        let sink = inbox.clone();
-        let up2 = up.clone();
-        net.watch_link(link, move |_sim, _net, _link, is_up| {
-            up2.set(is_up);
-            sink.borrow_mut().push_back(if is_up {
-                TransportEvent::Connected
-            } else {
-                TransportEvent::Disconnected(TransportError::Reset)
-            });
-        });
-        SimTransport {
-            net: net.clone(),
-            link,
-            outbox: VecDeque::new(),
-            inbox,
-            up,
-        }
-    }
-
-    /// Flushes queued outbound frames onto the link. Call from inside
-    /// the event loop (frames submitted while the link is down are
-    /// dropped here, exactly as the fabric drops in-flight traffic).
-    pub fn pump(&mut self, sim: &mut Sim) {
-        while let Some(env) = self.outbox.pop_front() {
-            let _ = self.net.send(sim, self.link, env);
-        }
-    }
-}
-
-impl Transport for SimTransport {
-    fn send(&mut self, env: &Envelope) -> Result<(), TransportError> {
-        if !self.up.get() {
-            return Err(TransportError::Closed);
-        }
-        self.outbox.push_back(env.clone());
-        Ok(())
-    }
-
-    fn poll_event(&mut self) -> Option<TransportEvent> {
-        self.inbox.borrow_mut().pop_front()
-    }
-
-    fn is_connected(&self) -> bool {
-        self.up.get()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -515,7 +429,6 @@ fn sleep_interruptible(stop: &AtomicBool, total: Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::LinkSpec;
     use rover_wire::{Bytes, HostId, MsgKind};
     use std::net::TcpListener;
 
@@ -598,45 +511,6 @@ mod tests {
         for (kind, want) in cases {
             assert_eq!(TransportError::from(io::Error::from(kind)), want);
         }
-    }
-
-    #[test]
-    fn sim_transport_delivers_through_net_fabric() {
-        let mut sim = Sim::new(5);
-        let net = Net::new();
-        let link = net.add_link(LinkSpec::ETHERNET_10M, HostId(1), HostId(2));
-        let mut a = SimTransport::bind(&net, link, HostId(1));
-        let mut b = SimTransport::bind(&net, link, HostId(2));
-        assert!(a.is_connected());
-        a.send(&env(3, 64)).unwrap();
-        a.send(&env(4, 64)).unwrap();
-        a.pump(&mut sim);
-        sim.run();
-        let got = drain_frames(&mut b);
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].body[0], 3);
-        assert_eq!(got[1].body[0], 4);
-    }
-
-    #[test]
-    fn sim_transport_surfaces_link_transitions() {
-        let mut sim = Sim::new(5);
-        let net = Net::new();
-        let link = net.add_link(LinkSpec::WAVELAN_2M, HostId(1), HostId(2));
-        let mut a = SimTransport::bind(&net, link, HostId(1));
-        net.set_up(&mut sim, link, false);
-        assert!(!a.is_connected());
-        assert_eq!(a.send(&env(0, 8)), Err(TransportError::Closed));
-        net.set_up(&mut sim, link, true);
-        let evs: Vec<_> = std::iter::from_fn(|| a.poll_event()).collect();
-        assert_eq!(
-            evs,
-            vec![
-                TransportEvent::Disconnected(TransportError::Reset),
-                TransportEvent::Connected,
-            ]
-        );
-        assert!(a.is_connected());
     }
 
     #[test]

@@ -212,75 +212,3 @@ fn link_down_mid_fragment_stream_loses_only_in_flight() {
     assert!(!*complete.borrow());
     assert!(sim.stats.counter("net.lost_msgs") >= 1);
 }
-
-#[test]
-fn rover_over_http_over_reliable_stream() {
-    // The full 1995 wire sandwich: a QRPC envelope, framed as HTTP/1.0,
-    // carried by the reliable stream across a lossy WaveLAN link, then
-    // parsed back out of the accumulated byte stream.
-    use rover_net::Stream;
-    use rover_wire::{
-        envelope_http_bytes, http_request_to_envelope, HttpRequest, Priority as P, QrpcRequest,
-        RequestId, RoverOp, SessionId, Version,
-    };
-
-    let mut sim = Sim::new(7);
-    let net = Net::new();
-    let link = net.add_link(LinkSpec::WAVELAN_2M, HostId(1), HostId(2));
-    net.set_loss(link, 0.15);
-
-    // The receiving side accumulates stream bytes and parses HTTP
-    // requests out of them as they complete.
-    let received = Rc::new(RefCell::new(Vec::new()));
-    let buffer = Rc::new(RefCell::new(Vec::<u8>::new()));
-    let (sink, buf) = (received.clone(), buffer.clone());
-    let (sa, _sb) = Stream::pair(
-        &mut sim,
-        &net,
-        link,
-        HostId(1),
-        HostId(2),
-        SimDuration::from_millis(400),
-        |_, _| {},
-        move |_sim, bytes| {
-            buf.borrow_mut().extend_from_slice(&bytes);
-            loop {
-                let parsed = HttpRequest::parse(&buf.borrow());
-                match parsed {
-                    Ok((req, used)) => {
-                        buf.borrow_mut().drain(..used);
-                        sink.borrow_mut()
-                            .push(http_request_to_envelope(&req).unwrap());
-                    }
-                    Err(_) => break,
-                }
-            }
-        },
-    );
-
-    let mut sent = Vec::new();
-    for i in 0..5u64 {
-        let q = QrpcRequest {
-            req_id: RequestId(i),
-            client: HostId(1),
-            session: SessionId(1),
-            op: RoverOp::Import,
-            urn: format!("urn:rover:web/p{i}"),
-            base_version: Version(0),
-            priority: P::NORMAL,
-            auth: 0,
-            acked_below: 0,
-            payload: Bytes::new(),
-            read_vector: Vec::new(),
-        };
-        let env = Envelope::request(HostId(1), HostId(2), &q);
-        sent.push(env.clone());
-        Stream::send(&sa, &mut sim, Bytes::from(envelope_http_bytes(&env)));
-    }
-    sim.run_until(SimTime::from_secs(600));
-    assert_eq!(
-        *received.borrow(),
-        sent,
-        "all envelopes recovered, in order, despite loss"
-    );
-}

@@ -1,21 +1,19 @@
-//! The clock seam: virtual time vs. wall time behind one trait.
+//! The clock seam: where the real-clock runtime's instants come from.
 //!
 //! Every timing decision in the toolkit is expressed against [`SimTime`].
-//! [`Clock`] abstracts where those instants come from: [`VirtualClock`]
-//! warps instantly to the next deadline (the discrete-event behaviour the
-//! whole benchmark suite depends on, byte for byte), while [`WallClock`]
-//! maps `SimTime` onto real microseconds since a `std::time::Instant`
-//! epoch and *sleeps* until deadlines — waking early when another thread
-//! (e.g. a socket reader) calls [`Clock::notify`].
+//! The simulator keeps its own virtual clock and warps it from event to
+//! event. [`Clock`] is the seam for everything that runs on real time
+//! instead: [`WallClock`] maps `SimTime` onto real microseconds since a
+//! `std::time::Instant` epoch and *sleeps* until deadlines — waking early
+//! when another thread (e.g. a socket reader) calls [`Clock::notify`].
 //!
-//! [`Sim::run_driven`] consumes the trait: under a `VirtualClock` it is
-//! observably identical to [`Sim::run`]; under a `WallClock` the same
-//! event loop becomes a real-time scheduler.
+//! A real-clock driver loops over [`Sim::run_until`] the clock's current
+//! instant, [`Sim::next_deadline`], and [`Clock::wait_until`] that
+//! deadline, injecting I/O between waits.
 //!
-//! [`Sim::run_driven`]: crate::Sim::run_driven
-//! [`Sim::run`]: crate::Sim::run
+//! [`Sim::run_until`]: crate::Sim::run_until
+//! [`Sim::next_deadline`]: crate::Sim::next_deadline
 
-use std::cell::Cell;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -32,53 +30,11 @@ pub trait Clock {
     /// Waits until `deadline` (or until [`Clock::notify`] is called from
     /// another thread, whichever comes first) and returns the instant at
     /// which the wait ended. `None` waits for a notification alone.
-    ///
-    /// A virtual clock warps to the deadline immediately; waiting for
-    /// `None` on a clock with no external notifier returns immediately
-    /// rather than hanging forever.
     fn wait_until(&self, deadline: Option<SimTime>) -> SimTime;
 
     /// Wakes any thread blocked in [`Clock::wait_until`]. Called by I/O
     /// threads when new work arrives ahead of the next timer deadline.
     fn notify(&self);
-}
-
-/// The discrete-event backend: time is a number that jumps to whatever
-/// deadline is waited on. Single-threaded; `notify` is a no-op.
-#[derive(Default)]
-pub struct VirtualClock {
-    now: Cell<SimTime>,
-}
-
-impl VirtualClock {
-    /// Creates a virtual clock at `t = 0`.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a virtual clock starting at `start`.
-    pub fn starting_at(start: SimTime) -> Self {
-        VirtualClock {
-            now: Cell::new(start),
-        }
-    }
-}
-
-impl Clock for VirtualClock {
-    fn now(&self) -> SimTime {
-        self.now.get()
-    }
-
-    fn wait_until(&self, deadline: Option<SimTime>) -> SimTime {
-        if let Some(d) = deadline {
-            if d > self.now.get() {
-                self.now.set(d);
-            }
-        }
-        self.now.get()
-    }
-
-    fn notify(&self) {}
 }
 
 /// The real-time backend: `SimTime` is microseconds elapsed since the
@@ -158,20 +114,6 @@ impl Clock for WallClock {
 mod tests {
     use super::*;
     use std::thread;
-
-    #[test]
-    fn virtual_clock_warps_to_deadline() {
-        let c = VirtualClock::new();
-        assert_eq!(c.now(), SimTime::ZERO);
-        let t = c.wait_until(Some(SimTime::from_millis(5)));
-        assert_eq!(t, SimTime::from_millis(5));
-        assert_eq!(c.now(), SimTime::from_millis(5));
-        // Past deadlines never rewind.
-        let t = c.wait_until(Some(SimTime::from_millis(2)));
-        assert_eq!(t, SimTime::from_millis(5));
-        // Waiting for "a notification" on a virtual clock is immediate.
-        assert_eq!(c.wait_until(None), SimTime::from_millis(5));
-    }
 
     #[test]
     fn wall_clock_is_monotonic_and_waits_out_deadlines() {

@@ -384,30 +384,6 @@ impl Sim {
         }
         None
     }
-
-    /// Runs the event loop against an external [`Clock`] until the queue
-    /// drains: fire everything due at the clock's current instant, then
-    /// wait for the next deadline, repeat.
-    ///
-    /// Under a [`crate::VirtualClock`] this is observably identical to
-    /// [`Sim::run`] (the wait warps straight to the deadline). Under a
-    /// [`crate::WallClock`] the same events fire in real time. Long-lived
-    /// runtimes (which also need to inject I/O between waits) should
-    /// write their own drive loop from [`Sim::next_deadline`] +
-    /// [`Sim::run_until`]; this method is the canonical reference shape.
-    pub fn run_driven(&mut self, clock: &dyn crate::Clock) {
-        loop {
-            let wall = clock.now().max(self.now);
-            self.run_until(wall);
-            match self.next_deadline() {
-                Some(d) => {
-                    clock.wait_until(Some(d));
-                }
-                None => break,
-            }
-        }
-        self.record_loop_stats();
-    }
 }
 
 #[cfg(test)]
@@ -676,11 +652,13 @@ mod tests {
     }
 
     #[test]
-    fn run_driven_virtual_matches_run() {
+    fn real_clock_drive_loop_matches_run() {
         // The same workload — nested scheduling, same-instant chains,
-        // cancellation — executed by run() and by run_driven() under a
-        // VirtualClock must produce identical event orders, final
-        // clocks, and loop counters.
+        // cancellation — executed by run() and by the real-clock
+        // runtime's drive loop (`run_until(now.max(sim.now()))`, then
+        // `next_deadline()`, repeated) must produce identical event
+        // orders, final clocks, and loop counters. `now` stands in for
+        // a clock whose wait ends exactly at the deadline.
         fn workload(sim: &mut Sim, order: Rc<RefCell<Vec<(u64, u32)>>>) {
             for i in 0..8u32 {
                 let order = order.clone();
@@ -706,13 +684,25 @@ mod tests {
         let driven_order = Rc::new(RefCell::new(Vec::new()));
         let mut b = Sim::new(3);
         workload(&mut b, driven_order.clone());
-        b.run_driven(&crate::VirtualClock::new());
+        let mut now = SimTime::ZERO;
+        let mut turns = 0;
+        loop {
+            turns += 1;
+            b.run_until(now.max(b.now()));
+            match b.next_deadline() {
+                Some(d) => now = d,
+                None => break,
+            }
+        }
 
         assert_eq!(*run_order.borrow(), *driven_order.borrow());
         assert_eq!(a.now(), b.now());
         assert_eq!(a.loop_counters(), b.loop_counters());
         assert_eq!(a.pending(), 0);
         assert_eq!(b.pending(), 0);
+        // One turn per distinct instant (0, 50, 100 µs): the cancelled
+        // probes never surface as deadlines.
+        assert_eq!(turns, 3);
     }
 
     #[test]

@@ -26,7 +26,7 @@ mod stats;
 mod time;
 mod trace;
 
-pub use clock::{Clock, VirtualClock, WallClock};
+pub use clock::{Clock, WallClock};
 pub use cpu::CpuModel;
 pub use event::{EventId, Sim};
 pub use stats::{Counter, Samples, Stats};

@@ -34,11 +34,6 @@ impl Samples {
         self.values.push(v);
     }
 
-    /// Records a duration sample in milliseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_millis_f64());
-    }
-
     /// Returns the number of samples.
     pub fn len(&self) -> usize {
         self.values.len()
@@ -193,11 +188,6 @@ impl Stats {
     /// Iterates counters in key order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Iterates sample series in key order.
-    pub fn all_series(&self) -> impl Iterator<Item = (&str, &Samples)> {
-        self.samples.iter().map(|(k, v)| (k.as_str(), v))
     }
 }
 

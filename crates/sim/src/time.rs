@@ -157,11 +157,6 @@ impl SimDuration {
     pub fn saturating_add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(rhs.0))
     }
-
-    /// Returns this duration multiplied by an integer factor.
-    pub const fn mul(self, k: u64) -> SimDuration {
-        SimDuration(self.0 * k)
-    }
 }
 
 impl Add for SimDuration {

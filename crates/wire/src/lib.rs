@@ -35,7 +35,6 @@
 
 mod checksum;
 mod commit;
-mod http;
 mod lzss;
 mod marshal;
 mod message;
@@ -43,10 +42,6 @@ mod message;
 pub use bytes::Bytes;
 pub use checksum::crc32;
 pub use commit::{decode_commit_batch, encode_commit_batch, CommitRecord, MigrateRecord};
-pub use http::{
-    envelope_http_bytes, envelope_to_http_request, envelope_to_http_response,
-    http_request_to_envelope, http_response_to_envelope, HttpError, HttpRequest, HttpResponse,
-};
 pub use lzss::{compress, decompress, decompress_with_budget, LzssError, MAX_DECOMPRESSED};
 pub use marshal::{Decoder, Encoder, Wire, WireError, MAX_FIELD_LEN};
 pub use message::{

@@ -232,66 +232,3 @@ impl ReassemblerShim {
         None
     }
 }
-
-proptest! {
-    #[test]
-    fn http_request_roundtrips(
-        method in "(GET|POST|PUT|HEAD)",
-        path in "/[a-z0-9/._-]{0,30}",
-        body in proptest::collection::vec(any::<u8>(), 0..4096),
-        extra_headers in proptest::collection::vec(
-            ("[A-Za-z][A-Za-z0-9-]{0,15}", "[ -~&&[^,\"]]{0,30}"), 0..6,
-        ),
-    ) {
-        let mut req = rover_wire::HttpRequest::new(&method, &path, body.clone());
-        // Uniquify names: duplicate headers are legal in HTTP but the
-        // accessor returns the first, which would make the check racy.
-        let extra_headers: Vec<(String, String)> = extra_headers
-            .iter()
-            .enumerate()
-            .map(|(i, (k, v))| (format!("X{i}-{k}"), v.trim().to_owned()))
-            .collect();
-        for (k, v) in &extra_headers {
-            req.headers.push((k.clone(), v.clone()));
-        }
-        let bytes = req.to_bytes();
-        let (back, used) = rover_wire::HttpRequest::parse(&bytes).unwrap();
-        prop_assert_eq!(used, bytes.len());
-        prop_assert_eq!(&back.method, &method);
-        prop_assert_eq!(&back.path, &path);
-        prop_assert_eq!(&back.body, &body);
-        for (k, v) in &extra_headers {
-            prop_assert_eq!(back.header(k).unwrap_or(""), v);
-        }
-    }
-
-    #[test]
-    fn http_response_roundtrips(
-        status in 100u16..600,
-        reason in "[A-Za-z ]{0,20}",
-        body in proptest::collection::vec(any::<u8>(), 0..4096),
-    ) {
-        let resp = rover_wire::HttpResponse::new(status, reason.trim(), body.clone());
-        let bytes = resp.to_bytes();
-        let (back, used) = rover_wire::HttpResponse::parse(&bytes).unwrap();
-        prop_assert_eq!(used, bytes.len());
-        prop_assert_eq!(back.status, status);
-        prop_assert_eq!(back.body, body);
-    }
-
-    #[test]
-    fn http_parse_never_panics_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = rover_wire::HttpRequest::parse(&data);
-        let _ = rover_wire::HttpResponse::parse(&data);
-    }
-
-    #[test]
-    fn envelope_http_roundtrip(req in arb_request()) {
-        let env = Envelope::request(HostId(1), HostId(2), &req);
-        let bytes = rover_wire::envelope_http_bytes(&env);
-        let (hreq, used) = rover_wire::HttpRequest::parse(&bytes).unwrap();
-        prop_assert_eq!(used, bytes.len());
-        let back = rover_wire::http_request_to_envelope(&hreq).unwrap();
-        prop_assert_eq!(back, env);
-    }
-}
