@@ -75,6 +75,14 @@ fn scaled_summary(stats: &Stats, name: &str, scale: f64, default: u64) -> [u64; 
     })
 }
 
+/// FNV-1a over 64-bit words: the byte-reproducible outcome digest a
+/// soak or scale run prints, one word per figure, in order.
+fn fnv_digest(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |d, v| {
+        (d ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Adversarial-input rejections across all three codec planes: wire
 /// decode failures, WAL scan issues, and script parse rejections.
 /// Summed by prefix so new reason tags fold in automatically.

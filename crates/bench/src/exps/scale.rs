@@ -806,7 +806,6 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
         // Reply latency under a saturated per-op server can reach
         // minutes; probe far beyond it so clean links never retransmit.
         ccfg.rto = SimDuration::from_secs(900);
-        ccfg.rto_backoff = 2.0;
         ccfg.rto_max = SimDuration::from_secs(3600);
         if cfg.shard_crashes > 0 {
             // Shard-kill chaos loses staged work and replies; probe
@@ -1149,12 +1148,7 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
         }
     }
 
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |v: u64| {
-        digest ^= v;
-        digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for v in [
+    let figures = [
         cfg.seed,
         cfg.clients as u64,
         shards as u64,
@@ -1190,12 +1184,13 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
         migrations,
         redirects,
         input_rejected,
-    ] {
-        fold(v);
-    }
-    for &v in shard_ops.iter().chain(shard_wal_bytes.iter()) {
-        fold(v);
-    }
+    ];
+    let digest = super::fnv_digest(
+        figures
+            .into_iter()
+            .chain(shard_ops.iter().copied())
+            .chain(shard_wal_bytes.iter().copied()),
+    );
 
     Ok(ScaleOutcome {
         seed: cfg.seed,

@@ -216,7 +216,6 @@ pub fn run_seed(cfg: SoakConfig) -> Result<SoakOutcome, String> {
         // Soak-friendly retransmission curve: probe fast, back off to a
         // cap well inside the run, never give up.
         ccfg.rto = SimDuration::from_secs(10);
-        ccfg.rto_backoff = 2.0;
         ccfg.rto_max = SimDuration::from_secs(160);
         let client = Client::new(&mut sim, &net, ccfg, vec![link]);
         let session = Client::create_session(&client, Guarantees::ALL, true);
@@ -432,8 +431,7 @@ pub fn run_seed(cfg: SoakConfig) -> Result<SoakOutcome, String> {
         }
     }
 
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in [
+    let digest = super::fnv_digest([
         cfg.seed,
         ops,
         final_n,
@@ -460,10 +458,7 @@ pub fn run_seed(cfg: SoakConfig) -> Result<SoakOutcome, String> {
         qdepth_p50_x100,
         qdepth_p99_x100,
         input_rejected,
-    ] {
-        digest ^= v;
-        digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    ]);
 
     Ok(SoakOutcome {
         seed: cfg.seed,

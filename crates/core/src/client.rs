@@ -116,8 +116,8 @@ struct Outstanding {
     /// retransmit even without a disconnection epoch.
     strikes: u8,
     /// Current (backed-off) probe interval for this request. Starts at
-    /// `cfg.rto`, multiplied by `cfg.rto_backoff` after each
-    /// retransmission, capped at `cfg.rto_max`.
+    /// `cfg.rto`, doubled after each retransmission, capped at
+    /// `cfg.rto_max`.
     rto_cur: rover_sim::SimDuration,
 }
 
@@ -265,7 +265,7 @@ impl Client {
         for &l in &links {
             HostSched::attach_link(&sched, net, l);
         }
-        let log = OpLog::open_with(store, FlushPolicy::Manual, cfg.log_compress)
+        let log = OpLog::open_with(store, FlushPolicy::Manual, false)
             .expect("in-memory log recovery cannot fail");
         let client = Rc::new(RefCell::new(Client {
             cfg,
@@ -1403,7 +1403,6 @@ impl Client {
                     HostSched::has_key(&sched, req)
                 };
                 let epoch = c.link_epoch;
-                let backoff = c.cfg.rto_backoff;
                 let rto_max = c.cfg.rto_max;
                 let budget = c.cfg.retry_budget;
                 match c.outstanding.get_mut(&req) {
@@ -1435,10 +1434,10 @@ impl Client {
                                 Probe::GiveUp
                             } else {
                                 // Exponential backoff: each
-                                // retransmission widens the probe
+                                // retransmission doubles the probe
                                 // interval up to the cap.
                                 let grown = rover_sim::SimDuration::from_micros(
-                                    (o.rto_cur.as_micros() as f64 * backoff) as u64,
+                                    o.rto_cur.as_micros().saturating_mul(2),
                                 );
                                 o.rto_cur = grown.min(rto_max);
                                 Probe::Retransmit

@@ -110,18 +110,14 @@ pub struct ClientConfig {
     pub storage: StorageModel,
     /// Log flush policy.
     pub log_policy: LogPolicy,
-    /// Compress log records (A2 ablation).
-    pub log_compress: bool,
     /// Object-cache capacity in bytes.
     pub cache_capacity: usize,
     /// Network-scheduler queue discipline.
     pub sched_mode: SchedMode,
-    /// Retransmission probe interval for outstanding QRPCs (the
-    /// *initial* interval; see `rto_backoff`).
+    /// Retransmission probe interval for outstanding QRPCs: the
+    /// *initial* interval, doubled after each retransmission up to
+    /// `rto_max` (exponential backoff).
     pub rto: SimDuration,
-    /// Multiplier applied to a request's probe interval after each
-    /// retransmission (exponential backoff; `1.0` = fixed interval).
-    pub rto_backoff: f64,
     /// Upper bound the backed-off probe interval never exceeds.
     pub rto_max: SimDuration,
     /// Maximum retransmissions per queued QRPC before the client gives
@@ -149,11 +145,9 @@ impl ClientConfig {
             cpu: CpuModel::THINKPAD_701C,
             storage: StorageModel::LAPTOP_DISK_1995,
             log_policy: LogPolicy::PerOperation,
-            log_compress: false,
             cache_capacity: 16 << 20,
             sched_mode: SchedMode::Priority,
             rto: SimDuration::from_secs(120),
-            rto_backoff: 2.0,
             rto_max: SimDuration::from_secs(1200),
             retry_budget: None,
             budget: Budget::default(),
@@ -167,10 +161,10 @@ impl ClientConfig {
 /// replies.
 ///
 /// The paper lists group commit as not-implemented future work (§5.2).
-/// Every WAL-bound request takes the one commit path: it stages its
-/// commit record into a pending batch, one flush commits the whole group
-/// as a *single* WAL record, and only then are the group's replies
-/// scheduled. The prototype's one-flush-per-QRPC critical path is the
+/// Every request takes the one commit path: it stages its commit into a
+/// pending batch, one flush commits the whole group as a *single* WAL
+/// record (or, without a WAL, writes nothing), and only then are the
+/// group's replies and callbacks scheduled. The prototype's one-flush-per-QRPC critical path is the
 /// group of one, [`CommitPolicy::PER_OPERATION`] (the default).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CommitPolicy {
@@ -208,7 +202,8 @@ pub struct ServerConfig {
     /// Reply-scheduler queue discipline (per client).
     pub sched_mode: SchedMode,
     /// Send cache-invalidation callbacks to importers when another
-    /// client commits a new version (paper §2: "server callbacks").
+    /// client commits a new version (paper §2: "server callbacks");
+    /// they leave with the commit's reply.
     pub callbacks: bool,
     /// Transport fragmentation MTU for replies (`usize::MAX` disables).
     pub mtu: usize,
@@ -220,8 +215,8 @@ pub struct ServerConfig {
     /// log and compacts everything older. `0` disables automatic
     /// checkpoints (the log grows until compacted explicitly).
     pub checkpoint_every: usize,
-    /// Commit/flush/reply policy for the write-ahead log; only
-    /// meaningful when a log is attached.
+    /// Commit/flush/reply policy. Without a log the flush writes
+    /// nothing, so a group wider than one only coalesces replies.
     pub commit: CommitPolicy,
     /// Hot-set replication factor K: each epoch the shard publishes its
     /// K hottest home objects to its federation peers as volatile,

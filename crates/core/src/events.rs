@@ -118,7 +118,8 @@ pub enum ServerEvent {
     },
     /// A group-commit batch (one commit under
     /// [`crate::CommitPolicy::PER_OPERATION`]) was flushed durably as one
-    /// WAL record; its replies are now eligible to leave the host.
+    /// WAL record; its replies are now eligible to leave the host. A
+    /// server without a WAL writes nothing and emits none.
     GroupCommit {
         /// Commits made durable by this flush.
         records: usize,

@@ -9,12 +9,14 @@ use std::rc::Rc;
 
 use rover_net::Net;
 use rover_script::Value;
+use rover_sim::Sim;
 use rover_wire::{
     Bytes, Decoder, HostId, OpStatus, Priority, QrpcRequest, RequestId, RoverOp, SessionId,
     Version, Wire,
 };
 
-use super::{Admitted, Server, ServerRef};
+use super::pipeline::Admitted;
+use super::{Server, ServerRef};
 use crate::config::ServerConfig;
 use crate::object::RoverObject;
 use crate::payload::InvokePayload;
@@ -62,7 +64,9 @@ fn invoke(sv: &ServerRef, method: &str, args: &[&str]) -> (OpStatus, String, u64
         payload: payload.to_bytes(),
         read_vector: Vec::new(),
     };
-    let (reply, steps) = sv.borrow_mut().execute(&Admitted::new(req));
+    let (reply, steps) = sv
+        .borrow_mut()
+        .perform(&mut Sim::new(1), &Admitted::new(req));
     let result = match reply.status {
         OpStatus::Ok => Decoder::new(&reply.payload).get_str().expect("result"),
         _ => String::new(),

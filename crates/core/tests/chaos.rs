@@ -102,58 +102,55 @@ fn retry_budget_exhaustion_resolves_unreachable() {
 }
 
 #[test]
-fn rto_backoff_spaces_probes_exponentially() {
-    // With a black-holed link, retransmissions happen every 2 probes;
-    // backoff doubles the probe interval per retransmission, so a
-    // larger budget takes disproportionately longer to exhaust than a
-    // fixed-interval chain would.
-    let run = |backoff: f64| {
-        let mut sim = Sim::new(7);
-        let net = Net::new();
-        let link = net.add_link(LinkSpec::WAVELAN_2M, CLIENT, SERVER);
-        let server = Server::new(&net, ServerConfig::workstation(SERVER));
-        server.borrow_mut().add_route(CLIENT, link);
-        server.borrow_mut().put_object(counter("c"));
-        let mut cfg = ClientConfig::thinkpad(CLIENT, SERVER);
-        cfg.rto = SimDuration::from_secs(5);
-        cfg.rto_backoff = backoff;
-        cfg.rto_max = SimDuration::from_secs(3600);
-        cfg.retry_budget = Some(3);
-        let client = Client::new(&mut sim, &net, cfg, vec![link]);
-        let session = Client::create_session(&client, Guarantees::ALL, true);
-        let p =
-            Client::import(&client, &mut sim, &urn("c"), session, Priority::FOREGROUND).unwrap();
-        sim.run();
-        assert_eq!(p.poll().unwrap().status, OpStatus::Ok);
-        net.install_faults(
-            &mut sim,
-            link,
-            FaultSpec {
-                drop_prob: 1.0,
-                ..FaultSpec::seeded(9)
-            },
-        );
-        let t0 = sim.now();
-        let h = Client::export(
-            &client,
-            &mut sim,
-            &urn("c"),
-            session,
-            "add",
-            &["1"],
-            Priority::NORMAL,
-        )
-        .unwrap();
-        sim.run();
-        assert_eq!(h.committed.poll().unwrap().status, OpStatus::Unreachable);
-        sim.now().since(t0)
-    };
-    let fixed = run(1.0);
-    let backed_off = run(2.0);
-    assert!(
-        backed_off > fixed,
-        "exponential backoff must stretch the probe chain: {backed_off:?} vs {fixed:?}"
+fn rto_backoff_doubles_the_probe_interval_up_to_rto_max() {
+    // With a black-holed link, a request retransmits every second
+    // probe, and each retransmission doubles its probe interval until
+    // `rto_max` caps it: from a 5 s RTO the retransmissions are 2 × 10,
+    // 2 × 20 and then 2 × 40 s apart.
+    let mut sim = Sim::new(7);
+    let net = Net::new();
+    let link = net.add_link(LinkSpec::WAVELAN_2M, CLIENT, SERVER);
+    let server = Server::new(&net, ServerConfig::workstation(SERVER));
+    server.borrow_mut().add_route(CLIENT, link);
+    server.borrow_mut().put_object(counter("c"));
+    let mut cfg = ClientConfig::thinkpad(CLIENT, SERVER);
+    cfg.rto = SimDuration::from_secs(5);
+    cfg.rto_max = SimDuration::from_secs(40);
+    cfg.retry_budget = Some(5);
+    let client = Client::new(&mut sim, &net, cfg, vec![link]);
+    let session = Client::create_session(&client, Guarantees::ALL, true);
+    let p = Client::import(&client, &mut sim, &urn("c"), session, Priority::FOREGROUND).unwrap();
+    sim.run();
+    assert_eq!(p.poll().unwrap().status, OpStatus::Ok);
+    net.install_faults(
+        &mut sim,
+        link,
+        FaultSpec {
+            drop_prob: 1.0,
+            ..FaultSpec::seeded(9)
+        },
     );
+    let sent = Rc::new(RefCell::new(Vec::new()));
+    let s2 = sent.clone();
+    Client::on_event(&client, move |sim, ev| {
+        if let ClientEvent::Retransmit { .. } = ev {
+            s2.borrow_mut().push(sim.now());
+        }
+    });
+    let h = Client::export(
+        &client,
+        &mut sim,
+        &urn("c"),
+        session,
+        "add",
+        &["1"],
+        Priority::NORMAL,
+    )
+    .unwrap();
+    sim.run();
+    assert_eq!(h.committed.poll().unwrap().status, OpStatus::Unreachable);
+    let gaps: Vec<SimDuration> = sent.borrow().windows(2).map(|w| w[1].since(w[0])).collect();
+    assert_eq!(gaps, [20, 40, 80, 80].map(SimDuration::from_secs));
 }
 
 #[test]

@@ -344,6 +344,68 @@ fn disconnected_reader_serves_stale_copy_despite_invalidation() {
 }
 
 #[test]
+fn volatile_server_sends_callbacks_with_the_reply_not_before() {
+    // A server without a WAL runs the same stage → flush → dispatch
+    // pipeline as a durable one: the importer's invalidation callback
+    // leaves with the writer's reply, once the commit's CPU work is
+    // done, never while the reply is still being computed.
+    let mut sim = Sim::new(6);
+    let net = Net::new();
+    let l1 = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
+    let l2 = net.add_link(LinkSpec::ETHERNET_10M, CLIENT2, SERVER);
+    let mut scfg = ServerConfig::workstation(SERVER);
+    scfg.callbacks = true;
+    let server = Server::new(&net, scfg);
+    server.borrow_mut().add_route(CLIENT, l1);
+    server.borrow_mut().add_route(CLIENT2, l2);
+    server
+        .borrow_mut()
+        .register_resolver("counter", Box::new(ReexecuteResolver));
+    server.borrow_mut().put_object(counter("c"));
+    let writer = Client::new(
+        &mut sim,
+        &net,
+        ClientConfig::thinkpad(CLIENT, SERVER),
+        vec![l1],
+    );
+    let reader = Client::new(
+        &mut sim,
+        &net,
+        ClientConfig::thinkpad(CLIENT2, SERVER),
+        vec![l2],
+    );
+    let ws = Client::create_session(&writer, Guarantees::ALL, true);
+    let rs = Client::create_session(&reader, Guarantees::NONE, false);
+    for (c, s) in [(&writer, ws), (&reader, rs)] {
+        Client::import(c, &mut sim, &urn("c"), s, Priority::FOREGROUND).unwrap();
+        sim.run();
+    }
+    let replies_before = sim.stats.counter("server.replies");
+    Client::export(
+        &writer,
+        &mut sim,
+        &urn("c"),
+        ws,
+        "add",
+        &["1"],
+        Priority::NORMAL,
+    )
+    .unwrap();
+    let mut replies_at_callback = None;
+    while sim.step() {
+        if sim.stats.counter("server.callbacks_sent") > 0 {
+            replies_at_callback = Some(sim.stats.counter("server.replies"));
+            break;
+        }
+    }
+    assert_eq!(
+        replies_at_callback,
+        Some(replies_before + 1),
+        "the callback left in the same dispatch as the writer's reply"
+    );
+}
+
+#[test]
 fn authentication_gates_all_operations() {
     let mut sim = Sim::new(17);
     let net = Net::new();

@@ -224,14 +224,9 @@ pub enum FlushPolicy {
     /// Sync on every append — the paper's prototype behaviour; the flush
     /// is on the critical path of each QRPC.
     PerOperation,
-    /// Group commit: sync once at least `n` records are buffered (the
-    /// toolkit core adds a timeout using simulator events).
-    GroupCommit {
-        /// Records per group.
-        n: usize,
-    },
     /// Never sync automatically; callers invoke [`OpLog::flush`]
-    /// themselves. Used by the "no stable log" ablation arm.
+    /// themselves. The client and server group their commits above the
+    /// log this way; the "no stable log" ablation arm uses it too.
     Manual,
 }
 
@@ -336,8 +331,8 @@ impl<S: StableStore> OpLog<S> {
     /// Appends a record, returning its sequence number.
     ///
     /// Under [`FlushPolicy::PerOperation`] the record is durable when
-    /// this returns; under group commit it becomes durable when the group
-    /// fills (or on an explicit [`OpLog::flush`]). An empty payload is
+    /// this returns; under [`FlushPolicy::Manual`] it becomes durable at
+    /// the next explicit [`OpLog::flush`]. An empty payload is
     /// refused ([`LogError::EmptyRecord`]).
     pub fn append(&mut self, kind: RecordKind, payload: impl Into<Bytes>) -> Result<u64, LogError> {
         let rec = self.new_record(kind, payload.into())?;
@@ -347,14 +342,8 @@ impl<S: StableStore> OpLog<S> {
         self.store.append(&frame)?;
         self.records.insert(seq, rec);
         self.appended_since_sync += 1;
-        match self.policy {
-            FlushPolicy::PerOperation => {
-                self.flush()?;
-            }
-            FlushPolicy::GroupCommit { n } if self.appended_since_sync >= n => {
-                self.flush()?;
-            }
-            _ => {}
+        if self.policy == FlushPolicy::PerOperation {
+            self.flush()?;
         }
         Ok(seq)
     }
@@ -618,19 +607,6 @@ mod tests {
         let log = OpLog::open(store).unwrap();
         assert_eq!(log.len(), 1);
         assert_eq!(log.records().next().unwrap().payload, b"a");
-    }
-
-    #[test]
-    fn group_commit_syncs_on_group_boundary() {
-        let mut log =
-            OpLog::open_with(MemStore::new(), FlushPolicy::GroupCommit { n: 3 }, false).unwrap();
-        log.append(RecordKind::Request, b"1".to_vec()).unwrap();
-        log.append(RecordKind::Request, b"2".to_vec()).unwrap();
-        assert!(log.buffered_bytes() > 0);
-        log.append(RecordKind::Request, b"3".to_vec()).unwrap();
-        assert_eq!(log.buffered_bytes(), 0);
-        let store = log.into_store().crash(None);
-        assert_eq!(OpLog::open(store).unwrap().len(), 3);
     }
 
     #[test]

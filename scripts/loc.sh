@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Non-test source lines per crate.
 #
-# Counts the non-blank lines that are not `//` comments above each
-# file's first `#[cfg(test)]` (or `#![cfg(test)]`) marker in
-# `crates/*/src` — the part of a file scripts/panic_audit.sh audits —
+# Counts the non-blank lines that are not `//` comments in the non-test
+# part of each file in `crates/*/src` (scripts/nontest.awk: everything
+# above `#![cfg(test)]` or an inline `#[cfg(test)] mod`; an item-level
+# `#[cfg(test)]` is counted) — the part scripts/panic_audit.sh audits —
 # and sums them per crate. Given a git revision, counts that revision's
 # tree by the same rule and prints the delta, so every change reports
 # its size the same way.
@@ -17,7 +18,7 @@ export LC_ALL=C
 # Prints "crate lines" per crate for the `crates/` directory under `$1`.
 tally() {
     (cd "$1" && find crates -path 'crates/*/src/*' -name '*.rs' | sort) | while read -r f; do
-        n=$(awk '/#!?\[cfg\(test\)\]/{exit} {print}' "$1/$f" \
+        n=$(awk -f scripts/nontest.awk "$1/$f" \
             | { grep -vE '^[[:space:]]*(//|$)' || :; } \
             | wc -l)
         crate=${f#crates/}

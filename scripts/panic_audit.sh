@@ -2,9 +2,10 @@
 # Panic-audit ratchet.
 #
 # Counts panic-capable calls (`.unwrap()`, `.expect(`, `panic!(`,
-# `unreachable!(`) in non-test source code — everything above the first
-# `#[cfg(test)]` marker in each file (`#![cfg(test)]` at the top of a
-# file that is a test module throughout) — and compares against the
+# `unreachable!(`) in non-test source code — the part of each file
+# scripts/nontest.awk prints: everything above `#![cfg(test)]` or an
+# inline `#[cfg(test)] mod` (an item-level `#[cfg(test)]` is audited
+# with its surroundings) — and compares against the
 # checked-in baseline. CI fails if any file's count grows or a new file
 # introduces one: decode/parse paths must return typed errors, not
 # panic. Counts may only go down; when they do, refresh the baseline so
@@ -19,7 +20,7 @@ BASELINE=scripts/panic_baseline.txt
 
 current_counts() {
     find crates -name '*.rs' -path '*/src/*' | sort | while read -r f; do
-        n=$(awk '/#!?\[cfg\(test\)\]/{exit} {print}' "$f" \
+        n=$(awk -f scripts/nontest.awk "$f" \
             | grep -vE '^[[:space:]]*//' \
             | grep -cE '\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(' || :)
         if [ "$n" -gt 0 ]; then
