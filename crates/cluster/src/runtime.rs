@@ -430,7 +430,6 @@ pub fn run_client(opts: &ClientOpts) -> Result<ClientSummary, String> {
     cfg.rto = SimDuration::from_micros(opts.rto.as_micros().max(1000) as u64);
     let rto = cfg.rto;
     cfg.rto_max = SimDuration::from_micros((opts.rto.as_micros() as u64).saturating_mul(16));
-    cfg.retry_budget = None; // Retry until the server returns.
     let client = Client::new(&mut sim, &net, cfg, vec![link]);
     let session = Client::create_session(&client, Guarantees::ALL, true);
 

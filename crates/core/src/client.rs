@@ -16,8 +16,8 @@ use std::rc::Rc;
 
 use rover_log::{FlushPolicy, MemStore, OpLog, RecordKind};
 use rover_net::{HostSched, LinkId, Net, SchedRef};
-use rover_script::Value;
-use rover_sim::{Sim, SimTime};
+use rover_script::{Budget, Value};
+use rover_sim::{Sim, SimDuration, SimTime};
 use rover_wire::{
     Bytes, Decoder, Envelope, HostId, MsgKind, OpStatus, Priority, QrpcReply, QrpcRequest,
     ReplyBatch, RequestId, RoverOp, SessionId, Version, Wire,
@@ -32,6 +32,12 @@ use crate::promise::{Outcome, Promise};
 use crate::session::{Guarantees, Session};
 use crate::urn::Urn;
 use crate::RoverError;
+use qrpc::{Answer, Issued, Probe, Settled};
+
+mod qrpc;
+
+/// The null QRPC's target.
+const PING_URN: &str = "urn:rover:sys/ping";
 
 /// Shared handle to a client access manager.
 pub type ClientRef = Rc<RefCell<Client>>;
@@ -83,14 +89,6 @@ pub enum Placement {
     ImportThenLocal,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum OpClass {
-    Import,
-    Export,
-    Invoke,
-    Ping,
-}
-
 struct Outstanding {
     request: QrpcRequest,
     /// `request` marshalled: the bytes the stable log holds and every
@@ -101,9 +99,8 @@ struct Outstanding {
     promise: Promise,
     urn: Option<Urn>,
     /// Destination shard/server this request routes to (fixed at issue
-    /// time; the basis of per-shard `acked_below` floors).
+    /// time; the basis of per-destination `acked_below` floors).
     dst: HostId,
-    class: OpClass,
     issued_at: SimTime,
     enqueue_epoch: u64,
     retries: u32,
@@ -118,7 +115,7 @@ struct Outstanding {
     /// Current (backed-off) probe interval for this request. Starts at
     /// `cfg.rto`, doubled after each retransmission, capped at
     /// `cfg.rto_max`.
-    rto_cur: rover_sim::SimDuration,
+    rto_cur: SimDuration,
 }
 
 type Listener = Rc<RefCell<dyn FnMut(&mut Sim, &ClientEvent)>>;
@@ -158,18 +155,31 @@ pub struct Client {
     cpu_free_at: SimTime,
 }
 
+/// What an import found.
+enum Lookup {
+    /// An admissible cached copy (tentative or not), served after the
+    /// dispatch cost.
+    Hit(Rc<RoverObject>, bool, SimDuration),
+    /// An in-flight import of the same object at no lower priority.
+    Joined(Promise),
+    /// A miss, issued as a QRPC.
+    Miss(Issued),
+}
+
 impl Client {
     /// Creates a client, wiring its scheduler and reply handler onto the
     /// network. `links` are candidate interfaces, best quality first.
     pub fn new(sim: &mut Sim, net: &Net, cfg: ClientConfig, links: Vec<LinkId>) -> ClientRef {
-        Client::boot(sim, net, cfg, links, MemStore::new())
+        let _ = sim;
+        Client::boot(net, cfg, links, MemStore::new())
     }
 
     /// Restarts a client after a crash, resuming from the stable log:
     /// every logged-but-unanswered QRPC is re-issued (the home server's
     /// at-most-once cache absorbs any that actually committed before
-    /// the crash). Sessions, promises, and cached objects do not
-    /// survive — only the queued operations do, exactly as in the
+    /// the crash), and fresh request and session ids start above every
+    /// id the log remembers. Sessions, promises, and cached objects do
+    /// not survive — only the queued operations do, exactly as in the
     /// paper's design.
     pub fn recover(
         sim: &mut Sim,
@@ -178,65 +188,11 @@ impl Client {
         links: Vec<LinkId>,
         store: MemStore,
     ) -> ClientRef {
-        let client = Client::boot(sim, net, cfg, links, store);
-        let recovered: Vec<(u64, QrpcRequest, Bytes)> = {
-            let c = client.borrow();
-            let completed: std::collections::HashSet<u64> = c
-                .log
-                .records()
-                .filter(|r| r.kind == RecordKind::Completion)
-                .filter_map(|r| r.payload[..].try_into().ok().map(u64::from_be_bytes))
-                .collect();
-            c.log
-                .records()
-                .filter(|r| r.kind == RecordKind::Request)
-                .filter_map(|r| {
-                    QrpcRequest::from_shared(&r.payload)
-                        .ok()
-                        .map(|q| (r.seq, q, r.payload.clone()))
-                })
-                .filter(|(_, q, _)| !completed.contains(&q.req_id.0))
-                .collect()
-        };
-        {
-            let mut c = client.borrow_mut();
-            let epoch = c.link_epoch;
-            let rto = c.cfg.rto;
-            for (log_seq, request, image) in &recovered {
-                c.next_req = c.next_req.max(request.req_id.0 + 1);
-                let class = match &request.op {
-                    RoverOp::Import => OpClass::Import,
-                    RoverOp::Export { .. } => OpClass::Export,
-                    RoverOp::Invoke { .. } => OpClass::Invoke,
-                    _ => OpClass::Ping,
-                };
-                let urn = Urn::parse(&request.urn).ok();
-                let dst = c.server_for(&request.urn);
-                c.outstanding.insert(
-                    request.req_id.0,
-                    Outstanding {
-                        request: request.clone(),
-                        image: image.clone(),
-                        log_seq: *log_seq,
-                        promise: Promise::new(),
-                        urn,
-                        dst,
-                        class,
-                        issued_at: sim.now(),
-                        enqueue_epoch: epoch,
-                        retries: 0,
-                        direct: false,
-                        rto_armed: false,
-                        strikes: 0,
-                        rto_cur: rto,
-                    },
-                );
-            }
-        }
-        sim.stats
-            .add("client.recovered_qrpcs", recovered.len() as u64);
-        for (_, request, _) in recovered {
-            Client::enqueue_request(&client, sim, request.req_id.0, true);
+        let client = Client::boot(net, cfg, links, store);
+        let ids = client.borrow_mut().replay(sim.now());
+        sim.stats.add("client.recovered_qrpcs", ids.len() as u64);
+        for id in ids {
+            Client::enqueue_request(&client, sim, id, true);
         }
         client
     }
@@ -253,13 +209,7 @@ impl Client {
         old.into_store().crash(None)
     }
 
-    fn boot(
-        sim: &mut Sim,
-        net: &Net,
-        cfg: ClientConfig,
-        links: Vec<LinkId>,
-        store: MemStore,
-    ) -> ClientRef {
+    fn boot(net: &Net, cfg: ClientConfig, links: Vec<LinkId>, store: MemStore) -> ClientRef {
         let sched = HostSched::new(cfg.host, cfg.sched_mode);
         HostSched::set_mtu(&sched, cfg.mtu);
         for &l in &links {
@@ -267,12 +217,13 @@ impl Client {
         }
         let log = OpLog::open_with(store, FlushPolicy::Manual, false)
             .expect("in-memory log recovery cannot fail");
+        let host = cfg.host;
         let client = Rc::new(RefCell::new(Client {
+            cache: Cache::new(cfg.cache_capacity),
             cfg,
             net: net.clone(),
             sched,
             links: links.clone(),
-            cache: Cache::new(0),
             log,
             sessions: HashMap::new(),
             outstanding: BTreeMap::new(),
@@ -288,20 +239,14 @@ impl Client {
             listeners: Vec::new(),
             cpu_free_at: SimTime::ZERO,
         }));
-        {
-            let mut c = client.borrow_mut();
-            c.cache = Cache::new(c.cfg.cache_capacity);
-        }
 
-        let host = client.borrow().cfg.host;
         let weak = Rc::downgrade(&client);
         net.register_host(
             host,
             rover_net::wrap_reassembly(move |sim: &mut Sim, _net: &Net, env: Envelope| {
                 let Some(cl) = weak.upgrade() else { return };
                 match env.kind {
-                    MsgKind::Reply => Client::on_reply(&cl, sim, env),
-                    MsgKind::ReplyBatch => Client::on_reply_batch(&cl, sim, env),
+                    MsgKind::Reply | MsgKind::ReplyBatch => Client::on_reply(&cl, sim, env),
                     MsgKind::Callback => Client::on_callback(&cl, sim, env),
                     _ => {}
                 }
@@ -316,7 +261,6 @@ impl Client {
                 }
             });
         }
-        let _ = sim;
         client
     }
 
@@ -399,83 +343,72 @@ impl Client {
         session: SessionId,
         prio: Priority,
     ) -> Result<Promise, RoverError> {
-        // Cache path.
-        let hit = {
-            let mut c = cl.borrow_mut();
-            let sess = c
-                .sessions
-                .get(&session.0)
-                .ok_or(RoverError::NoSuchSession(session.0))?;
-            let accept_tentative = sess.accept_tentative;
-            let needs_own = sess.needs_own_writes(urn);
-            let admissible_version = {
-                let v = c.cache.version(urn);
-                sess.read_admissible(urn, v)
-            };
-            let now = sim.now();
-            let connected = {
-                let (sched, net) = (c.sched.clone(), c.net.clone());
-                HostSched::active_link(&sched, &net).is_some()
-            };
-            match c.cache.touch(urn, now) {
-                Some(entry) => {
-                    // A callback-invalidated copy is refetched while
-                    // connected; a disconnected reader accepts the
-                    // stale copy (better than blocking).
-                    let stale = entry.invalidated_by.is_some() && connected;
-                    let has_tent = entry.tentative.is_some();
-                    let use_tent = has_tent && (accept_tentative || needs_own);
-                    if !stale && (admissible_version || use_tent) {
-                        let obj = Rc::clone(entry.read_copy(use_tent));
-                        let tentative = use_tent && has_tent;
-                        let version = obj.version;
-                        let sess = c.sessions.get_mut(&session.0).expect("checked above");
-                        sess.note_read(urn, version);
-                        Some((obj, tentative))
-                    } else {
-                        None // Monotonic-reads miss: stale cached copy.
-                    }
-                }
-                None => None,
-            }
+        let found = cl.borrow_mut().lookup(sim, urn, session, prio)?;
+        let (obj, tentative, cost) = match found {
+            Lookup::Hit(obj, tentative, cost) => (obj, tentative, cost),
+            Lookup::Joined(promise) => return Ok(promise),
+            Lookup::Miss(issued) => return Ok(Client::launch(cl, sim, issued)),
         };
+        let promise = Promise::new();
+        let p2 = promise.clone();
+        let cl2 = cl.clone();
+        let urn2 = urn.clone();
+        sim.schedule_after(cost, move |sim| {
+            let value = Value::str(urn2.as_str());
+            let version = obj.version;
+            p2.resolve(
+                sim,
+                Outcome {
+                    tentative,
+                    from_cache: true,
+                    object: Some(obj),
+                    ..Outcome::ok(value, version)
+                },
+            );
+            Client::emit(
+                &cl2,
+                sim,
+                ClientEvent::ImportDone {
+                    urn: urn2,
+                    from_cache: true,
+                    tentative,
+                    status: OpStatus::Ok,
+                },
+            );
+        });
+        Ok(promise)
+    }
 
-        if let Some((obj, tentative)) = hit {
-            sim.stats.incr("client.cache_hits");
-            let cost = {
-                let mut c = cl.borrow_mut();
-                let d = c.cfg.cpu.dispatch_cost();
-                c.charge_serial(sim.now(), d)
-            };
-            let promise = Promise::new();
-            let p2 = promise.clone();
-            let cl2 = cl.clone();
-            let urn2 = urn.clone();
-            sim.schedule_after(cost, move |sim| {
-                let version = obj.version;
-                p2.resolve(
-                    sim,
-                    Outcome {
-                        status: OpStatus::Ok,
-                        value: Value::str(urn2.as_str()),
-                        version,
-                        tentative,
-                        from_cache: true,
-                        object: Some(obj),
-                    },
-                );
-                Client::emit(
-                    &cl2,
-                    sim,
-                    ClientEvent::ImportDone {
-                        urn: urn2,
-                        from_cache: true,
-                        tentative,
-                        status: OpStatus::Ok,
-                    },
-                );
-            });
-            return Ok(promise);
+    /// The import step: serves an admissible cached copy, joins an
+    /// in-flight import of the same object, or issues a QRPC.
+    fn lookup(
+        &mut self,
+        sim: &mut Sim,
+        urn: &Urn,
+        session: SessionId,
+        prio: Priority,
+    ) -> Result<Lookup, RoverError> {
+        let connected = self.connected();
+        let Some(sess) = self.sessions.get_mut(&session.0) else {
+            return Err(RoverError::NoSuchSession(session.0));
+        };
+        let admissible_version = sess.read_admissible(urn, self.cache.version(urn));
+        let accept_tentative = sess.accept_tentative || sess.needs_own_writes(urn);
+        if let Some(entry) = self.cache.touch(urn, sim.now()) {
+            // A callback-invalidated copy is refetched while connected;
+            // a disconnected reader accepts the stale copy (better than
+            // blocking).
+            let stale = entry.invalidated_by.is_some() && connected;
+            let use_tent = entry.tentative.is_some() && accept_tentative;
+            if !stale && (admissible_version || use_tent) {
+                let obj = Rc::clone(entry.read_copy(use_tent));
+                sess.note_read(urn, obj.version);
+                sim.stats.incr("client.cache_hits");
+                let d = self.cfg.cpu.dispatch_cost();
+                let cost = self.charge_serial(sim.now(), d);
+                return Ok(Lookup::Hit(obj, use_tent, cost));
+            }
+            // Otherwise a monotonic-reads miss: stale cached copy.
         }
 
         sim.stats.incr("client.cache_misses");
@@ -483,37 +416,24 @@ impl Client {
         // *lower*-priority one: a foreground click must not inherit a
         // background prefetch's queueing position, so it re-issues and
         // whichever reply lands first fills the cache.
-        if let Some(req) = cl.borrow().inflight_imports.get(urn).copied() {
-            if let Some(o) = cl.borrow().outstanding.get(&req) {
-                if o.request.priority <= prio {
-                    sim.stats.incr("client.imports_coalesced");
-                    return Ok(o.promise.clone());
-                }
-                sim.stats.incr("client.imports_escalated");
+        let inflight = self.inflight_imports.get(urn);
+        if let Some(o) = inflight.and_then(|id| self.outstanding.get(id)) {
+            if o.request.priority <= prio {
+                sim.stats.incr("client.imports_coalesced");
+                return Ok(Lookup::Joined(o.promise.clone()));
             }
+            sim.stats.incr("client.imports_escalated");
         }
-        let request = {
-            let mut c = cl.borrow_mut();
-            c.build_request(
-                RoverOp::Import,
-                urn.as_str(),
-                session,
-                prio,
-                Bytes::new(),
-                0,
-            )
-        };
-        cl.borrow_mut()
-            .inflight_imports
-            .insert(urn.clone(), request.req_id.0);
-        Ok(Client::issue_qrpc(
-            cl,
-            sim,
-            request,
-            Some(urn.clone()),
-            OpClass::Import,
-            rover_sim::SimDuration::ZERO,
-        ))
+        let request = self.build_request(
+            RoverOp::Import,
+            urn.as_str(),
+            session,
+            prio,
+            Bytes::new(),
+            0,
+        );
+        self.inflight_imports.insert(urn.clone(), request.req_id.0);
+        Ok(Lookup::Miss(self.issue(sim, request, Some(urn.clone()))))
     }
 
     /// Exports a mutating RDO method invocation: applies it to the local
@@ -527,11 +447,13 @@ impl Client {
         args: &[&str],
         prio: Priority,
     ) -> Result<ExportHandle, RoverError> {
-        let (request, local_cost) = {
-            let mut c = cl.borrow_mut();
-            if !c.sessions.contains_key(&session.0) {
+        let (issued, local_cost, req_id) = {
+            let mut guard = cl.borrow_mut();
+            let c = &mut *guard;
+            let dst = c.server_for(urn.as_str());
+            let Some(sess) = c.sessions.get_mut(&session.0) else {
                 return Err(RoverError::NoSuchSession(session.0));
-            }
+            };
             let entry = c
                 .cache
                 .peek(urn)
@@ -541,8 +463,7 @@ impl Client {
             // cache still holds the image, so `make_mut` copies it.
             let mut tentative = Rc::clone(entry.read_copy(true));
             let vals: Vec<Value> = args.iter().map(Value::str).collect();
-            let budget = c.cfg.budget;
-            let applied = Rc::make_mut(&mut tentative).run_method(method, &vals, budget);
+            let applied = Rc::make_mut(&mut tentative).run_method(method, &vals, Budget::default());
             let run = applied.map_err(|e| {
                 if matches!(e, RoverError::ScriptParse(_)) {
                     sim.stats.incr("script.parse_rejected");
@@ -552,20 +473,18 @@ impl Client {
             if !c.cache.set_tentative(urn, tentative) {
                 return Err(RoverError::NotCached(urn.to_string()));
             }
+            let ordered = sess.guarantees.ordered_writes();
+            let seq = sess.note_write_issued(urn, dst);
             let raw_cost = c.cfg.cpu.dispatch_cost() + c.cfg.cpu.interp_cost(run.steps);
             let local_cost = c.charge_serial(sim.now(), raw_cost);
             *c.dirty_ops.entry(urn.clone()).or_insert(0) += 1;
 
-            let base_version = c.cache.version(urn);
-            let dst = c.server_for(urn.as_str());
-            let sess = c.sessions.get_mut(&session.0).expect("checked");
-            let ordered = sess.guarantees.ordered_writes();
-            let seq = sess.note_write_issued(urn, dst);
             let payload = ExportPayload {
                 method: method.to_owned(),
                 args: args.iter().map(|s| s.to_string()).collect(),
                 session_seq: if ordered { seq } else { 0 },
             };
+            let base_version = c.cache.version(urn).0;
             let request = c.build_request(
                 RoverOp::Export {
                     method: method.to_owned(),
@@ -574,13 +493,14 @@ impl Client {
                 session,
                 prio,
                 payload.to_bytes(),
-                base_version.0,
+                base_version,
             );
-            (request, local_cost)
+            let req_id = request.req_id;
+            sim.stats.incr("client.exports");
+            // No extra delay: the CPU horizon already serializes the
+            // QRPC's marshalling behind the local apply.
+            (c.issue(sim, request, Some(urn.clone())), local_cost, req_id)
         };
-
-        let req_id = request.req_id;
-        sim.stats.incr("client.exports");
 
         // Tentative promise: resolves after the local apply cost.
         let tentative = Promise::new();
@@ -591,12 +511,9 @@ impl Client {
             t2.resolve(
                 sim,
                 Outcome {
-                    status: OpStatus::Ok,
-                    value: Value::empty(),
-                    version: Version(0),
                     tentative: true,
                     from_cache: true,
-                    object: None,
+                    ..Outcome::ok(Value::empty(), Version(0))
                 },
             );
             Client::emit(
@@ -609,23 +526,13 @@ impl Client {
             );
         });
 
-        // No extra delay: the CPU horizon already serializes the QRPC's
-        // marshalling behind the local apply.
-        let committed = Client::issue_qrpc(
-            cl,
-            sim,
-            request,
-            Some(urn.clone()),
-            OpClass::Export,
-            rover_sim::SimDuration::ZERO,
-        );
+        let committed = Client::launch(cl, sim, issued);
         Ok(ExportHandle {
             tentative,
             committed,
             req: req_id,
         })
     }
-
     /// Loads an object and runs a method on arrival: import combined
     /// with a local invocation ("the current implementation also has a
     /// load operation that is an import combined with a call to create
@@ -699,23 +606,19 @@ impl Client {
         // Estimate over the active link (fall back to the first
         // attached interface's parameters while disconnected — the
         // decision still holds when the queue drains over it).
-        let spec = {
+        let (spec, client_cpu) = {
             let c = cl.borrow();
             let active =
                 HostSched::active_link(&c.sched, &c.net).or_else(|| c.links.first().copied());
-            match active {
-                Some(l) => c.net.spec(l),
-                None => {
-                    drop(c);
-                    // No interfaces at all: ship the function; it is
-                    // never worse than also shipping the object.
-                    let p = Client::invoke_remote(cl, sim, urn, session, method, args, prio)?;
-                    return Ok((p, Placement::Remote));
-                }
-            }
+            (active.map(|l| c.net.spec(l)), c.cfg.cpu)
+        };
+        let Some(spec) = spec else {
+            // No interfaces at all: ship the function; it is never
+            // worse than also shipping the object.
+            let p = Client::invoke_remote(cl, sim, urn, session, method, args, prio)?;
+            return Ok((p, Placement::Remote));
         };
 
-        let client_cpu = cl.borrow().cfg.cpu;
         // The client assumes a workstation-class home server, as the
         // paper's testbed had.
         let server_cpu = rover_sim::CpuModel::SERVER_WORKSTATION;
@@ -758,7 +661,6 @@ impl Client {
     ) -> Result<Promise, RoverError> {
         let (result, cost) = {
             let mut c = cl.borrow_mut();
-            let budget = c.cfg.budget;
             let entry = c
                 .cache
                 .peek_mut(urn)
@@ -768,12 +670,14 @@ impl Client {
             // still shares the image.
             let obj = Rc::make_mut(entry.tentative.as_mut().unwrap_or(&mut entry.committed));
             let vals: Vec<Value> = args.iter().map(Value::str).collect();
-            let run = obj.run_query(method, &vals, budget).map_err(|e| {
-                if matches!(e, RoverError::ScriptParse(_)) {
-                    sim.stats.incr("script.parse_rejected");
-                }
-                e
-            })?;
+            let run = obj
+                .run_query(method, &vals, Budget::default())
+                .map_err(|e| {
+                    if matches!(e, RoverError::ScriptParse(_)) {
+                        sim.stats.incr("script.parse_rejected");
+                    }
+                    e
+                })?;
             if run.mutated {
                 return Err(RoverError::LocalMutation(urn.to_string()));
             }
@@ -786,17 +690,11 @@ impl Client {
         let promise = Promise::new();
         let p2 = promise.clone();
         sim.schedule_after(cost, move |sim| {
-            p2.resolve(
-                sim,
-                Outcome {
-                    status: OpStatus::Ok,
-                    value: result,
-                    version: Version(0),
-                    tentative: false,
-                    from_cache: true,
-                    object: None,
-                },
-            );
+            let outcome = Outcome {
+                from_cache: true,
+                ..Outcome::ok(result, Version(0))
+            };
+            p2.resolve(sim, outcome);
         });
         Ok(promise)
     }
@@ -811,7 +709,7 @@ impl Client {
         args: &[&str],
         prio: Priority,
     ) -> Result<Promise, RoverError> {
-        let request = {
+        let issued = {
             let mut c = cl.borrow_mut();
             if !c.sessions.contains_key(&session.0) {
                 return Err(RoverError::NoSuchSession(session.0));
@@ -820,7 +718,7 @@ impl Client {
                 method: method.to_owned(),
                 args: args.iter().map(|s| s.to_string()).collect(),
             };
-            c.build_request(
+            let request = c.build_request(
                 RoverOp::Invoke {
                     method: method.to_owned(),
                 },
@@ -829,39 +727,20 @@ impl Client {
                 prio,
                 payload.to_bytes(),
                 0,
-            )
+            );
+            c.issue(sim, request, Some(urn.clone()))
         };
-        Ok(Client::issue_qrpc(
-            cl,
-            sim,
-            request,
-            Some(urn.clone()),
-            OpClass::Invoke,
-            rover_sim::SimDuration::ZERO,
-        ))
+        Ok(Client::launch(cl, sim, issued))
     }
 
     /// Issues a null QRPC (experiment E1's probe).
     pub fn ping(cl: &ClientRef, sim: &mut Sim, session: SessionId, prio: Priority) -> Promise {
-        let request = {
+        let issued = {
             let mut c = cl.borrow_mut();
-            c.build_request(
-                RoverOp::Ping,
-                "urn:rover:sys/ping",
-                session,
-                prio,
-                Bytes::new(),
-                0,
-            )
+            let request = c.build_request(RoverOp::Ping, PING_URN, session, prio, Bytes::new(), 0);
+            c.issue(sim, request, None)
         };
-        Client::issue_qrpc(
-            cl,
-            sim,
-            request,
-            None,
-            OpClass::Ping,
-            rover_sim::SimDuration::ZERO,
-        )
+        Client::launch(cl, sim, issued)
     }
 
     /// Issues a *plain* (non-queued) null RPC: no stable log, no
@@ -872,60 +751,34 @@ impl Client {
         sim: &mut Sim,
         session: SessionId,
     ) -> Result<Promise, RoverError> {
-        let (request, image, marshal, link, net, server) = {
+        let (env, marshal, link, net, promise) = {
             let mut c = cl.borrow_mut();
-            let request = c.build_request(
-                RoverOp::Ping,
-                "urn:rover:sys/ping",
-                session,
-                Priority::FOREGROUND,
-                Bytes::new(),
-                0,
-            );
-            let bytes = request.to_bytes();
-            let m = c.cfg.cpu.marshal_cost(bytes.len());
+            let prio = Priority::FOREGROUND;
+            let request = c.build_request(RoverOp::Ping, PING_URN, session, prio, Bytes::new(), 0);
+            let image = request.to_bytes();
+            let m = c.cfg.cpu.marshal_cost(image.len());
             let marshal = c.charge_serial(sim.now(), m);
-            let link = HostSched::active_link(&c.sched, &c.net);
-            let dst = c.server_for("urn:rover:sys/ping");
-            (request, bytes, marshal, link, c.net.clone(), dst)
+            let Some(link) = HostSched::active_link(&c.sched, &c.net) else {
+                return Err(RoverError::Wire("disconnected".into()));
+            };
+            let (id, dst) = (request.req_id.0, c.server_for(PING_URN));
+            let o = Outstanding {
+                direct: true,
+                ..c.outstanding(sim.now(), request, image.clone(), 0, None, dst)
+            };
+            let promise = o.promise.clone();
+            c.outstanding.insert(id, o);
+            let env = Envelope {
+                kind: MsgKind::Request,
+                src: c.cfg.host,
+                dst,
+                body: image,
+            };
+            (env, marshal, link, c.net.clone(), promise)
         };
-        let link = link.ok_or_else(|| RoverError::Wire("disconnected".into()))?;
-
-        let promise = Promise::new();
-        {
-            let mut c = cl.borrow_mut();
-            let epoch = c.link_epoch;
-            let rto = c.cfg.rto;
-            c.outstanding.insert(
-                request.req_id.0,
-                Outstanding {
-                    request,
-                    image: image.clone(),
-                    log_seq: 0,
-                    promise: promise.clone(),
-                    urn: None,
-                    dst: server,
-                    class: OpClass::Ping,
-                    issued_at: sim.now(),
-                    enqueue_epoch: epoch,
-                    retries: 0,
-                    direct: true,
-                    rto_armed: false,
-                    strikes: 0,
-                    rto_cur: rto,
-                },
-            );
-        }
-        let env = Envelope {
-            kind: MsgKind::Request,
-            src: Client::host(cl),
-            dst: server,
-            body: image,
-        };
-        let net2 = net.clone();
         sim.schedule_after(marshal, move |sim| {
             // Direct send: a failure is surfaced by never resolving.
-            let _ = net2.send(sim, link, env);
+            let _ = net.send(sim, link, env);
         });
         Ok(promise)
     }
@@ -950,7 +803,7 @@ impl Client {
         sim: &mut Sim,
         urn: &Urn,
         session: SessionId,
-        every: rover_sim::SimDuration,
+        every: SimDuration,
     ) -> PollGuard {
         let alive = Rc::new(());
         let weak_guard = Rc::downgrade(&alive);
@@ -962,7 +815,7 @@ impl Client {
             sim: &mut Sim,
             urn: Urn,
             session: SessionId,
-            every: rover_sim::SimDuration,
+            every: SimDuration,
         ) {
             sim.schedule_after(every, move |sim| {
                 if weak_guard.upgrade().is_none() {
@@ -972,17 +825,17 @@ impl Client {
                     return;
                 };
                 let connected = {
-                    let c = cl.borrow();
-                    let (sched, net) = (c.sched.clone(), c.net.clone());
-                    HostSched::active_link(&sched, &net).is_some()
-                };
-                if connected {
+                    let mut c = cl.borrow_mut();
                     // Force a refresh: a poll bypasses the cache hit
                     // path by invalidating first.
-                    let v = cl.borrow().cache.version(&urn);
-                    if v > Version(0) {
-                        cl.borrow_mut().cache.invalidate(&urn, Version(v.0 + 1));
+                    let v = c.cache.version(&urn);
+                    let connected = c.connected();
+                    if connected && v > Version(0) {
+                        c.cache.invalidate(&urn, Version(v.0 + 1));
                     }
+                    connected
+                };
+                if connected {
                     let _ = Client::import(&cl, sim, &urn, session, Priority::BACKGROUND);
                     sim.stats.incr("client.polls");
                 }
@@ -1032,341 +885,62 @@ impl Client {
     }
 
     // ------------------------------------------------------------------
-    // QRPC engine.
+    // QRPC drivers: they act on the values the steps in `qrpc.rs`
+    // return, and they alone schedule, enqueue, emit and resolve.
 
-    /// Returns the home server for an object: the shard map (when
-    /// configured) wins, then per-authority homes, then the default.
-    fn server_for(&self, urn: &str) -> HostId {
-        if let Some(map) = &self.cfg.shards {
-            return map.host_for(urn);
-        }
-        Urn::parse(urn)
-            .ok()
-            .and_then(|u| self.cfg.authorities.get(u.authority()).copied())
-            .unwrap_or(self.cfg.server)
-    }
-
-    /// Routes one outbound request, possibly amending it. Writes (and
-    /// everything that is not an import) go to the object's home shard.
-    /// An import may be offloaded to the least-loaded replica holder
-    /// the dynamic directory lists for its URN — but only when the
-    /// session has no pending writes on the object (read-your-writes
-    /// routes home) — and then carries the session's read floor in the
-    /// request's read-vector so the holder can refuse a stale serve
-    /// (monotonic reads never weaken). Without a dynamic routing plane
-    /// this is exactly [`Client::server_for`] and the request is
-    /// untouched.
-    fn route_request(&mut self, request: &mut QrpcRequest) -> HostId {
-        let home = self.server_for(&request.urn);
-        if !matches!(request.op, RoverOp::Import) {
-            return home;
-        }
-        let Some(map) = self.cfg.shards.clone() else {
-            return home;
-        };
-        if map.len() <= 1 || !map.has_dynamic() {
-            return home;
-        }
-        let (floor, pending) = match (
-            self.sessions.get(&request.session.0),
-            Urn::parse(&request.urn).ok(),
-        ) {
-            (Some(sess), Some(u)) => (sess.read_floor(&u).0, sess.needs_own_writes(&u)),
-            _ => (0, false),
-        };
-        if pending {
-            return home;
-        }
-        let dst = map.read_host_for(&request.urn, floor);
-        if dst != home {
-            request.read_vector = vec![(request.urn.clone(), floor)];
-        }
-        dst
-    }
-
-    /// Serializes a local CPU/storage cost behind earlier local work;
-    /// returns the delay from `now` until this work completes.
-    fn charge_serial(
-        &mut self,
-        now: SimTime,
-        cost: rover_sim::SimDuration,
-    ) -> rover_sim::SimDuration {
-        let start = self.cpu_free_at.max(now);
-        let done = start + cost;
-        self.cpu_free_at = done;
-        done.since(now)
-    }
-
-    /// Lowest request id not yet answered: every id strictly below it
-    /// had its reply fully processed here, so the server may safely
-    /// forget their dedup entries (piggybacked as
-    /// `QrpcRequest::acked_below`).
-    fn ack_floor(&self) -> u64 {
-        self.outstanding
-            .keys()
-            .next()
-            .copied()
-            .unwrap_or(self.next_req)
-    }
-
-    /// Per-shard acknowledgement floor: the lowest unanswered request id
-    /// *routed to `dst`*. Request ids stay globally unique per client
-    /// (replies carry only the id), so each shard sees a sparse subset
-    /// of the id space; its floor may only account for requests it will
-    /// ever see, otherwise a slow shard would hold back dedup eviction
-    /// on a fast one — or worse, a fast shard's floor would overrun ids
-    /// still outstanding at a slow one. Unsharded clients keep the
-    /// global floor so their wire bytes are unchanged.
-    fn ack_floor_for(&self, dst: HostId) -> u64 {
-        if self.cfg.shards.is_none() {
-            return self.ack_floor();
-        }
-        self.outstanding
-            .iter()
-            .find(|(_, o)| o.dst == dst)
-            .map(|(id, _)| *id)
-            .unwrap_or(self.next_req)
-    }
-
-    fn build_request(
-        &mut self,
-        op: RoverOp,
-        urn: &str,
-        session: SessionId,
-        priority: Priority,
-        payload: Bytes,
-        base_version: u64,
-    ) -> QrpcRequest {
-        let req_id = RequestId(self.next_req);
-        self.next_req += 1;
-        let dst = self.server_for(urn);
-        let acked_below = self.ack_floor_for(dst).min(req_id.0);
-        // Cross-shard writes-follow-reads: a write leaving for one shard
-        // carries the session's read floors for objects homed *on that
-        // shard*, so the shard can refuse to admit the write into a
-        // state older than anything this session already observed
-        // (relevant after a shard crash-restart). Single-shard traffic
-        // carries nothing — its wire bytes are unchanged.
-        let read_vector = match (&op, &self.cfg.shards) {
-            (RoverOp::Export { .. }, Some(map)) if map.len() > 1 => {
-                match self.sessions.get(&session.0) {
-                    Some(sess) => {
-                        let mut rv: Vec<(String, u64)> = sess
-                            .reads()
-                            .filter(|(u, _)| self.server_for(u.as_str()) == dst)
-                            .map(|(u, v)| (u.as_str().to_owned(), v.0))
-                            .collect();
-                        rv.sort();
-                        rv.truncate(16);
-                        rv
-                    }
-                    None => Vec::new(),
-                }
-            }
-            _ => Vec::new(),
-        };
-        QrpcRequest {
-            req_id,
-            client: self.cfg.host,
-            session,
-            op,
-            urn: urn.to_owned(),
-            base_version: Version(base_version),
-            priority,
-            auth: self.cfg.auth_token,
-            acked_below,
-            payload,
-            read_vector,
-        }
-    }
-
-    /// Logs, schedules and tracks one QRPC; returns its completion
-    /// promise. `extra_delay` precedes marshalling (local RDO apply
-    /// time for exports).
-    fn issue_qrpc(
-        cl: &ClientRef,
-        sim: &mut Sim,
-        mut request: QrpcRequest,
-        urn: Option<Urn>,
-        class: OpClass,
-        extra_delay: rover_sim::SimDuration,
-    ) -> Promise {
-        let promise = Promise::new();
-        let req_id = request.req_id;
-        let (ready, delay) = {
-            let mut c = cl.borrow_mut();
-            // Route before marshalling: replica-offloaded imports gain
-            // their read-floor trailer here, so the logged bytes match
-            // the wire bytes.
-            let routed = c.route_request(&mut request);
-            let bytes = request.to_bytes();
-            let marshal = c.cfg.cpu.marshal_cost(bytes.len());
-            sim.stats.sample_duration("client.marshal_ms", marshal);
-
-            // Stable-log handling per policy: a per-operation flush is a
-            // group of one.
-            let (log_seq, flush_cost, ready) = match c.cfg.log_policy.group() {
-                None => (0, rover_sim::SimDuration::ZERO, vec![req_id.0]),
-                Some((n, timeout)) => {
-                    let seq = c
-                        .log
-                        .append(RecordKind::Request, bytes.clone())
-                        .expect("in-memory log append");
-                    c.parked.push(req_id.0);
-                    if c.parked.len() >= n {
-                        let (ready, cost) = c.flush_parked(sim);
-                        (seq, cost, ready)
-                    } else {
-                        if !c.group_timer_armed {
-                            c.group_timer_armed = true;
-                            c.group_timer_gen += 1;
-                            let gen = c.group_timer_gen;
-                            let cl2 = cl.clone();
-                            sim.schedule_after(timeout, move |sim| {
-                                let live = {
-                                    let c = cl2.borrow();
-                                    c.group_timer_armed && c.group_timer_gen == gen
-                                };
-                                if live {
-                                    Client::group_flush(&cl2, sim);
-                                }
-                            });
-                        }
-                        (seq, rover_sim::SimDuration::ZERO, Vec::new())
-                    }
-                }
-            };
-
-            let epoch = c.link_epoch;
-            let rto = c.cfg.rto;
-            let dst = routed;
-            c.outstanding.insert(
-                req_id.0,
-                Outstanding {
-                    request,
-                    image: bytes,
-                    log_seq,
-                    promise: promise.clone(),
-                    urn: urn.clone(),
-                    dst,
-                    class,
-                    issued_at: sim.now(),
-                    enqueue_epoch: epoch,
-                    retries: 0,
-                    direct: false,
-                    rto_armed: false,
-                    strikes: 0,
-                    rto_cur: rto,
-                },
-            );
-            if let Some(u) = &urn {
-                c.cache.pin(u, 1);
-            }
-            let delay = c.charge_serial(sim.now(), extra_delay + marshal + flush_cost);
-            (ready, delay)
-        };
-        sim.stats.incr("client.qrpc_issued");
-        sim.trace(
-            "qrpc",
-            format_args!("issue req={} class={class:?}", req_id.0),
-        );
-
-        if !ready.is_empty() {
-            let cl2 = cl.clone();
-            sim.schedule_after(delay, move |sim| {
-                for id in ready {
-                    Client::enqueue_request(&cl2, sim, id, true);
+    /// Acts on an issued QRPC: arms the group window if the request
+    /// opened one, releases what the log made durable; returns the
+    /// request's completion promise.
+    fn launch(cl: &ClientRef, sim: &mut Sim, issued: Issued) -> Promise {
+        if let Some((window, gen)) = issued.window {
+            let cl = cl.clone();
+            sim.schedule_after(window, move |sim| {
+                let flushed = cl.borrow_mut().window_closed(sim, gen);
+                if let Some((ready, cost)) = flushed {
+                    Client::release(&cl, sim, ready, cost);
                 }
             });
         }
-        promise
+        Client::release(cl, sim, issued.ready, issued.delay);
+        issued.promise
     }
 
-    /// Group-commit timeout: flush and release parked requests.
-    fn group_flush(cl: &ClientRef, sim: &mut Sim) {
-        let (ready, cost) = {
-            let mut c = cl.borrow_mut();
-            c.group_timer_armed = false;
-            if c.parked.is_empty() {
-                return;
-            }
-            c.flush_parked(sim)
-        };
-        let cl2 = cl.clone();
-        sim.schedule_after(cost, move |sim| {
+    /// Hands requests the log made durable to the network scheduler
+    /// once `delay` has passed.
+    fn release(cl: &ClientRef, sim: &mut Sim, ready: Vec<u64>, delay: SimDuration) {
+        if ready.is_empty() {
+            return;
+        }
+        let cl = cl.clone();
+        sim.schedule_after(delay, move |sim| {
             for id in ready {
-                Client::enqueue_request(&cl2, sim, id, true);
+                Client::enqueue_request(&cl, sim, id, true);
             }
         });
     }
 
-    /// Forces the log and takes the parked requests the flush made
-    /// durable, with the flush's cost. Disarms the window timer, whose
-    /// batch this was. The caller schedules the release.
-    fn flush_parked(&mut self, sim: &mut Sim) -> (Vec<u64>, rover_sim::SimDuration) {
-        let receipt = self.log.flush().expect("in-memory log flush");
-        let cost = self.cfg.storage.flush_cost(receipt);
-        sim.stats.sample_duration("client.flush_ms", cost);
-        self.group_timer_armed = false;
-        (std::mem::take(&mut self.parked), cost)
-    }
-
     /// Hands a tracked request to the network scheduler.
     fn enqueue_request(cl: &ClientRef, sim: &mut Sim, req: u64, first: bool) {
-        let item = {
-            let mut c = cl.borrow_mut();
-            let epoch = c.link_epoch;
-            let host = c.cfg.host;
-            let (sched, net) = (c.sched.clone(), c.net.clone());
-            // Every copy of a request goes to the destination recorded
-            // at issue time: re-computing the route per transmit would
-            // let a retransmission chase a migration to a shard that
-            // never saw the original — and re-execute a commit whose
-            // reply was merely lost. Route changes happen only through
-            // the explicit redirect path (fresh request id).
-            let dst = c.outstanding.get(&req).map(|o| o.dst);
-            let floor = dst.map_or(req, |d| c.ack_floor_for(d).min(req));
-            match (c.outstanding.get_mut(&req), dst) {
-                (Some(o), Some(dst)) => {
-                    o.enqueue_epoch = epoch;
-                    if !first {
-                        o.retries += 1;
-                    }
-                    // Piggyback the freshest acknowledgement floor on
-                    // every copy of the request that hits the wire, so
-                    // the server's dedup eviction keeps pace. The logged
-                    // image goes out as it is unless the floor moved.
-                    if o.request.acked_below != floor {
-                        o.request.acked_below = floor;
-                        o.image = o.request.to_bytes();
-                    }
-                    let env = Envelope {
-                        kind: MsgKind::Request,
-                        src: host,
-                        dst,
-                        body: o.image.clone(),
-                    };
-                    Some((env, o.request.priority, sched, net))
-                }
-                _ => None,
-            }
+        let mut c = cl.borrow_mut();
+        let Some((env, prio)) = c.transmit(req, first) else {
+            return;
         };
-        if let Some((env, prio, sched, net)) = item {
-            HostSched::enqueue_keyed(&sched, sim, &net, env, prio, Some(req));
-            if first {
-                Client::arm_rto(cl, sim, req);
-            } else {
-                sim.stats.incr("client.retransmits");
-                sim.trace("qrpc", format_args!("retransmit req={req}"));
-                Client::emit(
-                    cl,
-                    sim,
-                    ClientEvent::Retransmit {
-                        req: RequestId(req),
-                    },
-                );
-            }
+        let (sched, net) = (c.sched.clone(), c.net.clone());
+        drop(c);
+        HostSched::enqueue_keyed(&sched, sim, &net, env, prio, Some(req));
+        if first {
+            Client::arm_rto(cl, sim, req);
+            return;
         }
+        sim.stats.incr("client.retransmits");
+        sim.trace("qrpc", format_args!("retransmit req={req}"));
+        Client::emit(
+            cl,
+            sim,
+            ClientEvent::Retransmit {
+                req: RequestId(req),
+            },
+        );
     }
 
     /// Periodic retransmission probe for one request.
@@ -1377,201 +951,29 @@ impl Client {
     /// reconnection. (This also lets `Sim::run` drain while requests
     /// wait out a disconnection.)
     fn arm_rto(cl: &ClientRef, sim: &mut Sim, req: u64) {
-        let interval = match cl.borrow_mut().outstanding.get_mut(&req) {
-            Some(o) if !o.rto_armed && !o.direct => {
-                o.rto_armed = true;
-                o.rto_cur
-            }
-            _ => return,
+        let Some(interval) = cl.borrow_mut().arm(req) else {
+            return;
         };
-        let cl2 = cl.clone();
+        let cl = cl.clone();
         sim.schedule_after(interval, move |sim| {
-            enum Probe {
-                Park,
-                Rearm,
-                Retransmit,
-                GiveUp,
-            }
-            let action = {
-                let mut c = cl2.borrow_mut();
-                let connected = {
-                    let (sched, net) = (c.sched.clone(), c.net.clone());
-                    HostSched::active_link(&sched, &net).is_some()
-                };
-                let queued = {
-                    let sched = c.sched.clone();
-                    HostSched::has_key(&sched, req)
-                };
-                let epoch = c.link_epoch;
-                let rto_max = c.cfg.rto_max;
-                let budget = c.cfg.retry_budget;
-                match c.outstanding.get_mut(&req) {
-                    None => Probe::Park, // Completed; stop probing.
-                    Some(o) => {
-                        o.rto_armed = false;
-                        if !connected {
-                            Probe::Park // Restarted on reconnection.
-                        } else if queued {
-                            o.strikes = 0;
-                            Probe::Rearm
-                        } else {
-                            let suspected = if o.enqueue_epoch < epoch {
-                                true
-                            } else {
-                                // Connected, transmitted, unanswered:
-                                // after two probes assume random loss.
-                                o.strikes += 1;
-                                if o.strikes >= 2 {
-                                    o.strikes = 0;
-                                    true
-                                } else {
-                                    false
-                                }
-                            };
-                            if !suspected {
-                                Probe::Rearm
-                            } else if budget.is_some_and(|b| o.retries >= b) {
-                                Probe::GiveUp
-                            } else {
-                                // Exponential backoff: each
-                                // retransmission doubles the probe
-                                // interval up to the cap.
-                                let grown = rover_sim::SimDuration::from_micros(
-                                    o.rto_cur.as_micros().saturating_mul(2),
-                                );
-                                o.rto_cur = grown.min(rto_max);
-                                Probe::Retransmit
-                            }
-                        }
-                    }
-                }
-            };
-            match action {
+            let probe = cl.borrow_mut().probe(sim, req);
+            match probe {
                 Probe::Park => {}
-                Probe::Rearm => Client::arm_rto(&cl2, sim, req),
+                Probe::Rearm => Client::arm_rto(&cl, sim, req),
                 Probe::Retransmit => {
-                    Client::enqueue_request(&cl2, sim, req, false);
-                    Client::arm_rto(&cl2, sim, req);
+                    Client::enqueue_request(&cl, sim, req, false);
+                    Client::arm_rto(&cl, sim, req);
                 }
-                Probe::GiveUp => Client::give_up(&cl2, sim, req),
+                Probe::GiveUp(settled) => Client::finish(&cl, sim, settled),
             }
         });
-    }
-
-    /// Retry budget exhausted: abandon a queued QRPC gracefully. The
-    /// request is retired from the stable log (so a crash-recovery does
-    /// not resurrect it), cache pins and tentative bookkeeping are
-    /// unwound exactly as on completion, and the promise resolves with
-    /// a locally synthesized [`OpStatus::Unreachable`] outcome.
-    fn give_up(cl: &ClientRef, sim: &mut Sim, req: u64) {
-        let mut events: Vec<ClientEvent> = Vec::new();
-        let done = {
-            let mut c = cl.borrow_mut();
-            let Some(o) = c.outstanding.remove(&req) else {
-                return; // Raced with a late reply.
-            };
-            c.retire_log_record(req, o.log_seq);
-            if let Some(u) = &o.urn {
-                c.cache.pin(u, -1);
-                if o.class == OpClass::Import && c.inflight_imports.get(u) == Some(&req) {
-                    c.inflight_imports.remove(u);
-                }
-            }
-            if o.class == OpClass::Export {
-                let urn = o.urn.clone().expect("exports carry a urn");
-                if let Some(sess) = c.sessions.get_mut(&o.request.session.0) {
-                    sess.note_write_done(&urn, Version(0));
-                }
-                if let Some(n) = c.dirty_ops.get_mut(&urn) {
-                    *n -= 1;
-                    if *n == 0 {
-                        c.dirty_ops.remove(&urn);
-                        c.cache.clear_tentative(&urn);
-                    }
-                }
-            }
-            events.push(ClientEvent::Unreachable {
-                req: RequestId(req),
-                urn: o.urn.clone(),
-            });
-            let outcome = Outcome {
-                status: OpStatus::Unreachable,
-                value: Value::empty(),
-                version: Version(0),
-                tentative: false,
-                from_cache: false,
-                object: None,
-            };
-            sim.stats.incr("client.retry_exhausted");
-            sim.trace(
-                "qrpc",
-                format_args!("give up req={req}: retry budget exhausted"),
-            );
-            (o.promise, outcome)
-        };
-        for ev in events {
-            Client::emit(cl, sim, ev);
-        }
-        let (promise, outcome) = done;
-        promise.resolve(sim, outcome);
-    }
-
-    /// Drops a decided (or abandoned) request's record from the stable
-    /// log, leaving a completion marker so a post-crash recovery does
-    /// not re-issue it. Compaction re-frames every live record, so it
-    /// waits until the removals since the last one match the requests
-    /// still outstanding (or 64): the work stays linear in retirements
-    /// and the device holds fewer dead records than live ones (or 64).
-    fn retire_log_record(&mut self, req: u64, log_seq: u64) {
-        if log_seq == 0 {
-            return;
-        }
-        let _ = self.log.remove(log_seq);
-        // Completion marker: keeps a post-crash recovery from
-        // re-issuing this request while its bytes still sit on the
-        // device. Not flushed — it rides with later traffic.
-        let _ = self
-            .log
-            .append(RecordKind::Completion, req.to_be_bytes().to_vec());
-        self.removals_since_compact += 1;
-        if self.removals_since_compact >= self.outstanding.len().max(64) {
-            // Compaction drops dead request bytes, which also obsoletes
-            // every completion marker.
-            let stale: Vec<u64> = self
-                .log
-                .records()
-                .filter(|r| r.kind == RecordKind::Completion)
-                .map(|r| r.seq)
-                .collect();
-            for seq in stale {
-                let _ = self.log.remove(seq);
-            }
-            let _ = self.log.compact();
-            self.removals_since_compact = 0;
-        }
     }
 
     /// Connectivity transition: bump the loss epoch on down; re-enqueue
     /// potentially lost requests on up.
     fn on_link_change(cl: &ClientRef, sim: &mut Sim, up: bool) {
-        let to_resend: Vec<u64> = {
-            let mut c = cl.borrow_mut();
-            if !up {
-                c.link_epoch += 1;
-                Vec::new()
-            } else {
-                let epoch = c.link_epoch;
-                let sched = c.sched.clone();
-                c.outstanding
-                    .iter()
-                    .filter(|(id, o)| {
-                        !o.direct && o.enqueue_epoch < epoch && !HostSched::has_key(&sched, **id)
-                    })
-                    .map(|(id, _)| *id)
-                    .collect()
-            }
-        };
-        for id in to_resend {
+        let resend = cl.borrow_mut().link_change(up);
+        for id in resend {
             Client::enqueue_request(cl, sim, id, false);
         }
         if up {
@@ -1584,52 +986,38 @@ impl Client {
         Client::emit(cl, sim, ClientEvent::Connectivity { up });
     }
 
-    /// Reply arrival: charge unmarshalling, then complete the QRPC.
+    /// Reply arrival — one reply, or a coalesced batch of the replies
+    /// the server committed in one group: one unmarshalling charge
+    /// covers the envelope, then the replies complete in commit order.
     fn on_reply(cl: &ClientRef, sim: &mut Sim, env: Envelope) {
         let cost = {
             let mut c = cl.borrow_mut();
             let m = c.cfg.cpu.marshal_cost(env.body.len());
             c.charge_serial(sim.now(), m)
         };
-        let cl2 = cl.clone();
+        let cl = cl.clone();
         sim.schedule_after(cost, move |sim| {
-            let reply = match QrpcReply::from_shared(&env.body) {
-                Ok(r) => r,
-                Err(_) => {
-                    sim.stats.incr("client.bad_reply");
-                    sim.stats.incr("wire.decode_rejected.reply");
-                    return;
-                }
+            let batch = env.kind == MsgKind::ReplyBatch;
+            let decoded = if batch {
+                ReplyBatch::from_shared(&env.body).map(|b| (None, b.replies))
+            } else {
+                QrpcReply::from_shared(&env.body).map(|r| (Some(r), Vec::new()))
             };
-            Client::complete(&cl2, sim, reply);
-        });
-    }
-
-    /// Coalesced reply batch: one envelope carrying several replies the
-    /// server committed in one group. One unmarshalling charge covers
-    /// the whole envelope; the replies complete in commit order.
-    fn on_reply_batch(cl: &ClientRef, sim: &mut Sim, env: Envelope) {
-        let cost = {
-            let mut c = cl.borrow_mut();
-            let m = c.cfg.cpu.marshal_cost(env.body.len());
-            c.charge_serial(sim.now(), m)
-        };
-        let cl2 = cl.clone();
-        sim.schedule_after(cost, move |sim| {
-            let batch = match ReplyBatch::from_shared(&env.body) {
-                Ok(b) => b,
-                Err(_) => {
-                    sim.stats.incr("client.bad_reply");
-                    sim.stats.incr("wire.decode_rejected.reply_batch");
-                    return;
-                }
+            let Ok((one, many)) = decoded else {
+                sim.stats.incr("client.bad_reply");
+                sim.stats.incr(if batch {
+                    "wire.decode_rejected.reply_batch"
+                } else {
+                    "wire.decode_rejected.reply"
+                });
+                return;
             };
-            sim.stats.add(
-                "client.replies_coalesced",
-                batch.replies.len().saturating_sub(1) as u64,
-            );
-            for reply in batch.replies {
-                Client::complete(&cl2, sim, reply);
+            if batch {
+                let coalesced = many.len().saturating_sub(1) as u64;
+                sim.stats.add("client.replies_coalesced", coalesced);
+            }
+            for reply in one.into_iter().chain(many) {
+                Client::complete(&cl, sim, reply);
             }
         });
     }
@@ -1660,240 +1048,24 @@ impl Client {
         }
     }
 
-    /// Re-issues an outstanding request to the object's current home
-    /// shard under a fresh request id. Used when a reply proves the
-    /// original destination cannot (or must not) serve it: the object
-    /// migrated away, a replica holder's copy missed the session floor,
-    /// or an `Ok` import landed below the monotonic-reads floor.
-    ///
-    /// The fresh id keeps at-most-once intact: the *old* id's dedup slot
-    /// at the old destination stays poisoned with its non-executing
-    /// reply, and the new destination sees a request it has never
-    /// executed. The stable-log record of the original is kept (same
-    /// `log_seq`): crash recovery re-issues the logged request to the
-    /// then-current route, which is exactly this path replayed.
-    fn redirect(cl: &ClientRef, sim: &mut Sim, req: u64) {
-        let new_id = {
-            let mut c = cl.borrow_mut();
-            let Some(mut o) = c.outstanding.remove(&req) else {
-                sim.stats.incr("client.duplicate_replies");
-                return;
-            };
-            let new_id = RequestId(c.next_req);
-            c.next_req += 1;
-            // Always back to the home shard (migration-pin aware): the
-            // dynamic read plane already had its chance.
-            let dst = c.server_for(o.request.urn.as_str());
-            o.request.req_id = new_id;
-            o.request.acked_below = c.ack_floor_for(dst).min(new_id.0);
-            o.request.read_vector = Vec::new();
-            if o.class == OpClass::Export {
-                // Ordered writes sequence per destination: a redirected
-                // export consumes a fresh seq in the new home's space
-                // (the old seq was drawn for — and burned at — the old
-                // destination, whose server advanced past it when it
-                // answered `WrongShard`).
-                if let Ok(payload) = ExportPayload::from_bytes(&o.request.payload) {
-                    if payload.session_seq > 0 {
-                        if let Some(sess) = c.sessions.get_mut(&o.request.session.0) {
-                            let seq = sess.next_seq_for(dst);
-                            o.request.payload = ExportPayload {
-                                session_seq: seq,
-                                ..payload
-                            }
-                            .to_bytes();
-                        }
-                    }
-                }
-                // Writes-follow-reads floors for the new destination,
-                // mirroring build_request.
-                if c.cfg.shards.as_ref().is_some_and(|m| m.len() > 1) {
-                    if let Some(sess) = c.sessions.get(&o.request.session.0) {
-                        let mut rv: Vec<(String, u64)> = sess
-                            .reads()
-                            .filter(|(u, _)| c.server_for(u.as_str()) == dst)
-                            .map(|(u, v)| (u.as_str().to_owned(), v.0))
-                            .collect();
-                        rv.sort();
-                        rv.truncate(16);
-                        o.request.read_vector = rv;
-                    }
-                }
-            }
-            o.image = o.request.to_bytes();
-            o.dst = dst;
-            o.enqueue_epoch = c.link_epoch;
-            o.retries = 0;
-            o.rto_armed = false;
-            o.strikes = 0;
-            o.rto_cur = c.cfg.rto;
-            if let Some(u) = &o.urn {
-                if o.class == OpClass::Import && c.inflight_imports.get(u) == Some(&req) {
-                    c.inflight_imports.insert(u.clone(), new_id.0);
-                }
-            }
-            c.outstanding.insert(new_id.0, o);
-            new_id
-        };
-        sim.stats.incr("client.redirects");
-        sim.trace(
-            "qrpc",
-            format_args!("redirect req={req} -> req={}", new_id.0),
-        );
-        Client::enqueue_request(cl, sim, new_id.0, true);
+    /// A reply for an outstanding request: re-addresses it, or settles
+    /// it and tells the application.
+    fn complete(cl: &ClientRef, sim: &mut Sim, reply: QrpcReply) {
+        let answer = cl.borrow_mut().answer(sim, reply);
+        match answer {
+            Some(Answer::Redirect(id)) => Client::enqueue_request(cl, sim, id, true),
+            Some(Answer::Settle(settled)) => Client::finish(cl, sim, settled),
+            None => {}
+        }
     }
 
-    fn complete(cl: &ClientRef, sim: &mut Sim, reply: QrpcReply) {
-        // Replica-plane redirects. A `WrongShard` answer means the
-        // destination could not serve this request (object re-homed by a
-        // migration, or a replica holder's copy was too stale for the
-        // session's floor): re-issue to the object's current home. An
-        // `Ok` import that lands *below* the session's monotonic-reads
-        // floor can also happen under dynamic routing (a concurrent
-        // export raised the floor while the replica read was in flight)
-        // — re-read from home rather than weaken MR.
-        let redirect = {
-            let c = cl.borrow();
-            match c.outstanding.get(&reply.req_id.0) {
-                None => false,
-                Some(o) => {
-                    reply.status == OpStatus::WrongShard
-                        || (o.class == OpClass::Import
-                            && reply.status == OpStatus::Ok
-                            && c.cfg.shards.as_ref().is_some_and(|m| m.has_dynamic())
-                            && match (c.sessions.get(&o.request.session.0), &o.urn) {
-                                (Some(sess), Some(u)) => {
-                                    sess.guarantees.mr && reply.version < sess.read_floor(u)
-                                }
-                                _ => false,
-                            })
-                }
-            }
-        };
-        if redirect {
-            Client::redirect(cl, sim, reply.req_id.0);
-            return;
-        }
-
-        let mut events: Vec<ClientEvent> = Vec::new();
-        let done = {
-            let mut c = cl.borrow_mut();
-            let Some(o) = c.outstanding.remove(&reply.req_id.0) else {
-                sim.stats.incr("client.duplicate_replies");
-                return;
-            };
-            c.retire_log_record(reply.req_id.0, o.log_seq);
-            if let Some(u) = &o.urn {
-                c.cache.pin(u, -1);
-                if o.class == OpClass::Import && c.inflight_imports.get(u) == Some(&reply.req_id.0)
-                {
-                    c.inflight_imports.remove(u);
-                }
-            }
-
-            let mut outcome = Outcome {
-                status: reply.status,
-                value: Value::empty(),
-                version: reply.version,
-                tentative: false,
-                from_cache: false,
-                object: None,
-            };
-
-            match o.class {
-                OpClass::Ping => {}
-                OpClass::Invoke => {
-                    if reply.status == OpStatus::Ok {
-                        let mut dec = Decoder::new(&reply.payload);
-                        if let Ok(s) = dec.get_str() {
-                            outcome.value = Value::from(s);
-                        }
-                    }
-                }
-                OpClass::Import => {
-                    if reply.status == OpStatus::Ok {
-                        if let Ok(obj) = RoverObject::from_shared(&reply.payload).map(Rc::new) {
-                            let urn = obj.urn.clone();
-                            outcome.value = Value::str(urn.as_str());
-                            outcome.object = Some(Rc::clone(&obj));
-                            for u in c.cache.install_committed(obj, sim.now()) {
-                                events.push(ClientEvent::Evicted { urn: u });
-                            }
-                            if let Some(sess) = c.sessions.get_mut(&o.request.session.0) {
-                                sess.note_read(&urn, reply.version);
-                            }
-                            events.push(ClientEvent::ImportDone {
-                                urn,
-                                from_cache: false,
-                                tentative: false,
-                                status: reply.status,
-                            });
-                        }
-                    } else if let Some(u) = &o.urn {
-                        events.push(ClientEvent::ImportDone {
-                            urn: u.clone(),
-                            from_cache: false,
-                            tentative: false,
-                            status: reply.status,
-                        });
-                    }
-                }
-                OpClass::Export => {
-                    let urn = o.urn.clone().expect("exports carry a urn");
-                    // Session bookkeeping.
-                    let committed_version = match reply.status {
-                        OpStatus::Ok | OpStatus::Resolved => reply.version,
-                        _ => Version(0),
-                    };
-                    if let Some(sess) = c.sessions.get_mut(&o.request.session.0) {
-                        sess.note_write_done(&urn, committed_version);
-                    }
-                    // Install the server's post-decision state.
-                    if let Ok(obj) = RoverObject::from_shared(&reply.payload).map(Rc::new) {
-                        outcome.object = Some(Rc::clone(&obj));
-                        for u in c.cache.install_committed(obj, sim.now()) {
-                            events.push(ClientEvent::Evicted { urn: u });
-                        }
-                    }
-                    // Tentative copy lives until the last pending export
-                    // on this object is decided.
-                    if let Some(n) = c.dirty_ops.get_mut(&urn) {
-                        *n -= 1;
-                        if *n == 0 {
-                            c.dirty_ops.remove(&urn);
-                            c.cache.clear_tentative(&urn);
-                        }
-                    }
-                    if reply.status == OpStatus::Conflict {
-                        sim.stats.incr("client.conflicts");
-                        events.push(ClientEvent::ConflictReflected {
-                            urn: urn.clone(),
-                            req: reply.req_id,
-                        });
-                    }
-                    events.push(ClientEvent::Committed {
-                        urn,
-                        req: reply.req_id,
-                        status: reply.status,
-                    });
-                }
-            }
-
-            sim.stats.incr("client.qrpc_completed");
-            sim.trace(
-                "qrpc",
-                format_args!("complete req={} status={:?}", reply.req_id.0, reply.status),
-            );
-            sim.stats
-                .sample_duration("client.qrpc_rtt_ms", sim.now().since(o.issued_at));
-            (o.promise, outcome)
-        };
-
-        for ev in events {
+    /// Tells the application a request finished: its events in order,
+    /// then its promise.
+    fn finish(cl: &ClientRef, sim: &mut Sim, settled: Settled) {
+        for ev in settled.events {
             Client::emit(cl, sim, ev);
         }
-        let (promise, outcome) = done;
-        promise.resolve(sim, outcome);
+        settled.promise.resolve(sim, settled.outcome);
     }
 
     fn emit(cl: &ClientRef, sim: &mut Sim, ev: ClientEvent) {
@@ -1906,3 +1078,5 @@ impl Client {
 
 #[cfg(test)]
 mod retire_test;
+#[cfg(test)]
+mod settle_test;

@@ -3,7 +3,8 @@
 //! device within about twice its live bytes — fewer dead records than
 //! `max(64, live)`, and as many staged completion markers — while
 //! re-framing no more records than were retired, and a crash at a
-//! random point must bring back exactly the unanswered requests.
+//! random point must bring back exactly the unanswered requests, with
+//! fresh ids above every id handed out before it.
 
 #![cfg(test)]
 
@@ -21,6 +22,9 @@ const CLIENT: HostId = HostId(1);
 const SERVER: HostId = HostId(2);
 /// One completion marker on the device: frame header plus request id.
 const MARKER_BYTES: u64 = 20 + 8;
+/// The high-water record a compaction leaves: frame header plus the
+/// highest request and session ids.
+const HIGH_WATER_BYTES: u64 = 20 + 16;
 
 fn footprint(cl: &ClientRef) -> (u64, u64) {
     let c = cl.borrow();
@@ -70,10 +74,11 @@ proptest! {
             prop_assert!(device <= live_bytes + slack * frame_max, "{device} B, {live_bytes} live");
             prop_assert!(staged <= slack * MARKER_BYTES, "{staged} B of markers, {live_n} live");
             // Every retirement stages a marker, so none staged means a
-            // compaction just rewrote the device as its live records.
+            // compaction just rewrote the device as its live records
+            // and one high-water record.
             retired += 1;
             if staged == 0 {
-                prop_assert_eq!(device, live_bytes);
+                prop_assert_eq!(device, live_bytes + HIGH_WATER_BYTES);
                 reframed += device;
             }
             prop_assert!(reframed <= retired * frame_max, "{reframed} B for {retired} retired");
@@ -86,7 +91,12 @@ proptest! {
         let store = Client::crash(&cl);
         drop(cl);
         let cl = Client::recover(&mut sim, &net, cfg, vec![link], store);
-        let reissued: BTreeSet<u64> = cl.borrow().outstanding.keys().copied().collect();
+        let c = cl.borrow();
+        let reissued: BTreeSet<u64> = c.outstanding.keys().copied().collect();
         prop_assert_eq!(reissued, live.iter().map(|l| l.0).collect::<BTreeSet<u64>>());
+        // Answered or not, compacted away or not, no id is handed out
+        // twice.
+        prop_assert!(c.next_req > 2000, "next request id {}", c.next_req);
+        prop_assert!(c.next_session > session.0, "next session id {}", c.next_session);
     }
 }

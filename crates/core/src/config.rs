@@ -2,7 +2,6 @@
 
 use rover_log::FlushReceipt;
 use rover_net::SchedMode;
-use rover_script::Budget;
 use rover_sim::{CpuModel, SimDuration};
 use rover_wire::HostId;
 
@@ -124,8 +123,6 @@ pub struct ClientConfig {
     /// up and resolves the promise with [`rover_wire::OpStatus::Unreachable`].
     /// `None` retries forever (the paper's behaviour).
     pub retry_budget: Option<u32>,
-    /// Execution budget for RDO methods run on this client.
-    pub budget: Budget,
     /// Authentication token presented with every QRPC (0 = anonymous).
     pub auth_token: u64,
     /// Transport fragmentation MTU in payload bytes (`usize::MAX`
@@ -150,7 +147,6 @@ impl ClientConfig {
             rto: SimDuration::from_secs(120),
             rto_max: SimDuration::from_secs(1200),
             retry_budget: None,
-            budget: Budget::default(),
             auth_token: 0,
             mtu: rover_net::DEFAULT_MTU,
         }
@@ -195,8 +191,6 @@ pub struct ServerConfig {
     pub host: HostId,
     /// CPU cost model (stationary workstation).
     pub cpu: CpuModel,
-    /// Execution budget for RDO methods and resolvers run here.
-    pub budget: Budget,
     /// Maximum retained (client, request) → reply dedup entries.
     pub dedup_capacity: usize,
     /// Reply-scheduler queue discipline (per client).
@@ -232,7 +226,6 @@ impl ServerConfig {
         ServerConfig {
             host,
             cpu: CpuModel::SERVER_WORKSTATION,
-            budget: Budget::default(),
             dedup_capacity: 4096,
             sched_mode: SchedMode::Priority,
             callbacks: false,

@@ -5,6 +5,7 @@
 //! emit events or crash.
 
 use rover_log::{FlushReceipt, LogError};
+use rover_script::Budget;
 use rover_sim::{Sim, SimDuration, SimTime};
 use rover_wire::{
     encode_commit_batch, CommitRecord, Encoder, Envelope, HostId, MsgKind, OpStatus, Priority,
@@ -467,7 +468,7 @@ impl Server {
                 // makes.
                 let args: Vec<rover_script::Value> =
                     payload.args.iter().map(rover_script::Value::str).collect();
-                match obj.run_query(&payload.method, &args, self.cfg.budget) {
+                match obj.run_query(&payload.method, &args, Budget::default()) {
                     Ok(run) => {
                         let mut enc = Encoder::new();
                         enc.put_str(&run.result.as_str());
@@ -520,7 +521,7 @@ impl Server {
                     Resolution::Reexecute => {
                         let args: Vec<rover_script::Value> =
                             payload.args.iter().map(rover_script::Value::str).collect();
-                        match current.run_method(&payload.method, &args, self.cfg.budget) {
+                        match current.run_method(&payload.method, &args, Budget::default()) {
                             Ok(run) => {
                                 current.version = next;
                                 let status = if conflict {

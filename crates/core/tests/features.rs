@@ -5,10 +5,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use rover_core::{
-    Client, ClientConfig, ClientEvent, Guarantees, OpStatus, Priority, ReexecuteResolver,
-    RoverObject, Server, ServerConfig, Urn,
+    Client, ClientConfig, ClientEvent, ClientRef, Guarantees, OpStatus, Priority,
+    ReexecuteResolver, RoverObject, Server, ServerConfig, ServerRef, SessionId, Urn,
 };
-use rover_net::{LinkSpec, Net};
+use rover_net::{LinkId, LinkSpec, Net};
 use rover_sim::{Sim, SimDuration};
 use rover_wire::HostId;
 
@@ -191,6 +191,93 @@ fn crash_recovery_is_exactly_once_even_if_ops_already_committed() {
         Some("3")
     );
     assert!(sim.stats.counter("server.dedup_replay") >= 1);
+}
+
+/// A server holding counter `c` and a client on one Ethernet link.
+fn counter_rig(seed: u64) -> (Sim, Net, LinkId, ServerRef, ClientConfig) {
+    let sim = Sim::new(seed);
+    let net = Net::new();
+    let link = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
+    let server = Server::new(&net, ServerConfig::workstation(SERVER));
+    server.borrow_mut().add_route(CLIENT, link);
+    server.borrow_mut().put_object(counter("c"));
+    (
+        sim,
+        net,
+        link,
+        server,
+        ClientConfig::thinkpad(CLIENT, SERVER),
+    )
+}
+
+#[test]
+fn recovered_client_opens_sessions_the_server_has_not_seen() {
+    // An import and an ordered `add 1` complete, then the client
+    // crashes and recovers. The new session's first export is ordered
+    // seq 1 again: had the session id been reused, the server would
+    // take it for a stale duplicate of the first export and answer
+    // without running it.
+    let (mut sim, net, link, server, cfg) = counter_rig(11);
+    let import_and_add = |client: &ClientRef, sim: &mut Sim, session: SessionId| {
+        Client::import(client, sim, &urn("c"), session, Priority::FOREGROUND).unwrap();
+        sim.run();
+        let h = Client::export(
+            client,
+            sim,
+            &urn("c"),
+            session,
+            "add",
+            &["1"],
+            Priority::NORMAL,
+        )
+        .unwrap();
+        sim.run();
+        h.committed.poll().expect("export decided").status
+    };
+    let client = Client::new(&mut sim, &net, cfg.clone(), vec![link]);
+    let session = Client::create_session(&client, Guarantees::ALL, true);
+    assert_eq!(import_and_add(&client, &mut sim, session), OpStatus::Ok);
+
+    let store = Client::crash(&client);
+    drop(client);
+    let client = Client::recover(&mut sim, &net, cfg, vec![link], store);
+    sim.run();
+    let session = Client::create_session(&client, Guarantees::ALL, true);
+    assert_eq!(import_and_add(&client, &mut sim, session), OpStatus::Ok);
+    assert_eq!(sim.stats.counter("server.stale_duplicate"), 0);
+    assert_eq!(
+        server.borrow().get_object(&urn("c")).unwrap().field("n"),
+        Some("2")
+    );
+}
+
+#[test]
+fn recovered_client_never_reuses_a_compacted_request_id() {
+    // 64 pings are answered; the 64th retirement compacts the stable
+    // log. Had the recovered client restarted its ids at 1, the server
+    // would answer its first import from ping 1's dedup entry: `Ok`,
+    // with no object.
+    let (mut sim, net, link, _server, cfg) = counter_rig(12);
+    let client = Client::new(&mut sim, &net, cfg.clone(), vec![link]);
+    let session = Client::create_session(&client, Guarantees::ALL, true);
+    let pings: Vec<_> = (0..64)
+        .map(|_| Client::ping(&client, &mut sim, session, Priority::NORMAL))
+        .collect();
+    sim.run();
+    assert!(pings.iter().all(|p| p.is_ready()));
+    assert_eq!(Client::log_len(&client), 0);
+
+    let store = Client::crash(&client);
+    drop(client);
+    let client = Client::recover(&mut sim, &net, cfg, vec![link], store);
+    assert_eq!(Client::outstanding_count(&client), 0);
+    let session = Client::create_session(&client, Guarantees::ALL, true);
+    let p = Client::import(&client, &mut sim, &urn("c"), session, Priority::FOREGROUND).unwrap();
+    sim.run();
+    let outcome = p.poll().expect("import answered");
+    assert_eq!(outcome.status, OpStatus::Ok);
+    assert!(outcome.object.is_some(), "answered with a ping's reply");
+    assert!(Client::is_cached(&client, &urn("c")));
 }
 
 #[test]
