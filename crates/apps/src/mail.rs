@@ -384,11 +384,10 @@ mod tests {
 
     #[test]
     fn mailbox_gen_is_deterministic_and_complete() {
-        use rover_core::{Server, ServerConfig};
-        use rover_net::Net;
-        let net = Net::new();
-        let s1 = Server::new(&net, ServerConfig::workstation(rover_wire::HostId(9)));
-        let s2 = Server::new(&net, ServerConfig::workstation(rover_wire::HostId(9)));
+        use rover_core::{ServerConfig, World};
+        let mut w = World::new(0);
+        let s1 = w.server(ServerConfig::workstation(rover_wire::HostId(9)));
+        let s2 = w.server(ServerConfig::workstation(rover_wire::HostId(9)));
         let g = |sv: &rover_core::ServerRef| {
             MailboxGen {
                 user: "u".into(),

@@ -261,14 +261,12 @@ pub fn run_session(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rover_core::{Server, ServerConfig};
-    use rover_net::Net;
+    use rover_core::{ServerConfig, World};
     use rover_wire::HostId;
 
     #[test]
     fn webgen_pages_have_valid_links_and_sizes() {
-        let net = Net::new();
-        let server = Server::new(&net, ServerConfig::workstation(HostId(9)));
+        let server = World::new(0).server(ServerConfig::workstation(HostId(9)));
         WebGen { pages: 25, seed: 3 }.populate(&server);
         assert_eq!(server.borrow().object_count(), 25);
         for i in 0..25 {
@@ -287,9 +285,9 @@ mod tests {
 
     #[test]
     fn webgen_is_deterministic() {
-        let net = Net::new();
-        let s1 = Server::new(&net, ServerConfig::workstation(HostId(8)));
-        let s2 = Server::new(&net, ServerConfig::workstation(HostId(8)));
+        let mut w = World::new(0);
+        let s1 = w.server(ServerConfig::workstation(HostId(8)));
+        let s2 = w.server(ServerConfig::workstation(HostId(8)));
         WebGen { pages: 10, seed: 5 }.populate(&s1);
         WebGen { pages: 10, seed: 5 }.populate(&s2);
         for i in 0..10 {

@@ -7,8 +7,8 @@ use rover_apps::calendar::{calendar_object, Calendar};
 use rover_apps::mail::{MailReader, MailboxGen};
 use rover_apps::web::{run_session, BrowseMode, BrowserProxy, WebGen};
 use rover_core::{
-    Client, ClientConfig, ClientRef, Guarantees, OpStatus, RoverError, ScriptResolver, Server,
-    ServerConfig, ServerRef,
+    Client, ClientConfig, ClientRef, Guarantees, OpStatus, RoverError, ScriptResolver,
+    ServerConfig, ServerRef, World,
 };
 use rover_net::{LinkId, LinkSpec, Net};
 use rover_sim::{Sim, SimDuration};
@@ -19,22 +19,16 @@ const CLIENT2: HostId = HostId(3);
 const SERVER: HostId = HostId(2);
 
 fn rig(spec: LinkSpec) -> (Sim, Net, LinkId, ServerRef, ClientRef) {
-    let mut sim = Sim::new(11);
-    let net = Net::new();
-    let link = net.add_link(spec, CLIENT, SERVER);
-    let server = Server::new(&net, ServerConfig::workstation(SERVER));
-    server.borrow_mut().add_route(CLIENT, link);
+    let mut w = World::new(11);
+    let server = w.server(ServerConfig::workstation(SERVER));
     for ty in ["mailfolder", "mailmsg", "spool", "calendar", "webpage"] {
         server
             .borrow_mut()
             .register_resolver(ty, Box::new(ScriptResolver::default()));
     }
-    let client = Client::new(
-        &mut sim,
-        &net,
-        ClientConfig::thinkpad(CLIENT, SERVER),
-        vec![link],
-    );
+    let client = w.client(ClientConfig::thinkpad(CLIENT, SERVER), spec);
+    let link = w.links_of(CLIENT)[0];
+    let World { sim, net, .. } = w;
     (sim, net, link, server, client)
 }
 
@@ -131,13 +125,8 @@ fn mail_compose_while_disconnected_drains_later() {
 fn mail_two_readers_merge_deletes() {
     // Alice deletes different messages from two devices; the folder's
     // commutative del_msg merges both.
-    let mut sim = Sim::new(5);
-    let net = Net::new();
-    let l1 = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
-    let l2 = net.add_link(LinkSpec::ETHERNET_10M, CLIENT2, SERVER);
-    let server = Server::new(&net, ServerConfig::workstation(SERVER));
-    server.borrow_mut().add_route(CLIENT, l1);
-    server.borrow_mut().add_route(CLIENT2, l2);
+    let mut w = World::new(5);
+    let server = w.server(ServerConfig::workstation(SERVER));
     server
         .borrow_mut()
         .register_resolver("mailfolder", Box::new(ScriptResolver::default()));
@@ -149,18 +138,15 @@ fn mail_two_readers_merge_deletes() {
     }
     .populate(&server);
 
-    let c1 = Client::new(
-        &mut sim,
-        &net,
+    let c1 = w.client(
         ClientConfig::thinkpad(CLIENT, SERVER),
-        vec![l1],
+        LinkSpec::ETHERNET_10M,
     );
-    let c2 = Client::new(
-        &mut sim,
-        &net,
+    let c2 = w.client(
         ClientConfig::thinkpad(CLIENT2, SERVER),
-        vec![l2],
+        LinkSpec::ETHERNET_10M,
     );
+    let World { mut sim, .. } = w;
     let laptop = MailReader::new(&c1, "alice", Guarantees::ALL);
     let desktop = MailReader::new(&c2, "alice", Guarantees::ALL);
     for (r, _) in [(&laptop, 0), (&desktop, 1)] {
@@ -247,30 +233,21 @@ fn names_that_make_no_urn_are_errors_not_panics() {
 
 #[test]
 fn calendar_disconnected_booking_and_slot_conflict() {
-    let mut sim = Sim::new(5);
-    let net = Net::new();
-    let l1 = net.add_link(LinkSpec::WAVELAN_2M, CLIENT, SERVER);
-    let l2 = net.add_link(LinkSpec::WAVELAN_2M, CLIENT2, SERVER);
-    let server = Server::new(&net, ServerConfig::workstation(SERVER));
-    server.borrow_mut().add_route(CLIENT, l1);
-    server.borrow_mut().add_route(CLIENT2, l2);
+    let mut w = World::new(5);
+    let server = w.server(ServerConfig::workstation(SERVER));
     server
         .borrow_mut()
         .register_resolver("calendar", Box::new(ScriptResolver::default()));
     server.borrow_mut().put_object(calendar_object("team"));
 
-    let c1 = Client::new(
-        &mut sim,
-        &net,
-        ClientConfig::thinkpad(CLIENT, SERVER),
-        vec![l1],
-    );
-    let c2 = Client::new(
-        &mut sim,
-        &net,
+    let c1 = w.client(ClientConfig::thinkpad(CLIENT, SERVER), LinkSpec::WAVELAN_2M);
+    let c2 = w.client(
         ClientConfig::thinkpad(CLIENT2, SERVER),
-        vec![l2],
+        LinkSpec::WAVELAN_2M,
     );
+    let l1 = w.links_of(CLIENT)[0];
+    let l2 = w.links_of(CLIENT2)[0];
+    let World { mut sim, net, .. } = w;
     let alice = Calendar::new(&c1, "team", "alice", Guarantees::ALL);
     let bob = Calendar::new(&c2, "team", "bob", Guarantees::ALL);
     for cal in [&alice, &bob] {

@@ -262,11 +262,7 @@ pub fn a6_fragmentation(r: &mut Report) {
 /// A5: server callbacks — the paper's option for shrinking the
 /// stale-read window, versus its cost in callback traffic.
 pub fn a5_callbacks(r: &mut Report) {
-    use rover_core::{
-        Client, ClientConfig, ReexecuteResolver, RoverObject, Server, ServerConfig, Urn,
-    };
-    use rover_net::Net;
-    use rover_sim::Sim;
+    use rover_core::{Client, ClientConfig, ReexecuteResolver, ServerConfig, Urn, World};
     use rover_wire::HostId;
 
     let mut t = Table::new(
@@ -285,33 +281,20 @@ pub fn a5_callbacks(r: &mut Report) {
     );
 
     for callbacks in [false, true] {
-        let mut sim = Sim::new(31);
-        let net = Net::new();
+        let mut world = World::new(31);
         let (w, rd, sv_host) = (HostId(1), HostId(3), HostId(2));
-        let lw = net.add_link(LinkSpec::WAVELAN_2M, w, sv_host);
-        let lr = net.add_link(LinkSpec::WAVELAN_2M, rd, sv_host);
         let mut scfg = ServerConfig::workstation(sv_host);
         scfg.callbacks = callbacks;
-        let server = Server::new(&net, scfg);
-        server.borrow_mut().add_route(w, lw);
-        server.borrow_mut().add_route(rd, lr);
+        let server = world.server(scfg);
         server
             .borrow_mut()
             .register_resolver("counter", Box::new(ReexecuteResolver));
         let urn = Urn::parse("urn:rover:bench/shared").unwrap();
-        server.borrow_mut().put_object(
-            RoverObject::new(urn.clone(), "counter")
-                .with_code("proc add {k} {rover::set n [expr {[rover::get n 0] + $k}]}")
-                .with_field("n", "0"),
-        );
+        world.put_counter(&urn, 0);
 
-        let writer = Client::new(&mut sim, &net, ClientConfig::thinkpad(w, sv_host), vec![lw]);
-        let reader = Client::new(
-            &mut sim,
-            &net,
-            ClientConfig::thinkpad(rd, sv_host),
-            vec![lr],
-        );
+        let writer = world.client(ClientConfig::thinkpad(w, sv_host), LinkSpec::WAVELAN_2M);
+        let reader = world.client(ClientConfig::thinkpad(rd, sv_host), LinkSpec::WAVELAN_2M);
+        let World { mut sim, .. } = world;
         let ws = Client::create_session(&writer, rover_core::Guarantees::ALL, true);
         let rs = Client::create_session(&reader, rover_core::Guarantees::NONE, false);
         for (c, s) in [(&writer, ws), (&reader, rs)] {

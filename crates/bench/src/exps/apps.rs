@@ -6,10 +6,10 @@ use rover_apps::calendar::{calendar_object, Calendar};
 use rover_apps::mail::{MailReader, MailboxGen};
 use rover_apps::web::{run_session, BrowseMode, BrowserProxy, WebGen};
 use rover_core::{
-    Client, ClientConfig, Guarantees, OpStatus, RoverError, ScriptResolver, Server, ServerConfig,
+    Client, ClientConfig, Guarantees, OpStatus, RoverError, ScriptResolver, ServerConfig, World,
 };
-use rover_net::{LinkSpec, Net};
-use rover_sim::{Sim, SimDuration};
+use rover_net::LinkSpec;
+use rover_sim::SimDuration;
 use rover_wire::HostId;
 
 use crate::report::Report;
@@ -203,21 +203,18 @@ pub fn e7_calendar(r: &mut Report) {
          double-bookings are reflected to exactly one loser.",
     );
 
-    let mut sim = Sim::new(2025);
-    let net = Net::new();
+    let mut w = World::new(2025);
     let (h1, h2) = (CLIENT, HostId(3));
-    let l1 = net.add_link(LinkSpec::WAVELAN_2M, h1, SERVER);
-    let l2 = net.add_link(LinkSpec::WAVELAN_2M, h2, SERVER);
-    let server = Server::new(&net, ServerConfig::workstation(SERVER));
-    server.borrow_mut().add_route(h1, l1);
-    server.borrow_mut().add_route(h2, l2);
+    let server = w.server(ServerConfig::workstation(SERVER));
     server
         .borrow_mut()
         .register_resolver("calendar", Box::new(ScriptResolver::default()));
     server.borrow_mut().put_object(calendar_object("team"));
 
-    let c1 = Client::new(&mut sim, &net, ClientConfig::thinkpad(h1, SERVER), vec![l1]);
-    let c2 = Client::new(&mut sim, &net, ClientConfig::thinkpad(h2, SERVER), vec![l2]);
+    let c1 = w.client(ClientConfig::thinkpad(h1, SERVER), LinkSpec::WAVELAN_2M);
+    let c2 = w.client(ClientConfig::thinkpad(h2, SERVER), LinkSpec::WAVELAN_2M);
+    let (l1, l2) = (w.links_of(h1)[0], w.links_of(h2)[0]);
+    let World { mut sim, net, .. } = w;
     let alice = Calendar::new(&c1, "team", "alice", Guarantees::ALL);
     let bob = Calendar::new(&c2, "team", "bob", Guarantees::ALL);
     for cal in [&alice, &bob] {

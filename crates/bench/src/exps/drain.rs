@@ -50,19 +50,6 @@ fn drain_once(spec: LinkSpec, n: usize) -> (f64, bool) {
     (drain, correct)
 }
 
-impl Rig {
-    /// Installs the standard counter object used by drain experiments.
-    pub fn put_counter(&self) -> rover_core::Urn {
-        let urn = rover_core::Urn::parse("urn:rover:bench/counter").unwrap();
-        self.server.borrow_mut().put_object(
-            rover_core::RoverObject::new(urn.clone(), "counter")
-                .with_code("proc add {k} {rover::set n [expr {[rover::get n 0] + $k}]}")
-                .with_field("n", "0"),
-        );
-        urn
-    }
-}
-
 /// E9: drain time after reconnection, by channel and queue depth.
 pub fn e9_drain(r: &mut Report) {
     let mut t = Table::new(

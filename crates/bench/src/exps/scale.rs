@@ -43,11 +43,11 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use rover_core::{
-    Client, ClientConfig, ClientRef, CommitPolicy, CrashPoint, Guarantees, Rebalancer,
-    ReexecuteResolver, RoverObject, Server, ServerConfig, ServerEvent, ServerRef, ShardMap, Urn,
+    Client, ClientConfig, ClientRef, CommitPolicy, CrashPoint, Guarantees, Outcome, Rebalancer,
+    ReexecuteResolver, Server, ServerConfig, ServerEvent, ServerRef, ShardMap, Urn, World,
 };
 use rover_log::MemStore;
-use rover_net::{LinkSpec, Net};
+use rover_net::LinkSpec;
 use rover_sim::{Sim, SimDuration, SimTime};
 use rover_wire::{HostId, OpStatus, Priority, RequestId, SessionId};
 
@@ -419,9 +419,11 @@ impl Shared {
     }
 }
 
-/// Issues one export and counts its commit; returns false on an issue
-/// error (recorded in `st.errors`).
-fn issue_export(
+/// Exports `add 1` to `urn` and records it; once it commits, counts
+/// the commit and runs `then`. An issue error is recorded in
+/// `st.errors` instead.
+#[allow(clippy::too_many_arguments)]
+fn export_step(
     sim: &mut Sim,
     cl: &ClientRef,
     urn: &Urn,
@@ -429,22 +431,52 @@ fn issue_export(
     host: HostId,
     dst: HostId,
     st: &Rc<Shared>,
-) -> bool {
+    then: impl FnOnce(&mut Sim, &Outcome) + 'static,
+) {
     let h = match Client::export(cl, sim, urn, session, "add", &["1"], Priority::NORMAL) {
         Ok(h) => h,
         Err(e) => {
             st.errors.borrow_mut().push(format!("export failed: {e:?}"));
-            return false;
+            return;
         }
     };
     st.record(sim, host, dst, &h);
-    let committed = h.committed;
-    let st2 = st.clone();
-    committed.on_ready(sim, move |sim, _| {
-        st2.done.set(st2.done.get() + 1);
-        st2.last_done.set(sim.now());
+    let st = st.clone();
+    h.committed.on_ready(sim, move |sim, o| {
+        st.done.set(st.done.get() + 1);
+        st.last_done.set(sim.now());
+        then(sim, o);
     });
-    true
+}
+
+/// Imports `urn` at foreground priority; once it resolves Ok, runs
+/// `then`. An issue error or a non-Ok outcome is recorded in
+/// `st.errors` instead.
+fn import_step(
+    sim: &mut Sim,
+    cl: &ClientRef,
+    urn: &Urn,
+    session: SessionId,
+    st: &Rc<Shared>,
+    then: impl FnOnce(&mut Sim) + 'static,
+) {
+    let p = match Client::import(cl, sim, urn, session, Priority::FOREGROUND) {
+        Ok(p) => p,
+        Err(e) => {
+            st.errors.borrow_mut().push(format!("import failed: {e:?}"));
+            return;
+        }
+    };
+    let st = st.clone();
+    p.on_ready(sim, move |sim, o| {
+        if o.status != OpStatus::Ok {
+            st.errors
+                .borrow_mut()
+                .push(format!("import resolved {:?}", o.status));
+            return;
+        }
+        then(sim);
+    });
 }
 
 /// Closed-loop driver: each commit triggers the next export.
@@ -462,18 +494,8 @@ fn chain_exports(
     if left == 0 {
         return;
     }
-    let h = match Client::export(&cl, sim, &urn, session, "add", &["1"], Priority::NORMAL) {
-        Ok(h) => h,
-        Err(e) => {
-            st.errors.borrow_mut().push(format!("export failed: {e:?}"));
-            return;
-        }
-    };
-    st.record(sim, host, dst, &h);
-    let committed = h.committed;
-    committed.on_ready(sim, move |sim, _| {
-        st.done.set(st.done.get() + 1);
-        st.last_done.set(sim.now());
+    let (cl2, urn2, st2) = (cl.clone(), urn.clone(), st.clone());
+    export_step(sim, &cl2, &urn2, session, host, dst, &st2, move |sim, _| {
         chain_exports(sim, cl, urn, session, host, dst, left - 1, st);
     });
 }
@@ -505,52 +527,51 @@ fn verifier_step(
     } else {
         (pair.1.clone(), hosts.1)
     };
-    let h = match Client::export(&cl, sim, &target, session, "add", &["1"], Priority::NORMAL) {
-        Ok(h) => h,
-        Err(e) => {
-            st.errors.borrow_mut().push(format!("export failed: {e:?}"));
-            return;
-        }
-    };
-    st.record(sim, host, dst, &h);
-    let committed = h.committed;
-    committed.on_ready(sim, move |sim, o| {
-        st.done.set(st.done.get() + 1);
-        st.last_done.set(sim.now());
-        let wrote = o.version.0;
-        let p = match Client::import(&cl, sim, &target, session, Priority::FOREGROUND) {
-            Ok(p) => p,
-            Err(e) => {
-                st.errors
-                    .borrow_mut()
-                    .push(format!("verifier re-read failed: {e:?}"));
-                return;
-            }
-        };
-        p.on_ready(sim, move |sim, o2| {
-            if o2.status != OpStatus::Ok {
-                st.errors
-                    .borrow_mut()
-                    .push(format!("verifier re-read resolved {:?}", o2.status));
-                return;
-            }
-            let floor = floors
-                .borrow()
-                .get(&target)
-                .copied()
-                .unwrap_or(0)
-                .max(wrote);
-            if o2.version.0 < floor {
-                st.errors.borrow_mut().push(format!(
-                    "cross-shard session violated: read {target} at v{} below floor v{floor}",
-                    o2.version.0
-                ));
-                return;
-            }
-            floors.borrow_mut().insert(target.clone(), o2.version.0);
-            verifier_step(sim, cl, pair, hosts, session, host, j + 1, ops, st, floors);
-        });
-    });
+    let (cl2, target2, st2) = (cl.clone(), target.clone(), st.clone());
+    export_step(
+        sim,
+        &cl2,
+        &target2,
+        session,
+        host,
+        dst,
+        &st2,
+        move |sim, o| {
+            let wrote = o.version.0;
+            let p = match Client::import(&cl, sim, &target, session, Priority::FOREGROUND) {
+                Ok(p) => p,
+                Err(e) => {
+                    st.errors
+                        .borrow_mut()
+                        .push(format!("verifier re-read failed: {e:?}"));
+                    return;
+                }
+            };
+            p.on_ready(sim, move |sim, o2| {
+                if o2.status != OpStatus::Ok {
+                    st.errors
+                        .borrow_mut()
+                        .push(format!("verifier re-read resolved {:?}", o2.status));
+                    return;
+                }
+                let floor = floors
+                    .borrow()
+                    .get(&target)
+                    .copied()
+                    .unwrap_or(0)
+                    .max(wrote);
+                if o2.version.0 < floor {
+                    st.errors.borrow_mut().push(format!(
+                        "cross-shard session violated: read {target} at v{} below floor v{floor}",
+                        o2.version.0
+                    ));
+                    return;
+                }
+                floors.borrow_mut().insert(target.clone(), o2.version.0);
+                verifier_step(sim, cl, pair, hosts, session, host, j + 1, ops, st, floors);
+            });
+        },
+    );
 }
 
 /// Schedules the scripted power failures for one shard: crash at evenly
@@ -703,8 +724,7 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
         ));
     }
     let dynamic = cfg.dynamic();
-    let mut sim = Sim::new(cfg.seed);
-    let net = Net::new();
+    let mut w = World::new(cfg.seed);
     let shard_hosts: Vec<HostId> = (0..shards).map(|s| HostId(SERVER.0 + s as u32)).collect();
     let map = if dynamic {
         ShardMap::new(shard_hosts.clone()).with_dynamic()
@@ -724,7 +744,7 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
         // cache so even one would replay rather than re-execute.
         scfg.dedup_capacity = (total_ops as usize).max(4096);
         scfg.replicate_hot = cfg.replicate_hot;
-        let server = Server::new(&net, scfg);
+        let server = w.server(scfg);
         server
             .borrow_mut()
             .register_resolver("counter", Box::new(ReexecuteResolver));
@@ -735,29 +755,22 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
     }
     if dynamic {
         // Federation backbone: every shard pair gets an ethernet link
-        // (replica frames travel over it) and a registered route.
+        // (replica frames travel over it).
         for a in 0..shards {
             for b in (a + 1)..shards {
-                let l = net.add_link(LinkSpec::ETHERNET_10M, shard_hosts[a], shard_hosts[b]);
-                servers[a].borrow_mut().add_route(shard_hosts[b], l);
-                servers[b].borrow_mut().add_route(shard_hosts[a], l);
+                w.link(LinkSpec::ETHERNET_10M, shard_hosts[a], shard_hosts[b]);
             }
         }
     }
+    w.shards = Some(map.clone());
     let urns: Vec<Urn> = (0..cfg.objects)
         .map(|k| Urn::parse(&format!("urn:rover:scale/obj{k}")).expect("valid urn"))
         .collect();
     for urn in &urns {
-        servers[map.shard_for(urn.as_str())]
-            .borrow_mut()
-            .put_object(
-                RoverObject::new(urn.clone(), "counter")
-                    .with_code("proc add {k} {rover::set n [expr {[rover::get n 0] + $k}]}")
-                    .with_field("n", "0"),
-            );
+        w.put_counter(urn, 0);
     }
     for server in &servers {
-        Server::attach_wal(server, &mut sim, Box::new(MemStore::new()))
+        Server::attach_wal(server, &mut w.sim, Box::new(MemStore::new()))
             .map_err(|e| format!("seed {}: attach_wal failed: {e:?}", cfg.seed))?;
     }
 
@@ -787,7 +800,7 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
 
     let st = Rc::new(Shared {
         done: Cell::new(0),
-        last_done: Cell::new(sim.now()),
+        last_done: Cell::new(w.sim.now()),
         issued: RefCell::new(Vec::with_capacity(total_ops as usize)),
         commits: RefCell::new(Vec::with_capacity(total_ops as usize)),
         errors: RefCell::new(Vec::new()),
@@ -799,9 +812,7 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
         let spec = link_class(i);
         let urn = urns[draws.obj[i]].clone();
         let home = map.host_for(urn.as_str());
-        let home_idx = (home.0 - SERVER.0) as usize;
-        let link = net.add_link(spec, host, home);
-        servers[home_idx].borrow_mut().add_route(host, link);
+        w.link(spec, host, home);
         let mut ccfg = ClientConfig::thinkpad(host, home);
         // Reply latency under a saturated per-op server can reach
         // minutes; probe far beyond it so clean links never retransmit.
@@ -817,17 +828,11 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
         if shards > 1 {
             ccfg.shards = Some(map.clone());
         }
-        let mut links = vec![link];
         if dynamic {
             // Replica reads and post-migration redirects can land on
             // any shard: link every client to the whole federation.
-            for (sidx, &shost) in shard_hosts.iter().enumerate() {
-                if shost == home {
-                    continue;
-                }
-                let l = net.add_link(spec, host, shost);
-                servers[sidx].borrow_mut().add_route(host, l);
-                links.push(l);
+            for &shost in shard_hosts.iter().filter(|&&h| h != home) {
+                w.link(spec, host, shost);
             }
         }
         let verifier_pair = match secondaries.get(&i) {
@@ -835,17 +840,14 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
                 let surn = urns[sec].clone();
                 let shost = map.host_for(surn.as_str());
                 if !dynamic {
-                    let slink = net.add_link(spec, host, shost);
-                    servers[(shost.0 - SERVER.0) as usize]
-                        .borrow_mut()
-                        .add_route(host, slink);
-                    links.push(slink);
+                    w.link(spec, host, shost);
                 }
                 Some((surn, shost))
             }
             _ => None,
         };
-        let cl = Client::new(&mut sim, &net, ccfg, links);
+        let links = w.links_of(host);
+        let cl = Client::new(&mut w.sim, &w.net, ccfg, links);
         let session = Client::create_session(&cl, Guarantees::ALL, true);
 
         let burst = (i * BURSTS) / cfg.clients.max(1);
@@ -861,42 +863,11 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
                 // check after every commit.
                 let pair = Rc::new((urn, surn));
                 let hosts = Rc::new((home, shost));
-                sim.schedule_after(arrival, move |sim| {
-                    let p = match Client::import(&cl2, sim, &pair.0, session, Priority::FOREGROUND)
-                    {
-                        Ok(p) => p,
-                        Err(e) => {
-                            st2.errors
-                                .borrow_mut()
-                                .push(format!("import failed: {e:?}"));
-                            return;
-                        }
-                    };
-                    p.on_ready(sim, move |sim, o| {
-                        if o.status != OpStatus::Ok {
-                            st2.errors
-                                .borrow_mut()
-                                .push(format!("import resolved {:?}", o.status));
-                            return;
-                        }
-                        let p2 =
-                            match Client::import(&cl2, sim, &pair.1, session, Priority::FOREGROUND)
-                            {
-                                Ok(p) => p,
-                                Err(e) => {
-                                    st2.errors
-                                        .borrow_mut()
-                                        .push(format!("import failed: {e:?}"));
-                                    return;
-                                }
-                            };
-                        p2.on_ready(sim, move |sim, o| {
-                            if o.status != OpStatus::Ok {
-                                st2.errors
-                                    .borrow_mut()
-                                    .push(format!("import resolved {:?}", o.status));
-                                return;
-                            }
+                w.sim.schedule_after(arrival, move |sim| {
+                    let (cl, st, first) = (cl2.clone(), st2.clone(), pair.0.clone());
+                    import_step(sim, &cl, &first, session, &st, move |sim| {
+                        let (cl, st, second) = (cl2.clone(), st2.clone(), pair.1.clone());
+                        import_step(sim, &cl, &second, session, &st, move |sim| {
                             let floors = Rc::new(RefCell::new(HashMap::new()));
                             verifier_step(
                                 sim, cl2, pair, hosts, session, host, 0, ops, st2, floors,
@@ -906,23 +877,9 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
                 });
             }
             None => {
-                sim.schedule_after(arrival, move |sim| {
-                    let p = match Client::import(&cl2, sim, &urn, session, Priority::FOREGROUND) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            st2.errors
-                                .borrow_mut()
-                                .push(format!("import failed: {e:?}"));
-                            return;
-                        }
-                    };
-                    p.on_ready(sim, move |sim, o| {
-                        if o.status != OpStatus::Ok {
-                            st2.errors
-                                .borrow_mut()
-                                .push(format!("import resolved {:?}", o.status));
-                            return;
-                        }
+                w.sim.schedule_after(arrival, move |sim| {
+                    let (cl, st, first) = (cl2.clone(), st2.clone(), urn.clone());
+                    import_step(sim, &cl, &first, session, &st, move |sim| {
                         if closed {
                             chain_exports(sim, cl2, urn, session, host, home, ops, st2);
                         } else {
@@ -931,7 +888,16 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
                                 sim.schedule_after(
                                     SimDuration::from_micros(THINK.as_micros() * j as u64),
                                     move |sim| {
-                                        issue_export(sim, &cl3, &urn3, session, host, home, &st3);
+                                        export_step(
+                                            sim,
+                                            &cl3,
+                                            &urn3,
+                                            session,
+                                            host,
+                                            home,
+                                            &st3,
+                                            |_, _| {},
+                                        );
                                     },
                                 );
                             }
@@ -942,6 +908,7 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
         }
         clients.push(cl);
     }
+    let World { mut sim, .. } = w;
 
     // Load-balancing plane drivers and the imbalance monitor. Each
     // reschedules itself until every export committed, so the post-run

@@ -35,12 +35,12 @@
 //!   across the run (the crashes were not no-ops).
 
 use rover_core::{
-    Client, ClientConfig, ClientRef, Guarantees, ReexecuteResolver, RoverObject, Server,
-    ServerConfig, Urn,
+    Client, ClientConfig, ClientRef, Guarantees, ReexecuteResolver, Server, ServerConfig, Urn,
+    World,
 };
 use rover_log::MemStore;
-use rover_net::{FaultSpec, FlapSpec, LinkSpec, Net};
-use rover_sim::{Sim, SimDuration};
+use rover_net::{FaultSpec, FlapSpec, LinkSpec};
+use rover_sim::SimDuration;
 use rover_wire::{HostId, OpStatus, Priority, SessionId};
 
 use super::{input_rejected, scaled_summary};
@@ -180,8 +180,7 @@ fn client_host(i: usize) -> HostId {
 /// Runs one seeded soak to convergence; `Err` describes the first
 /// violated invariant.
 pub fn run_seed(cfg: SoakConfig) -> Result<SoakOutcome, String> {
-    let mut sim = Sim::new(cfg.seed);
-    let net = Net::new();
+    let mut w = World::new(cfg.seed);
     let mut scfg = ServerConfig::workstation(SERVER);
     if cfg.group_commit {
         scfg.commit = rover_core::CommitPolicy::Group {
@@ -189,39 +188,33 @@ pub fn run_seed(cfg: SoakConfig) -> Result<SoakOutcome, String> {
             window: SimDuration::from_millis(50),
         };
     }
-    let server = Server::new(&net, scfg);
+    let server = w.server(scfg);
     server
         .borrow_mut()
         .register_resolver("counter", Box::new(ReexecuteResolver));
     let urn = Urn::parse("urn:rover:soak/counter").expect("valid urn");
-    server.borrow_mut().put_object(
-        RoverObject::new(urn.clone(), "counter")
-            .with_code("proc add {k} {rover::set n [expr {[rover::get n 0] + $k}]}")
-            .with_field("n", "0"),
-    );
+    w.put_counter(&urn, 0);
     if cfg.server_crashes > 0 || cfg.group_commit {
         // Durable mode: the initial checkpoint snapshots the counter
         // object, and every commit hits the log before its reply.
-        Server::attach_wal(&server, &mut sim, Box::new(MemStore::new()))
+        Server::attach_wal(&server, &mut w.sim, Box::new(MemStore::new()))
             .map_err(|e| format!("seed {}: attach_wal failed: {e:?}", cfg.seed))?;
     }
 
     let mut clients: Vec<(ClientRef, SessionId)> = Vec::new();
-    let mut links = Vec::new();
     for i in 0..cfg.clients {
         let host = client_host(i);
-        let link = net.add_link(LinkSpec::WAVELAN_2M, host, SERVER);
-        server.borrow_mut().add_route(host, link);
         let mut ccfg = ClientConfig::thinkpad(host, SERVER);
         // Soak-friendly retransmission curve: probe fast, back off to a
         // cap well inside the run, never give up.
         ccfg.rto = SimDuration::from_secs(10);
         ccfg.rto_max = SimDuration::from_secs(160);
-        let client = Client::new(&mut sim, &net, ccfg, vec![link]);
+        let client = w.client(ccfg, LinkSpec::WAVELAN_2M);
         let session = Client::create_session(&client, Guarantees::ALL, true);
         clients.push((client, session));
-        links.push(link);
     }
+    let links = w.links_of(SERVER);
+    let World { mut sim, net, .. } = w;
 
     // Warm every cache over a clean channel, then unleash the chaos.
     for (client, session) in &clients {

@@ -1,12 +1,10 @@
 //! Shared experiment testbed: one mobile client, one home server, one
-//! configurable channel — the paper's measurement setup — plus a
-//! multi-shard [`Federation`] for the sharded home-server experiments.
+//! configurable channel — the paper's measurement setup.
 
 use rover_core::{
-    Client, ClientConfig, ClientRef, Guarantees, Promise, ReexecuteResolver, RoverObject,
-    ScriptResolver, Server, ServerConfig, ServerRef, ShardMap, Urn,
+    counter_object, step_until, Client, ClientConfig, ClientRef, Guarantees, Promise,
+    ReexecuteResolver, RoverObject, ScriptResolver, ServerConfig, ServerRef, Urn, World,
 };
-use rover_log::MemStore;
 use rover_net::{LinkId, LinkSpec, Net};
 use rover_sim::{Sim, SimDuration};
 use rover_wire::{HostId, SessionId};
@@ -15,6 +13,10 @@ use rover_wire::{HostId, SessionId};
 pub const CLIENT: HostId = HostId(1);
 /// The server host id used by all rigs.
 pub const SERVER: HostId = HostId(2);
+
+/// How long the rig waits on one promise or drain before it panics:
+/// nothing in these experiments legitimately takes that long.
+const TEN_HOURS: SimDuration = SimDuration::from_secs(36_000);
 
 /// One client/server pair over one link.
 pub struct Rig {
@@ -47,15 +49,12 @@ impl Rig {
     pub fn with_configs(
         spec: LinkSpec,
         tweak: impl FnOnce(&mut ClientConfig),
-        tweak_server: impl FnOnce(&mut rover_core::ServerConfig),
+        tweak_server: impl FnOnce(&mut ServerConfig),
     ) -> Rig {
-        let mut sim = Sim::new(1995);
-        let net = Net::new();
-        let link = net.add_link(spec, CLIENT, SERVER);
+        let mut w = World::new(1995);
         let mut scfg = ServerConfig::workstation(SERVER);
         tweak_server(&mut scfg);
-        let server = Server::new(&net, scfg);
-        server.borrow_mut().add_route(CLIENT, link);
+        let server = w.server(scfg);
         server
             .borrow_mut()
             .register_resolver("counter", Box::new(ReexecuteResolver));
@@ -66,8 +65,10 @@ impl Rig {
         }
         let mut cfg = ClientConfig::thinkpad(CLIENT, SERVER);
         tweak(&mut cfg);
-        let client = Client::new(&mut sim, &net, cfg, vec![link]);
+        let client = w.client(cfg, spec);
+        let link = w.links_of(CLIENT)[0];
         let session = Client::create_session(&client, Guarantees::ALL, true);
+        let World { sim, net, .. } = w;
         Rig {
             sim,
             net,
@@ -87,14 +88,18 @@ impl Rig {
         urn
     }
 
-    /// Runs the sim until `p` resolves (panics after 10 simulated hours
-    /// — nothing in these experiments legitimately takes that long).
+    /// Installs the standard counter object (`n` = 0) used by the drain
+    /// experiments.
+    pub fn put_counter(&self) -> Urn {
+        let urn = Urn::parse("urn:rover:bench/counter").expect("valid urn");
+        self.server.borrow_mut().put_object(counter_object(&urn, 0));
+        urn
+    }
+
+    /// Runs the sim until `p` resolves (panics after [`TEN_HOURS`]).
     pub fn await_promise(&mut self, p: &Promise) {
-        let deadline = self.sim.now() + SimDuration::from_secs(36_000);
-        while !p.is_ready() {
-            if !self.sim.step() || self.sim.now() > deadline {
-                panic!("promise did not resolve (t = {})", self.sim.now());
-            }
+        if !step_until(&mut self.sim, TEN_HOURS, || p.is_ready()) {
+            panic!("promise did not resolve (t = {})", self.sim.now());
         }
     }
 
@@ -103,11 +108,11 @@ impl Rig {
     /// wait out parked retransmission timers.)
     pub fn await_drain(&mut self) -> f64 {
         let t0 = self.sim.now();
-        let deadline = t0 + SimDuration::from_secs(36_000);
-        while Client::outstanding_count(&self.client) > 0 {
-            if !self.sim.step() || self.sim.now() > deadline {
-                panic!("queue did not drain (t = {})", self.sim.now());
-            }
+        let client = &self.client;
+        if !step_until(&mut self.sim, TEN_HOURS, || {
+            Client::outstanding_count(client) == 0
+        }) {
+            panic!("queue did not drain (t = {})", self.sim.now());
         }
         self.sim.now().since(t0).as_millis_f64()
     }
@@ -119,136 +124,6 @@ impl Rig {
         let p = f(self);
         self.await_promise(&p);
         p.resolved_at().expect("resolved").since(t0).as_millis_f64()
-    }
-}
-
-/// One mobile client multi-homed across `n` URN-partitioned server
-/// shards, each with its own write-ahead log — the sharded-federation
-/// measurement setup. Shard hosts are `HostId(2)..=HostId(1 + n)`;
-/// the client is [`CLIENT`].
-pub struct Federation {
-    /// The simulation world.
-    pub sim: Sim,
-    /// The network.
-    pub net: Net,
-    /// The shard routing table the client uses.
-    pub map: ShardMap,
-    /// One server per shard, index = shard.
-    pub servers: Vec<ServerRef>,
-    /// Client↔shard links, index = shard.
-    pub links: Vec<LinkId>,
-    /// The mobile client (routes every URN via `map`).
-    pub client: ClientRef,
-    /// A ready-made session with all guarantees.
-    pub session: SessionId,
-}
-
-impl Federation {
-    /// Builds an `n`-shard federation over `spec` links, each shard
-    /// with an attached write-ahead log, and one client configured to
-    /// route by shard.
-    pub fn new(n: usize, spec: LinkSpec) -> Federation {
-        Federation::build(n, spec, 0)
-    }
-
-    /// Builds an `n`-shard federation with the dynamic load-balancing
-    /// plane armed: the shared routing map carries the replica
-    /// directory and migration pins, every shard runs the hot-set
-    /// tracker at replication factor `k`, and a full server↔server
-    /// mesh carries replica publications. Drive epochs explicitly with
-    /// [`rover_core::Server::replication_epoch`].
-    pub fn dynamic(n: usize, spec: LinkSpec, replicate_hot: usize) -> Federation {
-        Federation::build(n, spec, replicate_hot)
-    }
-
-    fn build(n: usize, spec: LinkSpec, replicate_hot: usize) -> Federation {
-        assert!(n >= 1, "a federation needs at least one shard");
-        let dynamic = replicate_hot > 0;
-        let mut sim = Sim::new(1995);
-        let net = Net::new();
-        let hosts: Vec<HostId> = (0..n).map(|s| HostId(SERVER.0 + s as u32)).collect();
-        let map = if dynamic {
-            ShardMap::new(hosts.clone()).with_dynamic()
-        } else {
-            ShardMap::new(hosts.clone())
-        };
-        let mut servers = Vec::with_capacity(n);
-        let mut links = Vec::with_capacity(n);
-        for (idx, &host) in hosts.iter().enumerate() {
-            let mut scfg = ServerConfig::workstation(host);
-            scfg.replicate_hot = replicate_hot;
-            let server = Server::new(&net, scfg);
-            let link = net.add_link(spec, CLIENT, host);
-            server.borrow_mut().add_route(CLIENT, link);
-            server
-                .borrow_mut()
-                .register_resolver("counter", Box::new(ReexecuteResolver));
-            if dynamic {
-                server.borrow_mut().attach_shard_routing(map.clone(), idx);
-            }
-            servers.push(server);
-            links.push(link);
-        }
-        if dynamic {
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    let l = net.add_link(spec, hosts[a], hosts[b]);
-                    servers[a].borrow_mut().add_route(hosts[b], l);
-                    servers[b].borrow_mut().add_route(hosts[a], l);
-                }
-            }
-        }
-        let mut cfg = ClientConfig::thinkpad(CLIENT, hosts[0]);
-        cfg.shards = Some(map.clone());
-        let client = Client::new(&mut sim, &net, cfg, links.clone());
-        let session = Client::create_session(&client, Guarantees::ALL, true);
-        Federation {
-            sim,
-            net,
-            map,
-            servers,
-            links,
-            client,
-            session,
-        }
-    }
-
-    /// Attaches a fresh write-ahead log to every shard. Call *after*
-    /// seeding objects: the log's initial checkpoint snapshots the
-    /// store, and crash-restart recovers from that checkpoint — objects
-    /// put after the attach would not survive a shard power failure.
-    pub fn attach_wals(&mut self) {
-        for server in &self.servers {
-            Server::attach_wal(server, &mut self.sim, Box::new(MemStore::new()))
-                .expect("federation attach_wal");
-        }
-    }
-
-    /// The shard index owning `urn`.
-    pub fn shard_of(&self, urn: &Urn) -> usize {
-        self.map.shard_for(urn.as_str())
-    }
-
-    /// Installs a counter object on its home shard and returns its URN.
-    pub fn put_counter(&self, path: &str) -> Urn {
-        let urn = Urn::new("bench", path).expect("valid urn");
-        self.servers[self.shard_of(&urn)].borrow_mut().put_object(
-            RoverObject::new(urn.clone(), "counter")
-                .with_code("proc add {k} {rover::set n [expr {[rover::get n 0] + $k}]}")
-                .with_field("n", "0"),
-        );
-        urn
-    }
-
-    /// Runs the sim until `p` resolves (panics after 10 simulated
-    /// hours).
-    pub fn await_promise(&mut self, p: &Promise) {
-        let deadline = self.sim.now() + SimDuration::from_secs(36_000);
-        while !p.is_ready() {
-            if !self.sim.step() || self.sim.now() > deadline {
-                panic!("promise did not resolve (t = {})", self.sim.now());
-            }
-        }
     }
 }
 

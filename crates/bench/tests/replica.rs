@@ -12,10 +12,16 @@
 //! monotonic-reads violation would surface.
 
 use proptest::prelude::*;
-use rover_bench::testbed::Federation;
-use rover_core::{Client, ClientConfig, ClientRef, Guarantees, Priority, Promise, Server, Urn};
+use rover_core::{
+    Client, ClientConfig, ClientRef, Guarantees, Priority, Promise, ReexecuteResolver, Server,
+    ServerConfig, ServerRef, ShardMap, Urn, World,
+};
 use rover_net::LinkSpec;
+use rover_sim::SimDuration;
 use rover_wire::{HostId, OpStatus, SessionId};
+
+/// The writer's host.
+const WRITER: HostId = HostId(1);
 
 /// Object population: small enough that the top-2-per-shard hot sets
 /// replicate most of it, large enough that every shard homes some.
@@ -43,44 +49,73 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Adds the cold reader: links to every shard, shard routing, and a
+/// The cold reader's host.
+const READER: HostId = HostId(100);
+
+/// Longest one awaited operation may take (nothing here takes 10
+/// simulated hours).
+const LIMIT: SimDuration = SimDuration::from_secs(36_000);
+
+/// A client and its session.
+type Handle = (ClientRef, SessionId);
+
+/// Builds a `shards`-shard federation with the dynamic load-balancing
+/// plane armed at replication factor 2 (the shared routing map carries
+/// the replica directory, and a full server↔server mesh carries replica
+/// publications), imports every object into the writer (exports need a
+/// cached copy, and the imports seed the session's read floors), and
+/// attaches the cold reader: links to every shard, shard routing, and a
 /// cache too small to retain anything — every import goes to the wire.
-fn add_cold_reader(fed: &mut Federation) -> (ClientRef, SessionId) {
-    let host = HostId(100);
-    let mut links = Vec::new();
-    for (idx, sv) in fed.servers.iter().enumerate() {
-        let shost = HostId(2 + idx as u32);
-        let l = fed.net.add_link(LinkSpec::ETHERNET_10M, host, shost);
-        sv.borrow_mut().add_route(host, l);
-        links.push(l);
+/// Returns the world, the shard servers (index = shard), the objects,
+/// the writer and the reader.
+fn replicated_federation(shards: usize) -> (World, Vec<ServerRef>, Vec<Urn>, Handle, Handle) {
+    let mut fed = World::new(1995);
+    let hosts: Vec<HostId> = (0..shards).map(|s| HostId(2 + s as u32)).collect();
+    let map = ShardMap::new(hosts.clone()).with_dynamic();
+    let mut servers = Vec::with_capacity(shards);
+    for (idx, &host) in hosts.iter().enumerate() {
+        let mut scfg = ServerConfig::workstation(host);
+        scfg.replicate_hot = 2;
+        let sv = fed.server(scfg);
+        fed.link(LinkSpec::ETHERNET_10M, WRITER, host);
+        sv.borrow_mut()
+            .register_resolver("counter", Box::new(ReexecuteResolver));
+        sv.borrow_mut().attach_shard_routing(map.clone(), idx);
+        servers.push(sv);
     }
-    let mut cfg = ClientConfig::thinkpad(host, HostId(2));
-    cfg.shards = Some(fed.map.clone());
-    cfg.cache_capacity = 1;
+    for a in 0..shards {
+        for b in (a + 1)..shards {
+            fed.link(LinkSpec::ETHERNET_10M, hosts[a], hosts[b]);
+        }
+    }
+    fed.shards = Some(map.clone());
+    let mut cfg = ClientConfig::thinkpad(WRITER, hosts[0]);
+    cfg.shards = Some(map.clone());
+    let links = fed.links_of(WRITER);
     let client = Client::new(&mut fed.sim, &fed.net, cfg, links);
     let session = Client::create_session(&client, Guarantees::ALL, true);
-    (client, session)
-}
-
-/// Builds the federation with replication factor 2, imports every
-/// object into the writer (exports need a cached copy, and the imports
-/// seed the session's read floors), and attaches the cold reader.
-fn replicated_federation(shards: usize) -> (Federation, Vec<Urn>, ClientRef, SessionId) {
-    let mut fed = Federation::dynamic(shards, LinkSpec::ETHERNET_10M, 2);
     let urns: Vec<Urn> = (0..OBJS)
-        .map(|i| fed.put_counter(&format!("prop{i}")))
+        .map(|i| Urn::new("bench", &format!("prop{i}")).expect("valid urn"))
         .collect();
     for u in &urns {
-        let p = Client::import(&fed.client, &mut fed.sim, u, fed.session, Priority::NORMAL)
-            .expect("seed import");
-        fed.await_promise(&p);
+        fed.put_counter(u, 0);
     }
-    let (reader, rsession) = add_cold_reader(&mut fed);
-    (fed, urns, reader, rsession)
+    for u in &urns {
+        let p = Client::import(&client, &mut fed.sim, u, session, Priority::NORMAL)
+            .expect("seed import");
+        assert!(fed.await_promise(&p, LIMIT), "seed import");
+    }
+    let mut cfg = ClientConfig::thinkpad(READER, HostId(2));
+    cfg.shards = Some(map);
+    cfg.cache_capacity = 1;
+    let reader = fed.client(cfg, LinkSpec::ETHERNET_10M);
+    let rsession = Client::create_session(&reader, Guarantees::ALL, true);
+    (fed, servers, urns, (client, session), (reader, rsession))
 }
 
-fn home_version(fed: &Federation, u: &Urn) -> u64 {
-    fed.servers[fed.shard_of(u)]
+fn home_version(fed: &World, u: &Urn) -> u64 {
+    fed.home(u)
+        .expect("homed object")
         .borrow()
         .get_object(u)
         .expect("homed object")
@@ -93,22 +128,22 @@ fn home_version(fed: &Federation, u: &Urn) -> u64 {
 /// genuinely exercise the replica read path.
 #[test]
 fn the_harness_serves_reads_from_replicas() {
-    let (mut fed, urns, reader, rsession) = replicated_federation(2);
+    let (mut fed, servers, urns, _, (reader, rsession)) = replicated_federation(2);
     // Heat one object over the wire, publish an epoch, then keep
     // reading it: the router spreads qualifying reads across holders.
     for _ in 0..4 {
         let p = Client::import(&reader, &mut fed.sim, &urns[0], rsession, Priority::NORMAL)
             .expect("import");
-        fed.await_promise(&p);
+        assert!(fed.await_promise(&p, LIMIT));
     }
-    for sv in fed.servers.clone() {
-        Server::replication_epoch(&sv, &mut fed.sim);
+    for sv in &servers {
+        Server::replication_epoch(sv, &mut fed.sim);
     }
     fed.sim.run();
     for _ in 0..8 {
         let p = Client::import(&reader, &mut fed.sim, &urns[0], rsession, Priority::NORMAL)
             .expect("import");
-        fed.await_promise(&p);
+        assert!(fed.await_promise(&p, LIMIT));
     }
     assert!(
         fed.sim.stats.counter("server.replica_reads") > 0,
@@ -128,7 +163,8 @@ proptest! {
         shards in 2usize..=4,
         ops in proptest::collection::vec(op_strategy(), 1..60),
     ) {
-        let (mut fed, urns, reader, rsession) = replicated_federation(shards);
+        let (mut fed, servers, urns, (client, session), (reader, rsession)) =
+            replicated_federation(shards);
         let mut floors: Vec<u64> = urns.iter().map(|u| home_version(&fed, u)).collect();
         let v0 = floors.clone();
         let mut reader_floors = [0u64; OBJS];
@@ -141,10 +177,10 @@ proptest! {
             match *op {
                 Op::Write(i) => {
                     let h = Client::export(
-                        &fed.client, &mut fed.sim, &urns[i], fed.session,
+                        &client, &mut fed.sim, &urns[i], session,
                         "add", &["1"], Priority::NORMAL,
                     ).expect("export");
-                    fed.await_promise(&h.committed);
+                    prop_assert!(fed.await_promise(&h.committed, LIMIT));
                     let o = h.committed.poll().expect("committed");
                     prop_assert!(
                         matches!(o.status, OpStatus::Ok | OpStatus::Resolved),
@@ -156,9 +192,9 @@ proptest! {
                 }
                 Op::Read(i) => {
                     let p = Client::import(
-                        &fed.client, &mut fed.sim, &urns[i], fed.session, Priority::NORMAL,
+                        &client, &mut fed.sim, &urns[i], session, Priority::NORMAL,
                     ).expect("import");
-                    fed.await_promise(&p);
+                    prop_assert!(fed.await_promise(&p, LIMIT));
                     let o = p.poll().expect("resolved");
                     prop_assert_eq!(o.status, OpStatus::Ok);
                     prop_assert!(
@@ -172,7 +208,7 @@ proptest! {
                     let p = Client::import(
                         &reader, &mut fed.sim, &urns[i], rsession, Priority::NORMAL,
                     ).expect("cold import");
-                    fed.await_promise(&p);
+                    prop_assert!(fed.await_promise(&p, LIMIT));
                     let o = p.poll().expect("resolved");
                     prop_assert_eq!(o.status, OpStatus::Ok);
                     prop_assert!(
@@ -188,8 +224,8 @@ proptest! {
                     reader_floors[i] = o.version.0;
                 }
                 Op::Epoch => {
-                    for sv in fed.servers.clone() {
-                        Server::replication_epoch(&sv, &mut fed.sim);
+                    for sv in &servers {
+                        Server::replication_epoch(sv, &mut fed.sim);
                     }
                     fed.sim.run();
                     snap_prev = snap_cur;
@@ -200,7 +236,7 @@ proptest! {
         fed.sim.run();
         // Exactly-once: each home copy counted every add exactly once.
         for (i, u) in urns.iter().enumerate() {
-            let s = fed.servers[fed.shard_of(u)].borrow();
+            let s = fed.home(u).unwrap().borrow();
             let o = s.get_object(u).expect("homed object");
             prop_assert_eq!(o.field("n").unwrap().parse::<u64>().unwrap(), writes[i]);
             prop_assert_eq!(o.version.0, v0[i] + writes[i]);
@@ -220,7 +256,8 @@ proptest! {
             1..8,
         ),
     ) {
-        let (mut fed, urns, reader, rsession) = replicated_federation(shards);
+        let (mut fed, servers, urns, (client, session), (reader, rsession)) =
+            replicated_federation(shards);
         let v0: Vec<u64> = urns.iter().map(|u| home_version(&fed, u)).collect();
         let mut reader_floors = [0u64; OBJS];
         let mut writes = [0u64; OBJS];
@@ -231,7 +268,7 @@ proptest! {
                 match kind {
                     0 => {
                         let h = Client::export(
-                            &fed.client, &mut fed.sim, &urns[i], fed.session,
+                            &client, &mut fed.sim, &urns[i], session,
                             "add", &["1"], Priority::NORMAL,
                         ).expect("export");
                         writes[i] += 1;
@@ -242,7 +279,7 @@ proptest! {
                         // sequential property; here it just adds
                         // interleaved traffic.
                         let _ = Client::import(
-                            &fed.client, &mut fed.sim, &urns[i], fed.session, Priority::NORMAL,
+                            &client, &mut fed.sim, &urns[i], session, Priority::NORMAL,
                         ).expect("import");
                     }
                     _ => {
@@ -255,8 +292,8 @@ proptest! {
             }
             if b % 2 == 1 {
                 // Epoch mid-flight: publications race the burst.
-                for sv in fed.servers.clone() {
-                    Server::replication_epoch(&sv, &mut fed.sim);
+                for sv in &servers {
+                    Server::replication_epoch(sv, &mut fed.sim);
                 }
             }
             fed.sim.run();
@@ -278,7 +315,7 @@ proptest! {
             }
         }
         for (i, u) in urns.iter().enumerate() {
-            let s = fed.servers[fed.shard_of(u)].borrow();
+            let s = fed.home(u).unwrap().borrow();
             let o = s.get_object(u).expect("homed object");
             prop_assert_eq!(o.field("n").unwrap().parse::<u64>().unwrap(), writes[i]);
             prop_assert_eq!(o.version.0, v0[i] + writes[i]);

@@ -6,11 +6,18 @@
 //! path exactly.
 
 use rover_bench::exps::scale::{run_scale, ScaleConfig, GROUP_POLICY};
-use rover_bench::testbed::Federation;
-use rover_core::{Client, Priority, Server, ShardMap, Urn};
+use rover_core::{
+    Client, ClientConfig, ClientRef, Guarantees, Priority, ReexecuteResolver, Server, ServerConfig,
+    ServerRef, ShardMap, Urn, World,
+};
+use rover_log::MemStore;
 use rover_net::LinkSpec;
 use rover_sim::SimDuration;
-use rover_wire::HostId;
+use rover_wire::{HostId, SessionId};
+
+/// Longest a seed import may take (nothing here takes 10 simulated
+/// hours).
+const LIMIT: SimDuration = SimDuration::from_secs(36_000);
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -20,28 +27,51 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Builds a 2-shard federation with `n` counters spread across both
-/// shards, all imported into the client cache (exports need a cached
-/// copy, and the imports seed the session's read floors).
-fn federation_with_counters(n: usize) -> (Federation, Vec<Urn>) {
-    let mut fed = Federation::new(2, LinkSpec::ETHERNET_10M);
-    let urns: Vec<Urn> = (0..n)
-        .map(|i| fed.put_counter(&format!("obj{i}")))
+/// Builds a 2-shard federation (each shard with its own WAL) with `n`
+/// counters spread across both shards, all imported into one client's
+/// cache (exports need a cached copy, and the imports seed the
+/// session's read floors). Returns the world, the shard servers (index
+/// = shard), the client, its session and the counters.
+fn federation_with_counters(n: usize) -> (World, Vec<ServerRef>, ClientRef, SessionId, Vec<Urn>) {
+    let mut fed = World::new(1995);
+    let map = ShardMap::new(vec![HostId(2), HostId(3)]);
+    let servers: Vec<ServerRef> = map
+        .hosts()
+        .iter()
+        .map(|&host| {
+            let sv = fed.server(ServerConfig::workstation(host));
+            sv.borrow_mut()
+                .register_resolver("counter", Box::new(ReexecuteResolver));
+            sv
+        })
         .collect();
-    let shards: Vec<usize> = urns.iter().map(|u| fed.shard_of(u)).collect();
+    fed.shards = Some(map.clone());
+    let mut cfg = ClientConfig::thinkpad(HostId(1), HostId(2));
+    cfg.shards = Some(map.clone());
+    let client = fed.client(cfg, LinkSpec::ETHERNET_10M);
+    let session = Client::create_session(&client, Guarantees::ALL, true);
+    let urns: Vec<Urn> = (0..n)
+        .map(|i| Urn::new("bench", &format!("obj{i}")).expect("valid urn"))
+        .collect();
+    for u in &urns {
+        fed.put_counter(u, 0);
+    }
+    let shards: Vec<usize> = urns.iter().map(|u| map.shard_for(u.as_str())).collect();
     assert!(
         shards.contains(&0) && shards.contains(&1),
         "population must span both shards"
     );
     // WALs attach after seeding so the initial checkpoint covers the
     // objects — crash-restart must bring them back.
-    fed.attach_wals();
-    for u in &urns {
-        let p = Client::import(&fed.client, &mut fed.sim, u, fed.session, Priority::NORMAL)
-            .expect("import");
-        fed.await_promise(&p);
+    for sv in &servers {
+        Server::attach_wal(sv, &mut fed.sim, Box::new(MemStore::new())).expect("attach_wal");
     }
-    (fed, urns)
+    for u in &urns {
+        let p =
+            Client::import(&client, &mut fed.sim, u, session, Priority::NORMAL).expect("import");
+        assert!(fed.await_promise(&p, LIMIT), "seed import");
+    }
+    (fed, servers, client, session, urns)
 }
 
 /// Interleaves reads and writes across both shards from one session,
@@ -50,14 +80,15 @@ fn federation_with_counters(n: usize) -> (Federation, Vec<Urn>) {
 #[test]
 fn cross_shard_session_interleaving_holds_guarantees() {
     for seed in [1u64, 7, 23] {
-        let (mut fed, urns) = federation_with_counters(8);
+        let (mut fed, servers, client, session, urns) = federation_with_counters(8);
         let mut rng = seed;
         let mut adds = vec![0u64; urns.len()];
         let mut floors = vec![0u64; urns.len()];
         let v0: Vec<u64> = urns
             .iter()
             .map(|u| {
-                fed.servers[fed.shard_of(u)]
+                fed.home(u)
+                    .unwrap()
                     .borrow()
                     .get_object(u)
                     .unwrap()
@@ -74,10 +105,10 @@ fn cross_shard_session_interleaving_holds_guarantees() {
                 let i = (splitmix(&mut rng) % urns.len() as u64) as usize;
                 if splitmix(&mut rng).is_multiple_of(2) {
                     let h = Client::export(
-                        &fed.client,
+                        &client,
                         &mut fed.sim,
                         &urns[i],
-                        fed.session,
+                        session,
                         "add",
                         &["1"],
                         Priority::NORMAL,
@@ -86,14 +117,9 @@ fn cross_shard_session_interleaving_holds_guarantees() {
                     adds[i] += 1;
                     commits.push((i, h.committed));
                 } else {
-                    let p = Client::import(
-                        &fed.client,
-                        &mut fed.sim,
-                        &urns[i],
-                        fed.session,
-                        Priority::NORMAL,
-                    )
-                    .expect("import");
+                    let p =
+                        Client::import(&client, &mut fed.sim, &urns[i], session, Priority::NORMAL)
+                            .expect("import");
                     import_log.push((i, p));
                 }
             }
@@ -131,7 +157,7 @@ fn cross_shard_session_interleaving_holds_guarantees() {
         // Exactly-once: each shard's committed copy counted every add
         // exactly once, and versions advanced once per commit.
         for (i, u) in urns.iter().enumerate() {
-            let s = fed.servers[fed.shard_of(u)].borrow();
+            let s = fed.home(u).unwrap().borrow();
             let o = s.get_object(u).unwrap();
             assert_eq!(
                 o.field("n").unwrap().parse::<u64>().unwrap(),
@@ -143,7 +169,7 @@ fn cross_shard_session_interleaving_holds_guarantees() {
         assert_eq!(fed.sim.stats.counter("server.dedup_miss_reexec"), 0);
         // Cross-shard exports carried read vectors; none may be stuck.
         assert!(fed.sim.stats.counter("server.wfr_checked") > 0);
-        for sv in &fed.servers {
+        for sv in &servers {
             assert_eq!(sv.borrow().wfr_held_count(), 0);
         }
     }
@@ -154,17 +180,17 @@ fn cross_shard_session_interleaving_holds_guarantees() {
 /// undisturbed, and the session guarantees hold across the outage.
 #[test]
 fn cross_shard_guarantees_survive_shard_crash_restart() {
-    let (mut fed, urns) = federation_with_counters(8);
+    let (mut fed, servers, client, session, urns) = federation_with_counters(8);
     let mut rng = 42u64;
     let mut adds = vec![0u64; urns.len()];
     let mut commits = Vec::new();
     for _ in 0..24 {
         let i = (splitmix(&mut rng) % urns.len() as u64) as usize;
         let h = Client::export(
-            &fed.client,
+            &client,
             &mut fed.sim,
             &urns[i],
-            fed.session,
+            session,
             "add",
             &["1"],
             Priority::NORMAL,
@@ -175,7 +201,7 @@ fn cross_shard_guarantees_survive_shard_crash_restart() {
     }
     // Power-fail shard 1 while the burst is in flight; bring it back
     // five seconds later. QRPC retransmission re-drives lost requests.
-    let sv = fed.servers[1].clone();
+    let sv = servers[1].clone();
     fed.sim.schedule_after(SimDuration::from_millis(50), {
         let sv = sv.clone();
         move |sim| Server::crash_now(&sv, sim)
@@ -202,7 +228,7 @@ fn cross_shard_guarantees_survive_shard_crash_restart() {
         "the outage must force retransmission"
     );
     for (i, u) in urns.iter().enumerate() {
-        let s = fed.servers[fed.shard_of(u)].borrow();
+        let s = fed.home(u).unwrap().borrow();
         let o = s.get_object(u).unwrap();
         assert_eq!(
             o.field("n").unwrap().parse::<u64>().unwrap(),
@@ -211,7 +237,7 @@ fn cross_shard_guarantees_survive_shard_crash_restart() {
         );
     }
     assert_eq!(fed.sim.stats.counter("server.dedup_miss_reexec"), 0);
-    for sv in &fed.servers {
+    for sv in &servers {
         assert_eq!(sv.borrow().wfr_held_count(), 0);
     }
 }

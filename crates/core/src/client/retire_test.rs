@@ -17,6 +17,7 @@ use rover_net::LinkSpec;
 
 use super::*;
 use crate::session::Guarantees;
+use crate::world::World;
 
 const CLIENT: HostId = HostId(1);
 const SERVER: HostId = HostId(2);
@@ -35,13 +36,13 @@ proptest! {
     #[test]
     fn deep_queue_retires_in_bounded_space_and_recovers_exactly(seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut sim = Sim::new(seed);
-        let net = Net::new();
-        let link = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
+        let mut w = World::new(seed);
+        let link = w.link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
         // Nothing leaves the host: the replies are made up below.
-        net.set_up(&mut sim, link, false);
+        w.net.set_up(&mut w.sim, link, false);
         let cfg = ClientConfig::thinkpad(CLIENT, SERVER);
-        let cl = Client::new(&mut sim, &net, cfg.clone(), vec![link]);
+        let links = w.links_of(CLIENT);
+        let cl = Client::new(&mut w.sim, &w.net, cfg.clone(), links);
         let session = Client::create_session(&cl, Guarantees::NONE, true);
 
         // (request id, bytes its record takes on the device)
@@ -49,10 +50,10 @@ proptest! {
         for i in 0..2000 {
             let urn = Urn::parse(&format!("urn:rover:t/m{i}")).unwrap();
             let before = footprint(&cl).0;
-            Client::import(&cl, &mut sim, &urn, session, Priority::BACKGROUND).unwrap();
+            Client::import(&cl, &mut w.sim, &urn, session, Priority::BACKGROUND).unwrap();
             live.push((cl.borrow().next_req - 1, footprint(&cl).0 - before));
         }
-        sim.run();
+        w.sim.run();
         let frame_max = live.iter().map(|l| l.1).max().unwrap();
         let mut live_bytes: u64 = live.iter().map(|l| l.1).sum();
         prop_assert_eq!(footprint(&cl), (live_bytes, 0));
@@ -66,7 +67,7 @@ proptest! {
                 version: Version(0),
                 payload: Bytes::new(),
             };
-            Client::complete(&cl, &mut sim, reply);
+            Client::complete(&cl, &mut w.sim, reply);
             live_bytes -= frame;
             let slack = live.len().max(64) as u64;
             let (device, staged) = footprint(&cl);
@@ -90,7 +91,7 @@ proptest! {
         cl.borrow_mut().log.flush().unwrap();
         let store = Client::crash(&cl);
         drop(cl);
-        let cl = Client::recover(&mut sim, &net, cfg, vec![link], store);
+        let cl = w.recover_client(cfg, store);
         let c = cl.borrow();
         let reissued: BTreeSet<u64> = c.outstanding.keys().copied().collect();
         prop_assert_eq!(reissued, live.iter().map(|l| l.0).collect::<BTreeSet<u64>>());

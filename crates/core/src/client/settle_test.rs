@@ -11,15 +11,15 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use rover_log::RecordKind;
-use rover_net::{LinkSpec, Net};
+use rover_net::LinkSpec;
 use rover_sim::Sim;
 use rover_wire::{Bytes, HostId, OpStatus, Priority, QrpcReply, RequestId, Version};
 
 use super::{Answer, Client};
 use crate::config::ClientConfig;
-use crate::object::RoverObject;
 use crate::session::Guarantees;
 use crate::urn::Urn;
+use crate::world::{counter_object, World};
 
 #[derive(Clone, Copy, Debug)]
 enum Class {
@@ -70,16 +70,15 @@ fn residue(c: &Client) -> Residue {
 /// `class` in flight (issued, logged, queued, its probe parked).
 /// Returns the bare client and the request's id.
 fn in_flight(class: Class) -> (Sim, Client, u64) {
-    let mut sim = Sim::new(1);
-    let net = Net::new();
-    let link = net.add_link(LinkSpec::ETHERNET_10M, HostId(1), HostId(2));
-    net.set_up(&mut sim, link, false);
+    let mut w = World::new(1);
+    let link = w.link(LinkSpec::ETHERNET_10M, HostId(1), HostId(2));
+    w.net.set_up(&mut w.sim, link, false);
     let cfg = ClientConfig::thinkpad(HostId(1), HostId(2));
-    let cl = Client::new(&mut sim, &net, cfg, vec![link]);
+    let links = w.links_of(HostId(1));
+    let World { mut sim, net, .. } = w;
+    let cl = Client::new(&mut sim, &net, cfg, links);
     let session = Client::create_session(&cl, Guarantees::ALL, true);
-    let counter = RoverObject::new(urn(), "counter")
-        .with_code("proc add {k} {rover::set n [expr {[rover::get n 0] + $k}]}")
-        .with_field("n", "0");
+    let counter = counter_object(&urn(), 0);
     cl.borrow_mut()
         .cache
         .install_committed(Rc::new(counter), sim.now());

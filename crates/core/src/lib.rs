@@ -23,36 +23,34 @@
 //! The moving parts live in focused modules: the [`Client`] access
 //! manager, the home [`Server`] (RDO execution + resolvers), the
 //! [`Cache`], [`Session`] guarantees, [`RoverObject`] RDOs, the
-//! [`Resolver`] registry, and [`Promise`]s.
+//! [`Resolver`] registry, and [`Promise`]s. A simulated [`World`] wires
+//! them onto one simulator and network.
 //!
 //! # Examples
 //!
 //! ```
-//! use rover_core::{Client, ClientConfig, Guarantees, RoverObject, Server, ServerConfig, Urn};
-//! use rover_net::{LinkSpec, Net};
-//! use rover_sim::Sim;
+//! use rover_core::{Client, ClientConfig, Guarantees, RoverObject, ServerConfig, Urn, World};
+//! use rover_net::LinkSpec;
 //! use rover_wire::{HostId, Priority};
 //!
-//! let mut sim = Sim::new(7);
-//! let net = Net::new();
+//! // One simulated world: a home server, and a client on one WaveLAN
+//! // link to it (the world routes the server's replies back over it).
+//! let mut w = World::new(7);
 //! let (ch, sh) = (HostId(1), HostId(2));
-//! let link = net.add_link(LinkSpec::WAVELAN_2M, ch, sh);
-//!
-//! let server = Server::new(&net, ServerConfig::workstation(sh));
-//! server.borrow_mut().add_route(ch, link);
+//! let server = w.server(ServerConfig::workstation(sh));
 //! server.borrow_mut().put_object(
 //!     RoverObject::new(Urn::parse("urn:rover:demo/hello").unwrap(), "demo")
 //!         .with_field("msg", "hello mobile world"),
 //! );
 //!
-//! let client = Client::new(&mut sim, &net, ClientConfig::thinkpad(ch, sh), vec![link]);
+//! let client = w.client(ClientConfig::thinkpad(ch, sh), LinkSpec::WAVELAN_2M);
 //! let session = Client::create_session(&client, Guarantees::ALL, true);
 //! let p = Client::import(
-//!     &client, &mut sim,
+//!     &client, &mut w.sim,
 //!     &Urn::parse("urn:rover:demo/hello").unwrap(),
 //!     session, Priority::FOREGROUND,
 //! ).unwrap();
-//! sim.run();
+//! w.sim.run();
 //! assert_eq!(p.poll().unwrap().object.unwrap().field("msg"), Some("hello mobile world"));
 //! ```
 
@@ -75,6 +73,7 @@ mod server;
 mod session;
 mod shard;
 mod urn;
+mod world;
 
 pub use cache::{Cache, CacheEntry};
 pub use checkpoint::{decode_checkpoint, encode_checkpoint, CheckpointImage};
@@ -92,5 +91,6 @@ pub use server::{CrashPoint, Server, ServerRef};
 pub use session::{Guarantees, Session};
 pub use shard::{ShardMap, ShardMapError};
 pub use urn::Urn;
+pub use world::{counter_object, step_until, World};
 
 pub use rover_wire::{HostId, OpStatus, Priority, RequestId, SessionId, Version};

@@ -6,7 +6,6 @@
 
 use std::rc::Rc;
 
-use rover_net::Net;
 use rover_sim::{Sim, SimDuration};
 use rover_wire::{
     HostId, MsgKind, OpStatus, Priority, QrpcReply, QrpcRequest, RequestId, RoverOp, SessionId,
@@ -16,9 +15,9 @@ use rover_wire::{
 use super::pipeline::{Gate, Staged};
 use super::Server;
 use crate::config::{CommitPolicy, ServerConfig};
-use crate::object::RoverObject;
 use crate::payload::ExportPayload;
 use crate::urn::Urn;
+use crate::world::{counter_object, World};
 
 const CLIENT: HostId = HostId(1);
 
@@ -34,15 +33,9 @@ fn server() -> Server {
         max_batch: 2,
         window: SimDuration::from_secs(1),
     };
-    let mut s = Rc::try_unwrap(Server::new(&Net::new(), cfg))
-        .ok()
-        .expect("sole owner")
-        .into_inner();
-    s.put_object(
-        RoverObject::new(urn(), "counter")
-            .with_code("proc add {k} {rover::set n [expr {[rover::get n 0] + $k}]}")
-            .with_field("n", "0"),
-    );
+    let sv = World::new(0).server(cfg);
+    let mut s = Rc::try_unwrap(sv).ok().expect("sole owner").into_inner();
+    s.put_object(counter_object(&urn(), 0));
     s
 }
 

@@ -14,8 +14,6 @@
 use std::collections::{HashMap, VecDeque};
 
 use proptest::prelude::*;
-use rover_net::Net;
-use rover_sim::Sim;
 use rover_wire::{
     Bytes, CommitRecord, HostId, OpStatus, Priority, QrpcReply, QrpcRequest, RequestId, RoverOp,
     SessionId, Version, Wire,
@@ -26,6 +24,7 @@ use crate::checkpoint::{decode_checkpoint, encode_checkpoint};
 use crate::config::ServerConfig;
 use crate::object::RoverObject;
 use crate::urn::Urn;
+use crate::world::World;
 
 type Key = (u32, u64);
 
@@ -148,11 +147,11 @@ proptest! {
         capacity in 0usize..10,
         steps in proptest::collection::vec((0u8..16, 0u32..4, 0u64..20, 0u64..20), 1..160),
     ) {
-        let mut sim = Sim::new(1);
-        let net = Net::new();
+        let mut w = World::new(1);
         let mut cfg = ServerConfig::workstation(HostId(99));
         cfg.dedup_capacity = capacity;
-        let sv = Server::new(&net, cfg);
+        let sv = w.server(cfg);
+        let World { mut sim, .. } = w;
         sv.borrow_mut()
             .put_object(RoverObject::new(note_urn(), "note").with_field("body", "unchanged"));
         let note = sv.borrow().get_object(&note_urn()).expect("seeded").clone();

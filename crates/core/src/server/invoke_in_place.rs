@@ -7,7 +7,6 @@
 
 use std::rc::Rc;
 
-use rover_net::Net;
 use rover_script::{Budget, Value};
 use rover_sim::Sim;
 use rover_wire::{
@@ -16,18 +15,19 @@ use rover_wire::{
 };
 
 use super::pipeline::Admitted;
-use super::{Server, ServerRef};
+use super::ServerRef;
 use crate::config::ServerConfig;
 use crate::object::RoverObject;
 use crate::payload::InvokePayload;
 use crate::urn::Urn;
+use crate::world::World;
 
 fn urn() -> Urn {
     Urn::parse("urn:rover:invoke/index").expect("static urn")
 }
 
 fn server() -> ServerRef {
-    let sv = Server::new(&Net::new(), ServerConfig::workstation(HostId(99)));
+    let sv = World::new(0).server(ServerConfig::workstation(HostId(99)));
     sv.borrow_mut().put_object(
         RoverObject::new(urn(), "index")
             .with_code(

@@ -15,11 +15,11 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 use rover_core::{
-    Cache, CacheEntry, Client, ClientConfig, Guarantees, ReexecuteResolver, RoverObject, Server,
-    ServerConfig, Urn,
+    Cache, CacheEntry, Client, ClientConfig, Guarantees, ReexecuteResolver, RoverObject,
+    ServerConfig, Urn, World,
 };
-use rover_net::{LinkSpec, Net};
-use rover_sim::{Sim, SimTime};
+use rover_net::LinkSpec;
+use rover_sim::SimTime;
 use rover_wire::{HostId, Priority, Version};
 
 fn urn(i: usize) -> Urn {
@@ -205,11 +205,8 @@ const SERVER: HostId = HostId(2);
 /// does afterwards shows through a held `Outcome`.
 #[test]
 fn outcome_shares_the_cached_image_and_never_sees_a_later_write() {
-    let mut sim = Sim::new(7);
-    let net = Net::new();
-    let link = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
-    let server = Server::new(&net, ServerConfig::workstation(SERVER));
-    server.borrow_mut().add_route(CLIENT, link);
+    let mut w = World::new(7);
+    let server = w.server(ServerConfig::workstation(SERVER));
     server
         .borrow_mut()
         .register_resolver("counter", Box::new(ReexecuteResolver));
@@ -221,12 +218,11 @@ fn outcome_shares_the_cached_image_and_never_sees_a_later_write() {
             )
             .with_field("n", "7"),
     );
-    let client = Client::new(
-        &mut sim,
-        &net,
+    let client = w.client(
         ClientConfig::thinkpad(CLIENT, SERVER),
-        vec![link],
+        LinkSpec::ETHERNET_10M,
     );
+    let World { mut sim, .. } = w;
     let session = Client::create_session(&client, Guarantees::ALL, true);
 
     let miss = Client::import(&client, &mut sim, &urn(0), session, Priority::FOREGROUND).unwrap();

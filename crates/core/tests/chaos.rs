@@ -7,23 +7,14 @@ use std::rc::Rc;
 
 use rover_core::{
     Client, ClientConfig, ClientEvent, Guarantees, OpStatus, Priority, ReexecuteResolver,
-    RoverObject, Server, ServerConfig, Urn,
+    ServerConfig, Urn, World,
 };
-use rover_net::{FaultSpec, LinkSpec, Net};
-use rover_sim::{Sim, SimDuration};
+use rover_net::{FaultSpec, LinkSpec};
+use rover_sim::SimDuration;
 use rover_wire::HostId;
 
 const CLIENT: HostId = HostId(1);
 const SERVER: HostId = HostId(2);
-
-fn counter(path: &str) -> RoverObject {
-    RoverObject::new(
-        Urn::parse(&format!("urn:rover:t/{path}")).unwrap(),
-        "counter",
-    )
-    .with_code("proc add {k} {rover::set n [expr {[rover::get n 0] + $k}]}")
-    .with_field("n", "0")
-}
 
 fn urn(path: &str) -> Urn {
     Urn::parse(&format!("urn:rover:t/{path}")).unwrap()
@@ -31,21 +22,20 @@ fn urn(path: &str) -> Urn {
 
 #[test]
 fn retry_budget_exhaustion_resolves_unreachable() {
-    let mut sim = Sim::new(7);
-    let net = Net::new();
-    let link = net.add_link(LinkSpec::WAVELAN_2M, CLIENT, SERVER);
-    let server = Server::new(&net, ServerConfig::workstation(SERVER));
-    server.borrow_mut().add_route(CLIENT, link);
+    let mut w = World::new(7);
+    let server = w.server(ServerConfig::workstation(SERVER));
     server
         .borrow_mut()
         .register_resolver("counter", Box::new(ReexecuteResolver));
-    server.borrow_mut().put_object(counter("c"));
+    w.put_counter(&urn("c"), 0);
 
     let mut cfg = ClientConfig::thinkpad(CLIENT, SERVER);
     cfg.rto = SimDuration::from_secs(5);
     cfg.rto_max = SimDuration::from_secs(40);
     cfg.retry_budget = Some(2);
-    let client = Client::new(&mut sim, &net, cfg, vec![link]);
+    let client = w.client(cfg, LinkSpec::WAVELAN_2M);
+    let link = w.links_of(CLIENT)[0];
+    let World { mut sim, net, .. } = w;
     let session = Client::create_session(&client, Guarantees::ALL, true);
 
     // Warm the cache over a healthy link, then black-hole it.
@@ -107,17 +97,16 @@ fn rto_backoff_doubles_the_probe_interval_up_to_rto_max() {
     // probe, and each retransmission doubles its probe interval until
     // `rto_max` caps it: from a 5 s RTO the retransmissions are 2 × 10,
     // 2 × 20 and then 2 × 40 s apart.
-    let mut sim = Sim::new(7);
-    let net = Net::new();
-    let link = net.add_link(LinkSpec::WAVELAN_2M, CLIENT, SERVER);
-    let server = Server::new(&net, ServerConfig::workstation(SERVER));
-    server.borrow_mut().add_route(CLIENT, link);
-    server.borrow_mut().put_object(counter("c"));
+    let mut w = World::new(7);
+    w.server(ServerConfig::workstation(SERVER));
+    w.put_counter(&urn("c"), 0);
     let mut cfg = ClientConfig::thinkpad(CLIENT, SERVER);
     cfg.rto = SimDuration::from_secs(5);
     cfg.rto_max = SimDuration::from_secs(40);
     cfg.retry_budget = Some(5);
-    let client = Client::new(&mut sim, &net, cfg, vec![link]);
+    let client = w.client(cfg, LinkSpec::WAVELAN_2M);
+    let link = w.links_of(CLIENT)[0];
+    let World { mut sim, net, .. } = w;
     let session = Client::create_session(&client, Guarantees::ALL, true);
     let p = Client::import(&client, &mut sim, &urn("c"), session, Priority::FOREGROUND).unwrap();
     sim.run();
@@ -159,22 +148,21 @@ fn exactly_once_under_chaos_with_dedup_pressure() {
     // than the number of in-flight requests, and retransmissions: the
     // acknowledgement floor must keep eviction safe, so no request ever
     // re-executes and no committed op is lost.
-    let mut sim = Sim::new(1995);
-    let net = Net::new();
-    let link = net.add_link(LinkSpec::WAVELAN_2M, CLIENT, SERVER);
+    let mut w = World::new(1995);
     let mut scfg = ServerConfig::workstation(SERVER);
     scfg.dedup_capacity = 2;
-    let server = Server::new(&net, scfg);
-    server.borrow_mut().add_route(CLIENT, link);
+    let server = w.server(scfg);
     server
         .borrow_mut()
         .register_resolver("counter", Box::new(ReexecuteResolver));
-    server.borrow_mut().put_object(counter("c"));
+    w.put_counter(&urn("c"), 0);
 
     let mut cfg = ClientConfig::thinkpad(CLIENT, SERVER);
     cfg.rto = SimDuration::from_secs(5);
     cfg.rto_max = SimDuration::from_secs(80);
-    let client = Client::new(&mut sim, &net, cfg, vec![link]);
+    let client = w.client(cfg, LinkSpec::WAVELAN_2M);
+    let link = w.links_of(CLIENT)[0];
+    let World { mut sim, net, .. } = w;
     let session = Client::create_session(&client, Guarantees::ALL, true);
 
     let p = Client::import(&client, &mut sim, &urn("c"), session, Priority::FOREGROUND).unwrap();

@@ -7,8 +7,8 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use rover_core::{
-    Client, ClientConfig, CrashPoint, ExportPayload, Guarantees, OpStatus, Priority,
-    ReexecuteResolver, RoverObject, Server, ServerConfig, ServerEvent, Urn,
+    counter_object, Client, ClientConfig, CrashPoint, ExportPayload, Guarantees, OpStatus,
+    Priority, ReexecuteResolver, Server, ServerConfig, ServerEvent, Urn, World,
 };
 use rover_log::{FaultKind, FaultStore, FileStore, FlushPolicy, MemStore, OpLog, RecordKind};
 use rover_net::{LinkSpec, Net};
@@ -25,12 +25,6 @@ fn urn(p: &str) -> Urn {
     Urn::parse(&format!("urn:rover:t/{p}")).unwrap()
 }
 
-fn counter(p: &str) -> RoverObject {
-    RoverObject::new(urn(p), "counter")
-        .with_code("proc add {k} {rover::set n [expr {[rover::get n 0] + $k}]}")
-        .with_field("n", "0")
-}
-
 struct Rig {
     sim: Sim,
     net: Net,
@@ -43,19 +37,17 @@ struct Rig {
 /// at the server; the client probes aggressively so crash tests
 /// converge fast.
 fn rig(seed: u64, scfg: ServerConfig) -> Rig {
-    let mut sim = Sim::new(seed);
-    let net = Net::new();
-    let link = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
-    let server = Server::new(&net, scfg);
-    server.borrow_mut().add_route(CLIENT, link);
+    let mut w = World::new(seed);
+    let server = w.server(scfg);
     server
         .borrow_mut()
         .register_resolver("counter", Box::new(ReexecuteResolver));
-    server.borrow_mut().put_object(counter("c"));
+    w.put_counter(&urn("c"), 0);
     let mut cfg = ClientConfig::thinkpad(CLIENT, SERVER);
     cfg.rto = SimDuration::from_secs(5);
     cfg.rto_max = SimDuration::from_secs(40);
-    let client = Client::new(&mut sim, &net, cfg, vec![link]);
+    let client = w.client(cfg, LinkSpec::ETHERNET_10M);
+    let World { sim, net, .. } = w;
     let session = Client::create_session(&client, Guarantees::ALL, true);
     Rig {
         sim,
@@ -367,7 +359,9 @@ fn warm_import_store_replaces_state_wholesale() {
     // A *warm* server with different objects and its own at-most-once
     // state imports the snapshot: everything pre-import must be gone.
     let mut b = rig(18, ServerConfig::workstation(SERVER));
-    b.server.borrow_mut().put_object(counter("other"));
+    b.server
+        .borrow_mut()
+        .put_object(counter_object(&urn("other"), 0));
     import(&mut b);
     for _ in 0..2 {
         let h = export_add(&mut b);
@@ -532,14 +526,9 @@ fn recovery_rejects_a_record_kind_it_does_not_write() {
     let mut log = OpLog::open_with(MemStore::new(), FlushPolicy::Manual, false).unwrap();
     log.append(RecordKind::Other(0x10), rec.to_bytes()).unwrap();
     log.flush().unwrap();
-    let mut sim = Sim::new(24);
+    let mut w = World::new(24);
     let store = Box::new(log.into_store());
-    let res = Server::recover(
-        &Net::new(),
-        ServerConfig::workstation(SERVER),
-        &mut sim,
-        store,
-    );
+    let res = Server::recover(&w.net, ServerConfig::workstation(SERVER), &mut w.sim, store);
     assert!(res.is_err());
 }
 
@@ -547,17 +536,16 @@ fn recovery_rejects_a_record_kind_it_does_not_write() {
 fn crash_event_counts_only_the_crashed_servers_commits() {
     // Two servers on one simulator share its stats: a crash must report
     // the crashed server's own durable commits.
-    let mut sim = Sim::new(23);
-    let net = Net::new();
-    net.register_host(CLIENT, |_sim, _net, _env: Envelope| {});
+    let mut w = World::new(23);
+    w.net.register_host(CLIENT, |_sim, _net, _env: Envelope| {});
     let mut servers = Vec::new();
     for host in [SERVER, HostId(3)] {
-        let link = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, host);
-        let server = Server::new(&net, ServerConfig::workstation(host));
-        server.borrow_mut().add_route(CLIENT, link);
-        Server::attach_wal(&server, &mut sim, Box::new(MemStore::new())).unwrap();
+        let server = w.server(ServerConfig::workstation(host));
+        let link = w.link(LinkSpec::ETHERNET_10M, CLIENT, host);
+        Server::attach_wal(&server, &mut w.sim, Box::new(MemStore::new())).unwrap();
         servers.push((server, link, host));
     }
+    let World { mut sim, net, .. } = w;
     // Two commits on the first server, three on the second.
     for ((_, link, host), n) in servers.iter().zip([2, 3]) {
         for id in 1..=n {
@@ -639,16 +627,16 @@ struct RawRig {
 }
 
 fn raw_rig(seed: u64, checkpoint_every: usize) -> RawRig {
-    let sim = Sim::new(seed);
-    let net = Net::new();
-    let link = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
+    let mut w = World::new(seed);
     let mut scfg = ServerConfig::workstation(SERVER);
     scfg.checkpoint_every = checkpoint_every;
-    let server = Server::new(&net, scfg);
+    let server = w.server(scfg);
     server
         .borrow_mut()
         .register_resolver("counter", Box::new(ReexecuteResolver));
-    server.borrow_mut().put_object(counter("c"));
+    w.put_counter(&urn("c"), 0);
+    let link = w.link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
+    let World { sim, net, .. } = w;
     let replies: Rc<RefCell<Vec<QrpcReply>>> = Rc::new(RefCell::new(Vec::new()));
     let sink = replies.clone();
     net.register_host(CLIENT, move |_sim, _net, env: Envelope| {

@@ -5,10 +5,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use rover_core::{
-    Client, ClientConfig, ClientEvent, ClientRef, Guarantees, OpStatus, Priority,
-    ReexecuteResolver, RoverObject, Server, ServerConfig, ServerRef, SessionId, Urn,
+    counter_object, Client, ClientConfig, ClientEvent, ClientRef, Guarantees, OpStatus, Priority,
+    ReexecuteResolver, RoverObject, ServerConfig, ServerRef, SessionId, Urn, World,
 };
-use rover_net::{LinkId, LinkSpec, Net};
+use rover_net::LinkSpec;
 use rover_sim::{Sim, SimDuration};
 use rover_wire::HostId;
 
@@ -16,35 +16,40 @@ const CLIENT: HostId = HostId(1);
 const CLIENT2: HostId = HostId(3);
 const SERVER: HostId = HostId(2);
 
-fn counter(path: &str) -> RoverObject {
-    RoverObject::new(
-        Urn::parse(&format!("urn:rover:t/{path}")).unwrap(),
-        "counter",
-    )
-    .with_code("proc add {k} {rover::set n [expr {[rover::get n 0] + $k}]}")
-    .with_field("n", "0")
-}
-
 fn urn(path: &str) -> Urn {
     Urn::parse(&format!("urn:rover:t/{path}")).unwrap()
 }
 
-#[test]
-fn lossy_channel_recovers_via_strike_retransmission() {
-    let mut sim = Sim::new(99);
-    let net = Net::new();
-    let link = net.add_link(LinkSpec::WAVELAN_2M, CLIENT, SERVER);
-    net.set_loss(link, 0.20); // a noisy wireless channel
-    let server = Server::new(&net, ServerConfig::workstation(SERVER));
-    server.borrow_mut().add_route(CLIENT, link);
+/// A world whose server holds counter `c` (concurrent adds re-execute),
+/// with server callbacks on or off.
+fn counter_world(seed: u64, callbacks: bool) -> (World, ServerRef) {
+    let mut w = World::new(seed);
+    let mut scfg = ServerConfig::workstation(SERVER);
+    scfg.callbacks = callbacks;
+    let server = w.server(scfg);
     server
         .borrow_mut()
         .register_resolver("counter", Box::new(ReexecuteResolver));
-    server.borrow_mut().put_object(counter("c"));
+    w.put_counter(&urn("c"), 0);
+    (w, server)
+}
+
+/// A writer on `CLIENT` and a reader on `CLIENT2`, each on its own
+/// Ethernet link to the server.
+fn writer_and_reader(w: &mut World) -> (ClientRef, ClientRef) {
+    let mut client = |host| w.client(ClientConfig::thinkpad(host, SERVER), LinkSpec::ETHERNET_10M);
+    (client(CLIENT), client(CLIENT2))
+}
+
+#[test]
+fn lossy_channel_recovers_via_strike_retransmission() {
+    let (mut w, server) = counter_world(99, false);
 
     let mut cfg = ClientConfig::thinkpad(CLIENT, SERVER);
     cfg.rto = SimDuration::from_secs(5);
-    let client = Client::new(&mut sim, &net, cfg, vec![link]);
+    let client = w.client(cfg, LinkSpec::WAVELAN_2M);
+    w.net.set_loss(w.links_of(CLIENT)[0], 0.20); // a noisy wireless channel
+    let World { mut sim, .. } = w;
     let session = Client::create_session(&client, Guarantees::ALL, true);
 
     let p = Client::import(&client, &mut sim, &urn("c"), session, Priority::FOREGROUND).unwrap();
@@ -86,29 +91,29 @@ fn lossy_channel_recovers_via_strike_retransmission() {
 
 #[test]
 fn crash_recovery_reissues_queued_qrpcs() {
-    let mut sim = Sim::new(7);
-    let net = Net::new();
-    let link = net.add_link(LinkSpec::CSLIP_14_4, CLIENT, SERVER);
-    let server = Server::new(&net, ServerConfig::workstation(SERVER));
-    server.borrow_mut().add_route(CLIENT, link);
-    server
-        .borrow_mut()
-        .register_resolver("counter", Box::new(ReexecuteResolver));
-    server.borrow_mut().put_object(counter("c"));
+    let (mut w, server) = counter_world(7, false);
 
     let cfg = ClientConfig::thinkpad(CLIENT, SERVER);
-    let client = Client::new(&mut sim, &net, cfg.clone(), vec![link]);
+    let client = w.client(cfg.clone(), LinkSpec::CSLIP_14_4);
+    let link = w.links_of(CLIENT)[0];
     let session = Client::create_session(&client, Guarantees::ALL, true);
-    let p = Client::import(&client, &mut sim, &urn("c"), session, Priority::FOREGROUND).unwrap();
-    sim.run();
+    let p = Client::import(
+        &client,
+        &mut w.sim,
+        &urn("c"),
+        session,
+        Priority::FOREGROUND,
+    )
+    .unwrap();
+    w.sim.run();
     assert!(p.is_ready());
 
     // Disconnect and queue five updates; the log holds them durably.
-    net.set_up(&mut sim, link, false);
+    w.net.set_up(&mut w.sim, link, false);
     for _ in 0..5 {
         Client::export(
             &client,
-            &mut sim,
+            &mut w.sim,
             &urn("c"),
             session,
             "add",
@@ -116,21 +121,21 @@ fn crash_recovery_reissues_queued_qrpcs() {
             Priority::NORMAL,
         )
         .unwrap();
-        sim.run_for(SimDuration::from_secs(1));
+        w.sim.run_for(SimDuration::from_secs(1));
     }
     assert_eq!(Client::log_len(&client), 5);
 
     // Crash: everything in memory is gone; only the log device remains.
     let store = Client::crash(&client);
     drop(client);
-    sim.run_for(SimDuration::from_secs(60));
+    w.sim.run_for(SimDuration::from_secs(60));
 
     // Reboot, recover, reconnect: the queued updates drain.
-    let client = Client::recover(&mut sim, &net, cfg, vec![link], store);
+    let client = w.recover_client(cfg, store);
     assert_eq!(Client::outstanding_count(&client), 5);
-    assert_eq!(sim.stats.counter("client.recovered_qrpcs"), 5);
-    net.set_up(&mut sim, link, true);
-    sim.run_until(sim.now() + SimDuration::from_secs(600));
+    assert_eq!(w.sim.stats.counter("client.recovered_qrpcs"), 5);
+    w.net.set_up(&mut w.sim, link, true);
+    w.sim.run_until(w.sim.now() + SimDuration::from_secs(600));
     assert_eq!(Client::outstanding_count(&client), 0);
     assert_eq!(
         server.borrow().get_object(&urn("c")).unwrap().field("n"),
@@ -143,21 +148,20 @@ fn crash_recovery_is_exactly_once_even_if_ops_already_committed() {
     // Ops commit at the server, but the client crashes before
     // processing the replies: recovery re-sends them and the server's
     // dedup cache answers without re-executing.
-    let mut sim = Sim::new(8);
-    let net = Net::new();
-    let link = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
-    let server = Server::new(&net, ServerConfig::workstation(SERVER));
-    server.borrow_mut().add_route(CLIENT, link);
-    server
-        .borrow_mut()
-        .register_resolver("counter", Box::new(ReexecuteResolver));
-    server.borrow_mut().put_object(counter("c"));
+    let (mut w, server) = counter_world(8, false);
 
     let cfg = ClientConfig::thinkpad(CLIENT, SERVER);
-    let client = Client::new(&mut sim, &net, cfg.clone(), vec![link]);
+    let client = w.client(cfg.clone(), LinkSpec::ETHERNET_10M);
     let session = Client::create_session(&client, Guarantees::ALL, true);
-    let p = Client::import(&client, &mut sim, &urn("c"), session, Priority::FOREGROUND).unwrap();
-    sim.run();
+    let p = Client::import(
+        &client,
+        &mut w.sim,
+        &urn("c"),
+        session,
+        Priority::FOREGROUND,
+    )
+    .unwrap();
+    w.sim.run();
     assert!(p.is_ready());
 
     // Issue three exports and let them *reach the server* but crash
@@ -165,7 +169,7 @@ fn crash_recovery_is_exactly_once_even_if_ops_already_committed() {
     for _ in 0..3 {
         Client::export(
             &client,
-            &mut sim,
+            &mut w.sim,
             &urn("c"),
             session,
             "add",
@@ -174,7 +178,7 @@ fn crash_recovery_is_exactly_once_even_if_ops_already_committed() {
         )
         .unwrap();
     }
-    sim.run_for(SimDuration::from_millis(80)); // requests land, replies in flight
+    w.sim.run_for(SimDuration::from_millis(80)); // requests land, replies in flight
     assert_eq!(
         server.borrow().get_object(&urn("c")).unwrap().field("n"),
         Some("3")
@@ -182,32 +186,15 @@ fn crash_recovery_is_exactly_once_even_if_ops_already_committed() {
     let store = Client::crash(&client);
     drop(client);
 
-    let client = Client::recover(&mut sim, &net, cfg, vec![link], store);
-    sim.run_until(sim.now() + SimDuration::from_secs(60));
+    let client = w.recover_client(cfg, store);
+    w.sim.run_until(w.sim.now() + SimDuration::from_secs(60));
     assert_eq!(Client::outstanding_count(&client), 0);
     // Still exactly 3 — dedup replayed, never re-executed.
     assert_eq!(
         server.borrow().get_object(&urn("c")).unwrap().field("n"),
         Some("3")
     );
-    assert!(sim.stats.counter("server.dedup_replay") >= 1);
-}
-
-/// A server holding counter `c` and a client on one Ethernet link.
-fn counter_rig(seed: u64) -> (Sim, Net, LinkId, ServerRef, ClientConfig) {
-    let sim = Sim::new(seed);
-    let net = Net::new();
-    let link = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
-    let server = Server::new(&net, ServerConfig::workstation(SERVER));
-    server.borrow_mut().add_route(CLIENT, link);
-    server.borrow_mut().put_object(counter("c"));
-    (
-        sim,
-        net,
-        link,
-        server,
-        ClientConfig::thinkpad(CLIENT, SERVER),
-    )
+    assert!(w.sim.stats.counter("server.dedup_replay") >= 1);
 }
 
 #[test]
@@ -217,7 +204,8 @@ fn recovered_client_opens_sessions_the_server_has_not_seen() {
     // seq 1 again: had the session id been reused, the server would
     // take it for a stale duplicate of the first export and answer
     // without running it.
-    let (mut sim, net, link, server, cfg) = counter_rig(11);
+    let (mut w, server) = counter_world(11, false);
+    let cfg = ClientConfig::thinkpad(CLIENT, SERVER);
     let import_and_add = |client: &ClientRef, sim: &mut Sim, session: SessionId| {
         Client::import(client, sim, &urn("c"), session, Priority::FOREGROUND).unwrap();
         sim.run();
@@ -234,17 +222,17 @@ fn recovered_client_opens_sessions_the_server_has_not_seen() {
         sim.run();
         h.committed.poll().expect("export decided").status
     };
-    let client = Client::new(&mut sim, &net, cfg.clone(), vec![link]);
+    let client = w.client(cfg.clone(), LinkSpec::ETHERNET_10M);
     let session = Client::create_session(&client, Guarantees::ALL, true);
-    assert_eq!(import_and_add(&client, &mut sim, session), OpStatus::Ok);
+    assert_eq!(import_and_add(&client, &mut w.sim, session), OpStatus::Ok);
 
     let store = Client::crash(&client);
     drop(client);
-    let client = Client::recover(&mut sim, &net, cfg, vec![link], store);
-    sim.run();
+    let client = w.recover_client(cfg, store);
+    w.sim.run();
     let session = Client::create_session(&client, Guarantees::ALL, true);
-    assert_eq!(import_and_add(&client, &mut sim, session), OpStatus::Ok);
-    assert_eq!(sim.stats.counter("server.stale_duplicate"), 0);
+    assert_eq!(import_and_add(&client, &mut w.sim, session), OpStatus::Ok);
+    assert_eq!(w.sim.stats.counter("server.stale_duplicate"), 0);
     assert_eq!(
         server.borrow().get_object(&urn("c")).unwrap().field("n"),
         Some("2")
@@ -257,23 +245,31 @@ fn recovered_client_never_reuses_a_compacted_request_id() {
     // log. Had the recovered client restarted its ids at 1, the server
     // would answer its first import from ping 1's dedup entry: `Ok`,
     // with no object.
-    let (mut sim, net, link, _server, cfg) = counter_rig(12);
-    let client = Client::new(&mut sim, &net, cfg.clone(), vec![link]);
+    let (mut w, _server) = counter_world(12, false);
+    let cfg = ClientConfig::thinkpad(CLIENT, SERVER);
+    let client = w.client(cfg.clone(), LinkSpec::ETHERNET_10M);
     let session = Client::create_session(&client, Guarantees::ALL, true);
     let pings: Vec<_> = (0..64)
-        .map(|_| Client::ping(&client, &mut sim, session, Priority::NORMAL))
+        .map(|_| Client::ping(&client, &mut w.sim, session, Priority::NORMAL))
         .collect();
-    sim.run();
+    w.sim.run();
     assert!(pings.iter().all(|p| p.is_ready()));
     assert_eq!(Client::log_len(&client), 0);
 
     let store = Client::crash(&client);
     drop(client);
-    let client = Client::recover(&mut sim, &net, cfg, vec![link], store);
+    let client = w.recover_client(cfg, store);
     assert_eq!(Client::outstanding_count(&client), 0);
     let session = Client::create_session(&client, Guarantees::ALL, true);
-    let p = Client::import(&client, &mut sim, &urn("c"), session, Priority::FOREGROUND).unwrap();
-    sim.run();
+    let p = Client::import(
+        &client,
+        &mut w.sim,
+        &urn("c"),
+        session,
+        Priority::FOREGROUND,
+    )
+    .unwrap();
+    w.sim.run();
     let outcome = p.poll().expect("import answered");
     assert_eq!(outcome.status, OpStatus::Ok);
     assert!(outcome.object.is_some(), "answered with a ping's reply");
@@ -283,32 +279,9 @@ fn recovered_client_never_reuses_a_compacted_request_id() {
 #[test]
 fn server_callbacks_invalidate_stale_caches() {
     let run = |callbacks: bool| -> (bool, u64) {
-        let mut sim = Sim::new(5);
-        let net = Net::new();
-        let l1 = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
-        let l2 = net.add_link(LinkSpec::ETHERNET_10M, CLIENT2, SERVER);
-        let mut scfg = ServerConfig::workstation(SERVER);
-        scfg.callbacks = callbacks;
-        let server = Server::new(&net, scfg);
-        server.borrow_mut().add_route(CLIENT, l1);
-        server.borrow_mut().add_route(CLIENT2, l2);
-        server
-            .borrow_mut()
-            .register_resolver("counter", Box::new(ReexecuteResolver));
-        server.borrow_mut().put_object(counter("c"));
-
-        let writer = Client::new(
-            &mut sim,
-            &net,
-            ClientConfig::thinkpad(CLIENT, SERVER),
-            vec![l1],
-        );
-        let reader = Client::new(
-            &mut sim,
-            &net,
-            ClientConfig::thinkpad(CLIENT2, SERVER),
-            vec![l2],
-        );
+        let (mut w, _server) = counter_world(5, callbacks);
+        let (writer, reader) = writer_and_reader(&mut w);
+        let World { mut sim, .. } = w;
         let ws = Client::create_session(&writer, Guarantees::ALL, true);
         let rs = Client::create_session(&reader, Guarantees::NONE, false);
 
@@ -369,32 +342,10 @@ fn server_callbacks_invalidate_stale_caches() {
 
 #[test]
 fn disconnected_reader_serves_stale_copy_despite_invalidation() {
-    let mut sim = Sim::new(6);
-    let net = Net::new();
-    let l1 = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
-    let l2 = net.add_link(LinkSpec::ETHERNET_10M, CLIENT2, SERVER);
-    let mut scfg = ServerConfig::workstation(SERVER);
-    scfg.callbacks = true;
-    let server = Server::new(&net, scfg);
-    server.borrow_mut().add_route(CLIENT, l1);
-    server.borrow_mut().add_route(CLIENT2, l2);
-    server
-        .borrow_mut()
-        .register_resolver("counter", Box::new(ReexecuteResolver));
-    server.borrow_mut().put_object(counter("c"));
-
-    let writer = Client::new(
-        &mut sim,
-        &net,
-        ClientConfig::thinkpad(CLIENT, SERVER),
-        vec![l1],
-    );
-    let reader = Client::new(
-        &mut sim,
-        &net,
-        ClientConfig::thinkpad(CLIENT2, SERVER),
-        vec![l2],
-    );
+    let (mut w, _server) = counter_world(6, true);
+    let (writer, reader) = writer_and_reader(&mut w);
+    let l2 = w.links_of(CLIENT2)[0];
+    let World { mut sim, net, .. } = w;
     let ws = Client::create_session(&writer, Guarantees::ALL, true);
     let rs = Client::create_session(&reader, Guarantees::NONE, false);
     for (c, s) in [(&writer, ws), (&reader, rs)] {
@@ -436,31 +387,9 @@ fn volatile_server_sends_callbacks_with_the_reply_not_before() {
     // pipeline as a durable one: the importer's invalidation callback
     // leaves with the writer's reply, once the commit's CPU work is
     // done, never while the reply is still being computed.
-    let mut sim = Sim::new(6);
-    let net = Net::new();
-    let l1 = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
-    let l2 = net.add_link(LinkSpec::ETHERNET_10M, CLIENT2, SERVER);
-    let mut scfg = ServerConfig::workstation(SERVER);
-    scfg.callbacks = true;
-    let server = Server::new(&net, scfg);
-    server.borrow_mut().add_route(CLIENT, l1);
-    server.borrow_mut().add_route(CLIENT2, l2);
-    server
-        .borrow_mut()
-        .register_resolver("counter", Box::new(ReexecuteResolver));
-    server.borrow_mut().put_object(counter("c"));
-    let writer = Client::new(
-        &mut sim,
-        &net,
-        ClientConfig::thinkpad(CLIENT, SERVER),
-        vec![l1],
-    );
-    let reader = Client::new(
-        &mut sim,
-        &net,
-        ClientConfig::thinkpad(CLIENT2, SERVER),
-        vec![l2],
-    );
+    let (mut w, _server) = counter_world(6, true);
+    let (writer, reader) = writer_and_reader(&mut w);
+    let World { mut sim, .. } = w;
     let ws = Client::create_session(&writer, Guarantees::ALL, true);
     let rs = Client::create_session(&reader, Guarantees::NONE, false);
     for (c, s) in [(&writer, ws), (&reader, rs)] {
@@ -494,18 +423,15 @@ fn volatile_server_sends_callbacks_with_the_reply_not_before() {
 
 #[test]
 fn authentication_gates_all_operations() {
-    let mut sim = Sim::new(17);
-    let net = Net::new();
-    let link = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
-    let server = Server::new(&net, ServerConfig::workstation(SERVER));
-    server.borrow_mut().add_route(CLIENT, link);
-    server.borrow_mut().put_object(counter("c"));
+    let (mut w, server) = counter_world(17, false);
     server.borrow_mut().require_auth(&[0xC0FFEE, 0xBEEF]);
 
     // Wrong token: every operation is rejected.
     let mut bad_cfg = ClientConfig::thinkpad(CLIENT, SERVER);
     bad_cfg.auth_token = 0xBAD;
-    let bad = Client::new(&mut sim, &net, bad_cfg, vec![link]);
+    let bad = w.client(bad_cfg, LinkSpec::ETHERNET_10M);
+    let links = w.links_of(CLIENT);
+    let World { mut sim, net, .. } = w;
     let bs = Client::create_session(&bad, Guarantees::ALL, true);
     let p = Client::import(&bad, &mut sim, &urn("c"), bs, Priority::FOREGROUND).unwrap();
     sim.run();
@@ -516,7 +442,7 @@ fn authentication_gates_all_operations() {
     // client; the latest registration wins.)
     let mut good_cfg = ClientConfig::thinkpad(CLIENT, SERVER);
     good_cfg.auth_token = 0xC0FFEE;
-    let good = Client::new(&mut sim, &net, good_cfg, vec![link]);
+    let good = Client::new(&mut sim, &net, good_cfg, links);
     let gs = Client::create_session(&good, Guarantees::ALL, true);
     let p = Client::import(&good, &mut sim, &urn("c"), gs, Priority::FOREGROUND).unwrap();
     sim.run();
@@ -543,35 +469,33 @@ fn authentication_gates_all_operations() {
 
 #[test]
 fn server_store_checkpoint_and_restart() {
-    let mut sim = Sim::new(21);
-    let net = Net::new();
-    let link = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
-    let server = Server::new(&net, ServerConfig::workstation(SERVER));
-    server.borrow_mut().add_route(CLIENT, link);
+    let mut w = World::new(21);
+    let server = w.server(ServerConfig::workstation(SERVER));
     server
         .borrow_mut()
         .register_resolver("counter", Box::new(ReexecuteResolver));
-    server
-        .borrow_mut()
-        .put_object(counter("a").with_field("n", "3"));
-    server
-        .borrow_mut()
-        .put_object(counter("b").with_field("n", "9"));
+    w.put_counter(&urn("a"), 3);
+    w.put_counter(&urn("b"), 9);
 
-    let client = Client::new(
-        &mut sim,
-        &net,
+    let client = w.client(
         ClientConfig::thinkpad(CLIENT, SERVER),
-        vec![link],
+        LinkSpec::ETHERNET_10M,
     );
     let session = Client::create_session(&client, Guarantees::ALL, true);
-    let p = Client::import(&client, &mut sim, &urn("a"), session, Priority::FOREGROUND).unwrap();
-    sim.run();
+    let p = Client::import(
+        &client,
+        &mut w.sim,
+        &urn("a"),
+        session,
+        Priority::FOREGROUND,
+    )
+    .unwrap();
+    w.sim.run();
     assert!(p.is_ready());
     // Commit one export so versions advance past 1.
     let h = Client::export(
         &client,
-        &mut sim,
+        &mut w.sim,
         &urn("a"),
         session,
         "add",
@@ -579,14 +503,13 @@ fn server_store_checkpoint_and_restart() {
         Priority::NORMAL,
     )
     .unwrap();
-    sim.run();
+    w.sim.run();
     assert!(h.committed.is_ready());
 
     // Checkpoint, "restart" into a brand-new server on the same host.
     let snapshot = server.borrow().export_store();
     drop(server);
-    let server2 = Server::new(&net, ServerConfig::workstation(SERVER));
-    server2.borrow_mut().add_route(CLIENT, link);
+    let server2 = w.server(ServerConfig::workstation(SERVER));
     server2
         .borrow_mut()
         .register_resolver("counter", Box::new(ReexecuteResolver));
@@ -607,7 +530,7 @@ fn server_store_checkpoint_and_restart() {
     // the restored write-ordering floor admits the next ordered export.
     let h = Client::export(
         &client,
-        &mut sim,
+        &mut w.sim,
         &urn("a"),
         session,
         "add",
@@ -615,7 +538,7 @@ fn server_store_checkpoint_and_restart() {
         Priority::NORMAL,
     )
     .unwrap();
-    sim.run_until(sim.now() + SimDuration::from_secs(1000));
+    w.sim.run_until(w.sim.now() + SimDuration::from_secs(1000));
     assert!(h.committed.is_ready(), "commit never arrived");
     assert_eq!(h.committed.poll().unwrap().status, OpStatus::Ok);
     assert_eq!(
@@ -626,19 +549,11 @@ fn server_store_checkpoint_and_restart() {
 
 #[test]
 fn trace_records_protocol_events() {
-    let mut sim = Sim::new(23);
-    sim.trace.set_enabled(true);
-    let net = Net::new();
-    let link = net.add_link(LinkSpec::WAVELAN_2M, CLIENT, SERVER);
-    let server = Server::new(&net, ServerConfig::workstation(SERVER));
-    server.borrow_mut().add_route(CLIENT, link);
-    server.borrow_mut().put_object(counter("c"));
-    let client = Client::new(
-        &mut sim,
-        &net,
-        ClientConfig::thinkpad(CLIENT, SERVER),
-        vec![link],
-    );
+    let (mut w, _server) = counter_world(23, false);
+    w.sim.trace.set_enabled(true);
+    let client = w.client(ClientConfig::thinkpad(CLIENT, SERVER), LinkSpec::WAVELAN_2M);
+    let link = w.links_of(CLIENT)[0];
+    let World { mut sim, net, .. } = w;
     let session = Client::create_session(&client, Guarantees::ALL, true);
 
     let p = Client::import(&client, &mut sim, &urn("c"), session, Priority::FOREGROUND).unwrap();
@@ -657,30 +572,9 @@ fn trace_records_protocol_events() {
 
 #[test]
 fn polling_refreshes_stale_caches_and_stops_on_drop() {
-    let mut sim = Sim::new(29);
-    let net = Net::new();
-    let l1 = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
-    let l2 = net.add_link(LinkSpec::ETHERNET_10M, CLIENT2, SERVER);
-    let server = Server::new(&net, ServerConfig::workstation(SERVER));
-    server.borrow_mut().add_route(CLIENT, l1);
-    server.borrow_mut().add_route(CLIENT2, l2);
-    server
-        .borrow_mut()
-        .register_resolver("counter", Box::new(ReexecuteResolver));
-    server.borrow_mut().put_object(counter("c"));
-
-    let writer = Client::new(
-        &mut sim,
-        &net,
-        ClientConfig::thinkpad(CLIENT, SERVER),
-        vec![l1],
-    );
-    let reader = Client::new(
-        &mut sim,
-        &net,
-        ClientConfig::thinkpad(CLIENT2, SERVER),
-        vec![l2],
-    );
+    let (mut w, _server) = counter_world(29, false);
+    let (writer, reader) = writer_and_reader(&mut w);
+    let World { mut sim, .. } = w;
     let ws = Client::create_session(&writer, Guarantees::ALL, true);
     let rs = Client::create_session(&reader, Guarantees::NONE, false);
     for (c, s) in [(&writer, ws), (&reader, rs)] {
@@ -727,39 +621,36 @@ fn multiple_home_servers_routed_by_authority() {
     // "Every object has a home server": the mail authority lives on one
     // host, the calendar authority on another, each behind its own
     // link; the client's scheduler routes each QRPC to the right one.
-    let mut sim = Sim::new(41);
-    let net = Net::new();
+    let mut w = World::new(41);
     let mail_host = HostId(10);
     let cal_host = HostId(11);
-    let l_mail = net.add_link(LinkSpec::WAVELAN_2M, CLIENT, mail_host);
-    let l_cal = net.add_link(LinkSpec::CSLIP_14_4, CLIENT, cal_host);
+    w.link(LinkSpec::WAVELAN_2M, CLIENT, mail_host);
+    w.link(LinkSpec::CSLIP_14_4, CLIENT, cal_host);
 
-    let mail_sv = Server::new(&net, ServerConfig::workstation(mail_host));
-    mail_sv.borrow_mut().add_route(CLIENT, l_mail);
+    let mail_sv = w.server(ServerConfig::workstation(mail_host));
     mail_sv
         .borrow_mut()
         .register_resolver("counter", Box::new(ReexecuteResolver));
-    mail_sv.borrow_mut().put_object(
-        RoverObject::new(Urn::parse("urn:rover:mail/box").unwrap(), "counter")
-            .with_code("proc add {k} {rover::set n [expr {[rover::get n 0] + $k}]}")
-            .with_field("n", "0"),
-    );
+    mail_sv.borrow_mut().put_object(counter_object(
+        &Urn::parse("urn:rover:mail/box").unwrap(),
+        0,
+    ));
 
-    let cal_sv = Server::new(&net, ServerConfig::workstation(cal_host));
-    cal_sv.borrow_mut().add_route(CLIENT, l_cal);
+    let cal_sv = w.server(ServerConfig::workstation(cal_host));
     cal_sv
         .borrow_mut()
         .register_resolver("counter", Box::new(ReexecuteResolver));
-    cal_sv.borrow_mut().put_object(
-        RoverObject::new(Urn::parse("urn:rover:cal/team").unwrap(), "counter")
-            .with_code("proc add {k} {rover::set n [expr {[rover::get n 0] + $k}]}")
-            .with_field("n", "100"),
-    );
+    cal_sv.borrow_mut().put_object(counter_object(
+        &Urn::parse("urn:rover:cal/team").unwrap(),
+        100,
+    ));
 
     let mut cfg = ClientConfig::thinkpad(CLIENT, mail_host);
     cfg.authorities.insert("mail".into(), mail_host);
     cfg.authorities.insert("cal".into(), cal_host);
-    let client = Client::new(&mut sim, &net, cfg, vec![l_mail, l_cal]);
+    let links = w.links_of(CLIENT);
+    let World { mut sim, net, .. } = w;
+    let client = Client::new(&mut sim, &net, cfg, links);
     let session = Client::create_session(&client, Guarantees::ALL, true);
 
     // Both imports resolve, each from its own server over its own link.
@@ -831,32 +722,25 @@ fn partial_connectivity_to_one_of_two_servers() {
     // Only the mail server's link is up: mail QRPCs flow, calendar
     // QRPCs queue, and nothing deadlocks. On reconnect the calendar
     // queue drains.
-    let mut sim = Sim::new(43);
-    let net = Net::new();
+    let mut w = World::new(43);
     let mail_host = HostId(10);
     let cal_host = HostId(11);
-    let l_mail = net.add_link(LinkSpec::WAVELAN_2M, CLIENT, mail_host);
-    let l_cal = net.add_link(LinkSpec::WAVELAN_2M, CLIENT, cal_host);
 
-    for (host, link, path, n0) in [
-        (mail_host, l_mail, "mail/box", "0"),
-        (cal_host, l_cal, "cal/team", "100"),
-    ] {
-        let sv = Server::new(&net, ServerConfig::workstation(host));
-        sv.borrow_mut().add_route(CLIENT, link);
+    for (host, path, n0) in [(mail_host, "mail/box", "0"), (cal_host, "cal/team", "100")] {
+        let sv = w.server(ServerConfig::workstation(host));
         sv.borrow_mut().put_object(
             RoverObject::new(Urn::parse(&format!("urn:rover:{path}")).unwrap(), "counter")
                 .with_field("n", n0),
         );
-        // Leak the server handle so it stays alive for the test.
-        std::mem::forget(sv);
     }
 
     let mut cfg = ClientConfig::thinkpad(CLIENT, mail_host);
     cfg.authorities.insert("mail".into(), mail_host);
     cfg.authorities.insert("cal".into(), cal_host);
     cfg.rto = SimDuration::from_secs(10);
-    let client = Client::new(&mut sim, &net, cfg, vec![l_mail, l_cal]);
+    let client = w.client(cfg, LinkSpec::WAVELAN_2M);
+    let l_cal = w.links_of(cal_host)[0];
+    let World { mut sim, net, .. } = w;
     let session = Client::create_session(&client, Guarantees::ALL, true);
 
     net.set_up(&mut sim, l_cal, false);

@@ -9,7 +9,7 @@ use std::rc::Rc;
 
 use rover_core::{
     Client, ClientConfig, CommitPolicy, ExportPayload, Guarantees, OpStatus, Priority,
-    ReexecuteResolver, RoverObject, Server, ServerConfig, ServerEvent, Urn,
+    ReexecuteResolver, Server, ServerConfig, ServerEvent, Urn, World,
 };
 use rover_log::{FaultKind, FaultStore, MemStore};
 use rover_net::{LinkSpec, Net};
@@ -24,12 +24,6 @@ const SERVER: HostId = HostId(2);
 
 fn urn(p: &str) -> Urn {
     Urn::parse(&format!("urn:rover:t/{p}")).unwrap()
-}
-
-fn counter(p: &str) -> RoverObject {
-    RoverObject::new(urn(p), "counter")
-        .with_code("proc add {k} {rover::set n [expr {[rover::get n 0] + $k}]}")
-        .with_field("n", "0")
 }
 
 fn group_cfg(max_batch: usize, window: SimDuration) -> ServerConfig {
@@ -49,14 +43,14 @@ struct RawRig {
 }
 
 fn raw_rig(seed: u64, scfg: ServerConfig) -> RawRig {
-    let sim = Sim::new(seed);
-    let net = Net::new();
-    let link = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
-    let server = Server::new(&net, scfg);
+    let mut w = World::new(seed);
+    let server = w.server(scfg);
     server
         .borrow_mut()
         .register_resolver("counter", Box::new(ReexecuteResolver));
-    server.borrow_mut().put_object(counter("c"));
+    w.put_counter(&urn("c"), 0);
+    let link = w.link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
+    let World { sim, net, .. } = w;
     let replies: Rc<RefCell<Vec<QrpcReply>>> = Rc::new(RefCell::new(Vec::new()));
     let sink = replies.clone();
     net.register_host(CLIENT, move |_sim, _net, env: Envelope| match env.kind {
@@ -193,22 +187,18 @@ fn size_cap_flushes_without_waiting_for_the_window() {
 
 #[test]
 fn full_stack_client_decodes_coalesced_reply_batches() {
-    let mut sim = Sim::new(33);
-    let net = Net::new();
-    let link = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
-    let server = Server::new(&net, group_cfg(64, SimDuration::from_millis(50)));
-    server.borrow_mut().add_route(CLIENT, link);
+    let mut w = World::new(33);
+    let server = w.server(group_cfg(64, SimDuration::from_millis(50)));
     server
         .borrow_mut()
         .register_resolver("counter", Box::new(ReexecuteResolver));
-    server.borrow_mut().put_object(counter("c"));
-    Server::attach_wal(&server, &mut sim, Box::new(MemStore::new())).unwrap();
-    let client = Client::new(
-        &mut sim,
-        &net,
+    w.put_counter(&urn("c"), 0);
+    Server::attach_wal(&server, &mut w.sim, Box::new(MemStore::new())).unwrap();
+    let client = w.client(
         ClientConfig::thinkpad(CLIENT, SERVER),
-        vec![link],
+        LinkSpec::ETHERNET_10M,
     );
+    let World { mut sim, .. } = w;
     let session = Client::create_session(&client, Guarantees::ALL, true);
 
     let p = Client::import(&client, &mut sim, &urn("c"), session, Priority::FOREGROUND).unwrap();

@@ -5,11 +5,11 @@
 use proptest::prelude::*;
 
 use rover_core::{
-    Client, ClientConfig, Guarantees, ReexecuteResolver, RoverObject, Server, ServerConfig, Urn,
+    Client, ClientConfig, Guarantees, ReexecuteResolver, RoverObject, ServerConfig, Urn, World,
 };
-use rover_net::{LinkSpec, Net};
+use rover_net::LinkSpec;
 use rover_script::Budget;
-use rover_sim::{Sim, SimDuration};
+use rover_sim::SimDuration;
 use rover_wire::{HostId, Priority, Version, Wire};
 
 proptest! {
@@ -56,22 +56,17 @@ proptest! {
         flaps in proptest::collection::vec((1u64..20, 1u64..20), 0..6),
         seed in 0u64..1000,
     ) {
-        let mut sim = Sim::new(seed);
-        let net = Net::new();
+        let mut w = World::new(seed);
         let (ch, sh) = (HostId(1), HostId(2));
-        let link = net.add_link(LinkSpec::CSLIP_14_4, ch, sh);
-        let server = Server::new(&net, ServerConfig::workstation(sh));
-        server.borrow_mut().add_route(ch, link);
+        let server = w.server(ServerConfig::workstation(sh));
         server.borrow_mut().register_resolver("counter", Box::new(ReexecuteResolver));
         let urn = Urn::parse("urn:rover:p/ctr").unwrap();
-        server.borrow_mut().put_object(
-            RoverObject::new(urn.clone(), "counter")
-                .with_code("proc add {k} {rover::set n [expr {[rover::get n 0] + $k}]}")
-                .with_field("n", "0"),
-        );
+        w.put_counter(&urn, 0);
         let mut cfg = ClientConfig::thinkpad(ch, sh);
         cfg.rto = SimDuration::from_secs(10);
-        let client = Client::new(&mut sim, &net, cfg, vec![link]);
+        let client = w.client(cfg, LinkSpec::CSLIP_14_4);
+        let link = w.links_of(ch)[0];
+        let World { mut sim, net, .. } = w;
         let session = Client::create_session(&client, Guarantees::ALL, true);
 
         let p = Client::import(&client, &mut sim, &urn, session, Priority::FOREGROUND).unwrap();

@@ -2,10 +2,10 @@
 //! missing objects, malformed operations, dedup capacity pressure.
 
 use rover_core::{
-    Client, ClientConfig, Guarantees, OpStatus, Priority, ReexecuteResolver, RoverObject, Server,
-    ServerConfig, Urn,
+    Client, ClientConfig, Guarantees, OpStatus, Priority, ReexecuteResolver, RoverObject,
+    ServerConfig, Urn, World,
 };
-use rover_net::{LinkSpec, Net};
+use rover_net::LinkSpec;
 use rover_sim::Sim;
 use rover_wire::HostId;
 
@@ -20,20 +20,16 @@ struct Rig {
 }
 
 fn rig() -> Rig {
-    let mut sim = Sim::new(3);
-    let net = Net::new();
-    let link = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
-    let server = Server::new(&net, ServerConfig::workstation(SERVER));
-    server.borrow_mut().add_route(CLIENT, link);
+    let mut w = World::new(3);
+    let server = w.server(ServerConfig::workstation(SERVER));
     server
         .borrow_mut()
         .register_resolver("counter", Box::new(ReexecuteResolver));
-    let client = Client::new(
-        &mut sim,
-        &net,
+    let client = w.client(
         ClientConfig::thinkpad(CLIENT, SERVER),
-        vec![link],
+        LinkSpec::ETHERNET_10M,
     );
+    let World { sim, .. } = w;
     let session = Client::create_session(&client, Guarantees::ALL, true);
     Rig {
         sim,
@@ -177,26 +173,19 @@ fn invoke_on_missing_object() {
 fn dedup_capacity_pressure_still_behaves() {
     // A tiny dedup cache forces evictions; without retransmissions the
     // results stay exactly-once.
-    let mut sim = Sim::new(4);
-    let net = Net::new();
-    let link = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
+    let mut w = World::new(4);
     let mut scfg = ServerConfig::workstation(SERVER);
     scfg.dedup_capacity = 4;
-    let server = Server::new(&net, scfg);
-    server.borrow_mut().add_route(CLIENT, link);
+    let server = w.server(scfg);
     server
         .borrow_mut()
         .register_resolver("counter", Box::new(ReexecuteResolver));
-    server.borrow_mut().put_object(obj(
-        "c",
-        "proc add {k} {rover::set n [expr {[rover::get n 0] + $k}]}",
-    ));
-    let client = Client::new(
-        &mut sim,
-        &net,
+    w.put_counter(&urn("c"), 0);
+    let client = w.client(
         ClientConfig::thinkpad(CLIENT, SERVER),
-        vec![link],
+        LinkSpec::ETHERNET_10M,
     );
+    let World { mut sim, .. } = w;
     let session = Client::create_session(&client, Guarantees::ALL, true);
     let p = Client::import(&client, &mut sim, &urn("c"), session, Priority::NORMAL).unwrap();
     sim.run();

@@ -4,8 +4,8 @@
 //! catches up, and dropped (for client retransmission) by a crash.
 
 use rover_core::{
-    Client, ClientConfig, ExportPayload, Guarantees, Priority, ReexecuteResolver, RoverObject,
-    Server, ServerConfig, Urn,
+    Client, ClientConfig, ExportPayload, Guarantees, Priority, ReexecuteResolver, Server,
+    ServerConfig, Urn, World,
 };
 use rover_log::MemStore;
 use rover_net::{LinkSpec, Net};
@@ -27,22 +27,19 @@ struct Rig {
 /// Rig with the counter `c` seeded *before* the WAL attaches, so the
 /// initial checkpoint covers it and crash-restart brings it back.
 fn rig() -> (Rig, Version) {
-    let mut sim = Sim::new(11);
-    let net = Net::new();
-    let link = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
-    let server = Server::new(&net, ServerConfig::workstation(SERVER));
-    server.borrow_mut().add_route(CLIENT, link);
+    let mut w = World::new(11);
+    let server = w.server(ServerConfig::workstation(SERVER));
     server
         .borrow_mut()
         .register_resolver("counter", Box::new(ReexecuteResolver));
-    let v0 = server.borrow_mut().put_object(counter("c"));
-    Server::attach_wal(&server, &mut sim, Box::new(MemStore::new())).unwrap();
-    let client = Client::new(
-        &mut sim,
-        &net,
+    let v0 = w.put_counter(&urn("c"), 0).unwrap();
+    Server::attach_wal(&server, &mut w.sim, Box::new(MemStore::new())).unwrap();
+    let client = w.client(
         ClientConfig::thinkpad(CLIENT, SERVER),
-        vec![link],
+        LinkSpec::ETHERNET_10M,
     );
+    let link = w.links_of(CLIENT)[0];
+    let World { sim, net, .. } = w;
     let session = Client::create_session(&client, Guarantees::ALL, true);
     (
         Rig {
@@ -59,12 +56,6 @@ fn rig() -> (Rig, Version) {
 
 fn urn(p: &str) -> Urn {
     Urn::parse(&format!("urn:rover:t/{p}")).unwrap()
-}
-
-fn counter(p: &str) -> RoverObject {
-    RoverObject::new(urn(p), "counter")
-        .with_code("proc add {k} {rover::set n [expr {[rover::get n 0] + $k}]}")
-        .with_field("n", "0")
 }
 
 /// An unordered export of `add k` on `c`, carrying a read-vector floor

@@ -7,8 +7,8 @@ use std::rc::Rc;
 
 use rover_core::{
     Client, ClientConfig, ClientEvent, ClientRef, Guarantees, LogPolicy, OpStatus, Priority,
-    ReexecuteResolver, RejectResolver, RoverObject, ScriptResolver, Server, ServerConfig,
-    ServerRef, Urn,
+    ReexecuteResolver, RejectResolver, Resolver, RoverObject, ScriptResolver, ServerConfig,
+    ServerRef, Urn, World,
 };
 use rover_net::{HostSched, LinkId, LinkSpec, Net, SmtpRelay};
 use rover_sim::{Sim, SimDuration};
@@ -48,15 +48,14 @@ fn bed(spec: LinkSpec) -> Bed {
 }
 
 fn bed_with(spec: LinkSpec, cfg: ClientConfig) -> Bed {
-    let mut sim = Sim::new(42);
-    let net = Net::new();
-    let link = net.add_link(spec, CLIENT, SERVER);
-    let server = Server::new(&net, ServerConfig::workstation(SERVER));
-    server.borrow_mut().add_route(CLIENT, link);
+    let mut w = World::new(42);
+    let server = w.server(ServerConfig::workstation(SERVER));
     server
         .borrow_mut()
         .register_resolver("counter", Box::new(ReexecuteResolver));
-    let client = Client::new(&mut sim, &net, cfg, vec![link]);
+    let client = w.client(cfg, spec);
+    let link = w.links_of(CLIENT)[0];
+    let World { sim, net, .. } = w;
     let session = Client::create_session(&client, Guarantees::ALL, true);
     Bed {
         sim,
@@ -264,34 +263,23 @@ fn disconnected_exports_drain_in_order_on_reconnect() {
     assert_eq!(Client::log_len(&b.client), 0);
 }
 
+/// Clients on `CLIENT` and `CLIENT2`, each on its own Ethernet link to
+/// a server holding counter `c` whose conflicts `resolver` settles.
+fn two_clients(resolver: Box<dyn Resolver>) -> (Sim, ServerRef, ClientRef, ClientRef) {
+    let mut w = World::new(7);
+    let server = w.server(ServerConfig::workstation(SERVER));
+    server.borrow_mut().register_resolver("counter", resolver);
+    server.borrow_mut().put_object(counter_obj("c"));
+    let mut client = |host| w.client(ClientConfig::thinkpad(host, SERVER), LinkSpec::ETHERNET_10M);
+    let (c1, c2) = (client(CLIENT), client(CLIENT2));
+    (w.sim, server, c1, c2)
+}
+
 #[test]
 fn conflicting_exports_reexecute_with_type_resolver() {
     // Two clients add to the same counter from the same base version;
     // the counter type's resolver re-executes, so both commit.
-    let mut sim = Sim::new(7);
-    let net = Net::new();
-    let l1 = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
-    let l2 = net.add_link(LinkSpec::ETHERNET_10M, CLIENT2, SERVER);
-    let server = Server::new(&net, ServerConfig::workstation(SERVER));
-    server.borrow_mut().add_route(CLIENT, l1);
-    server.borrow_mut().add_route(CLIENT2, l2);
-    server
-        .borrow_mut()
-        .register_resolver("counter", Box::new(ReexecuteResolver));
-    server.borrow_mut().put_object(counter_obj("c"));
-
-    let c1 = Client::new(
-        &mut sim,
-        &net,
-        ClientConfig::thinkpad(CLIENT, SERVER),
-        vec![l1],
-    );
-    let c2 = Client::new(
-        &mut sim,
-        &net,
-        ClientConfig::thinkpad(CLIENT2, SERVER),
-        vec![l2],
-    );
+    let (mut sim, server, c1, c2) = two_clients(Box::new(ReexecuteResolver));
     let s1 = Client::create_session(&c1, Guarantees::ALL, true);
     let s2 = Client::create_session(&c2, Guarantees::ALL, true);
 
@@ -339,30 +327,7 @@ fn conflicting_exports_reexecute_with_type_resolver() {
 
 #[test]
 fn unresolvable_conflict_is_reflected_to_user() {
-    let mut sim = Sim::new(7);
-    let net = Net::new();
-    let l1 = net.add_link(LinkSpec::ETHERNET_10M, CLIENT, SERVER);
-    let l2 = net.add_link(LinkSpec::ETHERNET_10M, CLIENT2, SERVER);
-    let server = Server::new(&net, ServerConfig::workstation(SERVER));
-    server.borrow_mut().add_route(CLIENT, l1);
-    server.borrow_mut().add_route(CLIENT2, l2);
-    server
-        .borrow_mut()
-        .register_resolver("counter", Box::new(RejectResolver));
-    server.borrow_mut().put_object(counter_obj("c"));
-
-    let c1 = Client::new(
-        &mut sim,
-        &net,
-        ClientConfig::thinkpad(CLIENT, SERVER),
-        vec![l1],
-    );
-    let c2 = Client::new(
-        &mut sim,
-        &net,
-        ClientConfig::thinkpad(CLIENT2, SERVER),
-        vec![l2],
-    );
+    let (mut sim, server, c1, c2) = two_clients(Box::new(RejectResolver));
     let s1 = Client::create_session(&c1, Guarantees::NONE, true);
     let s2 = Client::create_session(&c2, Guarantees::NONE, true);
     for (c, s) in [(&c1, s1), (&c2, s2)] {

@@ -6,38 +6,29 @@
 
 use rover::apps::calendar::{calendar_object, Calendar};
 use rover::{
-    Client, ClientConfig, ClientEvent, Guarantees, LinkSpec, Net, OpStatus, ScriptResolver, Server,
-    ServerConfig, Sim, SimDuration,
+    Client, ClientConfig, ClientEvent, Guarantees, LinkSpec, OpStatus, ScriptResolver,
+    ServerConfig, SimDuration, World,
 };
 use rover_wire::HostId;
 
 fn main() {
-    let mut sim = Sim::new(2026);
-    let net = Net::new();
+    let mut w = World::new(2026);
     let (alice_host, bob_host, home) = (HostId(1), HostId(3), HostId(2));
-    let la = net.add_link(LinkSpec::WAVELAN_2M, alice_host, home);
-    let lb = net.add_link(LinkSpec::CSLIP_14_4, bob_host, home);
 
-    let server = Server::new(&net, ServerConfig::workstation(home));
-    server.borrow_mut().add_route(alice_host, la);
-    server.borrow_mut().add_route(bob_host, lb);
+    let server = w.server(ServerConfig::workstation(home));
     server
         .borrow_mut()
         .register_resolver("calendar", Box::new(ScriptResolver::default()));
     server.borrow_mut().put_object(calendar_object("team"));
 
-    let ca = Client::new(
-        &mut sim,
-        &net,
+    // Alice on WaveLAN, Bob on a 14.4 K modem.
+    let ca = w.client(
         ClientConfig::thinkpad(alice_host, home),
-        vec![la],
+        LinkSpec::WAVELAN_2M,
     );
-    let cb = Client::new(
-        &mut sim,
-        &net,
-        ClientConfig::thinkpad(bob_host, home),
-        vec![lb],
-    );
+    let cb = w.client(ClientConfig::thinkpad(bob_host, home), LinkSpec::CSLIP_14_4);
+    let (la, lb) = (w.links_of(alice_host)[0], w.links_of(bob_host)[0]);
+    let World { mut sim, net, .. } = w;
     let alice = Calendar::new(&ca, "team", "alice", Guarantees::ALL);
     let bob = Calendar::new(&cb, "team", "bob", Guarantees::ALL);
 

@@ -5,19 +5,16 @@
 //! Run with: `cargo run --example crash_recovery`
 
 use rover::{
-    Client, ClientConfig, Guarantees, LinkSpec, Net, Priority, ReexecuteResolver, RoverObject,
-    Server, ServerConfig, Sim, SimDuration, Urn,
+    Client, ClientConfig, Guarantees, LinkSpec, Priority, ReexecuteResolver, RoverObject,
+    ServerConfig, SimDuration, Urn, World,
 };
 use rover_wire::HostId;
 
 fn main() {
-    let mut sim = Sim::new(13);
-    let net = Net::new();
+    let mut w = World::new(13);
     let (laptop, home) = (HostId(1), HostId(2));
-    let link = net.add_link(LinkSpec::CSLIP_14_4, laptop, home);
 
-    let server = Server::new(&net, ServerConfig::workstation(home));
-    server.borrow_mut().add_route(laptop, link);
+    let server = w.server(ServerConfig::workstation(home));
     server
         .borrow_mut()
         .register_resolver("notes", Box::new(ReexecuteResolver));
@@ -35,16 +32,17 @@ fn main() {
     );
 
     let cfg = ClientConfig::thinkpad(laptop, home);
-    let client = Client::new(&mut sim, &net, cfg.clone(), vec![link]);
+    let client = w.client(cfg.clone(), LinkSpec::CSLIP_14_4);
+    let link = w.links_of(laptop)[0];
     let session = Client::create_session(&client, Guarantees::ALL, true);
-    let p = Client::import(&client, &mut sim, &urn, session, Priority::FOREGROUND).unwrap();
-    sim.run();
+    let p = Client::import(&client, &mut w.sim, &urn, session, Priority::FOREGROUND).unwrap();
+    w.sim.run();
     assert!(p.is_ready());
     println!("journal imported; going offline…");
 
     // Offline: write three journal entries; they are tentative locally
     // and durable in the stable log.
-    net.set_up(&mut sim, link, false);
+    w.net.set_up(&mut w.sim, link, false);
     for text in [
         "monday: wrote the design",
         "tuesday: debugged the modem",
@@ -52,7 +50,7 @@ fn main() {
     ] {
         Client::export(
             &client,
-            &mut sim,
+            &mut w.sim,
             &urn,
             session,
             "log_entry",
@@ -60,7 +58,7 @@ fn main() {
             Priority::NORMAL,
         )
         .unwrap();
-        sim.run_for(SimDuration::from_secs(2));
+        w.sim.run_for(SimDuration::from_secs(2));
     }
     println!(
         "queued {} entries ({} stable-log records) — and then the battery dies.",
@@ -71,17 +69,17 @@ fn main() {
     // Crash: all in-memory state evaporates; the log device survives.
     let store = Client::crash(&client);
     drop(client);
-    sim.run_for(SimDuration::from_secs(3600));
+    w.sim.run_for(SimDuration::from_secs(3600));
 
     // Reboot next morning, recover from the log, dial in.
     println!("\nrebooting from the stable log…");
-    let client = Client::recover(&mut sim, &net, cfg, vec![link], store);
+    let client = w.recover_client(cfg, store);
     println!(
         "recovered {} queued QRPCs; dialing…",
         Client::outstanding_count(&client)
     );
-    net.set_up(&mut sim, link, true);
-    sim.run_until(sim.now() + SimDuration::from_secs(300));
+    w.net.set_up(&mut w.sim, link, true);
+    w.sim.run_until(w.sim.now() + SimDuration::from_secs(300));
 
     let sv = server.borrow();
     let journal = sv.get_object(&urn).unwrap();

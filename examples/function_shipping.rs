@@ -6,8 +6,8 @@
 
 use rover::core::{Placement, PlacementHints};
 use rover::{
-    Client, ClientConfig, Guarantees, LinkSpec, Net, Priority, RoverObject, Server, ServerConfig,
-    Sim, Urn,
+    Client, ClientConfig, Guarantees, LinkSpec, Priority, RoverObject, ServerConfig, Sim, Urn,
+    World,
 };
 use rover_wire::HostId;
 
@@ -18,12 +18,9 @@ fn build_world() -> (
     rover::SessionId,
     Urn,
 ) {
-    let mut sim = Sim::new(95);
-    let net = Net::new();
+    let mut w = World::new(95);
     let (pda, home) = (HostId(1), HostId(2));
-    let link = net.add_link(LinkSpec::CSLIP_14_4, pda, home);
-    let server = Server::new(&net, ServerConfig::workstation(home));
-    server.borrow_mut().add_route(pda, link);
+    let server = w.server(ServerConfig::workstation(home));
 
     // A 400-entry phone directory with a search method — the classic
     // "ship the query to the data" workload.
@@ -52,12 +49,8 @@ fn build_world() -> (
     }
     server.borrow_mut().put_object(dir);
 
-    let client = Client::new(
-        &mut sim,
-        &net,
-        ClientConfig::thinkpad(pda, home),
-        vec![link],
-    );
+    let client = w.client(ClientConfig::thinkpad(pda, home), LinkSpec::CSLIP_14_4);
+    let World { sim, .. } = w;
     let session = Client::create_session(&client, Guarantees::ALL, true);
     let urn = Urn::parse("urn:rover:org/directory").unwrap();
     (sim, server, client, session, urn)

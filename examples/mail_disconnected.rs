@@ -6,22 +6,15 @@
 
 use rover::apps::mail::{MailReader, MailboxGen};
 use rover::{
-    Client, ClientConfig, Guarantees, LinkSpec, Net, Priority, ScriptResolver, Server,
-    ServerConfig, Sim, SimDuration,
+    Client, ClientConfig, Guarantees, LinkSpec, Priority, ScriptResolver, ServerConfig,
+    SimDuration, World,
 };
 use rover_wire::HostId;
 
 fn main() {
-    let mut sim = Sim::new(7);
-    let net = Net::new();
+    let mut w = World::new(7);
     let (laptop, home) = (HostId(1), HostId(2));
-    // Two interfaces: office Ethernet (preferred) and a 14.4 K modem.
-    let ether = net.add_link(LinkSpec::ETHERNET_10M, laptop, home);
-    let modem = net.add_link(LinkSpec::CSLIP_14_4, laptop, home);
-    net.set_up(&mut sim, modem, false);
-
-    let server = Server::new(&net, ServerConfig::workstation(home));
-    server.borrow_mut().add_route(laptop, ether);
+    let server = w.server(ServerConfig::workstation(home));
     for ty in ["mailfolder", "mailmsg", "spool"] {
         server
             .borrow_mut()
@@ -35,6 +28,13 @@ fn main() {
     }
     .populate(&server);
 
+    // Two interfaces: office Ethernet (preferred) and a 14.4 K modem
+    // the home server is never told about: it learns the route when a
+    // reply finds no other way back.
+    let ether = w.link(LinkSpec::ETHERNET_10M, laptop, home);
+    let modem = w.net.add_link(LinkSpec::CSLIP_14_4, laptop, home);
+    w.net.set_up(&mut w.sim, modem, false);
+    let World { mut sim, net, .. } = w;
     let client = Client::new(
         &mut sim,
         &net,

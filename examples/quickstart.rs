@@ -4,23 +4,20 @@
 //! Run with: `cargo run --example quickstart`
 
 use rover::{
-    Client, ClientConfig, Guarantees, LinkSpec, Net, Priority, ReexecuteResolver, RoverObject,
-    Server, ServerConfig, Sim, SimDuration, Urn,
+    Client, ClientConfig, Guarantees, LinkSpec, Priority, ReexecuteResolver, RoverObject,
+    ServerConfig, SimDuration, Urn, World,
 };
 use rover_wire::HostId;
 
 fn main() {
     // One virtual world: a ThinkPad on WaveLAN talking to a home server.
-    let mut sim = Sim::new(1995);
-    let net = Net::new();
+    let mut w = World::new(1995);
     let (laptop, home) = (HostId(1), HostId(2));
-    let link = net.add_link(LinkSpec::WAVELAN_2M, laptop, home);
 
     // The home server stores a notes object — data fields plus method
     // code (an RDO). The counter-style `append` method commutes, so the
     // re-execute resolver merges concurrent updates.
-    let server = Server::new(&net, ServerConfig::workstation(home));
-    server.borrow_mut().add_route(laptop, link);
+    let server = w.server(ServerConfig::workstation(home));
     server
         .borrow_mut()
         .register_resolver("notes", Box::new(ReexecuteResolver));
@@ -43,12 +40,9 @@ fn main() {
     );
 
     // The client: cache + stable log + network scheduler.
-    let client = Client::new(
-        &mut sim,
-        &net,
-        ClientConfig::thinkpad(laptop, home),
-        vec![link],
-    );
+    let client = w.client(ClientConfig::thinkpad(laptop, home), LinkSpec::WAVELAN_2M);
+    let link = w.links_of(laptop)[0];
+    let World { mut sim, net, .. } = w;
     let session = Client::create_session(&client, Guarantees::ALL, true);
     Client::on_event(&client, |sim, ev| {
         println!("[{:>9}] event: {ev:?}", format!("{}", sim.now()));

@@ -6,28 +6,21 @@
 use std::rc::Rc;
 
 use rover::apps::web::{run_session, BrowseMode, BrowserProxy, WebGen};
-use rover::{Client, ClientConfig, LinkSpec, Net, Server, ServerConfig, Sim, SimDuration};
+use rover::{ClientConfig, LinkSpec, ServerConfig, SimDuration, World};
 use rover_wire::HostId;
 
 fn browse(mode: BrowseMode, prefetch: bool) -> (f64, f64, f64) {
-    let mut sim = Sim::new(404);
-    let net = Net::new();
+    let mut w = World::new(404);
     let (pda, gateway) = (HostId(1), HostId(2));
-    let link = net.add_link(LinkSpec::CSLIP_14_4, pda, gateway);
-    let server = Server::new(&net, ServerConfig::workstation(gateway));
-    server.borrow_mut().add_route(pda, link);
+    let server = w.server(ServerConfig::workstation(gateway));
     WebGen {
         pages: 60,
         seed: 1995,
     }
     .populate(&server);
 
-    let client = Client::new(
-        &mut sim,
-        &net,
-        ClientConfig::thinkpad(pda, gateway),
-        vec![link],
-    );
+    let client = w.client(ClientConfig::thinkpad(pda, gateway), LinkSpec::CSLIP_14_4);
+    let World { mut sim, .. } = w;
     let proxy = Rc::new(BrowserProxy::new(&client, prefetch));
     let stats = run_session(
         proxy,

@@ -33,7 +33,7 @@ pub use rover_wire as wire;
 pub use rover_core::{
     Client, ClientConfig, ClientEvent, ClientRef, ExportHandle, Guarantees, LogPolicy, Outcome,
     Promise, ReexecuteResolver, RejectResolver, Resolution, Resolver, RoverError, RoverObject,
-    ScriptResolver, Server, ServerConfig, ServerRef, Session, StorageModel, Urn,
+    ScriptResolver, Server, ServerConfig, ServerRef, Session, StorageModel, Urn, World,
 };
 pub use rover_net::{LinkId, LinkSpec, Net, SchedMode};
 pub use rover_sim::{CpuModel, Sim, SimDuration, SimTime};

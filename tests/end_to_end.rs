@@ -9,8 +9,8 @@ use rover::apps::calendar::{calendar_object, Calendar};
 use rover::apps::mail::{MailReader, MailboxGen};
 use rover::apps::web::{BrowserProxy, WebGen};
 use rover::{
-    Client, ClientConfig, ClientEvent, Guarantees, LinkSpec, Net, OpStatus, Priority,
-    ScriptResolver, Server, ServerConfig, Sim, SimDuration, Urn,
+    Client, ClientConfig, ClientEvent, Guarantees, LinkSpec, OpStatus, Priority, ScriptResolver,
+    ServerConfig, SimDuration, Urn, World,
 };
 use rover_net::SmtpRelay;
 use rover_wire::HostId;
@@ -23,15 +23,11 @@ fn commuter_day_full_cycle() {
     // Office (Ethernet) → train (disconnected) → home (modem): the
     // paper's motivating scenario across mail + calendar + web on one
     // client.
-    let mut sim = Sim::new(33);
-    let net = Net::new();
-    let ether = net.add_link(LinkSpec::ETHERNET_10M, LAPTOP, HOME);
-    let modem = net.add_link(LinkSpec::CSLIP_14_4, LAPTOP, HOME);
-    net.set_up(&mut sim, modem, false);
-
-    let server = Server::new(&net, ServerConfig::workstation(HOME));
-    server.borrow_mut().add_route(LAPTOP, ether);
-    server.borrow_mut().add_route(LAPTOP, modem);
+    let mut w = World::new(33);
+    let server = w.server(ServerConfig::workstation(HOME));
+    let ether = w.link(LinkSpec::ETHERNET_10M, LAPTOP, HOME);
+    let modem = w.link(LinkSpec::CSLIP_14_4, LAPTOP, HOME);
+    w.net.set_up(&mut w.sim, modem, false);
     for ty in ["mailfolder", "mailmsg", "spool", "calendar", "webpage"] {
         server
             .borrow_mut()
@@ -47,12 +43,9 @@ fn commuter_day_full_cycle() {
     server.borrow_mut().put_object(calendar_object("team"));
     WebGen { pages: 12, seed: 9 }.populate(&server);
 
-    let client = Client::new(
-        &mut sim,
-        &net,
-        ClientConfig::thinkpad(LAPTOP, HOME),
-        vec![ether, modem],
-    );
+    let links = w.links_of(LAPTOP);
+    let World { mut sim, net, .. } = w;
+    let client = Client::new(&mut sim, &net, ClientConfig::thinkpad(LAPTOP, HOME), links);
     let reader = MailReader::new(&client, "alice", Guarantees::ALL);
     let cal = Calendar::new(&client, "team", "alice", Guarantees::ALL);
     let proxy = Rc::new(BrowserProxy::new(&client, true));
@@ -149,14 +142,14 @@ fn interface_switch_mid_transfer_recovers() {
     // A large import starts on WaveLAN, the card dies mid-transfer, and
     // the modem finishes the job — losses recovered by retransmission,
     // exactly-once preserved end to end.
-    let mut sim = Sim::new(44);
-    let net = Net::new();
-    let wave = net.add_link(LinkSpec::WAVELAN_2M, LAPTOP, HOME);
-    let modem = net.add_link(LinkSpec::CSLIP_14_4, LAPTOP, HOME);
-    net.set_up(&mut sim, modem, false);
-
-    let server = Server::new(&net, ServerConfig::workstation(HOME));
-    server.borrow_mut().add_route(LAPTOP, wave);
+    let mut w = World::new(44);
+    let server = w.server(ServerConfig::workstation(HOME));
+    let wave = w.link(LinkSpec::WAVELAN_2M, LAPTOP, HOME);
+    // A card the server was never told about: it learns the route when
+    // a reply finds no other way back.
+    let modem = w.net.add_link(LinkSpec::CSLIP_14_4, LAPTOP, HOME);
+    w.net.set_up(&mut w.sim, modem, false);
+    let World { mut sim, net, .. } = w;
     let urn = Urn::parse("urn:rover:t/big").unwrap();
     server.borrow_mut().put_object(
         rover::RoverObject::new(urn.clone(), "blob").with_field("body", &"b".repeat(200_000)),
@@ -182,13 +175,8 @@ fn interface_switch_mid_transfer_recovers() {
 
 #[test]
 fn split_phase_smtp_reply_completes_qrpc() {
-    let mut sim = Sim::new(55);
-    let net = Net::new();
-    let link = net.add_link(LinkSpec::WAVELAN_2M, LAPTOP, HOME);
-    let server = Server::new(&net, ServerConfig::workstation(HOME));
-    server.borrow_mut().add_route(LAPTOP, link);
-    let relay = SmtpRelay::new(net.clone(), link, SimDuration::from_secs(60));
-    server.borrow_mut().add_smtp_route(LAPTOP, relay.clone());
+    let mut w = World::new(55);
+    let server = w.server(ServerConfig::workstation(HOME));
     let urn = Urn::parse("urn:rover:t/doc").unwrap();
     server.borrow_mut().put_object(
         rover::RoverObject::new(urn.clone(), "blob")
@@ -206,7 +194,11 @@ fn split_phase_smtp_reply_completes_qrpc() {
 
     let mut cfg = ClientConfig::thinkpad(LAPTOP, HOME);
     cfg.rto = SimDuration::from_secs(3600); // force the SMTP path, no retransmit
-    let client = Client::new(&mut sim, &net, cfg, vec![link]);
+    let client = w.client(cfg, LinkSpec::WAVELAN_2M);
+    let link = w.links_of(LAPTOP)[0];
+    let World { mut sim, net, .. } = w;
+    let relay = SmtpRelay::new(net.clone(), link, SimDuration::from_secs(60));
+    server.borrow_mut().add_smtp_route(LAPTOP, relay.clone());
     let session = Client::create_session(&client, Guarantees::ALL, true);
 
     let p = Client::invoke_remote(
@@ -240,18 +232,13 @@ fn split_phase_smtp_reply_completes_qrpc() {
 
 #[test]
 fn three_clients_share_one_server() {
-    let mut sim = Sim::new(66);
-    let net = Net::new();
-    let server = Server::new(&net, ServerConfig::workstation(HOME));
+    let mut w = World::new(66);
+    let server = w.server(ServerConfig::workstation(HOME));
     server
         .borrow_mut()
         .register_resolver("counter", Box::new(rover::ReexecuteResolver));
     let urn = Urn::parse("urn:rover:t/shared").unwrap();
-    server.borrow_mut().put_object(
-        rover::RoverObject::new(urn.clone(), "counter")
-            .with_code("proc add {k} {rover::set n [expr {[rover::get n 0] + $k}]}")
-            .with_field("n", "0"),
-    );
+    w.put_counter(&urn, 0);
 
     let specs = [
         LinkSpec::ETHERNET_10M,
@@ -261,21 +248,14 @@ fn three_clients_share_one_server() {
     let mut handles = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
         let host = HostId(10 + i as u32);
-        let link = net.add_link(*spec, host, HOME);
-        server.borrow_mut().add_route(host, link);
-        let client = Client::new(
-            &mut sim,
-            &net,
-            ClientConfig::thinkpad(host, HOME),
-            vec![link],
-        );
+        let client = w.client(ClientConfig::thinkpad(host, HOME), *spec);
         let session = Client::create_session(&client, Guarantees::ALL, true);
-        let p = Client::import(&client, &mut sim, &urn, session, Priority::FOREGROUND).unwrap();
-        sim.run();
+        let p = Client::import(&client, &mut w.sim, &urn, session, Priority::FOREGROUND).unwrap();
+        w.sim.run();
         assert!(p.is_ready());
         let h = Client::export(
             &client,
-            &mut sim,
+            &mut w.sim,
             &urn,
             session,
             "add",
@@ -285,7 +265,7 @@ fn three_clients_share_one_server() {
         .unwrap();
         handles.push(h);
     }
-    sim.run();
+    w.sim.run();
     for h in &handles {
         let st = h.committed.poll().unwrap().status;
         assert!(st == OpStatus::Ok || st == OpStatus::Resolved, "{st:?}");
@@ -303,11 +283,8 @@ fn loop_heavy_method_runs_the_same_on_client_and_server() {
     // `lappend`: the statement shapes the interpreter runs most. The
     // result, the steps and the virtual time each side charges for
     // them are pinned; steps feed every virtual-time figure.
-    let mut sim = Sim::new(77);
-    let net = Net::new();
-    let link = net.add_link(LinkSpec::ETHERNET_10M, LAPTOP, HOME);
-    let server = Server::new(&net, ServerConfig::workstation(HOME));
-    server.borrow_mut().add_route(LAPTOP, link);
+    let mut w = World::new(77);
+    let server = w.server(ServerConfig::workstation(HOME));
     let urn = Urn::parse("urn:rover:t/loops").unwrap();
     let obj = rover::RoverObject::new(urn.clone(), "loops")
         .with_code(
@@ -341,12 +318,8 @@ fn loop_heavy_method_runs_the_same_on_client_and_server() {
     );
     server.borrow_mut().put_object(obj);
 
-    let client = Client::new(
-        &mut sim,
-        &net,
-        ClientConfig::thinkpad(LAPTOP, HOME),
-        vec![link],
-    );
+    let client = w.client(ClientConfig::thinkpad(LAPTOP, HOME), LinkSpec::ETHERNET_10M);
+    let World { mut sim, .. } = w;
     let session = Client::create_session(&client, Guarantees::ALL, true);
     let import = Client::import(&client, &mut sim, &urn, session, Priority::FOREGROUND).unwrap();
     sim.run();
@@ -387,6 +360,7 @@ fn facade_reexports_cover_public_api() {
     // Compile-time check that the facade exposes the useful surface.
     fn _assert_types() {
         fn takes_sim(_: rover::Sim) {}
+        fn takes_world(_: rover::World) {}
         fn takes_cfg(_: rover::ClientConfig) {}
         fn takes_spec(_: rover::LinkSpec) {}
         fn takes_urn(_: rover::Urn) {}
