@@ -8,26 +8,25 @@
 //! mix of open-loop (fixed think time) and closed-loop (next export
 //! chained on the previous commit) clients, and three link classes.
 //! Every run reports server-side throughput — commits/s, p50/p99 reply
-//! latency, WAL bytes/s, mean group-commit batch size — and the same
-//! exactly-once invariants the chaos soak enforces:
-//!
-//! - **zero lost commits**: the object counters sum to the exports
-//!   issued;
-//! - **zero re-executions**: `server.dedup_miss_reexec == 0`;
-//! - **every promise decided** `Ok`/`Resolved`;
-//! - **byte-reproducible**: the same seed yields the same digest.
+//! latency, WAL bytes/s, mean group-commit batch size — and ends with
+//! the same [`rover_core::History`] check the chaos soak runs over
+//! every import and export: every promise decided, every counter
+//! counted each `add 1` exactly once with no dedup-miss re-execution,
+//! the session guarantees, every replied commit in some shard's
+//! executed set, and empty client logs. The same seed yields the same
+//! digest.
 //!
 //! With `shards > 1` the URN space is hash-partitioned across
 //! `shards` independent servers (own WAL, own CPU/disk timeline, own
 //! group-commit engine each; see [`rover_core::ShardMap`]), every
 //! object lives on exactly one shard, and every ~64th client becomes a
 //! *cross-shard verifier*: one session spanning two shards that
-//! alternates exports between them and re-reads after every commit,
-//! asserting monotonic reads and writes-follow-reads across the
-//! federation. `shard_crashes > 0` adds shard-kill chaos: each shard is
-//! power-failed independently at scripted commit ordinals and rebooted
-//! from its own write-ahead device, while the invariants above must
-//! still hold. `shards == 1` reproduces the single-server soak
+//! alternates exports between them and re-reads after every commit, so
+//! the history check covers monotonic reads and writes-follow-reads
+//! across the federation. `shard_crashes > 0` adds shard-kill chaos:
+//! each shard is power-failed independently at scripted commit
+//! ordinals and rebooted from its own write-ahead device (a failed
+//! reboot fails the run), while the check above must still hold. `shards == 1` reproduces the single-server soak
 //! byte-for-byte (same draws, same event order, same digest).
 //!
 //! [`run_pair`] runs both commit policies on the same seed and checks
@@ -43,13 +42,14 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use rover_core::{
-    Client, ClientConfig, ClientRef, CommitPolicy, CrashPoint, Guarantees, Outcome, Rebalancer,
-    ReexecuteResolver, Server, ServerConfig, ServerEvent, ServerRef, ShardMap, Urn, World,
+    Client, ClientConfig, ClientRef, CommitPolicy, CrashPoint, Guarantees, History, Outcome,
+    Rebalancer, ReexecuteResolver, Server, ServerConfig, ServerEvent, ServerRef, ShardMap, Urn,
+    World,
 };
 use rover_log::MemStore;
 use rover_net::LinkSpec;
 use rover_sim::{Sim, SimDuration, SimTime};
-use rover_wire::{HostId, OpStatus, Priority, RequestId, SessionId};
+use rover_wire::{HostId, OpStatus, Priority, SessionId};
 
 use super::{input_rejected, scaled_summary};
 use crate::report::Report;
@@ -76,7 +76,7 @@ const BURST_GAP: SimDuration = SimDuration::from_millis(100);
 const THINK: SimDuration = SimDuration::from_millis(10);
 
 /// Every Nth client of a sharded run becomes a cross-shard verifier
-/// (one session spanning two shards, MR/WFR asserted on every commit).
+/// (one session spanning two shards, re-reading after every commit).
 const VERIFIER_EVERY: usize = 64;
 
 /// Parameters of one scale-soak arm.
@@ -198,7 +198,7 @@ pub struct ScaleOutcome {
     pub committed: u64,
     /// Sum of the final object counters — must equal `ops`.
     pub final_total: u64,
-    /// `server.dedup_miss_reexec` — must be zero.
+    /// `server.dedup_miss_reexec`, from the history check: zero.
     pub reexecs: u64,
     /// First export to last commit, in virtual milliseconds.
     pub duration_ms: u64,
@@ -401,46 +401,41 @@ fn draw_secondaries(
 struct Shared {
     done: Cell<u64>,
     last_done: Cell<SimTime>,
-    /// (issue time, committed promise) per export, in issue order.
-    issued: RefCell<Vec<(SimTime, rover_core::Promise)>>,
-    /// (client host, destination shard host, request id) per export —
-    /// the post-chaos durability audit replays this against each
-    /// shard's executed set.
-    commits: RefCell<Vec<(HostId, HostId, RequestId)>>,
-    errors: RefCell<Vec<String>>,
+    /// The object population; steps name objects by position.
+    urns: Vec<Urn>,
+    /// Every counter, read and write of the run, for the oracle.
+    hist: RefCell<History>,
+    /// The first error a step or a driver hit.
+    error: RefCell<Option<String>>,
 }
 
 impl Shared {
-    fn record(&self, sim: &Sim, host: HostId, dst: HostId, h: &rover_core::ExportHandle) {
-        self.commits.borrow_mut().push((host, dst, h.req));
-        self.issued
-            .borrow_mut()
-            .push((sim.now(), h.committed.clone()));
+    /// Keeps `e` unless an earlier error is already kept.
+    fn fail(&self, e: String) {
+        self.error.borrow_mut().get_or_insert(e);
     }
 }
 
-/// Exports `add 1` to `urn` and records it; once it commits, counts
-/// the commit and runs `then`. An issue error is recorded in
-/// `st.errors` instead.
-#[allow(clippy::too_many_arguments)]
+/// Exports `add 1` to object `obj` and records it; once it commits,
+/// counts the commit and runs `then`. An issue error is recorded in
+/// `st.error` instead.
 fn export_step(
     sim: &mut Sim,
     cl: &ClientRef,
-    urn: &Urn,
+    obj: usize,
     session: SessionId,
     host: HostId,
-    dst: HostId,
     st: &Rc<Shared>,
     then: impl FnOnce(&mut Sim, &Outcome) + 'static,
 ) {
+    let urn = &st.urns[obj];
     let h = match Client::export(cl, sim, urn, session, "add", &["1"], Priority::NORMAL) {
         Ok(h) => h,
-        Err(e) => {
-            st.errors.borrow_mut().push(format!("export failed: {e:?}"));
-            return;
-        }
+        Err(e) => return st.fail(format!("export failed: {e:?}")),
     };
-    st.record(sim, host, dst, &h);
+    st.hist
+        .borrow_mut()
+        .write(sim.now(), host, session, obj, 1, &h);
     let st = st.clone();
     h.committed.on_ready(sim, move |sim, o| {
         st.done.set(st.done.get() + 1);
@@ -449,136 +444,91 @@ fn export_step(
     });
 }
 
-/// Imports `urn` at foreground priority; once it resolves Ok, runs
-/// `then`. An issue error or a non-Ok outcome is recorded in
-/// `st.errors` instead.
+/// Imports object `obj` at foreground priority and records it; once it
+/// resolves Ok, runs `then`. An issue error or a non-Ok outcome is
+/// recorded in `st.error` instead.
 fn import_step(
     sim: &mut Sim,
     cl: &ClientRef,
-    urn: &Urn,
+    obj: usize,
     session: SessionId,
+    host: HostId,
     st: &Rc<Shared>,
     then: impl FnOnce(&mut Sim) + 'static,
 ) {
-    let p = match Client::import(cl, sim, urn, session, Priority::FOREGROUND) {
+    let p = match Client::import(cl, sim, &st.urns[obj], session, Priority::FOREGROUND) {
         Ok(p) => p,
-        Err(e) => {
-            st.errors.borrow_mut().push(format!("import failed: {e:?}"));
-            return;
-        }
+        Err(e) => return st.fail(format!("import failed: {e:?}")),
     };
+    st.hist.borrow_mut().read(sim.now(), host, session, obj, &p);
     let st = st.clone();
     p.on_ready(sim, move |sim, o| {
         if o.status != OpStatus::Ok {
-            st.errors
-                .borrow_mut()
-                .push(format!("import resolved {:?}", o.status));
-            return;
+            return st.fail(format!("import resolved {:?}", o.status));
         }
         then(sim);
     });
 }
 
 /// Closed-loop driver: each commit triggers the next export.
-#[allow(clippy::too_many_arguments)]
 fn chain_exports(
     sim: &mut Sim,
     cl: ClientRef,
-    urn: Urn,
+    obj: usize,
     session: SessionId,
     host: HostId,
-    dst: HostId,
     left: usize,
     st: Rc<Shared>,
 ) {
     if left == 0 {
         return;
     }
-    let (cl2, urn2, st2) = (cl.clone(), urn.clone(), st.clone());
-    export_step(sim, &cl2, &urn2, session, host, dst, &st2, move |sim, _| {
-        chain_exports(sim, cl, urn, session, host, dst, left - 1, st);
+    let (cl2, st2) = (cl.clone(), st.clone());
+    export_step(sim, &cl2, obj, session, host, &st2, move |sim, _| {
+        chain_exports(sim, cl, obj, session, host, left - 1, st);
     });
 }
 
 /// One cross-shard verifier step: export to the step's target shard,
-/// then re-read the object and assert the session's read floor —
-/// monotonic reads plus the session's own committed write — still
-/// holds. Steps alternate between the verifier's two shards, so every
-/// export carries a writes-follow-reads read-vector for its
-/// destination.
+/// then re-read the object. Steps alternate between the verifier's two
+/// objects (homed on different shards), so every export carries a
+/// writes-follow-reads read-vector for its destination, and the oracle
+/// checks each re-read against the session's floor.
 #[allow(clippy::too_many_arguments)]
 fn verifier_step(
     sim: &mut Sim,
     cl: ClientRef,
-    pair: Rc<(Urn, Urn)>,
-    hosts: Rc<(HostId, HostId)>,
+    pair: (usize, usize),
     session: SessionId,
     host: HostId,
     j: usize,
     ops: usize,
     st: Rc<Shared>,
-    floors: Rc<RefCell<HashMap<Urn, u64>>>,
 ) {
     if j == ops {
         return;
     }
-    let (target, dst) = if j.is_multiple_of(2) {
-        (pair.0.clone(), hosts.0)
-    } else {
-        (pair.1.clone(), hosts.1)
-    };
-    let (cl2, target2, st2) = (cl.clone(), target.clone(), st.clone());
-    export_step(
-        sim,
-        &cl2,
-        &target2,
-        session,
-        host,
-        dst,
-        &st2,
-        move |sim, o| {
-            let wrote = o.version.0;
-            let p = match Client::import(&cl, sim, &target, session, Priority::FOREGROUND) {
-                Ok(p) => p,
-                Err(e) => {
-                    st.errors
-                        .borrow_mut()
-                        .push(format!("verifier re-read failed: {e:?}"));
-                    return;
-                }
-            };
-            p.on_ready(sim, move |sim, o2| {
-                if o2.status != OpStatus::Ok {
-                    st.errors
-                        .borrow_mut()
-                        .push(format!("verifier re-read resolved {:?}", o2.status));
-                    return;
-                }
-                let floor = floors
-                    .borrow()
-                    .get(&target)
-                    .copied()
-                    .unwrap_or(0)
-                    .max(wrote);
-                if o2.version.0 < floor {
-                    st.errors.borrow_mut().push(format!(
-                        "cross-shard session violated: read {target} at v{} below floor v{floor}",
-                        o2.version.0
-                    ));
-                    return;
-                }
-                floors.borrow_mut().insert(target.clone(), o2.version.0);
-                verifier_step(sim, cl, pair, hosts, session, host, j + 1, ops, st, floors);
-            });
-        },
-    );
+    let target = if j.is_multiple_of(2) { pair.0 } else { pair.1 };
+    let (cl2, st2) = (cl.clone(), st.clone());
+    export_step(sim, &cl2, target, session, host, &st2, move |sim, _| {
+        let (cl2, st2) = (cl.clone(), st.clone());
+        import_step(sim, &cl2, target, session, host, &st2, move |sim| {
+            verifier_step(sim, cl, pair, session, host, j + 1, ops, st);
+        });
+    });
 }
 
 /// Schedules the scripted power failures for one shard: crash at evenly
 /// spaced lifetime commit ordinals, reboot from the shard's write-ahead
-/// device after a fixed outage, then arm the next crash. Returns how
-/// many crashes were scheduled (distinct ordinals).
-fn script_shard_chaos(server: &ServerRef, crashes: usize, expected_ops: u64) -> u64 {
+/// device after a fixed outage, then arm the next crash. A failed
+/// recovery is recorded in `st.error`. Returns how many crashes were
+/// scheduled (distinct ordinals).
+fn script_shard_chaos(
+    server: &ServerRef,
+    crashes: usize,
+    expected_ops: u64,
+    st: &Rc<Shared>,
+) -> u64 {
     if crashes == 0 || expected_ops == 0 {
         return 0;
     }
@@ -592,13 +542,15 @@ fn script_shard_chaos(server: &ServerRef, crashes: usize, expected_ops: u64) -> 
         .borrow_mut()
         .script_crash(ords[0], CrashPoint::AfterAppend);
     let next = Rc::new(Cell::new(1usize));
-    let sv = server.clone();
+    let (sv, st) = (server.clone(), st.clone());
     let scheduled = ords.len() as u64;
     Server::on_event(server, move |sim, ev| {
         if let ServerEvent::Crashed { .. } = ev {
-            let (sv, ords, next) = (sv.clone(), ords.clone(), next.clone());
+            let (sv, ords, next, st) = (sv.clone(), ords.clone(), next.clone(), st.clone());
             sim.schedule_after(outage, move |sim| {
-                Server::crash_restart(&sv, sim).expect("scale shard crash_restart");
+                if let Err(e) = Server::crash_restart(&sv, sim) {
+                    return st.fail(format!("shard crash_restart failed: {e:?}"));
+                }
                 let i = next.get();
                 if i < ords.len() {
                     next.set(i + 1);
@@ -766,17 +718,27 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
     let urns: Vec<Urn> = (0..cfg.objects)
         .map(|k| Urn::parse(&format!("urn:rover:scale/obj{k}")).expect("valid urn"))
         .collect();
+    let mut hist = History::default();
     for urn in &urns {
-        w.put_counter(urn, 0);
+        hist.put_counter(&w, urn, 0)
+            .ok_or("no server homes the objects")?;
     }
     for server in &servers {
         Server::attach_wal(server, &mut w.sim, Box::new(MemStore::new()))
             .map_err(|e| format!("seed {}: attach_wal failed: {e:?}", cfg.seed))?;
     }
+    let st = Rc::new(Shared {
+        done: Cell::new(0),
+        last_done: Cell::new(w.sim.now()),
+        urns,
+        hist: RefCell::new(hist),
+        error: RefCell::new(None),
+    });
+    let urns = &st.urns;
 
     let cdf = zipf_cdf(cfg.objects, ZIPF_S);
     let draws = draw_workload(&cfg, &cdf);
-    let secondaries = draw_secondaries(&cfg, &draws, &urns, &map, &cdf);
+    let secondaries = draw_secondaries(&cfg, &draws, urns, &map, &cdf);
 
     // Exports each shard will take, from the deterministic assignment:
     // the chaos ordinals and the imbalance figure both derive from it.
@@ -795,23 +757,15 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
     }
     let mut scheduled_crashes = 0;
     for (s, server) in servers.iter().enumerate() {
-        scheduled_crashes += script_shard_chaos(server, cfg.shard_crashes, shard_ops[s]);
+        scheduled_crashes += script_shard_chaos(server, cfg.shard_crashes, shard_ops[s], &st);
     }
-
-    let st = Rc::new(Shared {
-        done: Cell::new(0),
-        last_done: Cell::new(w.sim.now()),
-        issued: RefCell::new(Vec::with_capacity(total_ops as usize)),
-        commits: RefCell::new(Vec::with_capacity(total_ops as usize)),
-        errors: RefCell::new(Vec::new()),
-    });
 
     let mut clients: Vec<ClientRef> = Vec::with_capacity(cfg.clients);
     for i in 0..cfg.clients {
         let host = client_host(i);
         let spec = link_class(i);
-        let urn = urns[draws.obj[i]].clone();
-        let home = map.host_for(urn.as_str());
+        let obj = draws.obj[i];
+        let home = map.host_for(urns[obj].as_str());
         w.link(spec, host, home);
         let mut ccfg = ClientConfig::thinkpad(host, home);
         // Reply latency under a saturated per-op server can reach
@@ -837,12 +791,10 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
         }
         let verifier_pair = match secondaries.get(&i) {
             Some(&sec) if is_verifier(&cfg, i) => {
-                let surn = urns[sec].clone();
-                let shost = map.host_for(surn.as_str());
                 if !dynamic {
-                    w.link(spec, host, shost);
+                    w.link(spec, host, map.host_for(urns[sec].as_str()));
                 }
-                Some((surn, shost))
+                Some(sec)
             }
             _ => None,
         };
@@ -857,47 +809,33 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
         let closed = i % 2 == 0;
         let (cl2, st2, ops) = (cl.clone(), st.clone(), cfg.ops_per_client);
         match verifier_pair {
-            Some((surn, shost)) => {
+            Some(sec) => {
                 // Cross-shard verifier: warm both shards' read floors,
-                // then alternate exports between them with a session
-                // check after every commit.
-                let pair = Rc::new((urn, surn));
-                let hosts = Rc::new((home, shost));
+                // then alternate exports between them with a re-read
+                // after every commit.
                 w.sim.schedule_after(arrival, move |sim| {
-                    let (cl, st, first) = (cl2.clone(), st2.clone(), pair.0.clone());
-                    import_step(sim, &cl, &first, session, &st, move |sim| {
-                        let (cl, st, second) = (cl2.clone(), st2.clone(), pair.1.clone());
-                        import_step(sim, &cl, &second, session, &st, move |sim| {
-                            let floors = Rc::new(RefCell::new(HashMap::new()));
-                            verifier_step(
-                                sim, cl2, pair, hosts, session, host, 0, ops, st2, floors,
-                            );
+                    let (cl, st) = (cl2.clone(), st2.clone());
+                    import_step(sim, &cl, obj, session, host, &st, move |sim| {
+                        let (cl, st) = (cl2.clone(), st2.clone());
+                        import_step(sim, &cl, sec, session, host, &st, move |sim| {
+                            verifier_step(sim, cl2, (obj, sec), session, host, 0, ops, st2);
                         });
                     });
                 });
             }
             None => {
                 w.sim.schedule_after(arrival, move |sim| {
-                    let (cl, st, first) = (cl2.clone(), st2.clone(), urn.clone());
-                    import_step(sim, &cl, &first, session, &st, move |sim| {
+                    let (cl, st) = (cl2.clone(), st2.clone());
+                    import_step(sim, &cl, obj, session, host, &st, move |sim| {
                         if closed {
-                            chain_exports(sim, cl2, urn, session, host, home, ops, st2);
+                            chain_exports(sim, cl2, obj, session, host, ops, st2);
                         } else {
                             for j in 0..ops {
-                                let (cl3, urn3, st3) = (cl2.clone(), urn.clone(), st2.clone());
+                                let (cl3, st3) = (cl2.clone(), st2.clone());
                                 sim.schedule_after(
                                     SimDuration::from_micros(THINK.as_micros() * j as u64),
                                     move |sim| {
-                                        export_step(
-                                            sim,
-                                            &cl3,
-                                            &urn3,
-                                            session,
-                                            host,
-                                            home,
-                                            &st3,
-                                            |_, _| {},
-                                        );
+                                        export_step(sim, &cl3, obj, session, host, &st3, |_, _| {});
                                     },
                                 );
                             }
@@ -908,86 +846,64 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
         }
         clients.push(cl);
     }
-    let World { mut sim, .. } = w;
-
     // Load-balancing plane drivers and the imbalance monitor. Each
     // reschedules itself until every export committed, so the post-run
-    // `sim.run()` drains cleanly.
+    // `w.sim.run()` drains cleanly.
     let sv = Rc::new(servers.clone());
     if shards > 1 {
         let (sv2, st2) = (sv.clone(), st.clone());
         let last = Rc::new(RefCell::new(vec![0u64; shards]));
-        sim.schedule_after(MONITOR_EVERY, move |sim| {
+        w.sim.schedule_after(MONITOR_EVERY, move |sim| {
             monitor_tick(sim, sv2, st2, last, total_ops)
         });
     }
     if dynamic && cfg.replicate_hot > 0 {
         let (sv2, st2) = (sv.clone(), st.clone());
-        sim.schedule_after(REPL_EPOCH, move |sim| {
+        w.sim.schedule_after(REPL_EPOCH, move |sim| {
             replication_tick(sim, sv2, st2, total_ops)
         });
     }
     if let (true, Some(every)) = (dynamic, cfg.rebalance_every) {
         let (sv2, st2, map2) = (sv.clone(), st.clone(), map.clone());
         let rb = Rc::new(RefCell::new(Rebalancer::new(shards)));
-        sim.schedule_after(every, move |sim| {
+        w.sim.schedule_after(every, move |sim| {
             rebalance_tick(sim, sv2, map2, rb, st2, total_ops, every)
         });
     }
 
     // Drive until every export's commit promise resolved.
-    let t0 = sim.now();
+    let t0 = w.sim.now();
     let deadline = t0 + SimDuration::from_secs(4 * 3600);
     while st.done.get() < total_ops {
-        if let Some(e) = st.errors.borrow().first() {
+        if let Some(e) = st.error.borrow().as_ref() {
             return Err(format!("seed {}: {e}", cfg.seed));
         }
-        if !sim.step() {
+        if !w.sim.step() {
             return Err(format!(
                 "seed {}: event queue drained with {}/{total_ops} commits",
                 cfg.seed,
                 st.done.get()
             ));
         }
-        if sim.now() > deadline {
+        if w.sim.now() > deadline {
             return Err(format!(
                 "seed {}: did not converge ({}/{total_ops} commits at {})",
                 cfg.seed,
                 st.done.get(),
-                sim.now()
+                w.sim.now()
             ));
         }
     }
     let duration_ms = st.last_done.get().since(t0).as_millis_f64().ceil() as u64;
-    sim.run(); // Drain residual probe timers and notifications.
-    if let Some(e) = st.errors.borrow().first() {
+    w.sim.run(); // Drain residual probe timers and notifications.
+    if let Some(e) = st.error.borrow().as_ref() {
         return Err(format!("seed {}: {e}", cfg.seed));
     }
-
-    let final_total: u64 = urns
-        .iter()
-        .map(|u| {
-            servers[map.shard_for(u.as_str())]
-                .borrow()
-                .get_object(u)
-                .and_then(|o| o.field("n").and_then(|v| v.parse::<u64>().ok()))
-                .unwrap_or(0)
-        })
-        .sum();
-    let issued = st.issued.borrow();
-    let committed = issued
-        .iter()
-        .filter(|(_, p)| {
-            matches!(
-                p.poll().map(|o| o.status),
-                Some(OpStatus::Ok) | Some(OpStatus::Resolved)
-            )
-        })
-        .count() as u64;
-    let mut reply_us: Vec<u64> = issued
-        .iter()
-        .filter_map(|(t, p)| p.resolved_at().map(|r| r.since(*t).as_micros()))
-        .collect();
+    let hist = st.hist.borrow();
+    let summary = hist
+        .check(&w, &clients)
+        .map_err(|e| format!("seed {}: {e}", cfg.seed))?;
+    let mut reply_us: Vec<u64> = hist.write_latencies().map(|d| d.as_micros()).collect();
     reply_us.sort_unstable();
     let q = |f: f64| -> u64 {
         if reply_us.is_empty() {
@@ -996,26 +912,12 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
         let idx = ((reply_us.len() as f64 * f).ceil() as usize).clamp(1, reply_us.len());
         reply_us[idx - 1]
     };
-    let (p50_reply_us, p99_reply_us) = (q(0.50), q(0.99));
-    drop(issued);
 
-    let reexecs = sim.stats.counter("server.dedup_miss_reexec");
-    let wal_appends = sim.stats.counter("server.wal_appends");
-    let wal_flush_bytes = sim.stats.counter("server.wal_flush_bytes");
-    let group_commits = sim.stats.counter("server.group_commits");
+    let stats = &w.sim.stats;
     let [batch_mean_x100, batch_p50_x100, batch_p99_x100] =
-        scaled_summary(&sim.stats, "server.group_commit_batch_size", 100.0, 100);
+        scaled_summary(stats, "server.group_commit_batch_size", 100.0, 100);
     let [flush_wait_us_mean, flush_wait_us_p50, flush_wait_us_p99] =
-        scaled_summary(&sim.stats, "server.flush_wait_ms", 1000.0, 0);
-    let reply_coalesced = sim.stats.counter("server.reply_coalesced");
-    let retransmits = sim.stats.counter("client.retransmits");
-    let crashes = sim.stats.counter("server.crashes");
-    let wfr_checked = sim.stats.counter("server.wfr_checked");
-    let wfr_holds = sim.stats.counter("server.wfr_held");
-    let shard_wal_bytes: Vec<u64> = servers
-        .iter()
-        .map(|s| s.borrow().wal_device_len())
-        .collect();
+        scaled_summary(stats, "server.flush_wait_ms", 1000.0, 0);
     let imbalance_x100 = {
         let max = shard_ops.iter().copied().max().unwrap_or(0);
         let mean = total_ops.max(1) as f64 / shards as f64;
@@ -1033,172 +935,117 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
         }
     };
     let [_, imbalance_p50_x100, imbalance_p99_x100] =
-        scaled_summary(&sim.stats, "scale.imbalance_window", 100.0, 100);
-    let [_, qdepth_p50_x100, qdepth_p99_x100] =
-        scaled_summary(&sim.stats, "server.qdepth", 100.0, 0);
-    let replica_reads = sim.stats.counter("server.replica_reads");
-    let replicas_published = sim.stats.counter("server.replicas_published");
-    let migrations = sim.stats.counter("server.migrated_out");
-    let redirects = sim.stats.counter("client.redirects");
-    let input_rejected = input_rejected(&sim.stats);
-
-    if final_total != total_ops {
-        return Err(format!(
-            "seed {}: lost or duplicated ops: counters sum to {final_total}, issued {total_ops}",
-            cfg.seed
-        ));
-    }
-    if committed != total_ops {
-        return Err(format!(
-            "seed {}: {committed}/{total_ops} exports resolved Ok/Resolved",
-            cfg.seed
-        ));
-    }
-    if reexecs != 0 {
-        return Err(format!(
-            "seed {}: {reexecs} dedup-miss re-executions (at-most-once violated)",
-            cfg.seed
-        ));
-    }
-    if wal_appends < total_ops {
-        return Err(format!(
-            "seed {}: only {wal_appends} WAL commit records for {total_ops} exports",
-            cfg.seed
-        ));
-    }
-    if cfg.shard_crashes == 0 && retransmits != 0 {
-        return Err(format!(
-            "seed {}: {retransmits} retransmissions on clean links without chaos",
-            cfg.seed
-        ));
-    }
-    if crashes != scheduled_crashes {
-        return Err(format!(
-            "seed {}: scheduled {scheduled_crashes} shard crashes but {crashes} fired",
-            cfg.seed
-        ));
-    }
-    if shards > 1 && secondaries.values().len() > 0 && wfr_checked == 0 {
-        return Err(format!(
-            "seed {}: cross-shard verifiers ran but no read-vector was ever checked",
-            cfg.seed
-        ));
-    }
-    for (s, server) in servers.iter().enumerate() {
-        let stuck = server.borrow().wfr_held_count();
-        if stuck != 0 {
-            return Err(format!(
-                "seed {}: shard {s} still holds {stuck} writes-follow-reads requests",
-                cfg.seed
-            ));
-        }
-    }
-    if cfg.shard_crashes > 0 {
-        // Durability audit: every export that was replied survives in
-        // its shard's recovered executed set.
-        for (client, dst, req) in st.commits.borrow().iter() {
-            let s = (dst.0 - SERVER.0) as usize;
-            if !servers[s].borrow().executed_contains(*client, *req) {
-                return Err(format!(
-                    "seed {}: replied commit {req:?} from {client:?} lost by shard {s} recovery",
-                    cfg.seed
-                ));
-            }
-        }
-    }
-    for cl in &clients {
-        if Client::log_len(cl) != 0 {
-            return Err(format!(
-                "seed {}: client log not empty after convergence",
-                cfg.seed
-            ));
-        }
-    }
-
-    let figures = [
-        cfg.seed,
-        cfg.clients as u64,
-        shards as u64,
-        total_ops,
-        committed,
-        final_total,
-        reexecs,
-        duration_ms,
-        wal_appends,
-        wal_flush_bytes,
-        group_commits,
-        batch_mean_x100,
-        batch_p50_x100,
-        batch_p99_x100,
-        flush_wait_us_mean,
-        flush_wait_us_p50,
-        flush_wait_us_p99,
-        reply_coalesced,
-        p50_reply_us,
-        p99_reply_us,
-        retransmits,
-        crashes,
-        wfr_checked,
-        wfr_holds,
-        imbalance_x100,
-        measured_imbalance_x100,
-        imbalance_p50_x100,
-        imbalance_p99_x100,
-        qdepth_p50_x100,
-        qdepth_p99_x100,
-        replica_reads,
-        replicas_published,
-        migrations,
-        redirects,
-        input_rejected,
-    ];
-    let digest = super::fnv_digest(
-        figures
-            .into_iter()
-            .chain(shard_ops.iter().copied())
-            .chain(shard_wal_bytes.iter().copied()),
-    );
-
-    Ok(ScaleOutcome {
+        scaled_summary(stats, "scale.imbalance_window", 100.0, 100);
+    let [_, qdepth_p50_x100, qdepth_p99_x100] = scaled_summary(stats, "server.qdepth", 100.0, 0);
+    let mut o = ScaleOutcome {
         seed: cfg.seed,
         clients: cfg.clients as u64,
         shards: shards as u64,
         ops: total_ops,
-        committed,
-        final_total,
-        reexecs,
+        committed: summary.committed,
+        final_total: summary.totals.iter().sum::<i64>() as u64,
+        reexecs: summary.reexecs,
         duration_ms,
-        wal_appends,
-        wal_flush_bytes,
-        group_commits,
+        wal_appends: stats.counter("server.wal_appends"),
+        wal_flush_bytes: stats.counter("server.wal_flush_bytes"),
+        group_commits: stats.counter("server.group_commits"),
         batch_mean_x100,
         batch_p50_x100,
         batch_p99_x100,
         flush_wait_us_mean,
         flush_wait_us_p50,
         flush_wait_us_p99,
-        reply_coalesced,
-        p50_reply_us,
-        p99_reply_us,
-        retransmits,
-        crashes,
-        wfr_checked,
-        wfr_holds,
+        reply_coalesced: stats.counter("server.reply_coalesced"),
+        p50_reply_us: q(0.50),
+        p99_reply_us: q(0.99),
+        retransmits: stats.counter("client.retransmits"),
+        crashes: stats.counter("server.crashes"),
+        wfr_checked: stats.counter("server.wfr_checked"),
+        wfr_holds: stats.counter("server.wfr_held"),
         imbalance_x100,
         measured_imbalance_x100,
         imbalance_p50_x100,
         imbalance_p99_x100,
         qdepth_p50_x100,
         qdepth_p99_x100,
-        replica_reads,
-        replicas_published,
-        migrations,
-        redirects,
-        input_rejected,
+        replica_reads: stats.counter("server.replica_reads"),
+        replicas_published: stats.counter("server.replicas_published"),
+        migrations: stats.counter("server.migrated_out"),
+        redirects: stats.counter("client.redirects"),
+        input_rejected: input_rejected(stats),
+        shard_wal_bytes: servers
+            .iter()
+            .map(|s| s.borrow().wal_device_len())
+            .collect(),
         shard_ops,
-        shard_wal_bytes,
-        digest,
-    })
+        digest: 0,
+    };
+
+    let seed = cfg.seed;
+    if o.wal_appends < total_ops {
+        let n = o.wal_appends;
+        return Err(format!(
+            "seed {seed}: only {n} WAL commit records for {total_ops} exports"
+        ));
+    }
+    if cfg.shard_crashes == 0 && o.retransmits != 0 {
+        let n = o.retransmits;
+        return Err(format!(
+            "seed {seed}: {n} retransmissions on clean links without chaos"
+        ));
+    }
+    if o.crashes != scheduled_crashes {
+        let n = o.crashes;
+        return Err(format!(
+            "seed {seed}: scheduled {scheduled_crashes} shard crashes but {n} fired"
+        ));
+    }
+    if shards > 1 && !secondaries.is_empty() && o.wfr_checked == 0 {
+        return Err(format!(
+            "seed {seed}: cross-shard verifiers ran but no read-vector was ever checked"
+        ));
+    }
+
+    let figures = [
+        o.seed,
+        o.clients,
+        o.shards,
+        o.ops,
+        o.committed,
+        o.final_total,
+        o.reexecs,
+        o.duration_ms,
+        o.wal_appends,
+        o.wal_flush_bytes,
+        o.group_commits,
+        o.batch_mean_x100,
+        o.batch_p50_x100,
+        o.batch_p99_x100,
+        o.flush_wait_us_mean,
+        o.flush_wait_us_p50,
+        o.flush_wait_us_p99,
+        o.reply_coalesced,
+        o.p50_reply_us,
+        o.p99_reply_us,
+        o.retransmits,
+        o.crashes,
+        o.wfr_checked,
+        o.wfr_holds,
+        o.imbalance_x100,
+        o.measured_imbalance_x100,
+        o.imbalance_p50_x100,
+        o.imbalance_p99_x100,
+        o.qdepth_p50_x100,
+        o.qdepth_p99_x100,
+        o.replica_reads,
+        o.replicas_published,
+        o.migrations,
+        o.redirects,
+        o.input_rejected,
+    ];
+    let tail = o.shard_ops.iter().chain(&o.shard_wal_bytes).copied();
+    o.digest = super::fnv_digest(figures.into_iter().chain(tail));
+    Ok(o)
 }
 
 /// Runs both commit-policy arms on one seed and returns
@@ -1561,8 +1408,8 @@ pub fn s2_shard_scaling(r: &mut Report) {
     }
     r.metric("s2.scaleout_8x1", scaleout);
     // Shard-kill chaos arm: every shard power-failed twice mid-run; the
-    // run_scale invariants prove zero lost commits, zero re-executions,
-    // the durability audit, and cross-shard WFR under recovery.
+    // history check inside run_scale proves exactly-once, the committed
+    // prefix, and cross-shard WFR under recovery.
     let chaos = run_scale(
         ScaleConfig::new(1, CLIENTS, OPS)
             .with_policy(GROUP_POLICY)
@@ -1598,10 +1445,10 @@ pub const S3_IMBALANCE_CEIL: f64 = 1.30;
 ///    plane actually exercised (replica reads and migrations > 0).
 ///
 /// A fourth chaos arm re-runs the 4-shard 2-crash soak with
-/// replication on: every `run_scale` durability invariant (zero lost
-/// commits, zero re-executions, recovered dedup sets, empty client
-/// logs) must hold while volatile replicas are dropped and
-/// republished across crashes.
+/// replication on: `run_scale`'s history check (exactly-once, the
+/// committed prefix in the recovered executed sets, empty client logs)
+/// must hold while volatile replicas are dropped and republished
+/// across crashes.
 pub fn s3_hot_balance(r: &mut Report) {
     const CLIENTS: usize = 10_000;
     const OPS: usize = 3;
@@ -1700,7 +1547,7 @@ pub fn s3_hot_balance(r: &mut Report) {
 
     // Chaos arm: shard kills with replication on. Volatile replicas
     // die with their holder and are republished next epoch; the
-    // durability audit inside run_scale proves exactly-once and
+    // history check inside run_scale proves exactly-once and the
     // session guarantees survived.
     let chaos = run_scale(
         ScaleConfig::new(1, CLIENTS, OPS)

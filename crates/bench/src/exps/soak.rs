@@ -8,40 +8,38 @@
 //! fault schedule, the same retransmissions, and the same final state —
 //! which the CI smoke run and `tests/soak.rs` assert.
 //!
-//! Invariants checked per seed:
+//! Every import and export is recorded in a [`rover_core::History`],
+//! and the run ends with its one check of the toolkit's contract:
+//! every promise decided `Ok`/`Resolved` (budgetless clients never
+//! give up), the counter applied every `add 1` exactly once with no
+//! dedup-miss re-execution, the session guarantees, every replied
+//! commit in the server's executed set — after the final restart, in
+//! crash mode — and empty client logs. The soak's own checks:
 //!
-//! - **zero lost committed ops**: the server counter equals the number
-//!   of exports issued (every `add 1` applied exactly once);
-//! - **zero duplicate executions**: `server.dedup_miss_reexec == 0`
-//!   (no request re-executed because its dedup entry was evicted);
 //! - **no corrupted frame delivered**: every corruption injected on the
 //!   wire was caught by the checksum (`net.corrupt_rejected >=
 //!   net.faults_injected.corrupt`; a corrupted *and* duplicated message
 //!   is rejected once per copy);
-//! - **quiescence**: no outstanding QRPCs and empty client logs after
-//!   convergence;
-//! - **every promise decided**: each export's committed promise
-//!   resolved `Ok`/`Resolved` (budgetless clients never give up).
+//! - **quiescence**: no outstanding QRPCs after convergence.
 //!
 //! With `server_crashes > 0` the server runs with a write-ahead commit
 //! log attached and is power-failed at evenly spaced round boundaries
 //! mid-traffic, rebooting from checkpoint + log replay after a fixed
-//! outage. Two durability invariants join the list:
-//!
-//! - **every replied commit survives recovery**: any export whose
-//!   promise resolved is still in the server's executed set after the
-//!   final restart (`Server::executed_contains`);
-//! - **recovery actually replayed**: `server.recovered_commits > 0`
-//!   across the run (the crashes were not no-ops).
+//! outage (a failed reboot fails the seed). Every scheduled crash must
+//! fire, and recovery must actually replay (`server.recovered_commits >
+//! 0` across the run: the crashes were not no-ops).
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use rover_core::{
-    Client, ClientConfig, ClientRef, Guarantees, ReexecuteResolver, Server, ServerConfig, Urn,
-    World,
+    Client, ClientConfig, ClientRef, Guarantees, History, ReexecuteResolver, Server, ServerConfig,
+    Urn, World,
 };
 use rover_log::MemStore;
 use rover_net::{FaultSpec, FlapSpec, LinkSpec};
 use rover_sim::SimDuration;
-use rover_wire::{HostId, OpStatus, Priority, SessionId};
+use rover_wire::{HostId, Priority, SessionId};
 
 use super::{input_rejected, scaled_summary};
 use crate::report::Report;
@@ -114,7 +112,7 @@ pub struct SoakOutcome {
     pub final_n: u64,
     /// Exports whose committed promise resolved `Ok`/`Resolved`.
     pub committed: u64,
-    /// `server.dedup_miss_reexec` — must be zero.
+    /// `server.dedup_miss_reexec`, from the history check: zero.
     pub reexecs: u64,
     /// Faults injected on the wire (drop + corrupt + dup + jitter).
     pub faults: u64,
@@ -193,7 +191,10 @@ pub fn run_seed(cfg: SoakConfig) -> Result<SoakOutcome, String> {
         .borrow_mut()
         .register_resolver("counter", Box::new(ReexecuteResolver));
     let urn = Urn::parse("urn:rover:soak/counter").expect("valid urn");
-    w.put_counter(&urn, 0);
+    let mut hist = History::default();
+    let obj = hist
+        .put_counter(&w, &urn, 0)
+        .ok_or("no server homes the counter")?;
     if cfg.server_crashes > 0 || cfg.group_commit {
         // Durable mode: the initial checkpoint snapshots the counter
         // object, and every commit hits the log before its reply.
@@ -201,7 +202,8 @@ pub fn run_seed(cfg: SoakConfig) -> Result<SoakOutcome, String> {
             .map_err(|e| format!("seed {}: attach_wal failed: {e:?}", cfg.seed))?;
     }
 
-    let mut clients: Vec<(ClientRef, SessionId)> = Vec::new();
+    let mut clients: Vec<ClientRef> = Vec::new();
+    let mut sessions: Vec<SessionId> = Vec::new();
     for i in 0..cfg.clients {
         let host = client_host(i);
         let mut ccfg = ClientConfig::thinkpad(host, SERVER);
@@ -210,27 +212,21 @@ pub fn run_seed(cfg: SoakConfig) -> Result<SoakOutcome, String> {
         ccfg.rto = SimDuration::from_secs(10);
         ccfg.rto_max = SimDuration::from_secs(160);
         let client = w.client(ccfg, LinkSpec::WAVELAN_2M);
-        let session = Client::create_session(&client, Guarantees::ALL, true);
-        clients.push((client, session));
+        sessions.push(Client::create_session(&client, Guarantees::ALL, true));
+        clients.push(client);
     }
     let links = w.links_of(SERVER);
-    let World { mut sim, net, .. } = w;
 
     // Warm every cache over a clean channel, then unleash the chaos.
-    for (client, session) in &clients {
-        let p = Client::import(client, &mut sim, &urn, *session, Priority::FOREGROUND)
+    for (i, client) in clients.iter().enumerate() {
+        let p = Client::import(client, &mut w.sim, &urn, sessions[i], Priority::FOREGROUND)
             .map_err(|e| format!("seed {}: import failed: {e:?}", cfg.seed))?;
-        sim.run();
-        if p.poll().map(|o| o.status) != Some(OpStatus::Ok) {
-            return Err(format!(
-                "seed {}: warm-up import did not resolve Ok",
-                cfg.seed
-            ));
-        }
+        hist.read(w.sim.now(), client_host(i), sessions[i], obj, &p);
+        w.sim.run();
     }
     for (i, &link) in links.iter().enumerate() {
-        net.install_faults(
-            &mut sim,
+        w.net.install_faults(
+            &mut w.sim,
             link,
             FaultSpec {
                 drop_prob: 0.05,
@@ -255,234 +251,175 @@ pub fn run_seed(cfg: SoakConfig) -> Result<SoakOutcome, String> {
         .map(|k| ((k * cfg.ops_per_client) / (cfg.server_crashes + 1)).max(1))
         .collect();
     let outage = SimDuration::from_secs(12);
+    let failed: Rc<RefCell<Option<String>>> = Rc::default();
 
     // Issue exports round-robin with think time, chaos running the
     // whole while.
-    let t0 = sim.now();
-    let mut handles = Vec::new();
+    let t0 = w.sim.now();
     for round in 0..cfg.ops_per_client {
         if crash_rounds.contains(&round) {
-            Server::crash_now(&server, &mut sim);
-            let sv = server.clone();
-            sim.schedule_after(outage, move |sim| {
-                Server::crash_restart(&sv, sim).expect("soak crash_restart");
+            Server::crash_now(&server, &mut w.sim);
+            let (sv, failed) = (server.clone(), failed.clone());
+            w.sim.schedule_after(outage, move |sim| {
+                if let Err(e) = Server::crash_restart(&sv, sim) {
+                    *failed.borrow_mut() = Some(format!("crash_restart failed: {e:?}"));
+                }
             });
         }
-        for (host, (client, session)) in clients.iter().enumerate() {
+        for (i, client) in clients.iter().enumerate() {
+            let (now, session) = (w.sim.now(), sessions[i]);
             let h = Client::export(
                 client,
-                &mut sim,
+                &mut w.sim,
                 &urn,
-                *session,
+                session,
                 "add",
                 &["1"],
                 Priority::NORMAL,
             )
             .map_err(|e| format!("seed {}: export failed: {e:?}", cfg.seed))?;
-            handles.push((client_host(host), h));
-            sim.run_for(SimDuration::from_millis(400));
+            hist.write(now, client_host(i), session, obj, 1, &h);
+            w.sim.run_for(SimDuration::from_millis(400));
         }
     }
 
     // Drive to quiescence: every queued QRPC decided. `sim.run()` also
     // plays out the tail of each flap schedule.
-    let deadline = sim.now() + SimDuration::from_secs(48 * 3600);
-    while clients
-        .iter()
-        .any(|(c, _)| Client::outstanding_count(c) > 0)
-    {
-        if !sim.step() || sim.now() > deadline {
+    let deadline = w.sim.now() + SimDuration::from_secs(48 * 3600);
+    // A failed recovery ends the run.
+    while failed.borrow().is_none() && clients.iter().any(|c| Client::outstanding_count(c) > 0) {
+        if !w.sim.step() || w.sim.now() > deadline {
             return Err(format!(
                 "seed {}: did not converge (t = {}, outstanding = {:?})",
                 cfg.seed,
-                sim.now(),
+                w.sim.now(),
                 clients
                     .iter()
-                    .map(|(c, _)| Client::outstanding_count(c))
+                    .map(Client::outstanding_count)
                     .collect::<Vec<_>>()
             ));
         }
     }
-    let converged_ms = sim.now().since(t0).as_millis_f64() as u64;
-    sim.run(); // Drain remaining flap/background events.
+    if let Some(e) = failed.take() {
+        return Err(format!("seed {}: {e}", cfg.seed));
+    }
+    let converged_ms = w.sim.now().since(t0).as_millis_f64() as u64;
+    w.sim.run(); // Drain remaining flap/background events.
+    let summary = hist
+        .check(&w, &clients)
+        .map_err(|e| format!("seed {}: {e}", cfg.seed))?;
 
+    let stats = &w.sim.stats;
     let ops = (cfg.clients * cfg.ops_per_client) as u64;
-    let final_n: u64 = server
-        .borrow()
-        .get_object(&urn)
-        .and_then(|o| o.field("n").and_then(|v| v.parse().ok()))
-        .unwrap_or(0);
-    let committed = handles
-        .iter()
-        .filter(|(_, h)| {
-            matches!(
-                h.committed.poll().map(|o| o.status),
-                Some(OpStatus::Ok) | Some(OpStatus::Resolved)
-            )
-        })
-        .count() as u64;
-    let reexecs = sim.stats.counter("server.dedup_miss_reexec");
-    let crashes = sim.stats.counter("server.crashes");
-    let wal_appends = sim.stats.counter("server.wal_appends");
-    let checkpoints = sim.stats.counter("server.checkpoints");
-    let recovered_commits = sim.stats.counter("server.recovered_commits");
-    let recovery_truncated_tail = sim.stats.counter("server.recovery_truncated_tail");
-    let [recovery_us_mean, ..] = scaled_summary(&sim.stats, "server.recovery_ms", 1000.0, 0);
-    let group_commits = sim.stats.counter("server.group_commits");
+    let [recovery_us_mean, ..] = scaled_summary(stats, "server.recovery_ms", 1000.0, 0);
     let [group_batch_mean_x100, group_batch_p50_x100, group_batch_p99_x100] =
-        scaled_summary(&sim.stats, "server.group_commit_batch_size", 100.0, 100);
-    let reply_coalesced = sim.stats.counter("server.reply_coalesced");
+        scaled_summary(stats, "server.group_commit_batch_size", 100.0, 100);
     let [flush_wait_us_mean, flush_wait_us_p50, flush_wait_us_p99] =
-        scaled_summary(&sim.stats, "server.flush_wait_ms", 1000.0, 0);
-    let [_, qdepth_p50_x100, qdepth_p99_x100] =
-        scaled_summary(&sim.stats, "server.qdepth", 100.0, 0);
-    let corrupt_injected = sim.stats.counter("net.faults_injected.corrupt");
-    let corrupt_rejected = sim.stats.counter("net.corrupt_rejected");
-    let faults = corrupt_injected
-        + sim.stats.counter("net.faults_injected.drop")
-        + sim.stats.counter("net.faults_injected.dup")
-        + sim.stats.counter("net.faults_injected.jitter");
-    let retransmits = sim.stats.counter("client.retransmits");
-    let input_rejected = input_rejected(&sim.stats);
+        scaled_summary(stats, "server.flush_wait_ms", 1000.0, 0);
+    let [_, qdepth_p50_x100, qdepth_p99_x100] = scaled_summary(stats, "server.qdepth", 100.0, 0);
+    let corrupt_injected = stats.counter("net.faults_injected.corrupt");
+    let mut o = SoakOutcome {
+        seed: cfg.seed,
+        ops,
+        final_n: summary.totals[obj] as u64,
+        committed: summary.committed,
+        reexecs: summary.reexecs,
+        faults: corrupt_injected
+            + stats.counter("net.faults_injected.drop")
+            + stats.counter("net.faults_injected.dup")
+            + stats.counter("net.faults_injected.jitter"),
+        corrupt_rejected: stats.counter("net.corrupt_rejected"),
+        corrupt_injected,
+        retransmits: stats.counter("client.retransmits"),
+        converged_ms,
+        server_crashes: stats.counter("server.crashes"),
+        wal_appends: stats.counter("server.wal_appends"),
+        checkpoints: stats.counter("server.checkpoints"),
+        recovered_commits: stats.counter("server.recovered_commits"),
+        recovery_truncated_tail: stats.counter("server.recovery_truncated_tail"),
+        recovery_us_mean,
+        group_commits: stats.counter("server.group_commits"),
+        group_batch_mean_x100,
+        group_batch_p50_x100,
+        group_batch_p99_x100,
+        reply_coalesced: stats.counter("server.reply_coalesced"),
+        flush_wait_us_mean,
+        flush_wait_us_p50,
+        flush_wait_us_p99,
+        qdepth_p50_x100,
+        qdepth_p99_x100,
+        input_rejected: input_rejected(stats),
+        digest: 0,
+    };
 
-    // Convergence invariants.
-    if final_n != ops {
-        return Err(format!(
-            "seed {}: lost or duplicated ops: server n = {final_n}, issued = {ops}",
-            cfg.seed
-        ));
-    }
-    if committed != ops {
-        return Err(format!(
-            "seed {}: {committed}/{ops} exports resolved Ok/Resolved",
-            cfg.seed
-        ));
-    }
-    if reexecs != 0 {
-        return Err(format!(
-            "seed {}: {reexecs} dedup-miss re-executions (at-most-once violated)",
-            cfg.seed
-        ));
-    }
     // Every injected corruption is caught at least once; a corrupted
     // message that was *also* duplicated is rejected twice (both copies
     // carry the flipped bit), so rejections can exceed injections.
-    if corrupt_rejected < corrupt_injected {
+    let seed = cfg.seed;
+    if o.corrupt_rejected < corrupt_injected {
+        let n = o.corrupt_rejected;
         return Err(format!(
-            "seed {}: {corrupt_injected} corruptions injected but only {corrupt_rejected} rejected",
-            cfg.seed
+            "seed {seed}: {corrupt_injected} corruptions injected but only {n} rejected"
         ));
     }
-    for (client, _) in &clients {
-        if Client::log_len(client) != 0 {
-            return Err(format!(
-                "seed {}: client log not empty after convergence",
-                cfg.seed
-            ));
-        }
-    }
-
     // Durability invariants (crash mode only).
     if cfg.server_crashes > 0 {
-        if crashes != crash_rounds.len() as u64 {
+        if o.server_crashes != crash_rounds.len() as u64 {
+            let (want, n) = (crash_rounds.len(), o.server_crashes);
             return Err(format!(
-                "seed {}: scheduled {} crashes but {crashes} fired",
-                cfg.seed,
-                crash_rounds.len()
+                "seed {seed}: scheduled {want} crashes but {n} fired"
             ));
         }
-        if recovered_commits == 0 {
+        if o.recovered_commits == 0 {
             return Err(format!(
-                "seed {}: crashes fired but recovery replayed nothing",
-                cfg.seed
+                "seed {seed}: crashes fired but recovery replayed nothing"
             ));
-        }
-        let s = server.borrow();
-        for (host, h) in &handles {
-            if !s.executed_contains(*host, h.req) {
-                return Err(format!(
-                    "seed {}: replied commit {:?} from {host:?} lost by recovery",
-                    cfg.seed, h.req
-                ));
-            }
         }
     }
-
     // Group-commit invariants (group mode only).
     if cfg.group_commit {
-        if group_commits == 0 {
+        if o.group_commits == 0 {
             return Err(format!(
-                "seed {}: group commit enabled but no group ever flushed",
-                cfg.seed
+                "seed {seed}: group commit enabled but no group ever flushed"
             ));
         }
-        if wal_appends < ops {
+        if o.wal_appends < ops {
+            let n = o.wal_appends;
             return Err(format!(
-                "seed {}: only {wal_appends} WAL commit records for {ops} exports",
-                cfg.seed
+                "seed {seed}: only {n} WAL commit records for {ops} exports"
             ));
         }
     }
 
-    let digest = super::fnv_digest([
-        cfg.seed,
-        ops,
-        final_n,
-        committed,
-        reexecs,
-        faults,
-        corrupt_rejected,
-        retransmits,
-        converged_ms,
-        crashes,
-        wal_appends,
-        checkpoints,
-        recovered_commits,
-        recovery_truncated_tail,
-        recovery_us_mean,
-        group_commits,
-        group_batch_mean_x100,
-        group_batch_p50_x100,
-        group_batch_p99_x100,
-        reply_coalesced,
-        flush_wait_us_mean,
-        flush_wait_us_p50,
-        flush_wait_us_p99,
-        qdepth_p50_x100,
-        qdepth_p99_x100,
-        input_rejected,
+    o.digest = super::fnv_digest([
+        o.seed,
+        o.ops,
+        o.final_n,
+        o.committed,
+        o.reexecs,
+        o.faults,
+        o.corrupt_rejected,
+        o.retransmits,
+        o.converged_ms,
+        o.server_crashes,
+        o.wal_appends,
+        o.checkpoints,
+        o.recovered_commits,
+        o.recovery_truncated_tail,
+        o.recovery_us_mean,
+        o.group_commits,
+        o.group_batch_mean_x100,
+        o.group_batch_p50_x100,
+        o.group_batch_p99_x100,
+        o.reply_coalesced,
+        o.flush_wait_us_mean,
+        o.flush_wait_us_p50,
+        o.flush_wait_us_p99,
+        o.qdepth_p50_x100,
+        o.qdepth_p99_x100,
+        o.input_rejected,
     ]);
-
-    Ok(SoakOutcome {
-        seed: cfg.seed,
-        ops,
-        final_n,
-        committed,
-        reexecs,
-        faults,
-        corrupt_rejected,
-        corrupt_injected,
-        retransmits,
-        converged_ms,
-        server_crashes: crashes,
-        wal_appends,
-        checkpoints,
-        recovered_commits,
-        recovery_truncated_tail,
-        recovery_us_mean,
-        group_commits,
-        group_batch_mean_x100,
-        group_batch_p50_x100,
-        group_batch_p99_x100,
-        reply_coalesced,
-        flush_wait_us_mean,
-        flush_wait_us_p50,
-        flush_wait_us_p99,
-        qdepth_p50_x100,
-        qdepth_p99_x100,
-        input_rejected,
-        digest,
-    })
+    Ok(o)
 }
 
 /// Runs a range of seeds and renders the per-seed table; `Err` on the

@@ -13,12 +13,12 @@
 
 use proptest::prelude::*;
 use rover_core::{
-    Client, ClientConfig, ClientRef, Guarantees, Priority, Promise, ReexecuteResolver, Server,
-    ServerConfig, ServerRef, ShardMap, Urn, World,
+    Client, ClientConfig, ClientRef, Guarantees, History, Priority, Promise, ReexecuteResolver,
+    Server, ServerConfig, ServerRef, ShardMap, Urn, World,
 };
 use rover_net::LinkSpec;
 use rover_sim::SimDuration;
-use rover_wire::{HostId, OpStatus, SessionId};
+use rover_wire::{HostId, SessionId};
 
 /// The writer's host.
 const WRITER: HostId = HostId(1);
@@ -67,8 +67,11 @@ type Handle = (ClientRef, SessionId);
 /// attaches the cold reader: links to every shard, shard routing, and a
 /// cache too small to retain anything — every import goes to the wire.
 /// Returns the world, the shard servers (index = shard), the objects,
-/// the writer and the reader.
-fn replicated_federation(shards: usize) -> (World, Vec<ServerRef>, Vec<Urn>, Handle, Handle) {
+/// the writer, the reader, and the history that recorded the objects
+/// and the seed imports (counter `i` is `urns[i]`).
+fn replicated_federation(
+    shards: usize,
+) -> (World, Vec<ServerRef>, Vec<Urn>, Handle, Handle, History) {
     let mut fed = World::new(1995);
     let hosts: Vec<HostId> = (0..shards).map(|s| HostId(2 + s as u32)).collect();
     let map = ShardMap::new(hosts.clone()).with_dynamic();
@@ -97,12 +100,15 @@ fn replicated_federation(shards: usize) -> (World, Vec<ServerRef>, Vec<Urn>, Han
     let urns: Vec<Urn> = (0..OBJS)
         .map(|i| Urn::new("bench", &format!("prop{i}")).expect("valid urn"))
         .collect();
+    let mut hist = History::default();
     for u in &urns {
-        fed.put_counter(u, 0);
+        hist.put_counter(&fed, u, 0).expect("a shard homes it");
     }
-    for u in &urns {
+    for (i, u) in urns.iter().enumerate() {
+        let now = fed.sim.now();
         let p = Client::import(&client, &mut fed.sim, u, session, Priority::NORMAL)
             .expect("seed import");
+        hist.read(now, WRITER, session, i, &p);
         assert!(fed.await_promise(&p, LIMIT), "seed import");
     }
     let mut cfg = ClientConfig::thinkpad(READER, HostId(2));
@@ -110,7 +116,39 @@ fn replicated_federation(shards: usize) -> (World, Vec<ServerRef>, Vec<Urn>, Han
     cfg.cache_capacity = 1;
     let reader = fed.client(cfg, LinkSpec::ETHERNET_10M);
     let rsession = Client::create_session(&reader, Guarantees::ALL, true);
-    (fed, servers, urns, (client, session), (reader, rsession))
+    (
+        fed,
+        servers,
+        urns,
+        (client, session),
+        (reader, rsession),
+        hist,
+    )
+}
+
+/// Issues `add 1` to counter `i` from `h` and records it.
+fn write(fed: &mut World, hist: &mut History, h: &Handle, urns: &[Urn], i: usize) -> Promise {
+    let now = fed.sim.now();
+    let e = Client::export(
+        &h.0,
+        &mut fed.sim,
+        &urns[i],
+        h.1,
+        "add",
+        &["1"],
+        Priority::NORMAL,
+    )
+    .expect("export");
+    hist.write(now, Client::host(&h.0), h.1, i, 1, &e);
+    e.committed
+}
+
+/// Issues an import of counter `i` from `h` and records it.
+fn read(fed: &mut World, hist: &mut History, h: &Handle, urns: &[Urn], i: usize) -> Promise {
+    let now = fed.sim.now();
+    let p = Client::import(&h.0, &mut fed.sim, &urns[i], h.1, Priority::NORMAL).expect("import");
+    hist.read(now, Client::host(&h.0), h.1, i, &p);
+    p
 }
 
 fn home_version(fed: &World, u: &Urn) -> u64 {
@@ -128,7 +166,7 @@ fn home_version(fed: &World, u: &Urn) -> u64 {
 /// genuinely exercise the replica read path.
 #[test]
 fn the_harness_serves_reads_from_replicas() {
-    let (mut fed, servers, urns, _, (reader, rsession)) = replicated_federation(2);
+    let (mut fed, servers, urns, _, (reader, rsession), _) = replicated_federation(2);
     // Heat one object over the wire, publish an epoch, then keep
     // reading it: the router spreads qualifying reads across holders.
     for _ in 0..4 {
@@ -154,21 +192,16 @@ fn the_harness_serves_reads_from_replicas() {
 proptest! {
     // Sequential ops in an arbitrary order: every read — cache hit,
     // home refetch, or replica-served — must respect its session's
-    // floor, and no cold read may return a version older than the home
-    // version at the second-to-last epoch boundary (a replica image is
-    // refreshed or aged out within one epoch of falling out of the hot
-    // set).
+    // floor (the history oracle), and no cold read may return a version
+    // older than the home version at the second-to-last epoch boundary
+    // (a replica image is refreshed or aged out within one epoch of
+    // falling out of the hot set).
     #[test]
     fn replica_reads_preserve_sessions_and_bounded_staleness(
         shards in 2usize..=4,
         ops in proptest::collection::vec(op_strategy(), 1..60),
     ) {
-        let (mut fed, servers, urns, (client, session), (reader, rsession)) =
-            replicated_federation(shards);
-        let mut floors: Vec<u64> = urns.iter().map(|u| home_version(&fed, u)).collect();
-        let v0 = floors.clone();
-        let mut reader_floors = [0u64; OBJS];
-        let mut writes = [0u64; OBJS];
+        let (mut fed, servers, urns, writer, reader, mut hist) = replicated_federation(shards);
         // Home versions at the last two epoch boundaries: the oldest
         // image any replica may still serve is `snap_prev`.
         let mut snap_prev = vec![0u64; OBJS];
@@ -176,52 +209,22 @@ proptest! {
         for op in &ops {
             match *op {
                 Op::Write(i) => {
-                    let h = Client::export(
-                        &client, &mut fed.sim, &urns[i], session,
-                        "add", &["1"], Priority::NORMAL,
-                    ).expect("export");
-                    prop_assert!(fed.await_promise(&h.committed, LIMIT));
-                    let o = h.committed.poll().expect("committed");
-                    prop_assert!(
-                        matches!(o.status, OpStatus::Ok | OpStatus::Resolved),
-                        "write failed with {:?}", o.status
-                    );
-                    prop_assert!(o.version.0 > floors[i], "commit must advance the version");
-                    writes[i] += 1;
-                    floors[i] = o.version.0;
+                    let p = write(&mut fed, &mut hist, &writer, &urns, i);
+                    prop_assert!(fed.await_promise(&p, LIMIT));
                 }
                 Op::Read(i) => {
-                    let p = Client::import(
-                        &client, &mut fed.sim, &urns[i], session, Priority::NORMAL,
-                    ).expect("import");
+                    let p = read(&mut fed, &mut hist, &writer, &urns, i);
                     prop_assert!(fed.await_promise(&p, LIMIT));
-                    let o = p.poll().expect("resolved");
-                    prop_assert_eq!(o.status, OpStatus::Ok);
-                    prop_assert!(
-                        o.version.0 >= floors[i],
-                        "MR/RYW violated: writer read v{} below session floor v{}",
-                        o.version.0, floors[i]
-                    );
-                    floors[i] = o.version.0;
                 }
                 Op::ColdRead(i) => {
-                    let p = Client::import(
-                        &reader, &mut fed.sim, &urns[i], rsession, Priority::NORMAL,
-                    ).expect("cold import");
+                    let p = read(&mut fed, &mut hist, &reader, &urns, i);
                     prop_assert!(fed.await_promise(&p, LIMIT));
-                    let o = p.poll().expect("resolved");
-                    prop_assert_eq!(o.status, OpStatus::Ok);
+                    let v = p.poll().expect("resolved").version.0;
                     prop_assert!(
-                        o.version.0 >= reader_floors[i],
-                        "MR violated: cold read v{} below session floor v{}",
-                        o.version.0, reader_floors[i]
-                    );
-                    prop_assert!(
-                        o.version.0 >= snap_prev[i],
+                        v >= snap_prev[i],
                         "staleness > one epoch: read v{} but home was v{} an epoch ago",
-                        o.version.0, snap_prev[i]
+                        v, snap_prev[i]
                     );
-                    reader_floors[i] = o.version.0;
                 }
                 Op::Epoch => {
                     for sv in &servers {
@@ -234,20 +237,14 @@ proptest! {
             }
         }
         fed.sim.run();
-        // Exactly-once: each home copy counted every add exactly once.
-        for (i, u) in urns.iter().enumerate() {
-            let s = fed.home(u).unwrap().borrow();
-            let o = s.get_object(u).expect("homed object");
-            prop_assert_eq!(o.field("n").unwrap().parse::<u64>().unwrap(), writes[i]);
-            prop_assert_eq!(o.version.0, v0[i] + writes[i]);
-        }
+        let checked = hist.check(&fed, &[writer.0, reader.0]);
+        prop_assert!(checked.is_ok(), "{:?}", checked.err());
     }
 
-    // Unawaited bursts: writer commits and cold reads race over
-    // per-shard links while epochs republish hot sets mid-flight. In
-    // issue order, per object, the cold reader's versions must never
-    // regress, and after the burst drains the home copies must have
-    // counted every add exactly once.
+    // Unawaited bursts: writer commits, writer reads and cold reads race
+    // over per-shard links while epochs republish hot sets mid-flight.
+    // After the bursts drain, the history oracle holds: no read regressed
+    // in issue order, and the home copies counted every add once.
     #[test]
     fn interleaved_bursts_never_regress_reads(
         shards in 2usize..=4,
@@ -256,38 +253,13 @@ proptest! {
             1..8,
         ),
     ) {
-        let (mut fed, servers, urns, (client, session), (reader, rsession)) =
-            replicated_federation(shards);
-        let v0: Vec<u64> = urns.iter().map(|u| home_version(&fed, u)).collect();
-        let mut reader_floors = [0u64; OBJS];
-        let mut writes = [0u64; OBJS];
+        let (mut fed, servers, urns, writer, reader, mut hist) = replicated_federation(shards);
         for (b, burst) in bursts.iter().enumerate() {
-            let mut commits: Vec<(usize, Promise)> = Vec::new();
-            let mut cold: Vec<(usize, Promise)> = Vec::new();
             for &(kind, i) in burst {
                 match kind {
-                    0 => {
-                        let h = Client::export(
-                            &client, &mut fed.sim, &urns[i], session,
-                            "add", &["1"], Priority::NORMAL,
-                        ).expect("export");
-                        writes[i] += 1;
-                        commits.push((i, h.committed));
-                    }
-                    1 => {
-                        // Writer read: floor checks covered by the
-                        // sequential property; here it just adds
-                        // interleaved traffic.
-                        let _ = Client::import(
-                            &client, &mut fed.sim, &urns[i], session, Priority::NORMAL,
-                        ).expect("import");
-                    }
-                    _ => {
-                        let p = Client::import(
-                            &reader, &mut fed.sim, &urns[i], rsession, Priority::NORMAL,
-                        ).expect("cold import");
-                        cold.push((i, p));
-                    }
+                    0 => drop(write(&mut fed, &mut hist, &writer, &urns, i)),
+                    1 => drop(read(&mut fed, &mut hist, &writer, &urns, i)),
+                    _ => drop(read(&mut fed, &mut hist, &reader, &urns, i)),
                 }
             }
             if b % 2 == 1 {
@@ -297,28 +269,8 @@ proptest! {
                 }
             }
             fed.sim.run();
-            for (i, p) in commits {
-                let o = p.poll().expect("committed");
-                prop_assert!(
-                    matches!(o.status, OpStatus::Ok | OpStatus::Resolved),
-                    "write to obj{i} failed with {:?}", o.status
-                );
-            }
-            for (i, p) in cold {
-                let o = p.poll().expect("cold read resolved");
-                prop_assert_eq!(o.status, OpStatus::Ok);
-                prop_assert!(
-                    o.version.0 >= reader_floors[i],
-                    "cold read of obj{i} regressed below v{}", reader_floors[i]
-                );
-                reader_floors[i] = o.version.0;
-            }
         }
-        for (i, u) in urns.iter().enumerate() {
-            let s = fed.home(u).unwrap().borrow();
-            let o = s.get_object(u).expect("homed object");
-            prop_assert_eq!(o.field("n").unwrap().parse::<u64>().unwrap(), writes[i]);
-            prop_assert_eq!(o.version.0, v0[i] + writes[i]);
-        }
+        let checked = hist.check(&fed, &[writer.0, reader.0]);
+        prop_assert!(checked.is_ok(), "{:?}", checked.err());
     }
 }

@@ -7,8 +7,8 @@
 
 use rover_bench::exps::scale::{run_scale, ScaleConfig, GROUP_POLICY};
 use rover_core::{
-    Client, ClientConfig, ClientRef, Guarantees, Priority, ReexecuteResolver, Server, ServerConfig,
-    ServerRef, ShardMap, Urn, World,
+    Client, ClientConfig, ClientRef, Guarantees, History, Priority, ReexecuteResolver, Server,
+    ServerConfig, ServerRef, ShardMap, Urn, World,
 };
 use rover_log::MemStore;
 use rover_net::LinkSpec;
@@ -27,12 +27,25 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The client's host in every federation here.
+const CLIENT: HostId = HostId(1);
+
 /// Builds a 2-shard federation (each shard with its own WAL) with `n`
 /// counters spread across both shards, all imported into one client's
 /// cache (exports need a cached copy, and the imports seed the
 /// session's read floors). Returns the world, the shard servers (index
-/// = shard), the client, its session and the counters.
-fn federation_with_counters(n: usize) -> (World, Vec<ServerRef>, ClientRef, SessionId, Vec<Urn>) {
+/// = shard), the client, its session, the counters, and the history
+/// that recorded them and the imports (counter `i` is `urns[i]`).
+fn federation_with_counters(
+    n: usize,
+) -> (
+    World,
+    Vec<ServerRef>,
+    ClientRef,
+    SessionId,
+    Vec<Urn>,
+    History,
+) {
     let mut fed = World::new(1995);
     let map = ShardMap::new(vec![HostId(2), HostId(3)]);
     let servers: Vec<ServerRef> = map
@@ -46,15 +59,16 @@ fn federation_with_counters(n: usize) -> (World, Vec<ServerRef>, ClientRef, Sess
         })
         .collect();
     fed.shards = Some(map.clone());
-    let mut cfg = ClientConfig::thinkpad(HostId(1), HostId(2));
+    let mut cfg = ClientConfig::thinkpad(CLIENT, HostId(2));
     cfg.shards = Some(map.clone());
     let client = fed.client(cfg, LinkSpec::ETHERNET_10M);
     let session = Client::create_session(&client, Guarantees::ALL, true);
     let urns: Vec<Urn> = (0..n)
         .map(|i| Urn::new("bench", &format!("obj{i}")).expect("valid urn"))
         .collect();
+    let mut hist = History::default();
     for u in &urns {
-        fed.put_counter(u, 0);
+        hist.put_counter(&fed, u, 0).expect("a shard homes it");
     }
     let shards: Vec<usize> = urns.iter().map(|u| map.shard_for(u.as_str())).collect();
     assert!(
@@ -66,112 +80,62 @@ fn federation_with_counters(n: usize) -> (World, Vec<ServerRef>, ClientRef, Sess
     for sv in &servers {
         Server::attach_wal(sv, &mut fed.sim, Box::new(MemStore::new())).expect("attach_wal");
     }
-    for u in &urns {
+    for (i, u) in urns.iter().enumerate() {
+        let now = fed.sim.now();
         let p =
             Client::import(&client, &mut fed.sim, u, session, Priority::NORMAL).expect("import");
+        hist.read(now, CLIENT, session, i, &p);
         assert!(fed.await_promise(&p, LIMIT), "seed import");
     }
-    (fed, servers, client, session, urns)
+    (fed, servers, client, session, urns, hist)
+}
+
+/// Exports `add 1` to counter `i` and records it.
+fn add(fed: &mut World, hist: &mut History, cl: &ClientRef, s: SessionId, urns: &[Urn], i: usize) {
+    let now = fed.sim.now();
+    let h = Client::export(
+        cl,
+        &mut fed.sim,
+        &urns[i],
+        s,
+        "add",
+        &["1"],
+        Priority::NORMAL,
+    )
+    .expect("export");
+    hist.write(now, CLIENT, s, i, 1, &h);
 }
 
 /// Interleaves reads and writes across both shards from one session,
-/// issuing bursts without waiting so the two links reorder them, then
-/// checks exactly-once commits and per-object monotonic versions.
+/// issuing bursts without waiting so the two links reorder them; the
+/// history then holds exactly-once and the session guarantees.
 #[test]
 fn cross_shard_session_interleaving_holds_guarantees() {
     for seed in [1u64, 7, 23] {
-        let (mut fed, servers, client, session, urns) = federation_with_counters(8);
+        let (mut fed, _, client, session, urns, mut hist) = federation_with_counters(8);
         let mut rng = seed;
-        let mut adds = vec![0u64; urns.len()];
-        let mut floors = vec![0u64; urns.len()];
-        let v0: Vec<u64> = urns
-            .iter()
-            .map(|u| {
-                fed.home(u)
-                    .unwrap()
-                    .borrow()
-                    .get_object(u)
-                    .unwrap()
-                    .version
-                    .0
-            })
-            .collect();
-        let mut import_log: Vec<(usize, rover_core::Promise)> = Vec::new();
         for _burst in 0..6 {
             // A burst of ~10 unawaited ops lets the two shard links
             // interleave requests from the same session.
-            let mut commits = Vec::new();
             for _ in 0..10 {
                 let i = (splitmix(&mut rng) % urns.len() as u64) as usize;
                 if splitmix(&mut rng).is_multiple_of(2) {
-                    let h = Client::export(
-                        &client,
-                        &mut fed.sim,
-                        &urns[i],
-                        session,
-                        "add",
-                        &["1"],
-                        Priority::NORMAL,
-                    )
-                    .expect("export");
-                    adds[i] += 1;
-                    commits.push((i, h.committed));
+                    add(&mut fed, &mut hist, &client, session, &urns, i);
                 } else {
+                    let now = fed.sim.now();
                     let p =
                         Client::import(&client, &mut fed.sim, &urns[i], session, Priority::NORMAL)
                             .expect("import");
-                    import_log.push((i, p));
+                    hist.read(now, CLIENT, session, i, &p);
                 }
             }
             fed.sim.run();
-            for (i, p) in commits {
-                let o = p.poll().expect("committed");
-                // Contended bursts re-execute at the server: both `Ok`
-                // and `Resolved` are successful commits.
-                assert!(
-                    matches!(
-                        o.status,
-                        rover_wire::OpStatus::Ok | rover_wire::OpStatus::Resolved
-                    ),
-                    "obj{i} commit failed with {:?}",
-                    o.status
-                );
-                assert!(
-                    o.version.0 >= floors[i],
-                    "session write saw version regress on obj{i}"
-                );
-                floors[i] = o.version.0;
-            }
         }
-        // Monotonic reads: in issue order, per object, versions never
-        // regress (seed {seed}).
-        let mut read_floor = vec![0u64; urns.len()];
-        for (i, p) in import_log {
-            let o = p.poll().expect("import resolved");
-            assert!(
-                o.version.0 >= read_floor[i],
-                "monotonic reads violated on obj{i} (seed {seed})"
-            );
-            read_floor[i] = o.version.0;
+        if let Err(e) = hist.check(&fed, &[client]) {
+            panic!("seed {seed}: {e}");
         }
-        // Exactly-once: each shard's committed copy counted every add
-        // exactly once, and versions advanced once per commit.
-        for (i, u) in urns.iter().enumerate() {
-            let s = fed.home(u).unwrap().borrow();
-            let o = s.get_object(u).unwrap();
-            assert_eq!(
-                o.field("n").unwrap().parse::<u64>().unwrap(),
-                adds[i],
-                "obj{i} must count each add exactly once (seed {seed})"
-            );
-            assert_eq!(o.version.0, v0[i] + adds[i]);
-        }
-        assert_eq!(fed.sim.stats.counter("server.dedup_miss_reexec"), 0);
-        // Cross-shard exports carried read vectors; none may be stuck.
+        // Cross-shard exports carried read vectors.
         assert!(fed.sim.stats.counter("server.wfr_checked") > 0);
-        for sv in &servers {
-            assert_eq!(sv.borrow().wfr_held_count(), 0);
-        }
     }
 }
 
@@ -180,24 +144,11 @@ fn cross_shard_session_interleaving_holds_guarantees() {
 /// undisturbed, and the session guarantees hold across the outage.
 #[test]
 fn cross_shard_guarantees_survive_shard_crash_restart() {
-    let (mut fed, servers, client, session, urns) = federation_with_counters(8);
+    let (mut fed, servers, client, session, urns, mut hist) = federation_with_counters(8);
     let mut rng = 42u64;
-    let mut adds = vec![0u64; urns.len()];
-    let mut commits = Vec::new();
     for _ in 0..24 {
         let i = (splitmix(&mut rng) % urns.len() as u64) as usize;
-        let h = Client::export(
-            &client,
-            &mut fed.sim,
-            &urns[i],
-            session,
-            "add",
-            &["1"],
-            Priority::NORMAL,
-        )
-        .expect("export");
-        adds[i] += 1;
-        commits.push((i, h.committed));
+        add(&mut fed, &mut hist, &client, session, &urns, i);
     }
     // Power-fail shard 1 while the burst is in flight; bring it back
     // five seconds later. QRPC retransmission re-drives lost requests.
@@ -211,35 +162,12 @@ fn cross_shard_guarantees_survive_shard_crash_restart() {
             Server::crash_restart(&sv, sim).expect("shard recovers");
         });
     fed.sim.run();
-    for (i, p) in commits {
-        let o = p.poll().expect("committed despite the crash");
-        assert!(
-            matches!(
-                o.status,
-                rover_wire::OpStatus::Ok | rover_wire::OpStatus::Resolved
-            ),
-            "obj{i} commit failed with {:?}",
-            o.status
-        );
-    }
+    hist.check(&fed, &[client]).expect("the contract holds");
     assert_eq!(fed.sim.stats.counter("server.crashes"), 1);
     assert!(
         fed.sim.stats.counter("client.retransmits") > 0,
         "the outage must force retransmission"
     );
-    for (i, u) in urns.iter().enumerate() {
-        let s = fed.home(u).unwrap().borrow();
-        let o = s.get_object(u).unwrap();
-        assert_eq!(
-            o.field("n").unwrap().parse::<u64>().unwrap(),
-            adds[i],
-            "obj{i} lost or double-applied a commit across the crash"
-        );
-    }
-    assert_eq!(fed.sim.stats.counter("server.dedup_miss_reexec"), 0);
-    for sv in &servers {
-        assert_eq!(sv.borrow().wfr_held_count(), 0);
-    }
 }
 
 #[test]
@@ -291,8 +219,6 @@ fn different_shard_counts_commit_everything_but_diverge() {
             .with_shards(4),
     )
     .expect("4 shards");
-    assert_eq!(two.final_total, two.ops);
-    assert_eq!(four.final_total, four.ops);
     assert_eq!(two.committed, four.committed, "same workload either way");
     assert_ne!(two.digest, four.digest, "placement must show in the digest");
 }
@@ -307,7 +233,6 @@ fn replication_and_rebalancing_run_is_deterministic() {
     let a = run_scale(cfg).expect("dynamic run a");
     let b = run_scale(cfg).expect("dynamic run b");
     assert_eq!(a, b, "the dynamic plane must replay byte-identically");
-    assert_eq!(a.final_total, a.ops, "every add applied exactly once");
 }
 
 #[test]
@@ -324,8 +249,8 @@ fn replication_serves_replica_reads_without_weakening_sessions() {
         replicated.replicas_published > 0,
         "every epoch publishes each shard's hot set"
     );
-    // The durability audit inside run_scale already proved exactly-once
-    // and the session floors; the replicated arm must commit the same
+    // The history oracle inside run_scale already proved exactly-once
+    // and the session guarantees; the replicated arm must commit the same
     // workload as the static one.
     let stat = run_scale(base).expect("static");
     assert_eq!(replicated.committed, stat.committed);
@@ -343,10 +268,6 @@ fn chaos_with_replication_is_deterministic_and_durable() {
     let b = run_scale(cfg).expect("chaos+replication run b");
     assert_eq!(a, b, "chaos with volatile replicas must replay exactly");
     assert_eq!(a.crashes, 4, "one scheduled crash per shard");
-    assert_eq!(
-        a.final_total, a.ops,
-        "crashes with replication on must not lose or double-apply adds"
-    );
 }
 
 #[test]

@@ -63,6 +63,7 @@ mod config;
 mod dedup;
 mod error;
 mod events;
+mod history;
 mod hotset;
 mod object;
 mod payload;
@@ -81,6 +82,7 @@ pub use client::{Client, ClientRef, ExportHandle, Placement, PlacementHints, Pol
 pub use config::{ClientConfig, CommitPolicy, LogPolicy, ServerConfig, StorageModel};
 pub use error::RoverError;
 pub use events::{ClientEvent, ServerEvent};
+pub use history::{History, Summary};
 pub use hotset::HotSet;
 pub use object::{collection_object, Fields, MethodRun, RoverObject};
 pub use payload::{ExportPayload, InvokePayload};

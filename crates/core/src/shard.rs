@@ -365,6 +365,16 @@ impl ShardMap {
         }
     }
 
+    /// Whether a migration ever re-homed `urn`. A pin stays once
+    /// installed (moving an object back re-points it), so this is true
+    /// for the rest of the run.
+    pub fn migrated(&self, urn: &str) -> bool {
+        self.dynamic.as_ref().is_some_and(|d| {
+            let d = d.borrow();
+            d.migrations.iter().any(|(p, _)| subtree_match(urn, p))
+        })
+    }
+
     /// Number of migration pins currently installed.
     pub fn migration_count(&self) -> usize {
         self.dynamic

@@ -112,6 +112,11 @@ impl World {
         ends.map(|&(link, _)| link).collect()
     }
 
+    /// The newest server on each host, in first-registration order.
+    pub fn servers(&self) -> impl Iterator<Item = (HostId, &ServerRef)> {
+        self.servers.iter().map(|(h, sv)| (*h, sv))
+    }
+
     /// The server homing `urn`: its shard under [`World::shards`], else
     /// the first server registered.
     pub fn home(&self, urn: &Urn) -> Option<&ServerRef> {

@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use rover_core::{
-    Client, ClientConfig, ClientEvent, Guarantees, OpStatus, Priority, ReexecuteResolver,
+    Client, ClientConfig, ClientEvent, Guarantees, History, OpStatus, Priority, ReexecuteResolver,
     ServerConfig, Urn, World,
 };
 use rover_net::{FaultSpec, LinkSpec};
@@ -155,22 +155,30 @@ fn exactly_once_under_chaos_with_dedup_pressure() {
     server
         .borrow_mut()
         .register_resolver("counter", Box::new(ReexecuteResolver));
-    w.put_counter(&urn("c"), 0);
+    let mut hist = History::default();
+    let c = hist.put_counter(&w, &urn("c"), 0).unwrap();
 
     let mut cfg = ClientConfig::thinkpad(CLIENT, SERVER);
     cfg.rto = SimDuration::from_secs(5);
     cfg.rto_max = SimDuration::from_secs(80);
     let client = w.client(cfg, LinkSpec::WAVELAN_2M);
     let link = w.links_of(CLIENT)[0];
-    let World { mut sim, net, .. } = w;
     let session = Client::create_session(&client, Guarantees::ALL, true);
 
-    let p = Client::import(&client, &mut sim, &urn("c"), session, Priority::FOREGROUND).unwrap();
-    sim.run();
-    assert_eq!(p.poll().unwrap().status, OpStatus::Ok);
+    let now = w.sim.now();
+    let p = Client::import(
+        &client,
+        &mut w.sim,
+        &urn("c"),
+        session,
+        Priority::FOREGROUND,
+    )
+    .unwrap();
+    hist.read(now, CLIENT, session, c, &p);
+    w.sim.run();
 
-    net.install_faults(
-        &mut sim,
+    w.net.install_faults(
+        &mut w.sim,
         link,
         FaultSpec {
             drop_prob: 0.25,
@@ -181,11 +189,11 @@ fn exactly_once_under_chaos_with_dedup_pressure() {
         },
     );
 
-    let mut handles = Vec::new();
     for _ in 0..30 {
+        let now = w.sim.now();
         let h = Client::export(
             &client,
-            &mut sim,
+            &mut w.sim,
             &urn("c"),
             session,
             "add",
@@ -193,37 +201,28 @@ fn exactly_once_under_chaos_with_dedup_pressure() {
             Priority::NORMAL,
         )
         .unwrap();
-        handles.push(h);
-        sim.run_for(SimDuration::from_millis(800));
+        hist.write(now, CLIENT, session, c, 1, &h);
+        w.sim.run_for(SimDuration::from_millis(800));
     }
-    sim.run();
+    w.sim.run();
 
+    let stats = &w.sim.stats;
+    if let Err(e) = hist.check(&w, &[client]) {
+        panic!(
+            "{e}: {} faults, {} retransmits, {} dup replies",
+            stats.counter("net.faults_injected.drop")
+                + stats.counter("net.faults_injected.corrupt")
+                + stats.counter("net.faults_injected.dup"),
+            stats.counter("client.retransmits"),
+            stats.counter("client.duplicate_replies"),
+        );
+    }
     assert!(
-        handles.iter().all(|h| h.committed.is_ready()),
-        "all exports decided"
-    );
-    assert_eq!(
-        server.borrow().get_object(&urn("c")).unwrap().field("n"),
-        Some("30"),
-        "exactly-once: {} faults, {} retransmits, {} dup replies",
-        sim.stats.counter("net.faults_injected.drop")
-            + sim.stats.counter("net.faults_injected.corrupt")
-            + sim.stats.counter("net.faults_injected.dup"),
-        sim.stats.counter("client.retransmits"),
-        sim.stats.counter("client.duplicate_replies"),
-    );
-    assert_eq!(
-        sim.stats.counter("server.dedup_miss_reexec"),
-        0,
-        "no evicted-entry re-execution"
-    );
-    assert!(
-        sim.stats.counter("net.corrupt_rejected")
-            >= sim.stats.counter("net.faults_injected.corrupt"),
+        stats.counter("net.corrupt_rejected") >= stats.counter("net.faults_injected.corrupt"),
         "every corrupted frame rejected by checksum"
     );
     assert!(
-        sim.stats.counter("client.retransmits") > 0,
+        stats.counter("client.retransmits") > 0,
         "chaos actually forced retransmissions"
     );
 }
