@@ -5,11 +5,10 @@ pub mod apps;
 pub mod drain;
 pub mod micro;
 pub mod migration;
+mod run;
 pub mod scale;
 pub mod soak;
 pub mod tables;
-
-use rover_sim::Stats;
 
 /// All experiment ids, in report order.
 pub const ALL: &[&str] = &[
@@ -65,35 +64,4 @@ pub fn run_report(id: &str) -> Option<crate::report::Report> {
         _ => return None,
     }
     Some(r)
-}
-
-/// Mean, p50 and p99 of the sample series `name`, each times `scale`
-/// and rounded; all three `default` if the series was never recorded.
-fn scaled_summary(stats: &Stats, name: &str, scale: f64, default: u64) -> [u64; 3] {
-    stats.series(name).map_or([default; 3], |s| {
-        [s.mean(), s.quantile(0.50), s.quantile(0.99)].map(|v| (v * scale).round() as u64)
-    })
-}
-
-/// FNV-1a over 64-bit words: the byte-reproducible outcome digest a
-/// soak or scale run prints, one word per figure, in order.
-fn fnv_digest(words: impl IntoIterator<Item = u64>) -> u64 {
-    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |d, v| {
-        (d ^ v).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// Adversarial-input rejections across all three codec planes: wire
-/// decode failures, WAL scan issues, and script parse rejections.
-/// Summed by prefix so new reason tags fold in automatically.
-fn input_rejected(stats: &Stats) -> u64 {
-    stats
-        .counters()
-        .filter(|(k, _)| {
-            k.starts_with("wire.decode_rejected.")
-                || k.starts_with("log.scan_rejected.")
-                || *k == "script.parse_rejected"
-        })
-        .map(|(_, v)| v)
-        .sum()
 }

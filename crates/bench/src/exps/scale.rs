@@ -42,16 +42,17 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use rover_core::{
-    Client, ClientConfig, ClientRef, CommitPolicy, CrashPoint, Guarantees, History, Outcome,
-    Rebalancer, ReexecuteResolver, Server, ServerConfig, ServerEvent, ServerRef, ShardMap, Urn,
-    World,
+    Client, ClientConfig, CommitPolicy, CrashPoint, History, Rebalancer, Server, ServerConfig,
+    ServerEvent, ServerRef, ShardMap, Summary, Urn,
 };
-use rover_log::MemStore;
 use rover_net::LinkSpec;
 use rover_sim::{Sim, SimDuration, SimTime};
-use rover_wire::{HostId, OpStatus, Priority, SessionId};
+use rover_wire::{HostId, OpStatus};
 
-use super::{input_rejected, scaled_summary};
+use super::run::{
+    client_host, hundredths, metrics, outcome, restart_after, scaled_summary, thousandths, Actor,
+    FirstError, Readout, Run,
+};
 use crate::report::Report;
 use crate::table::Table;
 
@@ -182,111 +183,118 @@ impl ScaleConfig {
     }
 }
 
-/// Measured result of one converged scale arm. All fields are integers
-/// so equal digests mean byte-identical runs.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ScaleOutcome {
-    /// Seed the arm used.
-    pub seed: u64,
-    /// Client population.
-    pub clients: u64,
-    /// Home-server shards the run federated across.
-    pub shards: u64,
-    /// Exports issued (clients x ops_per_client).
-    pub ops: u64,
-    /// Exports whose committed promise resolved `Ok`/`Resolved`.
-    pub committed: u64,
-    /// Sum of the final object counters — must equal `ops`.
-    pub final_total: u64,
-    /// `server.dedup_miss_reexec`, from the history check: zero.
-    pub reexecs: u64,
-    /// First export to last commit, in virtual milliseconds.
-    pub duration_ms: u64,
-    /// Commit records appended across every shard's write-ahead log.
-    pub wal_appends: u64,
-    /// Framed bytes forced to the WAL devices (all shards).
-    pub wal_flush_bytes: u64,
-    /// Group flushes (`server.group_commits`; one per commit on the
-    /// per-op arm).
-    pub group_commits: u64,
-    /// Mean commits per flush x100 (100 = one per flush, per-op).
-    pub batch_mean_x100: u64,
-    /// Median commits per flush x100.
-    pub batch_p50_x100: u64,
-    /// 99th-percentile commits per flush x100.
-    pub batch_p99_x100: u64,
-    /// Mean staged-to-durable wait in microseconds (on the per-op arm,
-    /// the flush itself plus any queue on the disk).
-    pub flush_wait_us_mean: u64,
-    /// Median staged-to-durable wait, microseconds.
-    pub flush_wait_us_p50: u64,
-    /// 99th-percentile staged-to-durable wait, microseconds.
-    pub flush_wait_us_p99: u64,
-    /// Replies that rode an earlier reply's envelope.
-    pub reply_coalesced: u64,
-    /// Median export reply latency (issue to committed), microseconds.
-    pub p50_reply_us: u64,
-    /// 99th-percentile export reply latency, microseconds.
-    pub p99_reply_us: u64,
-    /// Client retransmissions (clean links without chaos: expected 0).
-    pub retransmits: u64,
-    /// Shard power failures that fired (scripted chaos).
-    pub crashes: u64,
-    /// Cross-shard requests whose carried read-vector was checked at
-    /// admission (`server.wfr_checked`; 0 when `shards == 1`).
-    pub wfr_checked: u64,
-    /// Requests the writes-follow-reads gate held for a lagging local
-    /// object version (only possible under shard-kill chaos).
-    pub wfr_holds: u64,
-    /// max/mean exports per shard x100 (100 = perfectly balanced;
-    /// always 100 at one shard), from the *static* URN assignment —
-    /// the skew the load-balancing plane starts from.
-    pub imbalance_x100: u64,
-    /// max/mean commits *actually executed* per shard x100 — with the
-    /// load-balancing plane off this tracks `imbalance_x100`; with it
-    /// on it is the realized post-balancing skew.
-    pub measured_imbalance_x100: u64,
-    /// Median of the windowed (250 ms) commit-load imbalance samples
-    /// x100 (100 when a window never completed).
-    pub imbalance_p50_x100: u64,
-    /// 99th-percentile windowed commit-load imbalance x100.
-    pub imbalance_p99_x100: u64,
-    /// Median server queue depth sampled at every admission x100.
-    pub qdepth_p50_x100: u64,
-    /// 99th-percentile server queue depth at admission x100.
-    pub qdepth_p99_x100: u64,
-    /// Imports served from a peer's volatile replica instead of the
-    /// home store (`server.replica_reads`).
-    pub replica_reads: u64,
-    /// Replica images published across all epochs
-    /// (`server.replicas_published`).
-    pub replicas_published: u64,
-    /// Hot objects re-homed by the rebalancer (`server.migrated_out`).
-    pub migrations: u64,
-    /// Requests the client re-routed after a `WrongShard` answer or a
-    /// stale replica read (`client.redirects`).
-    pub redirects: u64,
-    /// Adversarial-input rejections summed across the codec planes
-    /// (`wire.decode_rejected.*` + `log.scan_rejected.*` +
-    /// `script.parse_rejected`).
-    pub input_rejected: u64,
-    /// Exports routed to each shard (index = shard).
-    pub shard_ops: Vec<u64>,
-    /// Final write-ahead device size per shard, bytes.
-    pub shard_wal_bytes: Vec<u64>,
-    /// Order-insensitive FNV fingerprint of everything above.
-    pub digest: u64,
+outcome! {
+    /// Measured result of one converged scale arm. All figures are
+    /// integers, so equal digests mean byte-identical runs.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ScaleOutcome {
+        /// Seed the arm used.
+        seed,
+        /// Client population.
+        clients,
+        /// Home-server shards the run federated across.
+        shards,
+        /// Exports issued (clients x ops_per_client).
+        ops,
+        /// Exports whose committed promise resolved `Ok`/`Resolved`.
+        committed,
+        /// Sum of the final object counters — must equal `ops`.
+        final_total,
+        /// `server.dedup_miss_reexec`, from the history check: zero.
+        reexecs,
+        /// First export to last commit, in virtual milliseconds.
+        duration_ms,
+        /// Commit records appended across every shard's write-ahead log.
+        wal_appends,
+        /// Framed bytes forced to the WAL devices (all shards).
+        wal_flush_bytes,
+        /// Group flushes (`server.group_commits`; one per commit on the
+        /// per-op arm).
+        group_commits,
+        /// Mean commits per flush x100 (100 = one per flush, per-op).
+        batch_mean_x100,
+        /// Median commits per flush x100.
+        batch_p50_x100,
+        /// 99th-percentile commits per flush x100.
+        batch_p99_x100,
+        /// Mean staged-to-durable wait in microseconds (on the per-op arm,
+        /// the flush itself plus any queue on the disk).
+        flush_wait_us_mean,
+        /// Median staged-to-durable wait, microseconds.
+        flush_wait_us_p50,
+        /// 99th-percentile staged-to-durable wait, microseconds.
+        flush_wait_us_p99,
+        /// Replies that rode an earlier reply's envelope.
+        reply_coalesced,
+        /// Median export reply latency (issue to committed), microseconds.
+        p50_reply_us,
+        /// 99th-percentile export reply latency, microseconds.
+        p99_reply_us,
+        /// Client retransmissions (clean links without chaos: expected 0).
+        retransmits,
+        /// Shard power failures that fired (scripted chaos).
+        crashes,
+        /// Cross-shard requests whose carried read-vector was checked at
+        /// admission (`server.wfr_checked`; 0 when `shards == 1`).
+        wfr_checked,
+        /// Requests the writes-follow-reads gate held for a lagging local
+        /// object version (only possible under shard-kill chaos).
+        wfr_holds,
+        /// max/mean exports per shard x100 (100 = perfectly balanced;
+        /// always 100 at one shard), from the *static* URN assignment —
+        /// the skew the load-balancing plane starts from.
+        imbalance_x100,
+        /// max/mean commits *actually executed* per shard x100 — with the
+        /// load-balancing plane off this tracks `imbalance_x100`; with it
+        /// on it is the realized post-balancing skew.
+        measured_imbalance_x100,
+        /// Median of the windowed (250 ms) commit-load imbalance samples
+        /// x100 (100 when a window never completed).
+        imbalance_p50_x100,
+        /// 99th-percentile windowed commit-load imbalance x100.
+        imbalance_p99_x100,
+        /// Median server queue depth sampled at every admission x100.
+        qdepth_p50_x100,
+        /// 99th-percentile server queue depth at admission x100.
+        qdepth_p99_x100,
+        /// Imports served from a peer's volatile replica instead of the
+        /// home store (`server.replica_reads`).
+        replica_reads,
+        /// Replica images published across all epochs
+        /// (`server.replicas_published`).
+        replicas_published,
+        /// Hot objects re-homed by the rebalancer (`server.migrated_out`).
+        migrations,
+        /// Requests the client re-routed after a `WrongShard` answer or a
+        /// stale replica read (`client.redirects`).
+        redirects,
+        /// Adversarial-input rejections summed across the codec planes
+        /// (`wire.decode_rejected.*` + `log.scan_rejected.*` +
+        /// `script.parse_rejected`).
+        input_rejected,
+    }
+    lists {
+        /// Exports routed to each shard (index = shard).
+        shard_ops,
+        /// Final write-ahead device size per shard, bytes.
+        shard_wal_bytes,
+    }
 }
 
 impl ScaleOutcome {
     /// Aggregate throughput in commits per virtual second.
     pub fn commits_per_s(&self) -> f64 {
-        self.ops as f64 / (self.duration_ms.max(1) as f64 / 1000.0)
+        self.per_s(self.ops)
     }
 
     /// Aggregate WAL device bandwidth in bytes per virtual second.
     pub fn wal_bytes_per_s(&self) -> f64 {
-        self.wal_flush_bytes as f64 / (self.duration_ms.max(1) as f64 / 1000.0)
+        self.per_s(self.wal_flush_bytes)
+    }
+
+    /// `v` per virtual second of the run.
+    fn per_s(&self, v: u64) -> f64 {
+        v as f64 / (self.duration_ms.max(1) as f64 / 1000.0)
     }
 }
 
@@ -320,10 +328,6 @@ fn zipf_cdf(n: usize, s: f64) -> Vec<f64> {
 
 fn zipf_pick(cdf: &[f64], u: f64) -> usize {
     cdf.partition_point(|&c| c < u).min(cdf.len() - 1)
-}
-
-fn client_host(i: usize) -> HostId {
-    HostId(10 + i as u32)
 }
 
 /// The three link classes, assigned round-robin: office ethernet,
@@ -404,103 +408,67 @@ struct Shared {
     /// The object population; steps name objects by position.
     urns: Vec<Urn>,
     /// Every counter, read and write of the run, for the oracle.
-    hist: RefCell<History>,
+    hist: Rc<RefCell<History>>,
     /// The first error a step or a driver hit.
-    error: RefCell<Option<String>>,
-}
-
-impl Shared {
-    /// Keeps `e` unless an earlier error is already kept.
-    fn fail(&self, e: String) {
-        self.error.borrow_mut().get_or_insert(e);
-    }
+    error: FirstError,
 }
 
 /// Exports `add 1` to object `obj` and records it; once it commits,
-/// counts the commit and runs `then`. An issue error is recorded in
-/// `st.error` instead.
+/// counts the commit and runs `then`. An issue error is kept as the
+/// run's error instead.
 fn export_step(
     sim: &mut Sim,
-    cl: &ClientRef,
+    a: &Actor,
     obj: usize,
-    session: SessionId,
-    host: HostId,
-    st: &Rc<Shared>,
-    then: impl FnOnce(&mut Sim, &Outcome) + 'static,
-) {
-    let urn = &st.urns[obj];
-    let h = match Client::export(cl, sim, urn, session, "add", &["1"], Priority::NORMAL) {
-        Ok(h) => h,
-        Err(e) => return st.fail(format!("export failed: {e:?}")),
-    };
-    st.hist
-        .borrow_mut()
-        .write(sim.now(), host, session, obj, 1, &h);
-    let st = st.clone();
-    h.committed.on_ready(sim, move |sim, o| {
-        st.done.set(st.done.get() + 1);
-        st.last_done.set(sim.now());
-        then(sim, o);
-    });
-}
-
-/// Imports object `obj` at foreground priority and records it; once it
-/// resolves Ok, runs `then`. An issue error or a non-Ok outcome is
-/// recorded in `st.error` instead.
-fn import_step(
-    sim: &mut Sim,
-    cl: &ClientRef,
-    obj: usize,
-    session: SessionId,
-    host: HostId,
     st: &Rc<Shared>,
     then: impl FnOnce(&mut Sim) + 'static,
 ) {
-    let p = match Client::import(cl, sim, &st.urns[obj], session, Priority::FOREGROUND) {
-        Ok(p) => p,
-        Err(e) => return st.fail(format!("import failed: {e:?}")),
+    let h = match a.add(sim, &st.hist, obj, &st.urns[obj]) {
+        Ok(h) => h,
+        Err(e) => return st.error.keep(e),
     };
-    st.hist.borrow_mut().read(sim.now(), host, session, obj, &p);
+    let st = st.clone();
+    h.committed.on_ready(sim, move |sim, _| {
+        st.done.set(st.done.get() + 1);
+        st.last_done.set(sim.now());
+        then(sim);
+    });
+}
+
+/// Imports object `obj` and records it; once it resolves Ok, runs
+/// `then`. An issue error or a non-Ok outcome is kept as the run's
+/// error instead.
+fn import_step(
+    sim: &mut Sim,
+    a: &Actor,
+    obj: usize,
+    st: &Rc<Shared>,
+    then: impl FnOnce(&mut Sim) + 'static,
+) {
+    let p = match a.read(sim, &st.hist, obj, &st.urns[obj]) {
+        Ok(p) => p,
+        Err(e) => return st.error.keep(e),
+    };
     let st = st.clone();
     p.on_ready(sim, move |sim, o| {
         if o.status != OpStatus::Ok {
-            return st.fail(format!("import resolved {:?}", o.status));
+            return st.error.keep(format!("import resolved {:?}", o.status));
         }
         then(sim);
     });
 }
 
-/// Closed-loop driver: each commit triggers the next export.
-fn chain_exports(
+/// A closed-loop client from step `j` of `ops`: export to the step's
+/// object and, once it commits, take the next step. A cross-shard
+/// verifier (with a `partner` object, homed on another shard) alternates
+/// between its two objects and re-reads each after its commit, so every
+/// export carries a writes-follow-reads read-vector for its destination
+/// and the oracle checks each re-read against the session's floor.
+fn closed_loop(
     sim: &mut Sim,
-    cl: ClientRef,
+    a: Actor,
     obj: usize,
-    session: SessionId,
-    host: HostId,
-    left: usize,
-    st: Rc<Shared>,
-) {
-    if left == 0 {
-        return;
-    }
-    let (cl2, st2) = (cl.clone(), st.clone());
-    export_step(sim, &cl2, obj, session, host, &st2, move |sim, _| {
-        chain_exports(sim, cl, obj, session, host, left - 1, st);
-    });
-}
-
-/// One cross-shard verifier step: export to the step's target shard,
-/// then re-read the object. Steps alternate between the verifier's two
-/// objects (homed on different shards), so every export carries a
-/// writes-follow-reads read-vector for its destination, and the oracle
-/// checks each re-read against the session's floor.
-#[allow(clippy::too_many_arguments)]
-fn verifier_step(
-    sim: &mut Sim,
-    cl: ClientRef,
-    pair: (usize, usize),
-    session: SessionId,
-    host: HostId,
+    partner: Option<usize>,
     j: usize,
     ops: usize,
     st: Rc<Shared>,
@@ -508,26 +476,31 @@ fn verifier_step(
     if j == ops {
         return;
     }
-    let target = if j.is_multiple_of(2) { pair.0 } else { pair.1 };
-    let (cl2, st2) = (cl.clone(), st.clone());
-    export_step(sim, &cl2, target, session, host, &st2, move |sim, _| {
-        let (cl2, st2) = (cl.clone(), st.clone());
-        import_step(sim, &cl2, target, session, host, &st2, move |sim| {
-            verifier_step(sim, cl, pair, session, host, j + 1, ops, st);
+    let target = match partner {
+        Some(p) if !j.is_multiple_of(2) => p,
+        _ => obj,
+    };
+    let (a2, st2) = (a.clone(), st.clone());
+    export_step(sim, &a2, target, &st2, move |sim| {
+        if partner.is_none() {
+            return closed_loop(sim, a, obj, partner, j + 1, ops, st);
+        }
+        let (a2, st2) = (a.clone(), st.clone());
+        import_step(sim, &a2, target, &st2, move |sim| {
+            closed_loop(sim, a, obj, partner, j + 1, ops, st);
         });
     });
 }
 
 /// Schedules the scripted power failures for one shard: crash at evenly
 /// spaced lifetime commit ordinals, reboot from the shard's write-ahead
-/// device after a fixed outage, then arm the next crash. A failed
-/// recovery is recorded in `st.error`. Returns how many crashes were
-/// scheduled (distinct ordinals).
+/// device after the outage, then arm the next crash. Returns how many
+/// crashes were scheduled (distinct ordinals).
 fn script_shard_chaos(
     server: &ServerRef,
     crashes: usize,
     expected_ops: u64,
-    st: &Rc<Shared>,
+    error: &FirstError,
 ) -> u64 {
     if crashes == 0 || expected_ops == 0 {
         return 0;
@@ -537,24 +510,20 @@ fn script_shard_chaos(
         .collect::<std::collections::BTreeSet<_>>()
         .into_iter()
         .collect();
-    let outage = SimDuration::from_secs(12);
     server
         .borrow_mut()
         .script_crash(ords[0], CrashPoint::AfterAppend);
     let next = Rc::new(Cell::new(1usize));
-    let (sv, st) = (server.clone(), st.clone());
+    let (sv, error) = (server.clone(), error.clone());
     let scheduled = ords.len() as u64;
     Server::on_event(server, move |sim, ev| {
         if let ServerEvent::Crashed { .. } = ev {
-            let (sv, ords, next, st) = (sv.clone(), ords.clone(), next.clone(), st.clone());
-            sim.schedule_after(outage, move |sim| {
-                if let Err(e) = Server::crash_restart(&sv, sim) {
-                    return st.fail(format!("shard crash_restart failed: {e:?}"));
-                }
+            let (sv2, ords, next) = (sv.clone(), ords.clone(), next.clone());
+            restart_after(sim, &sv, &error, move |_| {
                 let i = next.get();
                 if i < ords.len() {
                     next.set(i + 1);
-                    sv.borrow_mut()
+                    sv2.borrow_mut()
                         .script_crash(ords[i], CrashPoint::AfterAppend);
                 }
             });
@@ -568,124 +537,78 @@ const MONITOR_EVERY: SimDuration = SimDuration::from_millis(250);
 /// Replication epoch: hot-set decay + top-K replica publication.
 const REPL_EPOCH: SimDuration = SimDuration::from_millis(100);
 
-/// Windowed commit-load imbalance monitor: each tick samples max/mean
-/// of the per-shard commit deltas since the previous tick into the
-/// `scale.imbalance_window` series. Read-only — scheduling it never
-/// changes what any run does, only what gets sampled.
-fn monitor_tick(
+/// Runs `tick` every `period` until every export committed, so the
+/// finish drains cleanly.
+fn every(
     sim: &mut Sim,
-    servers: Rc<Vec<ServerRef>>,
+    period: SimDuration,
     st: Rc<Shared>,
-    last: Rc<RefCell<Vec<u64>>>,
     total: u64,
+    mut tick: impl FnMut(&mut Sim) + 'static,
 ) {
-    let counts: Vec<u64> = servers.iter().map(|s| s.borrow().commit_count()).collect();
-    {
-        let mut prev = last.borrow_mut();
-        let deltas: Vec<u64> = counts
-            .iter()
-            .zip(prev.iter())
-            .map(|(c, p)| c.saturating_sub(*p))
-            .collect();
-        let sum: u64 = deltas.iter().sum();
-        if sum > 0 {
-            let max = deltas.iter().copied().max().unwrap_or(0);
-            let mean = sum as f64 / deltas.len() as f64;
-            sim.stats
-                .sample("scale.imbalance_window", max as f64 / mean);
+    sim.schedule_after(period, move |sim| {
+        tick(sim);
+        if st.done.get() < total {
+            every(sim, period, st, total, tick);
         }
-        *prev = counts;
-    }
-    if st.done.get() >= total {
-        return;
-    }
-    sim.schedule_after(MONITOR_EVERY, move |sim| {
-        monitor_tick(sim, servers, st, last, total)
     });
 }
 
-/// Replication epoch driver: folds and decays every shard's hot-set
-/// tracker and publishes each shard's K hottest home objects to all
-/// peers as version-stamped volatile replicas.
-fn replication_tick(sim: &mut Sim, servers: Rc<Vec<ServerRef>>, st: Rc<Shared>, total: u64) {
-    for sv in servers.iter() {
-        Server::replication_epoch(sv, sim);
-    }
-    if st.done.get() >= total {
-        return;
-    }
-    sim.schedule_after(REPL_EPOCH, move |sim| {
-        replication_tick(sim, servers, st, total)
-    });
-}
-
-/// Rebalance driver: one commit-load decision per tick. A proposed
-/// migration runs synchronously inside this callback — routing pin,
-/// WAL tombstone at the source, WAL install at the target — so no
-/// client event can ever observe a half-moved object.
-fn rebalance_tick(
-    sim: &mut Sim,
-    servers: Rc<Vec<ServerRef>>,
-    map: ShardMap,
-    rb: Rc<RefCell<Rebalancer>>,
-    st: Rc<Shared>,
-    total: u64,
-    every: SimDuration,
-) {
+/// One commit-load rebalancer decision. A proposed migration runs
+/// synchronously inside the tick — routing pin, WAL tombstone at the
+/// source, WAL install at the target — so no client event can ever
+/// observe a half-moved object.
+fn rebalance(sim: &mut Sim, servers: &[ServerRef], map: &ShardMap, rb: &mut Rebalancer) {
     let loads: Vec<u64> = servers.iter().map(|s| s.borrow().commit_count()).collect();
     let hottest: Vec<Vec<(String, u64)>> =
         servers.iter().map(|s| s.borrow().hot_home_top()).collect();
-    let mv = rb.borrow_mut().tick(&loads, &hottest);
-    if let Some(mv) = mv {
-        let target_up = !servers[mv.to].borrow().is_crashed();
-        if let (true, Ok(urn)) = (target_up, Urn::parse(&mv.urn)) {
-            // Pin first: anything the drain gate re-admits at the
-            // source answers WrongShard instead of executing against
-            // the gutted store.
-            map.migrate_prefix(&mv.urn, mv.to);
-            match Server::migrate_out(&servers[mv.from], sim, &urn) {
-                Some(obj) => {
-                    if !Server::install_migrated(&servers[mv.to], sim, obj.clone()) {
-                        // Target died under us: un-pin and re-install
-                        // at the source (its WAL replays tombstone
-                        // then install, in order).
-                        map.migrate_prefix(&mv.urn, mv.from);
-                        Server::install_migrated(&servers[mv.from], sim, obj);
-                    }
+    let Some(mv) = rb.tick(&loads, &hottest) else {
+        return;
+    };
+    let target_up = !servers[mv.to].borrow().is_crashed();
+    if let (true, Ok(urn)) = (target_up, Urn::parse(&mv.urn)) {
+        // Pin first: anything the drain gate re-admits at the source
+        // answers WrongShard instead of executing against the gutted
+        // store.
+        map.migrate_prefix(&mv.urn, mv.to);
+        match Server::migrate_out(&servers[mv.from], sim, &urn) {
+            Some(obj) => {
+                if !Server::install_migrated(&servers[mv.to], sim, obj.clone()) {
+                    // Target died under us: un-pin and re-install at the
+                    // source (its WAL replays tombstone then install, in
+                    // order).
+                    map.migrate_prefix(&mv.urn, mv.from);
+                    Server::install_migrated(&servers[mv.from], sim, obj);
                 }
-                None => map.migrate_prefix(&mv.urn, mv.from),
             }
+            None => map.migrate_prefix(&mv.urn, mv.from),
         }
     }
-    if st.done.get() >= total {
-        return;
-    }
-    sim.schedule_after(every, move |sim| {
-        rebalance_tick(sim, servers, map, rb, st, total, every)
-    });
 }
 
-/// Runs one scale arm to quiescence; `Err` describes the first violated
-/// invariant.
-pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
-    let total_ops = (cfg.clients * cfg.ops_per_client) as u64;
-    let shards = cfg.shards.max(1);
-    if shards > MAX_SHARDS {
-        return Err(format!(
-            "at most {MAX_SHARDS} shards (host ids 1..={MAX_SHARDS})"
-        ));
-    }
-    let dynamic = cfg.dynamic();
-    let mut w = World::new(cfg.seed);
-    let shard_hosts: Vec<HostId> = (0..shards).map(|s| HostId(SERVER.0 + s as u32)).collect();
-    let map = if dynamic {
-        ShardMap::new(shard_hosts.clone()).with_dynamic()
-    } else {
-        ShardMap::new(shard_hosts.clone())
-    };
+/// The home-server federation of one arm: the shard servers (index =
+/// shard) and the routing table over their hosts.
+struct Federation {
+    servers: Vec<ServerRef>,
+    map: ShardMap,
+}
 
-    let mut servers: Vec<ServerRef> = Vec::with_capacity(shards);
-    for (idx, &host) in shard_hosts.iter().enumerate() {
+/// Builds the federation: one counter server per shard (with shard
+/// routing and an ethernet backbone when the load-balancing plane
+/// runs), every object as a zero counter on its home shard, then one
+/// write-ahead log per shard, whose first checkpoint covers the objects.
+fn federation(run: &mut Run, cfg: &ScaleConfig) -> Result<(Federation, Rc<Shared>), String> {
+    let dynamic = cfg.dynamic();
+    let hosts: Vec<HostId> = (0..cfg.shards.max(1))
+        .map(|s| HostId(SERVER.0 + s as u32))
+        .collect();
+    let map = if dynamic {
+        ShardMap::new(hosts.clone()).with_dynamic()
+    } else {
+        ShardMap::new(hosts.clone())
+    };
+    let mut servers: Vec<ServerRef> = Vec::with_capacity(hosts.len());
+    for (idx, &host) in hosts.iter().enumerate() {
         let mut scfg = ServerConfig::workstation(host);
         scfg.commit = cfg.policy;
         // At 10k clients a periodic full-store snapshot would dominate
@@ -694,12 +617,9 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
         scfg.checkpoint_every = 0;
         // Clean links never force a retransmission, but size the dedup
         // cache so even one would replay rather than re-execute.
-        scfg.dedup_capacity = (total_ops as usize).max(4096);
+        scfg.dedup_capacity = (cfg.clients * cfg.ops_per_client).max(4096);
         scfg.replicate_hot = cfg.replicate_hot;
-        let server = w.server(scfg);
-        server
-            .borrow_mut()
-            .register_resolver("counter", Box::new(ReexecuteResolver));
+        let server = run.counter_server(scfg);
         if dynamic {
             server.borrow_mut().attach_shard_routing(map.clone(), idx);
         }
@@ -708,65 +628,79 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
     if dynamic {
         // Federation backbone: every shard pair gets an ethernet link
         // (replica frames travel over it).
-        for a in 0..shards {
-            for b in (a + 1)..shards {
-                w.link(LinkSpec::ETHERNET_10M, shard_hosts[a], shard_hosts[b]);
+        for (a, &ha) in hosts.iter().enumerate() {
+            for &hb in &hosts[a + 1..] {
+                run.w.link(LinkSpec::ETHERNET_10M, ha, hb);
             }
         }
     }
-    w.shards = Some(map.clone());
+    run.w.shards = Some(map.clone());
     let urns: Vec<Urn> = (0..cfg.objects)
         .map(|k| Urn::parse(&format!("urn:rover:scale/obj{k}")).expect("valid urn"))
         .collect();
-    let mut hist = History::default();
     for urn in &urns {
-        hist.put_counter(&w, urn, 0)
+        run.hist
+            .borrow_mut()
+            .put_counter(&run.w, urn, 0)
             .ok_or("no server homes the objects")?;
     }
     for server in &servers {
-        Server::attach_wal(server, &mut w.sim, Box::new(MemStore::new()))
-            .map_err(|e| format!("seed {}: attach_wal failed: {e:?}", cfg.seed))?;
+        run.attach_wal(server)?;
     }
     let st = Rc::new(Shared {
         done: Cell::new(0),
-        last_done: Cell::new(w.sim.now()),
+        last_done: Cell::new(run.w.sim.now()),
         urns,
-        hist: RefCell::new(hist),
-        error: RefCell::new(None),
+        hist: run.hist.clone(),
+        error: run.error.clone(),
     });
-    let urns = &st.urns;
+    Ok((Federation { servers, map }, st))
+}
 
+/// What the workload leaves for the read-out.
+struct Workload {
+    clients: Vec<Actor>,
+    /// Exports each shard takes under the static URN assignment.
+    shard_ops: Vec<u64>,
+    /// Shard crashes scheduled across the federation.
+    crashes: u64,
+    /// Whether any cross-shard verifier runs.
+    verifiers: bool,
+}
+
+/// Draws the workload, scripts each shard's crashes at commit ordinals
+/// derived from it, and builds every client with its arrival.
+fn workload(run: &mut Run, cfg: &ScaleConfig, fed: &Federation, st: &Rc<Shared>) -> Workload {
+    let (urns, map) = (&st.urns, &fed.map);
     let cdf = zipf_cdf(cfg.objects, ZIPF_S);
-    let draws = draw_workload(&cfg, &cdf);
-    let secondaries = draw_secondaries(&cfg, &draws, urns, &map, &cdf);
+    let draws = draw_workload(cfg, &cdf);
+    let secondaries = draw_secondaries(cfg, &draws, urns, map, &cdf);
 
     // Exports each shard will take, from the deterministic assignment:
     // the chaos ordinals and the imbalance figure both derive from it.
-    let mut shard_ops = vec![0u64; shards];
+    let mut shard_ops = vec![0u64; fed.servers.len()];
     for i in 0..cfg.clients {
         let prim = map.shard_for(urns[draws.obj[i]].as_str());
         match secondaries.get(&i) {
-            Some(&sec) if is_verifier(&cfg, i) => {
+            Some(&sec) => {
                 let sec = map.shard_for(urns[sec].as_str());
                 for j in 0..cfg.ops_per_client {
                     shard_ops[if j % 2 == 0 { prim } else { sec }] += 1;
                 }
             }
-            _ => shard_ops[prim] += cfg.ops_per_client as u64,
+            None => shard_ops[prim] += cfg.ops_per_client as u64,
         }
     }
-    let mut scheduled_crashes = 0;
-    for (s, server) in servers.iter().enumerate() {
-        scheduled_crashes += script_shard_chaos(server, cfg.shard_crashes, shard_ops[s], &st);
-    }
+    let crashes = (fed.servers.iter().zip(&shard_ops))
+        .map(|(sv, &ops)| script_shard_chaos(sv, cfg.shard_crashes, ops, &st.error))
+        .sum();
 
-    let mut clients: Vec<ClientRef> = Vec::with_capacity(cfg.clients);
+    let dynamic = cfg.dynamic();
+    let mut clients: Vec<Actor> = Vec::with_capacity(cfg.clients);
     for i in 0..cfg.clients {
-        let host = client_host(i);
-        let spec = link_class(i);
-        let obj = draws.obj[i];
+        let (host, spec, obj) = (client_host(i), link_class(i), draws.obj[i]);
         let home = map.host_for(urns[obj].as_str());
-        w.link(spec, host, home);
+        run.w.link(spec, host, home);
         let mut ccfg = ClientConfig::thinkpad(host, home);
         // Reply latency under a saturated per-op server can reach
         // minutes; probe far beyond it so clean links never retransmit.
@@ -779,130 +713,149 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
             ccfg.rto = SimDuration::from_secs(60);
             ccfg.rto_max = SimDuration::from_secs(960);
         }
-        if shards > 1 {
+        if fed.servers.len() > 1 {
             ccfg.shards = Some(map.clone());
         }
         if dynamic {
             // Replica reads and post-migration redirects can land on
             // any shard: link every client to the whole federation.
-            for &shost in shard_hosts.iter().filter(|&&h| h != home) {
-                w.link(spec, host, shost);
+            for &shost in map.hosts().iter().filter(|&&h| h != home) {
+                run.w.link(spec, host, shost);
             }
         }
-        let verifier_pair = match secondaries.get(&i) {
-            Some(&sec) if is_verifier(&cfg, i) => {
-                if !dynamic {
-                    w.link(spec, host, map.host_for(urns[sec].as_str()));
-                }
-                Some(sec)
-            }
-            _ => None,
-        };
-        let links = w.links_of(host);
-        let cl = Client::new(&mut w.sim, &w.net, ccfg, links);
-        let session = Client::create_session(&cl, Guarantees::ALL, true);
+        let partner = secondaries.get(&i).copied();
+        if let (Some(sec), false) = (partner, dynamic) {
+            run.w.link(spec, host, map.host_for(urns[sec].as_str()));
+        }
+        let links = run.w.links_of(host);
+        let a = Actor::new(Client::new(&mut run.w.sim, &run.w.net, ccfg, links));
+        clients.push(a.clone());
 
         let burst = (i * BURSTS) / cfg.clients.max(1);
-        let jitter = SimDuration::from_micros(draws.jitter_us[i]);
         let arrival =
-            SimDuration::from_micros(BURST_GAP.as_micros() * burst as u64 + jitter.as_micros());
-        let closed = i % 2 == 0;
-        let (cl2, st2, ops) = (cl.clone(), st.clone(), cfg.ops_per_client);
-        match verifier_pair {
-            Some(sec) => {
-                // Cross-shard verifier: warm both shards' read floors,
-                // then alternate exports between them with a re-read
-                // after every commit.
-                w.sim.schedule_after(arrival, move |sim| {
-                    let (cl, st) = (cl2.clone(), st2.clone());
-                    import_step(sim, &cl, obj, session, host, &st, move |sim| {
-                        let (cl, st) = (cl2.clone(), st2.clone());
-                        import_step(sim, &cl, sec, session, host, &st, move |sim| {
-                            verifier_step(sim, cl2, (obj, sec), session, host, 0, ops, st2);
-                        });
+            SimDuration::from_micros(BURST_GAP.as_micros() * burst as u64 + draws.jitter_us[i]);
+        let (st, ops, closed) = (st.clone(), cfg.ops_per_client, i % 2 == 0);
+        run.w.sim.schedule_after(arrival, move |sim| {
+            let (a2, st2) = (a.clone(), st.clone());
+            import_step(sim, &a2, obj, &st2, move |sim| match partner {
+                // Cross-shard verifier: warm the second shard's read
+                // floor too before the first export.
+                Some(sec) => {
+                    let (a2, st2) = (a.clone(), st.clone());
+                    import_step(sim, &a2, sec, &st2, move |sim| {
+                        closed_loop(sim, a, obj, partner, 0, ops, st);
                     });
-                });
-            }
-            None => {
-                w.sim.schedule_after(arrival, move |sim| {
-                    let (cl, st) = (cl2.clone(), st2.clone());
-                    import_step(sim, &cl, obj, session, host, &st, move |sim| {
-                        if closed {
-                            chain_exports(sim, cl2, obj, session, host, ops, st2);
-                        } else {
-                            for j in 0..ops {
-                                let (cl3, st3) = (cl2.clone(), st2.clone());
-                                sim.schedule_after(
-                                    SimDuration::from_micros(THINK.as_micros() * j as u64),
-                                    move |sim| {
-                                        export_step(sim, &cl3, obj, session, host, &st3, |_, _| {});
-                                    },
-                                );
-                            }
-                        }
-                    });
-                });
-            }
-        }
-        clients.push(cl);
+                }
+                None if closed => closed_loop(sim, a, obj, None, 0, ops, st),
+                None => {
+                    for j in 0..ops {
+                        let (a, st) = (a.clone(), st.clone());
+                        let at = SimDuration::from_micros(THINK.as_micros() * j as u64);
+                        sim.schedule_after(at, move |sim| export_step(sim, &a, obj, &st, |_| {}));
+                    }
+                }
+            });
+        });
     }
-    // Load-balancing plane drivers and the imbalance monitor. Each
-    // reschedules itself until every export committed, so the post-run
-    // `w.sim.run()` drains cleanly.
-    let sv = Rc::new(servers.clone());
+    Workload {
+        clients,
+        shard_ops,
+        crashes,
+        verifiers: !secondaries.is_empty(),
+    }
+}
+
+/// Starts the load-balancing plane's drivers and the imbalance monitor,
+/// in that order: the monitor, replication epochs (each shard folds and
+/// decays its hot-set tracker and publishes its K hottest home objects
+/// to every peer as version-stamped volatile replicas), then the
+/// rebalancer.
+fn planes(sim: &mut Sim, cfg: &ScaleConfig, fed: &Federation, st: &Rc<Shared>) {
+    let total = (cfg.clients * cfg.ops_per_client) as u64;
+    let (shards, dynamic) = (fed.servers.len(), cfg.dynamic());
     if shards > 1 {
-        let (sv2, st2) = (sv.clone(), st.clone());
-        let last = Rc::new(RefCell::new(vec![0u64; shards]));
-        w.sim.schedule_after(MONITOR_EVERY, move |sim| {
-            monitor_tick(sim, sv2, st2, last, total_ops)
+        // Windowed commit-load imbalance: max/mean of the per-shard
+        // commit deltas since the previous tick. Read-only — it never
+        // changes what a run does, only what gets sampled.
+        let (servers, mut last) = (fed.servers.clone(), vec![0u64; shards]);
+        every(sim, MONITOR_EVERY, st.clone(), total, move |sim| {
+            let counts: Vec<u64> = servers.iter().map(|s| s.borrow().commit_count()).collect();
+            let deltas: Vec<u64> = (counts.iter().zip(&last))
+                .map(|(c, p)| c.saturating_sub(*p))
+                .collect();
+            let sum: u64 = deltas.iter().sum();
+            if sum > 0 {
+                let max = deltas.iter().copied().max().unwrap_or(0);
+                let mean = sum as f64 / deltas.len() as f64;
+                sim.stats
+                    .sample("scale.imbalance_window", max as f64 / mean);
+            }
+            last = counts;
         });
     }
     if dynamic && cfg.replicate_hot > 0 {
-        let (sv2, st2) = (sv.clone(), st.clone());
-        w.sim.schedule_after(REPL_EPOCH, move |sim| {
-            replication_tick(sim, sv2, st2, total_ops)
+        let servers = fed.servers.clone();
+        every(sim, REPL_EPOCH, st.clone(), total, move |sim| {
+            for sv in &servers {
+                Server::replication_epoch(sv, sim);
+            }
         });
     }
-    if let (true, Some(every)) = (dynamic, cfg.rebalance_every) {
-        let (sv2, st2, map2) = (sv.clone(), st.clone(), map.clone());
-        let rb = Rc::new(RefCell::new(Rebalancer::new(shards)));
-        w.sim.schedule_after(every, move |sim| {
-            rebalance_tick(sim, sv2, map2, rb, st2, total_ops, every)
+    if let (true, Some(period)) = (dynamic, cfg.rebalance_every) {
+        let (servers, map) = (fed.servers.clone(), fed.map.clone());
+        let mut rb = Rebalancer::new(shards);
+        every(sim, period, st.clone(), total, move |sim| {
+            rebalance(sim, &servers, &map, &mut rb)
         });
     }
+}
+
+/// Runs one scale arm to quiescence; `Err` describes the first violated
+/// invariant.
+pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
+    if cfg.shards > MAX_SHARDS {
+        return Err(format!(
+            "at most {MAX_SHARDS} shards (host ids 1..={MAX_SHARDS})"
+        ));
+    }
+    let mut run = Run::new(cfg.seed);
+    let (fed, st) = federation(&mut run, &cfg)?;
+    let load = workload(&mut run, &cfg, &fed, &st);
+    planes(&mut run.w.sim, &cfg, &fed, &st);
 
     // Drive until every export's commit promise resolved.
-    let t0 = w.sim.now();
-    let deadline = t0 + SimDuration::from_secs(4 * 3600);
-    while st.done.get() < total_ops {
-        if let Some(e) = st.error.borrow().as_ref() {
-            return Err(format!("seed {}: {e}", cfg.seed));
-        }
-        if !w.sim.step() {
-            return Err(format!(
-                "seed {}: event queue drained with {}/{total_ops} commits",
-                cfg.seed,
-                st.done.get()
-            ));
-        }
-        if w.sim.now() > deadline {
-            return Err(format!(
-                "seed {}: did not converge ({}/{total_ops} commits at {})",
-                cfg.seed,
-                st.done.get(),
-                w.sim.now()
-            ));
-        }
-    }
+    let total = (cfg.clients * cfg.ops_per_client) as u64;
+    let t0 = run.w.sim.now();
+    run.drive(
+        SimDuration::from_secs(4 * 3600),
+        || st.done.get() >= total,
+        || format!("{}/{total} commits", st.done.get()),
+    )?;
     let duration_ms = st.last_done.get().since(t0).as_millis_f64().ceil() as u64;
-    w.sim.run(); // Drain residual probe timers and notifications.
-    if let Some(e) = st.error.borrow().as_ref() {
-        return Err(format!("seed {}: {e}", cfg.seed));
-    }
-    let hist = st.hist.borrow();
-    let summary = hist
-        .check(&w, &clients)
-        .map_err(|e| format!("seed {}: {e}", cfg.seed))?;
+    let summary = run.finish(&load.clients)?;
+    read_out(&run, &cfg, &fed, load, &summary, duration_ms)
+}
+
+/// max/mean of `counts` x100, the mean being `sum` over the count of
+/// counts.
+fn max_over_mean_x100(counts: &[u64], sum: u64) -> u64 {
+    let max = counts.iter().copied().max().unwrap_or(0);
+    let mean = sum as f64 / counts.len() as f64;
+    ((max as f64 / mean) * 100.0).round() as u64
+}
+
+/// Reads a finished arm's figures and holds it to the scale soak's own
+/// gates.
+fn read_out(
+    run: &Run,
+    cfg: &ScaleConfig,
+    fed: &Federation,
+    load: Workload,
+    summary: &Summary,
+    duration_ms: u64,
+) -> Result<ScaleOutcome, String> {
+    let total_ops = (cfg.clients * cfg.ops_per_client) as u64;
+    let hist = run.hist.borrow();
     let mut reply_us: Vec<u64> = hist.write_latencies().map(|d| d.as_micros()).collect();
     reply_us.sort_unstable();
     let q = |f: f64| -> u64 {
@@ -912,139 +865,80 @@ pub fn run_scale(cfg: ScaleConfig) -> Result<ScaleOutcome, String> {
         let idx = ((reply_us.len() as f64 * f).ceil() as usize).clamp(1, reply_us.len());
         reply_us[idx - 1]
     };
-
-    let stats = &w.sim.stats;
-    let [batch_mean_x100, batch_p50_x100, batch_p99_x100] =
-        scaled_summary(stats, "server.group_commit_batch_size", 100.0, 100);
-    let [flush_wait_us_mean, flush_wait_us_p50, flush_wait_us_p99] =
-        scaled_summary(stats, "server.flush_wait_ms", 1000.0, 0);
-    let imbalance_x100 = {
-        let max = shard_ops.iter().copied().max().unwrap_or(0);
-        let mean = total_ops.max(1) as f64 / shards as f64;
-        ((max as f64 / mean) * 100.0).round() as u64
-    };
-    let measured_imbalance_x100 = {
-        let counts: Vec<u64> = servers.iter().map(|s| s.borrow().commit_count()).collect();
-        let sum: u64 = counts.iter().sum();
-        if sum == 0 {
-            100
-        } else {
-            let max = counts.iter().copied().max().unwrap_or(0);
-            let mean = sum as f64 / shards as f64;
-            ((max as f64 / mean) * 100.0).round() as u64
-        }
-    };
+    let executed: Vec<u64> = fed
+        .servers
+        .iter()
+        .map(|s| s.borrow().commit_count())
+        .collect();
+    let executed_sum: u64 = executed.iter().sum();
+    let stats = &run.w.sim.stats;
+    let common = Readout::of(stats);
     let [_, imbalance_p50_x100, imbalance_p99_x100] =
         scaled_summary(stats, "scale.imbalance_window", 100.0, 100);
-    let [_, qdepth_p50_x100, qdepth_p99_x100] = scaled_summary(stats, "server.qdepth", 100.0, 0);
-    let mut o = ScaleOutcome {
+    let o = ScaleOutcome {
         seed: cfg.seed,
         clients: cfg.clients as u64,
-        shards: shards as u64,
+        shards: fed.servers.len() as u64,
         ops: total_ops,
         committed: summary.committed,
         final_total: summary.totals.iter().sum::<i64>() as u64,
         reexecs: summary.reexecs,
         duration_ms,
-        wal_appends: stats.counter("server.wal_appends"),
+        wal_appends: common.wal_appends,
         wal_flush_bytes: stats.counter("server.wal_flush_bytes"),
-        group_commits: stats.counter("server.group_commits"),
-        batch_mean_x100,
-        batch_p50_x100,
-        batch_p99_x100,
-        flush_wait_us_mean,
-        flush_wait_us_p50,
-        flush_wait_us_p99,
-        reply_coalesced: stats.counter("server.reply_coalesced"),
+        group_commits: common.group_commits,
+        batch_mean_x100: common.batch_x100[0],
+        batch_p50_x100: common.batch_x100[1],
+        batch_p99_x100: common.batch_x100[2],
+        flush_wait_us_mean: common.flush_wait_us[0],
+        flush_wait_us_p50: common.flush_wait_us[1],
+        flush_wait_us_p99: common.flush_wait_us[2],
+        reply_coalesced: common.reply_coalesced,
         p50_reply_us: q(0.50),
         p99_reply_us: q(0.99),
-        retransmits: stats.counter("client.retransmits"),
-        crashes: stats.counter("server.crashes"),
+        retransmits: common.retransmits,
+        crashes: common.crashes,
         wfr_checked: stats.counter("server.wfr_checked"),
         wfr_holds: stats.counter("server.wfr_held"),
-        imbalance_x100,
-        measured_imbalance_x100,
+        imbalance_x100: max_over_mean_x100(&load.shard_ops, total_ops.max(1)),
+        measured_imbalance_x100: match executed_sum {
+            0 => 100,
+            sum => max_over_mean_x100(&executed, sum),
+        },
         imbalance_p50_x100,
         imbalance_p99_x100,
-        qdepth_p50_x100,
-        qdepth_p99_x100,
+        qdepth_p50_x100: common.qdepth_x100[0],
+        qdepth_p99_x100: common.qdepth_x100[1],
         replica_reads: stats.counter("server.replica_reads"),
         replicas_published: stats.counter("server.replicas_published"),
         migrations: stats.counter("server.migrated_out"),
         redirects: stats.counter("client.redirects"),
-        input_rejected: input_rejected(stats),
-        shard_wal_bytes: servers
-            .iter()
+        input_rejected: common.input_rejected,
+        shard_ops: load.shard_ops,
+        shard_wal_bytes: (fed.servers.iter())
             .map(|s| s.borrow().wal_device_len())
             .collect(),
-        shard_ops,
         digest: 0,
-    };
+    }
+    .with_digest();
 
-    let seed = cfg.seed;
-    if o.wal_appends < total_ops {
-        let n = o.wal_appends;
-        return Err(format!(
-            "seed {seed}: only {n} WAL commit records for {total_ops} exports"
-        ));
+    let n = o.wal_appends;
+    if n < total_ops {
+        return Err(run.err(format!(
+            "only {n} WAL commit records for {total_ops} exports"
+        )));
     }
-    if cfg.shard_crashes == 0 && o.retransmits != 0 {
-        let n = o.retransmits;
-        return Err(format!(
-            "seed {seed}: {n} retransmissions on clean links without chaos"
-        ));
+    let n = o.retransmits;
+    if cfg.shard_crashes == 0 && n != 0 {
+        return Err(run.err(format!("{n} retransmissions on clean links without chaos")));
     }
-    if o.crashes != scheduled_crashes {
-        let n = o.crashes;
-        return Err(format!(
-            "seed {seed}: scheduled {scheduled_crashes} shard crashes but {n} fired"
-        ));
+    let (want, n) = (load.crashes, o.crashes);
+    if n != want {
+        return Err(run.err(format!("scheduled {want} shard crashes but {n} fired")));
     }
-    if shards > 1 && !secondaries.is_empty() && o.wfr_checked == 0 {
-        return Err(format!(
-            "seed {seed}: cross-shard verifiers ran but no read-vector was ever checked"
-        ));
+    if o.shards > 1 && load.verifiers && o.wfr_checked == 0 {
+        return Err(run.err("cross-shard verifiers ran but no read-vector was ever checked"));
     }
-
-    let figures = [
-        o.seed,
-        o.clients,
-        o.shards,
-        o.ops,
-        o.committed,
-        o.final_total,
-        o.reexecs,
-        o.duration_ms,
-        o.wal_appends,
-        o.wal_flush_bytes,
-        o.group_commits,
-        o.batch_mean_x100,
-        o.batch_p50_x100,
-        o.batch_p99_x100,
-        o.flush_wait_us_mean,
-        o.flush_wait_us_p50,
-        o.flush_wait_us_p99,
-        o.reply_coalesced,
-        o.p50_reply_us,
-        o.p99_reply_us,
-        o.retransmits,
-        o.crashes,
-        o.wfr_checked,
-        o.wfr_holds,
-        o.imbalance_x100,
-        o.measured_imbalance_x100,
-        o.imbalance_p50_x100,
-        o.imbalance_p99_x100,
-        o.qdepth_p50_x100,
-        o.qdepth_p99_x100,
-        o.replica_reads,
-        o.replicas_published,
-        o.migrations,
-        o.redirects,
-        o.input_rejected,
-    ];
-    let tail = o.shard_ops.iter().chain(&o.shard_wal_bytes).copied();
-    o.digest = super::fnv_digest(figures.into_iter().chain(tail));
     Ok(o)
 }
 
@@ -1079,160 +973,127 @@ pub const RATIO_FLOOR: f64 = 5.0;
 /// clients) — the federation acceptance gate.
 pub const SHARD_FLOOR: f64 = 3.0;
 
-fn outcome_rows(t: &mut Table, o: &ScaleOutcome, arm: &str) {
-    t.row(vec![
+/// A scale table: the seed, `second` (the arm or the shard count), the
+/// population and throughput columns every scale table shows, then
+/// `rest`.
+fn scale_table(title: &str, second: &str, rest: &[&str], note: &str) -> Table {
+    let mut cols = vec![
+        "seed",
+        second,
+        "clients",
+        "ops",
+        "commit/s",
+        "p50 ms",
+        "p99 ms",
+        "wal KiB/s",
+    ];
+    cols.extend_from_slice(rest);
+    Table::new(title, &cols).note(note)
+}
+
+/// The per-op vs group commit table.
+fn pair_table(title: &str, note: &str) -> Table {
+    scale_table(title, "arm", &["batch", "coal"], note)
+}
+
+/// The sharded-federation table.
+fn sharded_table(title: &str, note: &str) -> Table {
+    let rest = ["imbal", "realized", "wfr chk", "crash", "rexmit"];
+    scale_table(title, "shards", &rest, note)
+}
+
+/// Appends `o`'s row under a [`scale_table`] header.
+fn scale_row(
+    t: &mut Table,
+    o: &ScaleOutcome,
+    second: String,
+    rest: impl IntoIterator<Item = String>,
+) {
+    let mut row = vec![
         o.seed.to_string(),
-        arm.to_owned(),
+        second,
         o.clients.to_string(),
         o.ops.to_string(),
         format!("{:.0}", o.commits_per_s()),
-        format!("{:.1}", o.p50_reply_us as f64 / 1000.0),
-        format!("{:.1}", o.p99_reply_us as f64 / 1000.0),
+        format!("{:.1}", thousandths(o.p50_reply_us)),
+        format!("{:.1}", thousandths(o.p99_reply_us)),
         format!("{:.0}", o.wal_bytes_per_s() / 1024.0),
-        format!("{:.2}", o.batch_mean_x100 as f64 / 100.0),
-        o.reply_coalesced.to_string(),
-    ]);
+    ];
+    row.extend(rest);
+    t.row(row);
+}
+
+/// The throughput metrics every scale report leads with.
+fn throughput(o: &ScaleOutcome) -> Vec<(&'static str, f64)> {
+    vec![
+        ("commits_per_s", o.commits_per_s()),
+        ("p50_reply_ms", thousandths(o.p50_reply_us)),
+        ("p99_reply_ms", thousandths(o.p99_reply_us)),
+        ("wal_bytes_per_s", o.wal_bytes_per_s()),
+    ]
 }
 
 /// Renders one seed's two arms into a comparison table + metrics.
 fn report_pair(r: &mut Report, t: &mut Table, trio: &(ScaleOutcome, ScaleOutcome, f64)) {
     let (per_op, group, speedup) = trio;
-    outcome_rows(t, per_op, "per-op");
-    outcome_rows(t, group, "group");
-    for (o, arm) in [(per_op, "perop"), (group, "group")] {
-        let s = o.seed;
-        r.metric(
-            format!("scale.seed{s}.{arm}.commits_per_s"),
-            o.commits_per_s(),
+    for (o, arm, label) in [(per_op, "perop", "per-op"), (group, "group", "group")] {
+        let batch = format!("{:.2}", hundredths(o.batch_mean_x100));
+        scale_row(
+            t,
+            o,
+            label.to_owned(),
+            [batch, o.reply_coalesced.to_string()],
         );
-        r.metric(
-            format!("scale.seed{s}.{arm}.p50_reply_ms"),
-            o.p50_reply_us as f64 / 1000.0,
-        );
-        r.metric(
-            format!("scale.seed{s}.{arm}.p99_reply_ms"),
-            o.p99_reply_us as f64 / 1000.0,
-        );
-        r.metric(
-            format!("scale.seed{s}.{arm}.wal_bytes_per_s"),
-            o.wal_bytes_per_s(),
-        );
-        r.metric(
-            format!("scale.seed{s}.{arm}.mean_batch"),
-            o.batch_mean_x100 as f64 / 100.0,
-        );
-        r.metric(
-            format!("scale.seed{s}.{arm}.qdepth_p50"),
-            o.qdepth_p50_x100 as f64 / 100.0,
-        );
-        r.metric(
-            format!("scale.seed{s}.{arm}.qdepth_p99"),
-            o.qdepth_p99_x100 as f64 / 100.0,
-        );
+        let mut figures = throughput(o);
+        figures.extend([
+            ("mean_batch", hundredths(o.batch_mean_x100)),
+            ("qdepth_p50", hundredths(o.qdepth_p50_x100)),
+            ("qdepth_p99", hundredths(o.qdepth_p99_x100)),
+        ]);
+        metrics(r, &format!("scale.seed{}.{arm}", o.seed), &figures);
     }
     // Flush-wait / batch-size histogram percentiles (group arm; the
     // per-op arm's groups are all of one, so its histograms are
     // degenerate).
-    r.metric(
-        format!("scale.seed{}.group.flush_wait_p50_ms", group.seed),
-        group.flush_wait_us_p50 as f64 / 1000.0,
-    );
-    r.metric(
-        format!("scale.seed{}.group.flush_wait_p99_ms", group.seed),
-        group.flush_wait_us_p99 as f64 / 1000.0,
-    );
-    r.metric(
-        format!("scale.seed{}.group.batch_p50", group.seed),
-        group.batch_p50_x100 as f64 / 100.0,
-    );
-    r.metric(
-        format!("scale.seed{}.group.batch_p99", group.seed),
-        group.batch_p99_x100 as f64 / 100.0,
-    );
+    let figures = [
+        ("flush_wait_p50_ms", thousandths(group.flush_wait_us_p50)),
+        ("flush_wait_p99_ms", thousandths(group.flush_wait_us_p99)),
+        ("batch_p50", hundredths(group.batch_p50_x100)),
+        ("batch_p99", hundredths(group.batch_p99_x100)),
+    ];
+    metrics(r, &format!("scale.seed{}.group", group.seed), &figures);
     r.metric(format!("scale.seed{}.speedup", per_op.seed), *speedup);
 }
 
 /// Renders one sharded (group-commit) arm into a table row + metrics.
 fn report_sharded(r: &mut Report, t: &mut Table, o: &ScaleOutcome, prefix: &str) {
-    t.row(vec![
-        o.seed.to_string(),
-        o.shards.to_string(),
-        o.clients.to_string(),
-        o.ops.to_string(),
-        format!("{:.0}", o.commits_per_s()),
-        format!("{:.1}", o.p50_reply_us as f64 / 1000.0),
-        format!("{:.1}", o.p99_reply_us as f64 / 1000.0),
-        format!("{:.0}", o.wal_bytes_per_s() / 1024.0),
-        format!("{:.2}", o.imbalance_x100 as f64 / 100.0),
-        format!("{:.2}", o.measured_imbalance_x100 as f64 / 100.0),
+    let rest = [
+        format!("{:.2}", hundredths(o.imbalance_x100)),
+        format!("{:.2}", hundredths(o.measured_imbalance_x100)),
         o.wfr_checked.to_string(),
         o.crashes.to_string(),
         o.retransmits.to_string(),
+    ];
+    scale_row(t, o, o.shards.to_string(), rest);
+    let mut figures = throughput(o);
+    figures.extend([
+        ("imbalance", hundredths(o.imbalance_x100)),
+        ("wfr_checked", o.wfr_checked as f64),
+        ("measured_imbalance", hundredths(o.measured_imbalance_x100)),
+        ("imbalance_p50", hundredths(o.imbalance_p50_x100)),
+        ("imbalance_p99", hundredths(o.imbalance_p99_x100)),
+        ("qdepth_p50", hundredths(o.qdepth_p50_x100)),
+        ("qdepth_p99", hundredths(o.qdepth_p99_x100)),
     ]);
-    r.metric(format!("{prefix}.commits_per_s"), o.commits_per_s());
-    r.metric(
-        format!("{prefix}.p50_reply_ms"),
-        o.p50_reply_us as f64 / 1000.0,
-    );
-    r.metric(
-        format!("{prefix}.p99_reply_ms"),
-        o.p99_reply_us as f64 / 1000.0,
-    );
-    r.metric(format!("{prefix}.wal_bytes_per_s"), o.wal_bytes_per_s());
-    r.metric(
-        format!("{prefix}.imbalance"),
-        o.imbalance_x100 as f64 / 100.0,
-    );
-    r.metric(format!("{prefix}.wfr_checked"), o.wfr_checked as f64);
-    r.metric(
-        format!("{prefix}.measured_imbalance"),
-        o.measured_imbalance_x100 as f64 / 100.0,
-    );
-    r.metric(
-        format!("{prefix}.imbalance_p50"),
-        o.imbalance_p50_x100 as f64 / 100.0,
-    );
-    r.metric(
-        format!("{prefix}.imbalance_p99"),
-        o.imbalance_p99_x100 as f64 / 100.0,
-    );
-    r.metric(
-        format!("{prefix}.qdepth_p50"),
-        o.qdepth_p50_x100 as f64 / 100.0,
-    );
-    r.metric(
-        format!("{prefix}.qdepth_p99"),
-        o.qdepth_p99_x100 as f64 / 100.0,
-    );
+    metrics(r, prefix, &figures);
     for (s, &b) in o.shard_wal_bytes.iter().enumerate() {
-        r.metric(
-            format!("{prefix}.shard{s}.wal_bytes_per_s"),
-            b as f64 / (o.duration_ms.max(1) as f64 / 1000.0),
-        );
+        r.metric(format!("{prefix}.shard{s}.wal_bytes_per_s"), o.per_s(b));
     }
 }
 
-fn sharded_table(title: &str, note: &str) -> Table {
-    Table::new(
-        title,
-        &[
-            "seed",
-            "shards",
-            "clients",
-            "ops",
-            "commit/s",
-            "p50 ms",
-            "p99 ms",
-            "wal KiB/s",
-            "imbal",
-            "realized",
-            "wfr chk",
-            "crash",
-            "rexmit",
-        ],
-    )
-    .note(note)
-}
+/// The note under every per-op vs group table.
+const PAIR_NOTE: &str = "Clean links (ethernet / WaveLAN / CSLIP mix), zipf-skewed objects, \
+                         bursty open+closed arrivals; 1995 server disk model.";
 
 /// CLI entry for `rover-bench soak --clients N`: every seed runs both
 /// arms; `Err` on the first violated invariant (including the speedup
@@ -1288,138 +1149,127 @@ pub fn run_cli(
             if rebalance_every_ms > 0 {
                 c = c.with_rebalancing(SimDuration::from_millis(rebalance_every_ms));
             }
-            let o = run_scale(c)?;
-            report_sharded(
-                &mut r,
-                &mut t,
-                &o,
-                &format!("scale.seed{seed}.shard{shards}"),
-            );
+            let prefix = format!("scale.seed{seed}.shard{shards}");
+            report_sharded(&mut r, &mut t, &run_scale(c)?, &prefix);
         }
         r.table(&t);
         return Ok(r);
     }
-    let mut t = Table::new(
+    let mut t = pair_table(
         &format!(
             "Scale soak — {clients} clients x {ops} ops, per-op flush vs group commit \
              (batch 64 / 20 ms window)"
         ),
-        &[
-            "seed",
-            "arm",
-            "clients",
-            "ops",
-            "commit/s",
-            "p50 ms",
-            "p99 ms",
-            "wal KiB/s",
-            "batch",
-            "coal",
-        ],
-    )
-    .note(
-        "Clean links (ethernet / WaveLAN / CSLIP mix), zipf-skewed objects, \
-         bursty open+closed arrivals; 1995 server disk model.",
+        PAIR_NOTE,
     );
-    let mut speedups = Vec::new();
     for seed in seeds {
-        let trio = run_pair(seed, clients, ops)?;
-        report_pair(&mut r, &mut t, &trio);
-        speedups.push(trio.2);
+        report_pair(&mut r, &mut t, &run_pair(seed, clients, ops)?);
     }
     r.table(&t);
-    for (i, s) in speedups.iter().enumerate() {
-        r.metric(format!("scale.run{i}.speedup"), *s);
-    }
     Ok(r)
+}
+
+/// Population and exports per client of every S-experiment arm (S3's
+/// saturated arms double the exports).
+const S_CLIENTS: usize = 10_000;
+const S_OPS: usize = 3;
+
+/// Runs the S-experiment `id`; a violated invariant or gate aborts it,
+/// naming the experiment.
+fn gated(id: &str, r: &mut Report, body: impl FnOnce(&mut Report) -> Result<(), String>) {
+    if let Err(e) = body(r) {
+        panic!("{id} invariant violated: {e}");
+    }
+}
+
+/// One arm of a sharded experiment: its label (the last part of its
+/// metric prefix), its config, the outcome figures it also reports by
+/// name (emitted in the outcome's figure order), and the name of the
+/// metric that divides its commits/s by the first arm's, if it reports
+/// one.
+type Arm<'a> = (&'a str, ScaleConfig, &'a [&'a str], Option<&'a str>);
+
+/// Runs `arms` in order into `t` and the metrics under `{id}.{label}`;
+/// the first failed arm ends the run.
+fn run_arms(
+    r: &mut Report,
+    t: &mut Table,
+    id: &str,
+    arms: &[Arm<'_>],
+) -> Result<Vec<ScaleOutcome>, String> {
+    let mut outs: Vec<ScaleOutcome> = Vec::with_capacity(arms.len());
+    for &(label, cfg, extra, ratio) in arms {
+        let o = run_scale(cfg).map_err(|e| format!("{label} arm: {e}"))?;
+        let prefix = format!("{id}.{label}");
+        report_sharded(r, t, &o, &prefix);
+        for (name, v) in o.figures().into_iter().filter(|(n, _)| extra.contains(n)) {
+            r.metric(format!("{prefix}.{name}"), v as f64);
+        }
+        if let Some(name) = ratio {
+            let first = outs.first().unwrap_or(&o);
+            r.metric(name, o.commits_per_s() / first.commits_per_s().max(1e-9));
+        }
+        outs.push(o);
+    }
+    Ok(outs)
 }
 
 /// The `s1-scale` experiment: the full 10k-client soak, both arms, one
 /// seed — the headline group-commit throughput figures in
 /// `results/BENCH_rover.json`.
 pub fn s1_scale(r: &mut Report) {
-    const CLIENTS: usize = 10_000;
-    const OPS: usize = 3;
-    let mut t = Table::new(
-        "S1 — 10k-client scale soak: per-op flush vs group commit (batch 64 / 20 ms window)",
-        &[
-            "seed",
-            "arm",
-            "clients",
-            "ops",
-            "commit/s",
-            "p50 ms",
-            "p99 ms",
-            "wal KiB/s",
-            "batch",
-            "coal",
-        ],
-    )
-    .note(
-        "Clean links (ethernet / WaveLAN / CSLIP mix), zipf-skewed objects, bursty \
-         open+closed arrivals; 1995 server disk model. Gate: group >= 5x per-op commits/s.",
-    );
-    match run_pair(1, CLIENTS, OPS) {
-        Ok(trio) => {
-            report_pair(r, &mut t, &trio);
-            r.table(&t);
-        }
-        Err(e) => panic!("s1-scale invariant violated: {e}"),
-    }
+    gated("s1-scale", r, |r| {
+        let mut t = pair_table(
+            "S1 — 10k-client scale soak: per-op flush vs group commit (batch 64 / 20 ms window)",
+            &format!("{PAIR_NOTE} Gate: group >= 5x per-op commits/s."),
+        );
+        report_pair(r, &mut t, &run_pair(1, S_CLIENTS, S_OPS)?);
+        r.table(&t);
+        Ok(())
+    });
 }
 
 /// The `s2-shard-scaling` experiment: 10k clients under group commit,
 /// federated across 1/2/4/8 URN-partitioned shards, one seed — the
 /// scale-out chart (aggregate commits/s, reply percentiles, per-shard
-/// WAL bandwidth, load imbalance) plus one shard-kill chaos arm. Gate:
-/// 8 shards sustain >= [`SHARD_FLOOR`]x the single-shard commits/s.
+/// WAL bandwidth, load imbalance) plus one shard-kill chaos arm: every
+/// shard power-failed twice mid-run, while the history check inside
+/// `run_scale` proves exactly-once, the committed prefix, and
+/// cross-shard WFR under recovery. Gate: 8 shards sustain >=
+/// [`SHARD_FLOOR`]x the single-shard commits/s.
 pub fn s2_shard_scaling(r: &mut Report) {
-    const CLIENTS: usize = 10_000;
-    const OPS: usize = 3;
-    let mut t = sharded_table(
-        "S2 — sharded home-server federation: group-commit scale-out at 10k clients",
-        "URN space hash-partitioned across N shards (independent WAL + commit engine each); \
-         cross-shard verifier sessions assert MR/WFR. Chaos arm: 2 scripted power failures \
-         per shard. Gate: 8 shards >= 3x 1-shard commits/s.",
-    );
-    let mut one_shard = 0.0f64;
-    let mut eight_shard = 0.0f64;
-    for shards in [1usize, 2, 4, 8] {
-        let o = run_scale(
-            ScaleConfig::new(1, CLIENTS, OPS)
-                .with_policy(GROUP_POLICY)
-                .with_shards(shards),
-        )
-        .unwrap_or_else(|e| panic!("s2-shard-scaling invariant violated: {e}"));
-        report_sharded(r, &mut t, &o, &format!("s2.shards{shards}"));
-        if shards == 1 {
-            one_shard = o.commits_per_s();
-        }
-        if shards == 8 {
-            eight_shard = o.commits_per_s();
-        }
-    }
-    let scaleout = eight_shard / one_shard.max(1e-9);
-    if scaleout < SHARD_FLOOR {
-        panic!(
-            "s2-shard-scaling gate violated: 8 shards only {scaleout:.2}x one shard \
-             ({eight_shard:.0} vs {one_shard:.0} commits/s; gate >= {SHARD_FLOOR}x)"
+    gated("s2-shard-scaling", r, |r| {
+        let mut t = sharded_table(
+            "S2 — sharded home-server federation: group-commit scale-out at 10k clients",
+            "URN space hash-partitioned across N shards (independent WAL + commit engine each); \
+             cross-shard verifier sessions assert MR/WFR. Chaos arm: 2 scripted power failures \
+             per shard. Gate: 8 shards >= 3x 1-shard commits/s.",
         );
-    }
-    r.metric("s2.scaleout_8x1", scaleout);
-    // Shard-kill chaos arm: every shard power-failed twice mid-run; the
-    // history check inside run_scale proves exactly-once, the committed
-    // prefix, and cross-shard WFR under recovery.
-    let chaos = run_scale(
-        ScaleConfig::new(1, CLIENTS, OPS)
-            .with_policy(GROUP_POLICY)
-            .with_shards(4)
-            .with_shard_crashes(2),
-    )
-    .unwrap_or_else(|e| panic!("s2-shard-scaling chaos invariant violated: {e}"));
-    report_sharded(r, &mut t, &chaos, "s2.chaos4x2");
-    r.metric("s2.chaos4x2.crashes", chaos.crashes as f64);
-    r.table(&t);
+        let base = ScaleConfig::new(1, S_CLIENTS, S_OPS).with_policy(GROUP_POLICY);
+        let arms: [Arm<'_>; 5] = [
+            ("shards1", base.with_shards(1), &[], None),
+            ("shards2", base.with_shards(2), &[], None),
+            ("shards4", base.with_shards(4), &[], None),
+            ("shards8", base.with_shards(8), &[], Some("s2.scaleout_8x1")),
+            (
+                "chaos4x2",
+                base.with_shards(4).with_shard_crashes(2),
+                &["crashes"],
+                None,
+            ),
+        ];
+        let outs = run_arms(r, &mut t, "s2", &arms)?;
+        let (one, eight) = (outs[0].commits_per_s(), outs[3].commits_per_s());
+        let scaleout = eight / one.max(1e-9);
+        if scaleout < SHARD_FLOOR {
+            return Err(format!(
+                "8 shards only {scaleout:.2}x one shard ({eight:.0} vs {one:.0} commits/s; \
+                 gate >= {SHARD_FLOOR}x)"
+            ));
+        }
+        r.table(&t);
+        Ok(())
+    });
 }
 
 /// Required commits/s gain of the balanced arm over the static-routing
@@ -1429,7 +1279,7 @@ pub const S3_SPEEDUP_FLOOR: f64 = 1.25;
 pub const S3_IMBALANCE_CEIL: f64 = 1.30;
 
 /// The `s3-hot-balance` experiment: hot-set load balancing at 10k
-/// clients x 8 shards. Three arms:
+/// clients x 8 shards. Three arms at matched load:
 ///
 /// 1. **static** — exactly the PR 7 s2 8-shard configuration (64
 ///    zipf objects, no balancing): the 2.22x-imbalance baseline.
@@ -1440,128 +1290,106 @@ pub const S3_IMBALANCE_CEIL: f64 = 1.30;
 ///    the floor is ~1.18x).
 /// 3. **balanced** — 512 objects with the full plane on: top-8
 ///    hot-set replication every 100 ms epoch plus a 50 ms commit-load
-///    rebalancer. Gates: realized imbalance <= [`S3_IMBALANCE_CEIL`],
-///    commits/s >= [`S3_SPEEDUP_FLOOR`] x the static arm, and the
-///    plane actually exercised (replica reads and migrations > 0).
+///    rebalancer. Gates: realized imbalance <= [`S3_IMBALANCE_CEIL`]
+///    and the plane actually exercised (replica reads and migrations
+///    > 0).
 ///
-/// A fourth chaos arm re-runs the 4-shard 2-crash soak with
-/// replication on: `run_scale`'s history check (exactly-once, the
+/// The matched-load arms share an arrival-limited duration floor
+/// (every client starts inside the same 1.6 s burst window and the
+/// slowest links set the tail), so they measure *imbalance*, not
+/// capacity. The saturated pair (**static2x**, **balanced2x**) doubles
+/// ops/client inside the same window, so it doubles the offered rate:
+/// the static partition's hot shard saturates and its backlog sets the
+/// run length, while the balanced plane spreads the same offered load
+/// across the federation. Gate: balanced-2x commits/s >=
+/// [`S3_SPEEDUP_FLOOR`]x the static arm.
+///
+/// A last chaos arm re-runs the 4-shard 2-crash soak with replication
+/// on: volatile replicas die with their holder and are republished next
+/// epoch, while `run_scale`'s history check (exactly-once, the
 /// committed prefix in the recovered executed sets, empty client logs)
-/// must hold while volatile replicas are dropped and republished
-/// across crashes.
+/// must hold.
 pub fn s3_hot_balance(r: &mut Report) {
-    const CLIENTS: usize = 10_000;
-    const OPS: usize = 3;
-    const SHARDS: usize = 8;
-    const OBJECTS: usize = 512;
-    const HOT_K: usize = 8;
-    let mut t = sharded_table(
-        "S3 — hot-set load balancing: versioned read replicas + dynamic rebalancing, \
-         10k clients x 8 shards",
-        "static = PR 7 baseline (64 objects, no balancing); spread = 512 objects, \
-         balancing off; balanced = 512 objects + top-8 replication (100 ms epochs) + \
-         50 ms rebalancer. The matched-load trio is arrival-limited (same burst \
-         window), so the -2x arms double ops/client inside the same window to \
-         measure saturated capacity: static-2x collapses on its hot shard, \
-         balanced-2x sustains. Gates: balanced realized imbalance <= 1.30, \
-         balanced-2x commits/s >= 1.25x the static baseline. Chaos arm: \
-         replication on, 2 power failures per shard, full durability audit.",
-    );
-    let base = ScaleConfig::new(1, CLIENTS, OPS)
-        .with_policy(GROUP_POLICY)
-        .with_shards(SHARDS);
-    let stat = run_scale(base).unwrap_or_else(|e| panic!("s3-hot-balance static arm: {e}"));
-    report_sharded(r, &mut t, &stat, "s3.static");
-    let spread = run_scale(base.with_objects(OBJECTS))
-        .unwrap_or_else(|e| panic!("s3-hot-balance spread arm: {e}"));
-    report_sharded(r, &mut t, &spread, "s3.spread");
-    let balanced = run_scale(
-        base.with_objects(OBJECTS)
-            .with_replication(HOT_K)
-            .with_rebalancing(SimDuration::from_millis(50)),
-    )
-    .unwrap_or_else(|e| panic!("s3-hot-balance balanced arm: {e}"));
-    report_sharded(r, &mut t, &balanced, "s3.balanced");
-    r.metric("s3.balanced.replica_reads", balanced.replica_reads as f64);
-    r.metric(
-        "s3.balanced.replicas_published",
-        balanced.replicas_published as f64,
-    );
-    r.metric("s3.balanced.migrations", balanced.migrations as f64);
-    r.metric("s3.balanced.redirects", balanced.redirects as f64);
-    r.metric(
-        "s3.speedup_balanced_vs_static",
-        balanced.commits_per_s() / stat.commits_per_s().max(1e-9),
-    );
-
-    let imbalance = balanced.measured_imbalance_x100 as f64 / 100.0;
-    if imbalance > S3_IMBALANCE_CEIL {
-        panic!(
-            "s3-hot-balance gate violated: balanced arm realized imbalance {imbalance:.2}x \
-             (gate <= {S3_IMBALANCE_CEIL}x; static baseline ran at {:.2}x)",
-            stat.measured_imbalance_x100 as f64 / 100.0
+    gated("s3-hot-balance", r, |r| {
+        const OBJECTS: usize = 512;
+        const HOT_K: usize = 8;
+        let mut t = sharded_table(
+            "S3 — hot-set load balancing: versioned read replicas + dynamic rebalancing, \
+             10k clients x 8 shards",
+            "static = PR 7 baseline (64 objects, no balancing); spread = 512 objects, \
+             balancing off; balanced = 512 objects + top-8 replication (100 ms epochs) + \
+             50 ms rebalancer. The matched-load trio is arrival-limited (same burst \
+             window), so the -2x arms double ops/client inside the same window to \
+             measure saturated capacity: static-2x collapses on its hot shard, \
+             balanced-2x sustains. Gates: balanced realized imbalance <= 1.30, \
+             balanced-2x commits/s >= 1.25x the static baseline. Chaos arm: \
+             replication on, 2 power failures per shard, full durability audit.",
         );
-    }
-    if balanced.replica_reads == 0 {
-        panic!("s3-hot-balance gate violated: replication on but zero replica reads");
-    }
-    if balanced.migrations == 0 {
-        panic!("s3-hot-balance gate violated: rebalancer on but zero migrations");
-    }
-
-    // Saturated pair: the matched-load arms above share an
-    // arrival-limited duration floor (every client starts inside the
-    // same 1.6 s burst window and the slowest links set the tail), so
-    // they measure *imbalance*, not capacity. Doubling ops/client
-    // inside the same window doubles the offered rate: the static
-    // partition's hot shard saturates and its backlog sets the run
-    // length, while the balanced plane spreads the same offered load
-    // across the federation.
-    let stat2x = run_scale(
-        ScaleConfig::new(1, CLIENTS, OPS * 2)
+        let stat = ScaleConfig::new(1, S_CLIENTS, S_OPS)
             .with_policy(GROUP_POLICY)
-            .with_shards(SHARDS),
-    )
-    .unwrap_or_else(|e| panic!("s3-hot-balance static-2x arm: {e}"));
-    report_sharded(r, &mut t, &stat2x, "s3.static2x");
-    let balanced2x = run_scale(
-        ScaleConfig::new(1, CLIENTS, OPS * 2)
-            .with_policy(GROUP_POLICY)
-            .with_shards(SHARDS)
-            .with_objects(OBJECTS)
-            .with_replication(HOT_K)
-            .with_rebalancing(SimDuration::from_millis(50)),
-    )
-    .unwrap_or_else(|e| panic!("s3-hot-balance balanced-2x arm: {e}"));
-    report_sharded(r, &mut t, &balanced2x, "s3.balanced2x");
-    let speedup = balanced2x.commits_per_s() / stat.commits_per_s().max(1e-9);
-    r.metric("s3.speedup_loaded_vs_baseline", speedup);
-    if speedup < S3_SPEEDUP_FLOOR {
-        panic!(
-            "s3-hot-balance gate violated: balanced-2x arm only {speedup:.2}x the static \
-             baseline commits/s ({:.0} vs {:.0}; gate >= {S3_SPEEDUP_FLOOR}x)",
-            balanced2x.commits_per_s(),
-            stat.commits_per_s()
-        );
-    }
-
-    // Chaos arm: shard kills with replication on. Volatile replicas
-    // die with their holder and are republished next epoch; the
-    // history check inside run_scale proves exactly-once and the
-    // session guarantees survived.
-    let chaos = run_scale(
-        ScaleConfig::new(1, CLIENTS, OPS)
-            .with_policy(GROUP_POLICY)
-            .with_shards(4)
-            .with_shard_crashes(2)
-            .with_objects(OBJECTS)
-            .with_replication(HOT_K),
-    )
-    .unwrap_or_else(|e| panic!("s3-hot-balance chaos invariant violated: {e}"));
-    report_sharded(r, &mut t, &chaos, "s3.chaos4x2");
-    r.metric("s3.chaos4x2.crashes", chaos.crashes as f64);
-    r.metric("s3.chaos4x2.replica_reads", chaos.replica_reads as f64);
-    r.table(&t);
+            .with_shards(8);
+        let balanced = (stat.with_objects(OBJECTS).with_replication(HOT_K))
+            .with_rebalancing(SimDuration::from_millis(50));
+        let twice = |c: ScaleConfig| ScaleConfig {
+            ops_per_client: 2 * S_OPS,
+            ..c
+        };
+        let plane: &[&str] = &[
+            "replica_reads",
+            "replicas_published",
+            "migrations",
+            "redirects",
+        ];
+        let arms: [Arm<'_>; 6] = [
+            ("static", stat, &[], None),
+            ("spread", stat.with_objects(OBJECTS), &[], None),
+            (
+                "balanced",
+                balanced,
+                plane,
+                Some("s3.speedup_balanced_vs_static"),
+            ),
+            ("static2x", twice(stat), &[], None),
+            (
+                "balanced2x",
+                twice(balanced),
+                &[],
+                Some("s3.speedup_loaded_vs_baseline"),
+            ),
+            (
+                "chaos4x2",
+                (stat.with_shards(4).with_shard_crashes(2))
+                    .with_objects(OBJECTS)
+                    .with_replication(HOT_K),
+                &["crashes", "replica_reads"],
+                None,
+            ),
+        ];
+        let outs = run_arms(r, &mut t, "s3", &arms)?;
+        let (stat, balanced, balanced2x) = (&outs[0], &outs[2], &outs[4]);
+        let imbalance = hundredths(balanced.measured_imbalance_x100);
+        if imbalance > S3_IMBALANCE_CEIL {
+            return Err(format!(
+                "balanced arm realized imbalance {imbalance:.2}x (gate <= {S3_IMBALANCE_CEIL}x; \
+                 static baseline ran at {:.2}x)",
+                hundredths(stat.measured_imbalance_x100)
+            ));
+        }
+        if balanced.replica_reads == 0 || balanced.migrations == 0 {
+            return Err("the balanced arm served no replica read or made no migration".into());
+        }
+        let speedup = balanced2x.commits_per_s() / stat.commits_per_s().max(1e-9);
+        if speedup < S3_SPEEDUP_FLOOR {
+            return Err(format!(
+                "balanced-2x arm only {speedup:.2}x the static baseline commits/s \
+                 ({:.0} vs {:.0}; gate >= {S3_SPEEDUP_FLOOR}x)",
+                balanced2x.commits_per_s(),
+                stat.commits_per_s()
+            ));
+        }
+        r.table(&t);
+        Ok(())
+    });
 }
 
 #[cfg(test)]

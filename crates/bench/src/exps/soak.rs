@@ -29,19 +29,15 @@
 //! fire, and recovery must actually replay (`server.recovered_commits >
 //! 0` across the run: the crashes were not no-ops).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use rover_core::{
-    Client, ClientConfig, ClientRef, Guarantees, History, ReexecuteResolver, Server, ServerConfig,
-    Urn, World,
-};
-use rover_log::MemStore;
+use rover_core::{Client, ClientConfig, CommitPolicy, Server, ServerConfig, Summary, Urn};
 use rover_net::{FaultSpec, FlapSpec, LinkSpec};
 use rover_sim::SimDuration;
-use rover_wire::{HostId, Priority, SessionId};
+use rover_wire::HostId;
 
-use super::{input_rejected, scaled_summary};
+use super::run::{
+    client_host, hundredths, outcome, restart_after, scaled_summary, thousandths, Actor, Readout,
+    Run,
+};
 use crate::report::Report;
 use crate::table::Table;
 
@@ -101,132 +97,114 @@ impl SoakConfig {
     }
 }
 
-/// Measured result of one converged soak run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SoakOutcome {
-    /// Seed the run used.
-    pub seed: u64,
-    /// Total exports issued (clients × ops_per_client).
-    pub ops: u64,
-    /// Final value of the shared server counter.
-    pub final_n: u64,
-    /// Exports whose committed promise resolved `Ok`/`Resolved`.
-    pub committed: u64,
-    /// `server.dedup_miss_reexec`, from the history check: zero.
-    pub reexecs: u64,
-    /// Faults injected on the wire (drop + corrupt + dup + jitter).
-    pub faults: u64,
-    /// Corrupted frames rejected by the receive-path checksum.
-    pub corrupt_rejected: u64,
-    /// Corruptions injected at the sender side.
-    pub corrupt_injected: u64,
-    /// Client retransmissions across the run.
-    pub retransmits: u64,
-    /// Virtual time to convergence, in milliseconds.
-    pub converged_ms: u64,
-    /// Server crash/restart cycles that actually fired.
-    pub server_crashes: u64,
-    /// Commit records appended to the write-ahead log.
-    pub wal_appends: u64,
-    /// Checkpoints written (attach + periodic).
-    pub checkpoints: u64,
-    /// Commit records replayed across all recoveries.
-    pub recovered_commits: u64,
-    /// Torn tail bytes discarded across all recoveries.
-    pub recovery_truncated_tail: u64,
-    /// Mean recovery scan time across restarts, in microseconds
-    /// (virtual time; 0 when the server never crashed).
-    pub recovery_us_mean: u64,
-    /// Group flushes performed (`server.group_commits`; one per commit
-    /// under the per-operation policy).
-    pub group_commits: u64,
-    /// Mean commits per group flush x100 (100 = one per flush).
-    pub group_batch_mean_x100: u64,
-    /// Median commits per group flush x100.
-    pub group_batch_p50_x100: u64,
-    /// 99th-percentile commits per group flush x100.
-    pub group_batch_p99_x100: u64,
-    /// Replies that rode an earlier reply's coalesced envelope.
-    pub reply_coalesced: u64,
-    /// Mean staged-to-durable wait per commit, in microseconds (under
-    /// the per-operation policy, the flush itself).
-    pub flush_wait_us_mean: u64,
-    /// Median staged-to-durable wait, microseconds.
-    pub flush_wait_us_p50: u64,
-    /// 99th-percentile staged-to-durable wait, microseconds.
-    pub flush_wait_us_p99: u64,
-    /// Median server queue depth sampled at every admission x100
-    /// (staged commits + ordered-write and writes-follow-reads holds).
-    pub qdepth_p50_x100: u64,
-    /// 99th-percentile server queue depth at admission x100.
-    pub qdepth_p99_x100: u64,
-    /// Adversarial-input rejections summed across the codec planes
-    /// (`wire.decode_rejected.*` + `log.scan_rejected.*` +
-    /// `script.parse_rejected`).
-    pub input_rejected: u64,
-    /// Order-insensitive fingerprint of final state + stats; equal
-    /// digests mean byte-identical runs.
-    pub digest: u64,
+outcome! {
+    /// Measured result of one converged soak run.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct SoakOutcome {
+        /// Seed the run used.
+        seed,
+        /// Total exports issued (clients × ops_per_client).
+        ops,
+        /// Final value of the shared server counter.
+        final_n,
+        /// Exports whose committed promise resolved `Ok`/`Resolved`.
+        committed,
+        /// `server.dedup_miss_reexec`, from the history check: zero.
+        reexecs,
+        /// Faults injected on the wire (drop + corrupt + dup + jitter).
+        faults,
+        /// Corrupted frames rejected by the receive-path checksum.
+        corrupt_rejected,
+        /// Client retransmissions across the run.
+        retransmits,
+        /// Virtual time to convergence, in milliseconds.
+        converged_ms,
+        /// Server crash/restart cycles that actually fired.
+        server_crashes,
+        /// Commit records appended to the write-ahead log.
+        wal_appends,
+        /// Checkpoints written (attach + periodic).
+        checkpoints,
+        /// Commit records replayed across all recoveries.
+        recovered_commits,
+        /// Torn tail bytes discarded across all recoveries.
+        recovery_truncated_tail,
+        /// Mean recovery scan time across restarts, in microseconds
+        /// (virtual time; 0 when the server never crashed).
+        recovery_us_mean,
+        /// Group flushes performed (`server.group_commits`; one per commit
+        /// under the per-operation policy).
+        group_commits,
+        /// Mean commits per group flush x100 (100 = one per flush).
+        group_batch_mean_x100,
+        /// Median commits per group flush x100.
+        group_batch_p50_x100,
+        /// 99th-percentile commits per group flush x100.
+        group_batch_p99_x100,
+        /// Replies that rode an earlier reply's coalesced envelope.
+        reply_coalesced,
+        /// Mean staged-to-durable wait per commit, in microseconds (under
+        /// the per-operation policy, the flush itself).
+        flush_wait_us_mean,
+        /// Median staged-to-durable wait, microseconds.
+        flush_wait_us_p50,
+        /// 99th-percentile staged-to-durable wait, microseconds.
+        flush_wait_us_p99,
+        /// Median server queue depth sampled at every admission x100
+        /// (staged commits + ordered-write and writes-follow-reads holds).
+        qdepth_p50_x100,
+        /// 99th-percentile server queue depth at admission x100.
+        qdepth_p99_x100,
+        /// Adversarial-input rejections summed across the codec planes
+        /// (`wire.decode_rejected.*` + `log.scan_rejected.*` +
+        /// `script.parse_rejected`).
+        input_rejected,
+    }
 }
 
 const SERVER: HostId = HostId(1);
 
-fn client_host(i: usize) -> HostId {
-    HostId(10 + i as u32)
-}
-
 /// Runs one seeded soak to convergence; `Err` describes the first
 /// violated invariant.
 pub fn run_seed(cfg: SoakConfig) -> Result<SoakOutcome, String> {
-    let mut w = World::new(cfg.seed);
+    let mut run = Run::new(cfg.seed);
     let mut scfg = ServerConfig::workstation(SERVER);
     if cfg.group_commit {
-        scfg.commit = rover_core::CommitPolicy::Group {
+        scfg.commit = CommitPolicy::Group {
             max_batch: 8,
             window: SimDuration::from_millis(50),
         };
     }
-    let server = w.server(scfg);
-    server
-        .borrow_mut()
-        .register_resolver("counter", Box::new(ReexecuteResolver));
+    let server = run.counter_server(scfg);
     let urn = Urn::parse("urn:rover:soak/counter").expect("valid urn");
-    let mut hist = History::default();
-    let obj = hist
-        .put_counter(&w, &urn, 0)
+    let obj = run
+        .hist
+        .borrow_mut()
+        .put_counter(&run.w, &urn, 0)
         .ok_or("no server homes the counter")?;
     if cfg.server_crashes > 0 || cfg.group_commit {
-        // Durable mode: the initial checkpoint snapshots the counter
-        // object, and every commit hits the log before its reply.
-        Server::attach_wal(&server, &mut w.sim, Box::new(MemStore::new()))
-            .map_err(|e| format!("seed {}: attach_wal failed: {e:?}", cfg.seed))?;
+        run.attach_wal(&server)?;
     }
-
-    let mut clients: Vec<ClientRef> = Vec::new();
-    let mut sessions: Vec<SessionId> = Vec::new();
-    for i in 0..cfg.clients {
-        let host = client_host(i);
-        let mut ccfg = ClientConfig::thinkpad(host, SERVER);
-        // Soak-friendly retransmission curve: probe fast, back off to a
-        // cap well inside the run, never give up.
-        ccfg.rto = SimDuration::from_secs(10);
-        ccfg.rto_max = SimDuration::from_secs(160);
-        let client = w.client(ccfg, LinkSpec::WAVELAN_2M);
-        sessions.push(Client::create_session(&client, Guarantees::ALL, true));
-        clients.push(client);
-    }
-    let links = w.links_of(SERVER);
+    let clients: Vec<Actor> = (0..cfg.clients)
+        .map(|i| {
+            let mut ccfg = ClientConfig::thinkpad(client_host(i), SERVER);
+            // Soak-friendly retransmission curve: probe fast, back off
+            // to a cap well inside the run, never give up.
+            ccfg.rto = SimDuration::from_secs(10);
+            ccfg.rto_max = SimDuration::from_secs(160);
+            Actor::new(run.w.client(ccfg, LinkSpec::WAVELAN_2M))
+        })
+        .collect();
 
     // Warm every cache over a clean channel, then unleash the chaos.
-    for (i, client) in clients.iter().enumerate() {
-        let p = Client::import(client, &mut w.sim, &urn, sessions[i], Priority::FOREGROUND)
-            .map_err(|e| format!("seed {}: import failed: {e:?}", cfg.seed))?;
-        hist.read(w.sim.now(), client_host(i), sessions[i], obj, &p);
-        w.sim.run();
+    for a in &clients {
+        a.read(&mut run.w.sim, &run.hist, obj, &urn)
+            .map_err(|e| run.err(e))?;
+        run.w.sim.run();
     }
-    for (i, &link) in links.iter().enumerate() {
-        w.net.install_faults(
-            &mut w.sim,
+    for (i, link) in run.w.links_of(SERVER).into_iter().enumerate() {
+        run.w.net.install_faults(
+            &mut run.w.sim,
             link,
             FaultSpec {
                 drop_prob: 0.05,
@@ -244,81 +222,60 @@ pub fn run_seed(cfg: SoakConfig) -> Result<SoakOutcome, String> {
     }
 
     // Power failures at evenly spaced round boundaries: crash now, come
-    // back from the write-ahead device after a fixed outage (shorter
-    // than the clients' backed-off retransmission probes, so retries
-    // land on the recovered incarnation).
+    // back from the write-ahead device after a fixed outage. Exports go
+    // out round-robin with think time, chaos running the whole while.
     let crash_rounds: std::collections::BTreeSet<usize> = (1..=cfg.server_crashes)
         .map(|k| ((k * cfg.ops_per_client) / (cfg.server_crashes + 1)).max(1))
         .collect();
-    let outage = SimDuration::from_secs(12);
-    let failed: Rc<RefCell<Option<String>>> = Rc::default();
-
-    // Issue exports round-robin with think time, chaos running the
-    // whole while.
-    let t0 = w.sim.now();
+    let t0 = run.w.sim.now();
     for round in 0..cfg.ops_per_client {
         if crash_rounds.contains(&round) {
-            Server::crash_now(&server, &mut w.sim);
-            let (sv, failed) = (server.clone(), failed.clone());
-            w.sim.schedule_after(outage, move |sim| {
-                if let Err(e) = Server::crash_restart(&sv, sim) {
-                    *failed.borrow_mut() = Some(format!("crash_restart failed: {e:?}"));
-                }
-            });
+            Server::crash_now(&server, &mut run.w.sim);
+            restart_after(&mut run.w.sim, &server, &run.error, |_| {});
         }
-        for (i, client) in clients.iter().enumerate() {
-            let (now, session) = (w.sim.now(), sessions[i]);
-            let h = Client::export(
-                client,
-                &mut w.sim,
-                &urn,
-                session,
-                "add",
-                &["1"],
-                Priority::NORMAL,
-            )
-            .map_err(|e| format!("seed {}: export failed: {e:?}", cfg.seed))?;
-            hist.write(now, client_host(i), session, obj, 1, &h);
-            w.sim.run_for(SimDuration::from_millis(400));
+        for a in &clients {
+            a.add(&mut run.w.sim, &run.hist, obj, &urn)
+                .map_err(|e| run.err(e))?;
+            run.w.sim.run_for(SimDuration::from_millis(400));
         }
     }
 
-    // Drive to quiescence: every queued QRPC decided. `sim.run()` also
+    // Drive to quiescence: every queued QRPC decided. The finish also
     // plays out the tail of each flap schedule.
-    let deadline = w.sim.now() + SimDuration::from_secs(48 * 3600);
-    // A failed recovery ends the run.
-    while failed.borrow().is_none() && clients.iter().any(|c| Client::outstanding_count(c) > 0) {
-        if !w.sim.step() || w.sim.now() > deadline {
-            return Err(format!(
-                "seed {}: did not converge (t = {}, outstanding = {:?})",
-                cfg.seed,
-                w.sim.now(),
-                clients
-                    .iter()
-                    .map(Client::outstanding_count)
-                    .collect::<Vec<_>>()
-            ));
-        }
-    }
-    if let Some(e) = failed.take() {
-        return Err(format!("seed {}: {e}", cfg.seed));
-    }
-    let converged_ms = w.sim.now().since(t0).as_millis_f64() as u64;
-    w.sim.run(); // Drain remaining flap/background events.
-    let summary = hist
-        .check(&w, &clients)
-        .map_err(|e| format!("seed {}: {e}", cfg.seed))?;
+    let outstanding = || clients.iter().map(|a| Client::outstanding_count(&a.cl));
+    run.drive(
+        SimDuration::from_secs(48 * 3600),
+        || outstanding().all(|n| n == 0),
+        || format!("outstanding = {:?}", outstanding().collect::<Vec<_>>()),
+    )?;
+    let converged_ms = run.w.sim.now().since(t0).as_millis_f64() as u64;
+    let summary = run.finish(&clients)?;
+    read_out(
+        &run,
+        &cfg,
+        &summary,
+        obj,
+        converged_ms,
+        crash_rounds.len() as u64,
+    )
+}
 
-    let stats = &w.sim.stats;
-    let ops = (cfg.clients * cfg.ops_per_client) as u64;
+/// Reads a converged run's figures and holds it to the chaos soak's own
+/// invariants.
+fn read_out(
+    run: &Run,
+    cfg: &SoakConfig,
+    summary: &Summary,
+    obj: usize,
+    converged_ms: u64,
+    crashes: u64,
+) -> Result<SoakOutcome, String> {
+    let stats = &run.w.sim.stats;
+    let common = Readout::of(stats);
     let [recovery_us_mean, ..] = scaled_summary(stats, "server.recovery_ms", 1000.0, 0);
-    let [group_batch_mean_x100, group_batch_p50_x100, group_batch_p99_x100] =
-        scaled_summary(stats, "server.group_commit_batch_size", 100.0, 100);
-    let [flush_wait_us_mean, flush_wait_us_p50, flush_wait_us_p99] =
-        scaled_summary(stats, "server.flush_wait_ms", 1000.0, 0);
-    let [_, qdepth_p50_x100, qdepth_p99_x100] = scaled_summary(stats, "server.qdepth", 100.0, 0);
     let corrupt_injected = stats.counter("net.faults_injected.corrupt");
-    let mut o = SoakOutcome {
+    let ops = (cfg.clients * cfg.ops_per_client) as u64;
+    let o = SoakOutcome {
         seed: cfg.seed,
         ops,
         final_n: summary.totals[obj] as u64,
@@ -329,100 +286,59 @@ pub fn run_seed(cfg: SoakConfig) -> Result<SoakOutcome, String> {
             + stats.counter("net.faults_injected.dup")
             + stats.counter("net.faults_injected.jitter"),
         corrupt_rejected: stats.counter("net.corrupt_rejected"),
-        corrupt_injected,
-        retransmits: stats.counter("client.retransmits"),
+        retransmits: common.retransmits,
         converged_ms,
-        server_crashes: stats.counter("server.crashes"),
-        wal_appends: stats.counter("server.wal_appends"),
+        server_crashes: common.crashes,
+        wal_appends: common.wal_appends,
         checkpoints: stats.counter("server.checkpoints"),
         recovered_commits: stats.counter("server.recovered_commits"),
         recovery_truncated_tail: stats.counter("server.recovery_truncated_tail"),
         recovery_us_mean,
-        group_commits: stats.counter("server.group_commits"),
-        group_batch_mean_x100,
-        group_batch_p50_x100,
-        group_batch_p99_x100,
-        reply_coalesced: stats.counter("server.reply_coalesced"),
-        flush_wait_us_mean,
-        flush_wait_us_p50,
-        flush_wait_us_p99,
-        qdepth_p50_x100,
-        qdepth_p99_x100,
-        input_rejected: input_rejected(stats),
+        group_commits: common.group_commits,
+        group_batch_mean_x100: common.batch_x100[0],
+        group_batch_p50_x100: common.batch_x100[1],
+        group_batch_p99_x100: common.batch_x100[2],
+        reply_coalesced: common.reply_coalesced,
+        flush_wait_us_mean: common.flush_wait_us[0],
+        flush_wait_us_p50: common.flush_wait_us[1],
+        flush_wait_us_p99: common.flush_wait_us[2],
+        qdepth_p50_x100: common.qdepth_x100[0],
+        qdepth_p99_x100: common.qdepth_x100[1],
+        input_rejected: common.input_rejected,
         digest: 0,
-    };
+    }
+    .with_digest();
 
     // Every injected corruption is caught at least once; a corrupted
     // message that was *also* duplicated is rejected twice (both copies
     // carry the flipped bit), so rejections can exceed injections.
-    let seed = cfg.seed;
-    if o.corrupt_rejected < corrupt_injected {
-        let n = o.corrupt_rejected;
-        return Err(format!(
-            "seed {seed}: {corrupt_injected} corruptions injected but only {n} rejected"
-        ));
+    let n = o.corrupt_rejected;
+    if n < corrupt_injected {
+        return Err(run.err(format!(
+            "{corrupt_injected} corruptions injected but only {n} rejected"
+        )));
     }
     // Durability invariants (crash mode only).
-    if cfg.server_crashes > 0 {
-        if o.server_crashes != crash_rounds.len() as u64 {
-            let (want, n) = (crash_rounds.len(), o.server_crashes);
-            return Err(format!(
-                "seed {seed}: scheduled {want} crashes but {n} fired"
-            ));
-        }
-        if o.recovered_commits == 0 {
-            return Err(format!(
-                "seed {seed}: crashes fired but recovery replayed nothing"
-            ));
-        }
+    let n = o.server_crashes;
+    if cfg.server_crashes > 0 && n != crashes {
+        return Err(run.err(format!("scheduled {crashes} crashes but {n} fired")));
+    }
+    if cfg.server_crashes > 0 && o.recovered_commits == 0 {
+        return Err(run.err("crashes fired but recovery replayed nothing"));
     }
     // Group-commit invariants (group mode only).
-    if cfg.group_commit {
-        if o.group_commits == 0 {
-            return Err(format!(
-                "seed {seed}: group commit enabled but no group ever flushed"
-            ));
-        }
-        if o.wal_appends < ops {
-            let n = o.wal_appends;
-            return Err(format!(
-                "seed {seed}: only {n} WAL commit records for {ops} exports"
-            ));
-        }
+    if cfg.group_commit && o.group_commits == 0 {
+        return Err(run.err("group commit enabled but no group ever flushed"));
     }
-
-    o.digest = super::fnv_digest([
-        o.seed,
-        o.ops,
-        o.final_n,
-        o.committed,
-        o.reexecs,
-        o.faults,
-        o.corrupt_rejected,
-        o.retransmits,
-        o.converged_ms,
-        o.server_crashes,
-        o.wal_appends,
-        o.checkpoints,
-        o.recovered_commits,
-        o.recovery_truncated_tail,
-        o.recovery_us_mean,
-        o.group_commits,
-        o.group_batch_mean_x100,
-        o.group_batch_p50_x100,
-        o.group_batch_p99_x100,
-        o.reply_coalesced,
-        o.flush_wait_us_mean,
-        o.flush_wait_us_p50,
-        o.flush_wait_us_p99,
-        o.qdepth_p50_x100,
-        o.qdepth_p99_x100,
-        o.input_rejected,
-    ]);
+    if cfg.group_commit && o.wal_appends < ops {
+        let n = o.wal_appends;
+        return Err(run.err(format!("only {n} WAL commit records for {ops} exports")));
+    }
     Ok(o)
 }
 
-/// Runs a range of seeds and renders the per-seed table; `Err` on the
+/// Runs a range of seeds and renders the per-seed table (the report
+/// holds no metrics: `rover-bench soak` prints the table); `Err` on the
 /// first invariant violation. `server_crashes > 0` adds the durability
 /// plane (write-ahead log + scheduled power failures) and its columns;
 /// `group_commit` runs the server's group-commit engine and adds its
@@ -472,6 +388,7 @@ pub fn run_seeds(
             cfg = cfg.with_group_commit();
         }
         let o = run_seed(cfg)?;
+        let ms = |us| format!("{:.1} ms", thousandths(us));
         let mut row = vec![
             o.seed.to_string(),
             o.ops.to_string(),
@@ -481,7 +398,7 @@ pub fn run_seeds(
             o.input_rejected.to_string(),
             o.retransmits.to_string(),
             o.reexecs.to_string(),
-            format!("{:.1} s", o.converged_ms as f64 / 1000.0),
+            format!("{:.1} s", thousandths(o.converged_ms)),
         ];
         if server_crashes > 0 {
             row.extend([
@@ -490,79 +407,18 @@ pub fn run_seeds(
                 o.checkpoints.to_string(),
                 o.recovered_commits.to_string(),
                 o.recovery_truncated_tail.to_string(),
-                format!("{:.1} ms", o.recovery_us_mean as f64 / 1000.0),
+                ms(o.recovery_us_mean),
             ]);
         }
         if group_commit {
             row.extend([
                 o.group_commits.to_string(),
-                format!("{:.2}", o.group_batch_mean_x100 as f64 / 100.0),
+                format!("{:.2}", hundredths(o.group_batch_mean_x100)),
                 o.reply_coalesced.to_string(),
-                format!("{:.1} ms", o.flush_wait_us_mean as f64 / 1000.0),
+                ms(o.flush_wait_us_mean),
             ]);
         }
         t.row(row);
-        r.metric(
-            format!("soak.seed{}.converge_ms", o.seed),
-            o.converged_ms as f64,
-        );
-        r.metric(format!("soak.seed{}.faults", o.seed), o.faults as f64);
-        r.metric(
-            format!("soak.seed{}.qdepth_p50", o.seed),
-            o.qdepth_p50_x100 as f64 / 100.0,
-        );
-        r.metric(
-            format!("soak.seed{}.qdepth_p99", o.seed),
-            o.qdepth_p99_x100 as f64 / 100.0,
-        );
-        if server_crashes > 0 {
-            r.metric(
-                format!("soak.seed{}.wal_appends", o.seed),
-                o.wal_appends as f64,
-            );
-            r.metric(
-                format!("soak.seed{}.recovered_commits", o.seed),
-                o.recovered_commits as f64,
-            );
-            r.metric(
-                format!("soak.seed{}.recovery_ms", o.seed),
-                o.recovery_us_mean as f64 / 1000.0,
-            );
-        }
-        if group_commit {
-            r.metric(
-                format!("soak.seed{}.group_commits", o.seed),
-                o.group_commits as f64,
-            );
-            r.metric(
-                format!("soak.seed{}.mean_batch", o.seed),
-                o.group_batch_mean_x100 as f64 / 100.0,
-            );
-            r.metric(
-                format!("soak.seed{}.reply_coalesced", o.seed),
-                o.reply_coalesced as f64,
-            );
-            r.metric(
-                format!("soak.seed{}.flush_wait_ms", o.seed),
-                o.flush_wait_us_mean as f64 / 1000.0,
-            );
-            r.metric(
-                format!("soak.seed{}.flush_wait_p50_ms", o.seed),
-                o.flush_wait_us_p50 as f64 / 1000.0,
-            );
-            r.metric(
-                format!("soak.seed{}.flush_wait_p99_ms", o.seed),
-                o.flush_wait_us_p99 as f64 / 1000.0,
-            );
-            r.metric(
-                format!("soak.seed{}.batch_p50", o.seed),
-                o.group_batch_p50_x100 as f64 / 100.0,
-            );
-            r.metric(
-                format!("soak.seed{}.batch_p99", o.seed),
-                o.group_batch_p99_x100 as f64 / 100.0,
-            );
-        }
         outs.push(o);
     }
     r.table(&t);

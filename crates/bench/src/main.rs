@@ -137,63 +137,29 @@ fn run_soak(args: &[String]) {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--seed" => {
-                let v = it.next().unwrap_or_else(|| usage("--seed needs a value"));
-                seeds = parse_seeds(v).unwrap_or_else(|| {
-                    usage("--seed takes a number or an inclusive range like 1..4")
-                });
+                let what = "a number or an inclusive range like 1..4";
+                seeds = value::<Seeds>(&mut it, a, what).0;
                 seeds_given = true;
             }
             "--smoke" => smoke = true,
-            "--server-crashes" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage("--server-crashes needs a value"));
-                server_crashes = v
-                    .parse()
-                    .unwrap_or_else(|_| usage("--server-crashes takes a count"));
-            }
+            "--server-crashes" => server_crashes = value(&mut it, a, "a count"),
             "--group-commit" => group_commit = true,
             "--clients" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage("--clients needs a value"));
-                let n: usize = v
-                    .parse()
-                    .unwrap_or_else(|_| usage("--clients takes a count"));
+                let n = value(&mut it, a, "a count");
                 if n == 0 {
                     usage("--clients needs a positive count");
                 }
                 clients = Some(n);
             }
             "--shards" => {
-                let v = it.next().unwrap_or_else(|| usage("--shards needs a value"));
-                let n: usize = v
-                    .parse()
-                    .unwrap_or_else(|_| usage("--shards takes a count"));
-                if n == 0 || n > rover_bench::exps::scale::MAX_SHARDS {
-                    usage(&format!(
-                        "--shards takes 1..={}",
-                        rover_bench::exps::scale::MAX_SHARDS
-                    ));
+                shards = value(&mut it, a, "a count");
+                let max = rover_bench::exps::scale::MAX_SHARDS;
+                if shards == 0 || shards > max {
+                    usage(&format!("--shards takes 1..={max}"));
                 }
-                shards = n;
             }
-            "--replicate-hot" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage("--replicate-hot needs a value"));
-                replicate_hot = v
-                    .parse()
-                    .unwrap_or_else(|_| usage("--replicate-hot takes a top-K count"));
-            }
-            "--rebalance-every" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage("--rebalance-every needs a value"));
-                rebalance_every_ms = v
-                    .parse()
-                    .unwrap_or_else(|_| usage("--rebalance-every takes milliseconds"));
-            }
+            "--replicate-hot" => replicate_hot = value(&mut it, a, "a top-K count"),
+            "--rebalance-every" => rebalance_every_ms = value(&mut it, a, "milliseconds"),
             _ => usage(&format!("unknown soak flag {a}")),
         }
     }
@@ -272,6 +238,28 @@ fn run_soak(args: &[String]) {
     }
 }
 
+/// The value after `flag`, parsed as a `T`: a missing value exits with
+/// "`flag` needs a value", one that does not parse with "`flag` takes
+/// `what`".
+fn value<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>, flag: &str, what: &str) -> T {
+    let v = it
+        .next()
+        .unwrap_or_else(|| usage(&format!("{flag} needs a value")));
+    v.parse()
+        .unwrap_or_else(|_| usage(&format!("{flag} takes {what}")))
+}
+
+/// A `--seed` value: `N` or the inclusive range `A..B`.
+struct Seeds(Vec<u64>);
+
+impl std::str::FromStr for Seeds {
+    type Err = ();
+
+    fn from_str(v: &str) -> Result<Seeds, ()> {
+        parse_seeds(v).map(Seeds).ok_or(())
+    }
+}
+
 /// Parses `N` or the inclusive range `A..B`.
 fn parse_seeds(v: &str) -> Option<Vec<u64>> {
     if let Some((a, b)) = v.split_once("..") {
@@ -291,4 +279,20 @@ fn usage(msg: &str) -> ! {
         "usage: rover-bench [all|list|<experiment-id>…] [--jobs N] [--json <dir>|none]\n       rover-bench soak [--seed A..B|N] [--smoke] [--server-crashes N] [--group-commit]\n       rover-bench soak --clients N [--seed A..B|N] [--smoke] [--shards N [--server-crashes K]\n                       [--replicate-hot K] [--rebalance-every MS]]"
     );
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_seeds;
+
+    #[test]
+    fn parse_seeds_takes_a_number_or_an_inclusive_range() {
+        assert_eq!(parse_seeds("7"), Some(vec![7]));
+        assert_eq!(parse_seeds("2..4"), Some(vec![2, 3, 4]));
+        assert_eq!(parse_seeds("3..3"), Some(vec![3]));
+        assert_eq!(parse_seeds("4..2"), None);
+        for junk in ["", "x", "1..", "..4", "1..x", "1...4", "-1"] {
+            assert_eq!(parse_seeds(junk), None, "{junk:?}");
+        }
+    }
 }

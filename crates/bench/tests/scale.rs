@@ -33,6 +33,11 @@ fn scale_soak_is_reproducible_per_seed() {
     let a = run_scale(cfg).expect("run a");
     let b = run_scale(cfg).expect("run b");
     assert_eq!(a, b, "same seed must reproduce byte-identical outcomes");
+    // Recorded at commit f6dc8f8: moves only with a stated reason.
+    assert_eq!(
+        a.digest, 0xbd49_d0b7_a0d4_e0b0,
+        "the 7/150/2 group digest moved"
+    );
     let c = run_scale(ScaleConfig::new(8, 150, 2).with_policy(GROUP_POLICY)).expect("run c");
     assert_ne!(a.digest, c.digest, "different seeds should differ");
 }

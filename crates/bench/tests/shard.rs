@@ -15,6 +15,14 @@ use rover_net::LinkSpec;
 use rover_sim::SimDuration;
 use rover_wire::{HostId, SessionId};
 
+// Digests of the same-seed arms below, recorded at commit f6dc8f8. A
+// digest folds every figure of the outcome, so a refactor that keeps
+// these kept the run; one that moves them says why in its change.
+const SHARDED: u64 = 0x58db_5260_9d09_210d;
+const SHARD_KILL: u64 = 0x1fa4_effb_2d62_7640;
+const REPLICATION_REBALANCING: u64 = 0xdf72_7cda_97c5_1147;
+const CHAOS_REPLICATION: u64 = 0xdfeb_69eb_f422_ac02;
+
 /// Longest a seed import may take (nothing here takes 10 simulated
 /// hours).
 const LIMIT: SimDuration = SimDuration::from_secs(36_000);
@@ -178,6 +186,7 @@ fn sharded_scale_run_is_deterministic() {
     let a = run_scale(cfg).expect("run a");
     let b = run_scale(cfg).expect("run b");
     assert_eq!(a, b, "same seed and shard count must reproduce exactly");
+    assert_eq!(a.digest, SHARDED, "the sharded digest moved");
     assert_eq!(a.shards, 4);
     assert_eq!(a.shard_ops.iter().sum::<u64>(), a.ops);
 }
@@ -191,6 +200,7 @@ fn shard_kill_chaos_run_is_deterministic() {
     let a = run_scale(cfg).expect("chaos run a");
     let b = run_scale(cfg).expect("chaos run b");
     assert_eq!(a, b, "shard-kill chaos must replay byte-identically");
+    assert_eq!(a.digest, SHARD_KILL, "the shard-kill digest moved");
     assert_eq!(a.crashes, 4, "one scheduled crash per shard");
 }
 
@@ -233,6 +243,10 @@ fn replication_and_rebalancing_run_is_deterministic() {
     let a = run_scale(cfg).expect("dynamic run a");
     let b = run_scale(cfg).expect("dynamic run b");
     assert_eq!(a, b, "the dynamic plane must replay byte-identically");
+    assert_eq!(
+        a.digest, REPLICATION_REBALANCING,
+        "the replication+rebalancing digest moved"
+    );
 }
 
 #[test]
@@ -267,6 +281,10 @@ fn chaos_with_replication_is_deterministic_and_durable() {
     let a = run_scale(cfg).expect("chaos+replication run a");
     let b = run_scale(cfg).expect("chaos+replication run b");
     assert_eq!(a, b, "chaos with volatile replicas must replay exactly");
+    assert_eq!(
+        a.digest, CHAOS_REPLICATION,
+        "the chaos+replication digest moved"
+    );
     assert_eq!(a.crashes, 4, "one scheduled crash per shard");
 }
 

@@ -11,11 +11,11 @@ use std::time::Duration;
 
 use rover_core::{
     Client, ClientConfig, CommitPolicy, Guarantees, LogPolicy, Priority, ReexecuteResolver,
-    RoverError, RoverObject, Server, ServerConfig, ServerRef, StorageModel, Urn,
+    RoverError, RoverObject, Server, ServerConfig, ServerRef, StorageModel, Urn, World,
 };
 use rover_log::{FileStore, MemStore, StableStore};
 use rover_net::{
-    register_reassembling_host, LinkId, LinkSpec, Net, ReconnectPolicy, TcpTransport, Transport,
+    register_reassembling_host, LinkId, LinkSpec, ReconnectPolicy, TcpTransport, Transport,
     TransportEvent,
 };
 use rover_sim::{Clock, CpuModel, Sim, SimDuration, SimTime, WallClock};
@@ -56,14 +56,13 @@ pub fn atomic_write(path: &Path, contents: &str) -> Result<(), String> {
     std::fs::rename(&tmp, path).map_err(|e| format!("rename {}: {e}", path.display()))
 }
 
-/// Builds the counter-serving home server on `store`, recovering
+/// Builds the counter-serving home server of `w` on `store`, recovering
 /// whatever the device holds. Nothing is modelled: under a wall clock
 /// the store's fsync and the CPU this process burns are the real costs,
 /// and a modelled charge on top of them is a real timer wait. `tune`
 /// adjusts the config before the server is built.
 fn counter_server(
-    sim: &mut Sim,
-    net: &Net,
+    w: &mut World,
     store: Box<dyn StableStore>,
     tune: impl FnOnce(&mut ServerConfig),
 ) -> Result<ServerRef, RoverError> {
@@ -72,14 +71,14 @@ fn counter_server(
     cfg.cpu = CpuModel::FREE;
     cfg.mtu = NO_FRAG_MTU;
     tune(&mut cfg);
-    let server = Server::new(net, cfg);
+    let server = w.server(cfg);
     server
         .borrow_mut()
         .register_resolver("counter", Box::new(ReexecuteResolver));
     // Seed before attaching: on an empty device the object lands in the
     // initial checkpoint; on recovery the checkpoint replaces it.
     server.borrow_mut().put_object(counter_object());
-    Server::attach_wal(&server, sim, store)?;
+    Server::attach_wal(&server, &mut w.sim, store)?;
     Ok(server)
 }
 
@@ -204,12 +203,11 @@ pub fn run_server(opts: &ServerOpts, shutdown: Arc<AtomicBool>) -> Result<Server
     }
 
     let clock = WallClock::new();
-    let mut sim = Sim::new(0);
-    let net = Net::new();
+    let mut w = World::new(0);
 
     let store =
         FileStore::open(&opts.wal).map_err(|e| format!("wal {}: {e}", opts.wal.display()))?;
-    let server = counter_server(&mut sim, &net, Box::new(store), |cfg| {
+    let server = counter_server(&mut w, Box::new(store), |cfg| {
         cfg.checkpoint_every = opts.checkpoint_every;
         cfg.commit = CommitPolicy::Group {
             max_batch: opts.group_batch,
@@ -217,7 +215,7 @@ pub fn run_server(opts: &ServerOpts, shutdown: Arc<AtomicBool>) -> Result<Server
         };
     })
     .map_err(|e| format!("attach wal: {e}"))?;
-    let recovered = sim.stats.counter("server.recovered_commits");
+    let recovered = w.sim.stats.counter("server.recovered_commits");
 
     // Acceptor thread: blocks in `accept()` and hands fresh transports
     // to the driver. Each connection's reader thread notifies the wall
@@ -298,13 +296,13 @@ pub fn run_server(opts: &ServerOpts, shutdown: Arc<AtomicBool>) -> Result<Server
                         }
                         routes.borrow_mut().insert(src, idx);
                         let link = *links.entry(src).or_insert_with(|| {
-                            let link = net.add_link(LinkSpec::LOOPBACK, src, SERVER_HOST);
-                            server.borrow_mut().add_route(src, link);
+                            // The world gives the server its route back.
+                            let link = w.link(LinkSpec::LOOPBACK, src, SERVER_HOST);
                             // Outbound proxy: replies addressed to this
                             // host leave through its live connection.
                             let conns2 = conns.clone();
                             let routes2 = routes.clone();
-                            register_reassembling_host(&net, src, move |_sim, _net, env| {
+                            register_reassembling_host(&w.net, src, move |_sim, _net, env| {
                                 let target = routes2.borrow().get(&env.dst).copied();
                                 let mut cs = conns2.borrow_mut();
                                 if let Some(c) = target.and_then(|i| cs.get_mut(&i)) {
@@ -314,25 +312,25 @@ pub fn run_server(opts: &ServerOpts, shutdown: Arc<AtomicBool>) -> Result<Server
                             });
                             link
                         });
-                        let _ = net.send(&mut sim, link, env);
+                        let _ = w.net.send(&mut w.sim, link, env);
                     }
                 }
             }
         }
 
-        catch_up(&mut sim, &clock);
+        catch_up(&mut w.sim, &clock);
         flush_all(&conns);
         if shutdown.load(Ordering::Relaxed) {
             break;
         }
-        let wait = next_wait(&mut sim, &clock, opts.tick);
+        let wait = next_wait(&mut w.sim, &clock, opts.tick);
         clock.wait_until(Some(wait));
     }
 
     // Graceful shutdown: make the staged batch durable and checkpoint,
     // then let immediate follow-up events (reply dispatch) drain.
-    Server::flush_and_checkpoint(&server, &mut sim);
-    sim.run_for(SimDuration::from_millis(5));
+    Server::flush_and_checkpoint(&server, &mut w.sim);
+    w.sim.run_for(SimDuration::from_millis(5));
     flush_all(&conns);
     // The acceptor sits in `accept()`; a throwaway connection wakes it
     // to see the flag. If even that cannot be made, leave it detached
@@ -344,9 +342,9 @@ pub fn run_server(opts: &ServerOpts, shutdown: Arc<AtomicBool>) -> Result<Server
     let server = server.borrow();
     Ok(ServerSummary {
         recovered,
-        requests: sim.stats.counter("server.requests"),
-        group_commits: sim.stats.counter("server.group_commits"),
-        checkpoints: sim.stats.counter("server.checkpoints"),
+        requests: w.sim.stats.counter("server.requests"),
+        group_commits: w.sim.stats.counter("server.group_commits"),
+        checkpoints: w.sim.stats.counter("server.checkpoints"),
         connections: connections_total,
         dedup_entries: server.dedup_entries() as u64,
         // Nothing changed the state since the shutdown checkpoint, so
@@ -414,13 +412,10 @@ pub struct ClientSummary {
 /// standard QRPC retransmission path over a reconnecting TCP transport.
 pub fn run_client(opts: &ClientOpts) -> Result<ClientSummary, String> {
     let clock = WallClock::new();
-    let mut sim = Sim::new(0);
-    let net = Net::new();
     let me = HostId(opts.host_id);
     if me == SERVER_HOST {
         return Err("host id collides with the server".into());
     }
-    let link = net.add_link(LinkSpec::LOOPBACK, me, SERVER_HOST);
 
     let mut cfg = ClientConfig::thinkpad(me, SERVER_HOST);
     cfg.storage = StorageModel::FREE;
@@ -430,7 +425,10 @@ pub fn run_client(opts: &ClientOpts) -> Result<ClientSummary, String> {
     cfg.rto = SimDuration::from_micros(opts.rto.as_micros().max(1000) as u64);
     let rto = cfg.rto;
     cfg.rto_max = SimDuration::from_micros((opts.rto.as_micros() as u64).saturating_mul(16));
-    let client = Client::new(&mut sim, &net, cfg, vec![link]);
+    let mut w = World::new(0);
+    let client = w.client(cfg, LinkSpec::LOOPBACK);
+    let link = w.links_of(me)[0];
+    let World { mut sim, net, .. } = w;
     let session = Client::create_session(&client, Guarantees::ALL, true);
 
     // Outbound proxy: envelopes the sim routes to the server host are
@@ -602,11 +600,10 @@ pub fn recover_snapshot(wal: &Path) -> Result<(Vec<u8>, u64), String> {
         .reset(&bytes)
         .map_err(|e| format!("load wal image: {e}"))?;
 
-    let mut sim = Sim::new(0);
-    let net = Net::new();
-    let server = counter_server(&mut sim, &net, Box::new(store), |_| {})
-        .map_err(|e| format!("recover: {e}"))?;
-    sim.run();
+    let mut w = World::new(0);
+    let server =
+        counter_server(&mut w, Box::new(store), |_| {}).map_err(|e| format!("recover: {e}"))?;
+    w.sim.run();
 
     let snap = server.borrow().export_store();
     let n = read_counter(&server)?;
